@@ -129,6 +129,8 @@ def _cmd_poset(args) -> int:
 
 
 def _cmd_construct(args) -> int:
+    if args.prefix < 1:
+        raise PosetError("--prefix must be at least 1, got %d" % args.prefix)
     ords = [_parse_any(t) for t in args.ordinals]
     if args.kind == "sierp":
         lazy = sierpinskisation(*ords)
@@ -164,6 +166,8 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.cases < 0:
+        raise OrdinalError("--cases must be at least 0, got %d" % args.cases)
     report = run_suite(args.suite, args.cases, args.seed, jobs=args.jobs)
     print(report.to_json())
     for inp, want, got in report.failures:

@@ -72,6 +72,7 @@ class Enumeration:
             self.size = None
             self._kind = "power"  # omega^e, e >= 2 or a limit exponent
             self._block_count: Optional[int] = None
+            self._power_blocks: dict = {}  # b -> _power_block(b)
         else:
             self.size = None
             self._kind = "blocks"
@@ -90,7 +91,6 @@ class Enumeration:
 
     # block b of a pure power omega^e: the b-th step of its fundamental
     # sequence, enumerated recursively
-    @lru_cache(maxsize=None)
     def _power_block(self, b: int):
         e = self.alpha.leading_exp
         if e.is_successor:
@@ -102,7 +102,10 @@ class Enumeration:
 
     def _block(self, b: int):
         if self._kind == "power":
-            return self._power_block(b)
+            block = self._power_blocks.get(b)
+            if block is None:
+                block = self._power_blocks[b] = self._power_block(b)
+            return block
         return self._blocks[b]
 
     def _diagonal(self, d: int):
@@ -188,8 +191,13 @@ class LazyPoset:
     # when that rank is computable; used by extend_realizer
     nth_right: Optional[Callable[[int], object]] = None
     nth_left: Optional[Callable[[int], object]] = None
+    # the number of vertices when the universe is finite
+    size: Optional[int] = None
 
     def prefix(self, n: int) -> list:
+        if self.size is not None and n > self.size:
+            raise PosetError("a prefix of %d vertices was requested, but the "
+                             "poset has only %d" % (n, self.size))
         return [self.vertex(i) for i in range(n)]
 
 
@@ -358,8 +366,12 @@ def decompinver_witness(blocks) -> LazyPoset:
                 % (alpha, beta)
             )
     sizes = [_block_size(a) for a, _ in blocks]
+    total = None if None in sizes else sum(sizes)
 
     def vertex(i: int):
+        if total is not None and i >= total:
+            raise PosetError("vertex %d does not exist: the blocks have %d "
+                             "vertices in all" % (i, total))
         # round-robin across blocks, skipping exhausted finite ones
         d = 0
         while True:
@@ -398,6 +410,7 @@ def decompinver_witness(blocks) -> LazyPoset:
         certificate=cert,
         note="disjoint sum of %d blocks; certificate is the natural sum of "
         "the block certificates" % len(parts),
+        size=total,
     )
 
 

@@ -52,7 +52,13 @@ def load_poset(source) -> FinPoset:
     data = json.loads(source) if isinstance(source, (str, bytes)) else source
     if not isinstance(data, dict) or "n" not in data or "le" not in data:
         raise PosetError('poset file must be an object with "n" and "le"')
-    n, pairs = data["n"], [tuple(p) for p in data["le"]]
+    n, le = data["n"], data["le"]
+    if not (type(n) is int and n >= 0 and isinstance(le, (list, tuple)) and all(
+            isinstance(p, (list, tuple)) and len(p) == 2
+            and all(type(v) is int for v in p) for p in le)):
+        raise PosetError('poset file needs a vertex count "n" >= 0 and "le" '
+                         'as a list of [i, j] integer pairs')
+    pairs = [tuple(p) for p in le]
     try:
         return make_poset(n, pairs)
     except PosetError:

@@ -1,8 +1,13 @@
 """Exact finite-poset engine.
 
-Everything here is brute force on purpose: this module is the oracle the
-symbolic layers are checked against.  Posets are stored with the strict
-order relation transitively closed, so order queries are set lookups.
+Posets are stored with the strict order relation transitively closed, so
+order queries are set lookups.  Closure (`make_poset`) and transitive
+reduction (`FinPoset.hasse`) work on one Python-int successor bitset per
+vertex: Warshall's algorithm closes the relation in O(n^2) big-int
+operations.  The length engines and queries (`length_recursive`,
+`bad_tree_height`, `all_posets`, `embeds`, `linear_extensions`) stay brute
+force on purpose: they are the oracles the symbolic layers are checked
+against.
 """
 
 from __future__ import annotations
@@ -32,13 +37,28 @@ class FinPoset:
         return i == j or (i, j) in self.le
 
     @cached_property
+    def successors(self) -> tuple:
+        """Successor bitsets: bit j of successors[i] is set iff i < j."""
+        rows = [0] * self.n
+        for (i, j) in self.le:
+            rows[i] |= 1 << j
+        return tuple(rows)
+
+    @cached_property
     def hasse(self) -> frozenset:
-        """Transitive reduction: the covering pairs."""
-        return frozenset(
-            (i, j)
-            for (i, j) in self.le
-            if not any((i, k) in self.le and (k, j) in self.le for k in range(self.n))
-        )
+        """Transitive reduction: the covering pairs.  The covers of i are
+        its successors minus everything above a successor."""
+        rows = self.successors
+        covers = []
+        for i, row in enumerate(rows):
+            above = 0
+            rest = row
+            while rest:
+                low = rest & -rest
+                above |= rows[low.bit_length() - 1]
+                rest &= ~(above | low)
+            covers.extend((i, j) for j in _bits(row & ~above))
+        return frozenset(covers)
 
     def restrict(self, vertices) -> "FinPoset":
         """Induced subposet, relabelled order-preservingly to 0..k-1."""
@@ -50,32 +70,47 @@ class FinPoset:
         )
 
     def minimal(self):
-        return [v for v in range(self.n) if not any((u, v) in self.le for u in range(self.n))]
+        below = 0
+        for row in self.successors:
+            below |= row
+        return [v for v in range(self.n) if not below >> v & 1]
 
     def __repr__(self) -> str:
         return "FinPoset(%d, %s)" % (self.n, sorted(self.le))
 
 
+_BIT_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _bits(x: int):
+    """The positions of the set bits of x >= 0, ascending."""
+    return itertools.compress(itertools.count(), bin(x)[:1:-1].encode().translate(_BIT_DIGITS))
+
+
 def make_poset(n: int, pairs) -> FinPoset:
     """Build a FinPoset from generating strict pairs; closes transitively
-    and rejects cycles."""
-    pairs = set(map(tuple, pairs))
+    (Warshall's algorithm on successor bitsets) and rejects cycles."""
+    if n < 0:
+        raise PosetError("vertex count %d is negative" % n)
+    rows = [0] * n
     for (i, j) in pairs:
         if not (0 <= i < n and 0 <= j < n):
             raise PosetError("vertex pair (%d, %d) out of range 0..%d" % (i, j, n - 1))
-    closed = set(pairs)
-    changed = True
-    while changed:
-        changed = False
-        for (i, j) in list(closed):
-            for (k, l) in list(closed):
-                if j == k and (i, l) not in closed:
-                    closed.add((i, l))
-                    changed = True
-    for (i, j) in closed:
-        if i == j or (j, i) in closed:
+        rows[i] |= 1 << j
+    for k in range(n):
+        bit, row_k = 1 << k, rows[k]
+        if row_k:
+            rows = [row | row_k if row & bit else row for row in rows]
+    for i, row in enumerate(rows):
+        # a cycle through i and j puts i above itself, so this one test
+        # also rules out antisymmetry violations
+        if row >> i & 1:
             raise PosetError("cycle through vertex %d" % i)
-    return FinPoset(n, frozenset(closed))
+    le = frozenset(itertools.chain.from_iterable(
+        zip(itertools.repeat(i), _bits(row)) for i, row in enumerate(rows)))
+    p = FinPoset(n, le)
+    p.__dict__["successors"] = tuple(rows)  # seed the cached property
+    return p
 
 
 def chain(n: int) -> FinPoset:

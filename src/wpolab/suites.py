@@ -306,7 +306,9 @@ def _suite_finite_poset_oracle(report, cases, rng):
 
 
 def _suite_constructions_prefix(report, cases, rng):
-    prefix = max(10, min(cases, 400))
+    # vertex 10 is the first in mixing cell (1, 1), so the (2, 2) windows
+    # below need a prefix of at least 11 vertices
+    prefix = max(11, min(cases, 400))
     for text in ("w", "w*2", "w^2+w*3+5"):
         rep = prefix_audit(sierpinskisation(parse_ordinal(text)), prefix)
         for name, witness in rep.failures().items():

@@ -174,6 +174,16 @@ def test_decompinver_aligned_blocks_concatenate():
     assert prefix_audit(w, 5).passed
 
 
+def test_decompinver_finite_blocks_end():
+    w = decompinver_witness([(from_int(2), from_int(2)), (from_int(3), from_int(3))])
+    assert w.size == 5 and len(w.prefix(5)) == 5
+    with pytest.raises(PosetError):
+        w.prefix(6)
+    with pytest.raises(PosetError):
+        w.vertex(5)
+    assert decompinver_witness([(o("w"), o("w")), (from_int(3), from_int(3))]).size is None
+
+
 def test_decompinver_omega_blocks_mix_even_on_the_diagonal():
     # (w, w) is a multiple of omega, so it mixes: certificate w (+) w = w*2
     w = decompinver_witness([(o("w"), o("w")), (o("w"), o("w"))])

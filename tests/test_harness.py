@@ -1,6 +1,10 @@
 """Verification harness: file formats, suites, and the CLI surface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -31,7 +35,9 @@ def test_loader_rejects_cycles_with_a_witness():
 
 
 def test_loader_rejects_malformed_documents():
-    for bad in ('[]', '{"n": 2}', '{"n": 2, "le": [[0, 5]]}'):
+    for bad in ('[]', '{"n": 2}', '{"n": 2, "le": [[0, 5]]}', '{"n": -3, "le": []}',
+                '{"n": 2.5, "le": []}', '{"n": 2, "le": [[0.5, 1]]}', '{"n": 2, "le": [3]}',
+                '{"n": 2, "le": [[0, 1, 1]]}', '{"n": 2, "le": 7}'):
         with pytest.raises((PosetError, ValueError)):
             load_poset(bad)
 
@@ -67,6 +73,13 @@ def test_reports_are_deterministic():
 def test_zero_cases_is_a_vacuous_pass():
     report = run_suite("theta_laws", 0, 0)
     assert report.passed and report.cases == 0
+
+
+@pytest.mark.parametrize("cases", range(1, 12))
+def test_constructions_prefix_passes_on_short_runs(cases):
+    # the mixing windows need 11 vertices whatever the case count
+    report = run_suite("constructions_prefix", cases, 0)
+    assert report.passed, report.failures
 
 
 def test_unknown_suite_is_rejected():
@@ -145,3 +158,26 @@ def test_cli_usage_and_parse_errors(capsys):
     assert main(["ord", "nadd", "w^", "w"]) == 2
     assert main(["poset", "len", "fin(@/no/such/file)"]) == 2
     assert main(["nothing"]) == 2
+
+
+def test_cli_rejects_bad_counts(capsys):
+    for argv in (["construct", "sierp", "w", "--prefix", "0"],
+                 ["construct", "sierp", "w", "--prefix", "-3"],
+                 ["verify", "--suite", "theta_laws", "--cases", "-1"]):
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("wpolab: ") and captured.err.count("\n") == 1
+
+
+def test_cli_finite_decompinver_prefix_past_its_end_fails_fast():
+    # all blocks finite: 5 vertices, so a 10-vertex prefix does not exist
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run(
+        [sys.executable, "-m", "wpolab.cli", "construct", "decompinver", "5", "5",
+         "--prefix", "10"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr.startswith("wpolab: ") and done.stderr.count("\n") == 1
+    assert "10" in done.stderr and "5" in done.stderr

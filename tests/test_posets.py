@@ -1,7 +1,10 @@
 import itertools
+import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from wpolab.cli import main
 from wpolab.posets import (
     FinPoset,
     PosetError,
@@ -32,6 +35,8 @@ def test_make_poset():
         make_poset(3, [(0, 1), (1, 2), (2, 0)])  # closure finds the cycle
     with pytest.raises(PosetError):
         make_poset(2, [(0, 5)])
+    with pytest.raises(PosetError):
+        make_poset(-3, [])
 
 
 def test_intersect():
@@ -138,3 +143,71 @@ def test_hasse_reduction():
     c = chain(3)
     assert c.hasse == frozenset({(0, 1), (1, 2)})
     assert antichain(2).hasse == frozenset()
+
+
+# -- bitset engine against an independent model ------------------------------------
+
+
+def _reachability(n, edges):
+    """Strict reachability of the digraph, by breadth-first search."""
+    adj = {v: [] for v in range(n)}
+    for i, j in edges:
+        adj[i].append(j)
+    reach = set()
+    for start in range(n):
+        seen, frontier = set(), [start]
+        while frontier:
+            frontier = [w for v in frontier for w in adj[v] if w not in seen]
+            seen.update(frontier)
+        reach |= {(start, v) for v in seen}
+    return reach
+
+
+@st.composite
+def digraphs(draw):
+    """Random digraphs; half of them forced acyclic (edges i -> j with
+    i < j, relabelled by a random permutation) so that large posets occur."""
+    n = draw(st.integers(0, 8))
+    if n == 0:
+        return 0, set()
+    edges = draw(st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                         max_size=n * n // 2))
+    if draw(st.booleans()):
+        perm = draw(st.permutations(range(n)))
+        edges = {(perm[min(e)], perm[max(e)]) for e in edges if e[0] != e[1]}
+    return n, edges
+
+
+@settings(max_examples=400)
+@given(digraphs())
+def test_make_poset_matches_reachability(graph):
+    n, edges = graph
+    reach = _reachability(n, edges)
+    if any((v, v) in reach for v in range(n)):  # a cycle or a self-loop
+        with pytest.raises(PosetError):
+            make_poset(n, edges)
+        return
+    p = make_poset(n, edges)
+    assert p.le == frozenset(reach)
+    assert p.hasse == frozenset(
+        (i, j) for (i, j) in reach
+        if not any((i, k) in reach and (k, j) in reach for k in range(n))
+    )
+    assert p.minimal() == [v for v in range(n) if not any((u, v) in reach for u in range(n))]
+    q = make_poset(n, [(j, i) for (i, j) in edges])  # the dual order
+    assert intersect(p, q).le == frozenset()
+    assert intersect(p, p) == p
+
+
+@pytest.mark.parametrize("argv", [
+    ["construct", "sierp", "w^2", "--prefix", "300"],
+    ["poset", "intersect", "fin(chain300)", "fin(chain300)", "--format", "dot"],
+])
+def test_closure_and_reduction_scale(argv, capsys):
+    # each takes about 0.2s of CPU on a 2-vCPU x86 machine; the budget
+    # leaves more than 2x headroom
+    start = time.process_time()
+    assert main(argv) == 0
+    cpu = time.process_time() - start
+    assert capsys.readouterr().out
+    assert cpu < 1.5, "%s took %.2fs of CPU (budget 1.5s)" % (" ".join(argv), cpu)
