@@ -18,6 +18,7 @@ import functools
 from dataclasses import dataclass, field
 
 from .ordinals import (
+    MAX_NESTING,
     ZERO,
     ONE,
     OMEGA,
@@ -298,9 +299,15 @@ def render_k(a: KOrdinal) -> str:
 
 
 def parse_k(text: str) -> KOrdinal:
-    text = text.replace(" ", "")
+    return _parse_k(text.replace(" ", ""), 0)
+
+
+def _parse_k(text: str, nested: int) -> KOrdinal:
+    """parse_k below `nested` enclosing scaled forms."""
     if not text.startswith("W"):
         return KOrdinal.of(parse_ordinal(text))
+    if nested == MAX_NESTING:
+        raise OrdinalError("scaled forms nested deeper than %d" % MAX_NESTING)
     # W<k>*( q )+( rest )
     i = 1
     while i < len(text) and text[i].isdigit():
@@ -318,7 +325,7 @@ def parse_k(text: str) -> KOrdinal:
     if depth or not text.startswith("+(", j) or not text.endswith(")"):
         raise OrdinalError("malformed scaled ordinal %r (expected W<k>*(q)+(r))" % text)
     q = parse_ordinal(text[i + 2 : j - 1])
-    rest = parse_k(text[j + 2 : -1])
+    rest = _parse_k(text[j + 2 : -1], nested + 1)
     if q.is_zero:
         raise OrdinalError("scaled form needs a nonzero quotient")
     return KOrdinal.at_level(k, q, rest)

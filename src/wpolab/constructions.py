@@ -1,12 +1,15 @@
 """Explicit countable witness posets with two-order realizers.
 
 Each construction returns a LazyPoset: an enumerated vertex universe with a
-decidable strict order, optionally a realizer (two strict linear
-comparators whose intersection is the order, with declared symbolic
-types), and a length certificate recorded as an arithmetic derivation.
-Certificates are claims about the infinite object; prefix_audit verifies
-the finite structure (order axioms, realizer linearity, exact
-intersection, and the mixing invariants) on enumerated prefixes.
+decidable strict order, optionally a realizer, and a length certificate
+recorded as an arithmetic derivation.  A realizer is two linear orders
+whose intersection is the order (Dushnik & Miller), each given by a
+per-vertex key: x comes before y when key(x) < key(y), and two vertices
+with equal keys are incomparable, so a tie is how a non-linear order shows
+up.  Certificates are claims about the infinite object; prefix_audit
+verifies the finite structure (order axioms, realizer linearity, exact
+intersection, and the mixing invariants) on enumerated prefixes, ranking
+each realizer order with one sort of the prefix keys.
 
 Everything is built at the countable scale: uncountable cardinals exist
 only symbolically in the theta calculus, since only countable structures
@@ -15,9 +18,10 @@ admit prefix audits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -169,16 +173,20 @@ def enum_below(alpha) -> Enumeration:
 class LazyPoset:
     """An enumerated poset with a decidable order and an optional realizer.
 
-    `lt` is the strict partial order; `left`/`right`, when present, are
-    strict linear comparators with le = left intersect right on every
-    prefix.  `certificate` is a recorded length derivation (a claim about
+    `lt` is the strict partial order, a pairwise comparator.  The realizer,
+    when present, is two per-vertex keys `left_key`/`right_key`, each
+    valued in a set totally ordered by `<`: the left order puts x before y
+    iff left_key(x) < left_key(y), and likewise on the right.  Vertices
+    with equal keys are incomparable in that order, so a tie makes it
+    non-linear.  On every prefix, lt must be the intersection of the two
+    orders.  `certificate` is a recorded length derivation (a claim about
     the infinite object), `note` its justification chain.
     """
 
     vertex: Callable[[int], object]
     lt: Callable[[object, object], bool]
-    left: Optional[Callable[[object, object], bool]] = None
-    right: Optional[Callable[[object, object], bool]] = None
+    left_key: Optional[Callable[[object], object]] = None
+    right_key: Optional[Callable[[object], object]] = None
     type_left: Optional[CnfOrdinal] = None
     type_right: Optional[CnfOrdinal] = None
     certificate: Optional[CnfOrdinal] = None
@@ -187,10 +195,9 @@ class LazyPoset:
     # vertex -> ((k1, a), (k2, b)) for bi-functionality audits
     cell: Optional[Callable[[object], tuple]] = None
     bikeys: Optional[Callable[[object], tuple]] = None
-    # the vertex at a given rank of the right (resp. left) linear order,
-    # when that rank is computable; used by extend_realizer
+    # the vertex at a given rank of the right linear order, when that rank
+    # is computable; used by extend_realizer
     nth_right: Optional[Callable[[int], object]] = None
-    nth_left: Optional[Callable[[int], object]] = None
     # the number of vertices when the universe is finite
     size: Optional[int] = None
 
@@ -207,17 +214,16 @@ def sierpinskisation(alpha) -> LazyPoset:
     alpha = _ord(alpha)
     if alpha.is_finite:
         raise OrdinalError("sierpinskisation needs an infinite countable ordinal")
-    enum = enum_below(alpha)
+    at = enum_below(alpha).at
     return LazyPoset(
         vertex=lambda i: i,
-        lt=lambda x, y: x < y and enum.at(x) < enum.at(y),
-        left=lambda x, y: x < y,
-        right=lambda x, y: enum.at(x) < enum.at(y),
+        lt=lambda x, y: x < y and at(x) < at(y),
+        left_key=lambda i: i,
+        right_key=at,
         type_left=OMEGA,
         type_right=alpha,
         certificate=alpha,
         note="length of a sierpinskisation of %s is %s" % (alpha, alpha),
-        nth_left=lambda i: i,
         nth_right=lambda i: i if alpha == OMEGA else None,
     )
 
@@ -254,51 +260,44 @@ def mixing_poset(a, b) -> LazyPoset:
     if alpha.is_zero or beta.is_zero:
         raise OrdinalError("mixing_poset needs nonzero index ordinals")
     ea, eb = enum_below(alpha), enum_below(beta)
+    # vertex n -> (ai, bi, left key (ea.at(ai), k1), right key (eb.at(bi), k2)),
+    # built in vertex order: k1 (k2) counts the earlier vertices with the
+    # same ai (bi), kept in running per-cell counters
+    rows: list = []
+    seen_a: dict = {}
+    seen_b: dict = {}
 
-    @lru_cache(maxsize=None)
-    def decode(n: int):
-        uv, w = _unpair(n)
-        u, v = _unpair(uv)
-        ai = u % ea.size if ea.size is not None else u
-        bi = v % eb.size if eb.size is not None else v
-        return ai, bi, w
+    def row(n: int):
+        while len(rows) <= n:
+            uv, _ = _unpair(len(rows))
+            u, v = _unpair(uv)
+            ai = u % ea.size if ea.size is not None else u
+            bi = v % eb.size if eb.size is not None else v
+            k1, k2 = seen_a.get(ai, 0), seen_b.get(bi, 0)
+            seen_a[ai], seen_b[bi] = k1 + 1, k2 + 1
+            rows.append((ai, bi, (ea.at(ai), k1), (eb.at(bi), k2)))
+        return rows[n]
 
-    @lru_cache(maxsize=None)
-    def ranks(n: int):
-        ai, bi, _ = decode(n)
-        k1 = sum(1 for m in range(n) if decode(m)[0] == ai)
-        k2 = sum(1 for m in range(n) if decode(m)[1] == bi)
-        return k1, k2
+    def lt(x, y):
+        rx, ry = row(x), row(y)
+        return rx[2] < ry[2] and rx[3] < ry[3]
 
-    def left_key(n: int):
-        ai, _, _ = decode(n)
-        return ea.at(ai), ranks(n)[0]
-
-    def right_key(n: int):
-        _, bi, _ = decode(n)
-        return eb.at(bi), ranks(n)[1]
-
-    def left(x, y):
-        return left_key(x) < left_key(y)
-
-    def right(x, y):
-        return right_key(x) < right_key(y)
+    def bikeys(n: int):
+        _, _, (a, k1), (b, k2) = row(n)
+        return (k1, a), (k2, b)
 
     return LazyPoset(
         vertex=lambda i: i,
-        lt=lambda x, y: left(x, y) and right(x, y),
-        left=left,
-        right=right,
+        lt=lt,
+        left_key=lambda n: row(n)[2],
+        right_key=lambda n: row(n)[3],
         type_left=mul(OMEGA, alpha),
         type_right=mul(OMEGA, beta),
         certificate=mul(OMEGA, nat_mul(alpha, beta)),
         note="mixing relation: length at least w*(%s (x) %s); certificate is "
         "a lower bound" % (alpha, beta),
-        cell=lambda n: decode(n)[:2],
-        bikeys=lambda n: (
-            (ranks(n)[0], ea.at(decode(n)[0])),
-            (ranks(n)[1], eb.at(decode(n)[1])),
-        ),
+        cell=lambda n: row(n)[:2],
+        bikeys=bikeys,
     )
 
 
@@ -324,8 +323,8 @@ def _aligned_block(alpha: CnfOrdinal) -> LazyPoset:
     return LazyPoset(
         vertex=lambda i: i,
         lt=lambda x, y: key(x) < key(y),
-        left=lambda x, y: key(x) < key(y),
-        right=lambda x, y: key(x) < key(y),
+        left_key=key,
+        right_key=key,
         type_left=alpha,
         type_right=alpha,
         certificate=alpha,
@@ -385,11 +384,13 @@ def decompinver_witness(blocks) -> LazyPoset:
     def lt(x, y):
         return x[0] == y[0] and parts[x[0]].lt(x[1], y[1])
 
-    def left(x, y):
-        return x[0] < y[0] or (x[0] == y[0] and parts[x[0]].left(x[1], y[1]))
+    # blocks ascend on the left and descend on the right; keys of
+    # different blocks never get past the block index
+    def left_key(x):
+        return x[0], parts[x[0]].left_key(x[1])
 
-    def right(x, y):
-        return x[0] > y[0] or (x[0] == y[0] and parts[x[0]].right(x[1], y[1]))
+    def right_key(x):
+        return -x[0], parts[x[0]].right_key(x[1])
 
     tl = ZERO
     for p in parts:
@@ -403,8 +404,8 @@ def decompinver_witness(blocks) -> LazyPoset:
     return LazyPoset(
         vertex=vertex,
         lt=lt,
-        left=left,
-        right=right,
+        left_key=left_key,
+        right_key=right_key,
         type_left=tl,
         type_right=tr,
         certificate=cert,
@@ -442,7 +443,7 @@ def extend_realizer(p: LazyPoset, targets) -> LazyPoset:
     ta, tb = targets
     ta, tb = _ord(ta), _ord(tb)
     a, b = p.type_left, p.type_right
-    if p.left is None or p.right is None:
+    if p.left_key is None or p.right_key is None:
         raise PosetError("extend_realizer needs a realizer on the input")
     if ta < a or tb < b or a.is_finite != ta.is_finite or b.is_finite != tb.is_finite:
         raise PosetError("targets (%s, %s) below or non-equipotent to (%s, %s)"
@@ -477,31 +478,26 @@ def _append_chunk_both(p: LazyPoset, g: CnfOrdinal) -> LazyPoset:
             return ("old", p.vertex(i // 2)) if i % 2 == 0 else ("new", i // 2)
         return ("old", p.vertex(i - size))
 
-    def key_new(x):
-        return enum.at(x[1]) if size is None else x[1]
+    # old vertices keep their keys below every new one, on both sides
+    @lru_cache(maxsize=None)
+    def left_key(x):
+        return (0, p.left_key(x[1])) if x[0] == "old" else (1, key_new(x[1]))
 
-    def left(x, y):
-        if x[0] == "old" and y[0] == "old":
-            return p.left(x[1], y[1])
-        if x[0] != y[0]:
-            return x[0] == "old"
-        return key_new(x) < key_new(y)
+    @lru_cache(maxsize=None)
+    def right_key(x):
+        return (0, p.right_key(x[1])) if x[0] == "old" else (1, key_new(x[1]))
 
-    def right(x, y):
-        if x[0] == "old" and y[0] == "old":
-            return p.right(x[1], y[1])
-        if x[0] != y[0]:
-            return x[0] == "old"
-        return key_new(x) < key_new(y)
+    def key_new(i):
+        return enum.at(i) if size is None else i
 
     def lt(x, y):
-        return left(x, y) and right(x, y)
+        return left_key(x) < left_key(y) and right_key(x) < right_key(y)
 
     return LazyPoset(
         vertex=vertex,
         lt=lt,
-        left=left,
-        right=right,
+        left_key=left_key,
+        right_key=right_key,
         type_left=add(p.type_left, g),
         type_right=add(p.type_right, g),
         certificate=p.certificate,
@@ -538,28 +534,23 @@ def _grow_left(p: LazyPoset, g: CnfOrdinal) -> LazyPoset:
     def vertex(i: int):
         return ("old", p.vertex(i // 2)) if i % 2 == 0 else ("new", i // 2)
 
-    def left(x, y):
-        if x[0] == "old" and y[0] == "old":
-            return p.left(x[1], y[1])
-        if x[0] != y[0]:
-            return x[0] == "old"
-        return enum.at(x[1]) < enum.at(y[1])
+    @lru_cache(maxsize=None)
+    def left_key(x):
+        return (0, p.left_key(x[1])) if x[0] == "old" else (1, enum.at(x[1]))
 
-    def right(x, y):
-        # new_i sits immediately below the right-rank-i original
-        def slot(z):
-            return (right_rank(z[1]), 1) if z[0] == "old" else (z[1], 0)
-
-        return slot(x) < slot(y)
+    # new_i sits immediately below the right-rank-i original
+    @lru_cache(maxsize=None)
+    def slot(x):
+        return (right_rank(x[1]), 1) if x[0] == "old" else (x[1], 0)
 
     def lt(x, y):
-        return left(x, y) and right(x, y)
+        return left_key(x) < left_key(y) and slot(x) < slot(y)
 
     return LazyPoset(
         vertex=vertex,
         lt=lt,
-        left=left,
-        right=right,
+        left_key=left_key,
+        right_key=slot,
         type_left=add(p.type_left, g),
         type_right=p.type_right,
         certificate=p.certificate,
@@ -570,9 +561,19 @@ def _grow_left(p: LazyPoset, g: CnfOrdinal) -> LazyPoset:
 # -- prefix audits -----------------------------------------------------------------------
 
 
+class CheckTiming(NamedTuple):
+    cpu_s: float  # process CPU seconds spent in the step
+    pairs: int  # ordered vertex pairs the step covers (vertices, for a per-vertex step)
+
+
 @dataclass
 class AuditReport:
     checks: dict  # name -> (passed, witness-or-None)
+    # step name -> CheckTiming: every check, plus the shared steps it reads,
+    # "vertices" (enumerating the prefix), "lt" (the comparator matrix) and
+    # "left_key"/"right_key" (ranking the realizer keys); the steps run one
+    # after another, so their times add up to the audit's
+    timings: dict = field(default_factory=dict)
 
     @property
     def passed(self) -> bool:
@@ -582,18 +583,51 @@ class AuditReport:
         return {k: w for k, (ok, w) in self.checks.items() if not ok}
 
 
+class _Laps:
+    """CPU seconds between successive lap() calls, by step name."""
+
+    def __init__(self):
+        self.timings: dict = {}
+        self._last = time.process_time()
+
+    def lap(self, name: str, pairs: int) -> None:
+        now = time.process_time()
+        self.timings[name] = CheckTiming(now - self._last, pairs)
+        self._last = now
+
+
 def _relation_matrix(vs, pred) -> np.ndarray:
-    n = len(vs)
-    m = np.zeros((n, n), dtype=bool)
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                m[i, j] = pred(vs[i], vs[j])
+    """pred on every ordered pair of distinct vertices of vs."""
+    m = np.zeros((len(vs), len(vs)), dtype=bool)
+    for i, x in enumerate(vs):
+        m[i, :i] = [pred(x, y) for y in vs[:i]]
+        m[i, i + 1:] = [pred(x, y) for y in vs[i + 1:]]
     return m
 
 
+def _ranks(keys: list) -> np.ndarray:
+    """Dense ranks of keys under <, from one sort: equal keys share a rank."""
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    rank = [0] * len(keys)
+    r = 0
+    for prev, i in zip(order, order[1:]):
+        if keys[prev] < keys[i]:
+            r += 1
+        rank[i] = r
+    return np.array(rank, dtype=np.int64)
+
+
+def _key_matrix(vs, key) -> np.ndarray:
+    """The order of a realizer key on vs: m[i, j] iff key(vs[i]) < key(vs[j])."""
+    r = _ranks([key(v) for v in vs])
+    return r[:, None] < r[None, :]
+
+
 def _transitivity_witness(m: np.ndarray):
-    gap = (m @ m) & ~m
+    # a float32 BLAS product counts the paths i -> k -> j, exactly while
+    # n < 2**24
+    f = m.astype(np.float32)
+    gap = (f @ f > 0) & ~m
     np.fill_diagonal(gap, False)
     if not gap.any():
         return None
@@ -603,22 +637,32 @@ def _transitivity_witness(m: np.ndarray):
 
 
 def prefix_audit(p: LazyPoset, n: int, window=None) -> AuditReport:
-    """Check the structural invariants of p on its first n vertices."""
+    """Check the structural invariants of p on its first n vertices.
+
+    `lt` is evaluated on every pair; each realizer order is ranked from
+    one sort of its keys, and the intersection check compares the two."""
+    laps = _Laps()
+    pairs = n * (n - 1)
     vs = p.prefix(n)
+    laps.lap("vertices", n)
     checks: dict = {}
     eye = np.eye(n, dtype=bool)
     lt = _relation_matrix(vs, p.lt)
+    laps.lap("lt", pairs)
 
     sym = lt & lt.T
     checks["antisymmetry"] = (not sym.any(), _first_pair(sym))
+    laps.lap("antisymmetry", pairs)
     w = _transitivity_witness(lt)
     checks["transitivity"] = (w is None, w)
+    laps.lap("transitivity", pairs)
 
-    left_m = _relation_matrix(vs, p.left) if p.left is not None else None
-    right_m = _relation_matrix(vs, p.right) if p.right is not None else None
-    for name, m in (("left", left_m), ("right", right_m)):
-        if m is None:
+    orders = {}
+    for name, key in (("left", p.left_key), ("right", p.right_key)):
+        if key is None:
             continue
+        m = orders[name] = _key_matrix(vs, key)
+        laps.lap("%s_key" % name, n)
         incomparable = ~(m | m.T | eye)
         wit = (
             _transitivity_witness(m)
@@ -626,46 +670,50 @@ def prefix_audit(p: LazyPoset, n: int, window=None) -> AuditReport:
             or _first_pair(m & m.T)
         )
         checks["%s_linear" % name] = (wit is None, wit)
-    if left_m is not None and right_m is not None:
-        agree = (left_m & right_m) == lt
+        laps.lap("%s_linear" % name, pairs)
+    if len(orders) == 2:
+        agree = (orders["left"] & orders["right"]) == lt
         checks["intersection"] = (bool(agree.all()), _first_pair(~agree))
+        laps.lap("intersection", pairs)
 
     if p.bikeys is not None:
+        bikeys = [p.bikeys(v) for v in vs]
         firsts: dict = {}
         seconds: dict = {}
         clash = None
-        for v in vs:
-            kf, ks = p.bikeys(v)
+        for v, (kf, ks) in zip(vs, bikeys):
             if kf in firsts or ks in seconds:
                 clash = v
                 break
             firsts[kf], seconds[ks] = v, v
         checks["bi_functional"] = (clash is None, clash)
+        laps.lap("bi_functional", n)
 
     if window is not None and p.cell is not None:
         wa, wb = window
         seen = {p.cell(v) for v in vs}
         missing = [(x, y) for x in range(wa) for y in range(wb) if (x, y) not in seen]
         checks["window_sections"] = (not missing, missing or None)
+        laps.lap("window_sections", n)
 
     if p.cell is not None and p.bikeys is not None:
-        bad = None
-        for i, j in np.argwhere(lt):
-            if not _projection_le(p, vs[int(i)], vs[int(j)]):
-                bad = (vs[int(i)], vs[int(j)])
-                break
-        checks["projection_monotone"] = (bad is None, bad)
-    return AuditReport(checks)
+        bad = _first_pair(lt & ~_projection_le(bikeys))
+        checks["projection_monotone"] = (
+            bad is None, None if bad is None else (vs[bad[0]], vs[bad[1]]))
+        laps.lap("projection_monotone", pairs)
+    return AuditReport(checks, laps.timings)
 
 
-def _projection_le(p: LazyPoset, x, y) -> bool:
-    """(k1,(a,b)) order of type w*(alpha x beta): product on the (a,b)
-    pair, rank below."""
-    (k1x, ax), (_, bx) = p.bikeys(x)
-    (k1y, ay), (_, by) = p.bikeys(y)
-    if (ax, bx) == (ay, by):
-        return k1x < k1y
-    return ax <= ay and bx <= by
+def _projection_le(bikeys: list) -> np.ndarray:
+    """The (k1,(a,b)) order of type w*(alpha x beta) on ((k1, a), (k2, b))
+    bikeys: product on the (a,b) pair, rank below; m[i, j] iff i <= j."""
+    k1 = np.array([k for (k, _), _ in bikeys], dtype=np.int64)
+    a = _ranks([x for (_, x), _ in bikeys])
+    b = _ranks([y for _, (_, y) in bikeys])
+    same = (a[:, None] == a[None, :]) & (b[:, None] == b[None, :])
+    a_le = a[:, None] <= a[None, :]
+    b_le = b[:, None] <= b[None, :]
+    return np.where(same, k1[:, None] < k1[None, :], a_le & b_le)
 
 
 def _first_pair(mask):

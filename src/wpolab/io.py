@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 
-from .posets import FinPoset, PosetError, make_poset
+from .posets import FinPoset, PosetError, _bits, make_poset
 
 
 def _cycle_witness(n: int, pairs) -> list | None:
@@ -72,7 +72,10 @@ def load_poset(source) -> FinPoset:
 
 def export_poset(p: FinPoset, fmt: str = "json", meta=None) -> str:
     if fmt == "json":
-        doc = {"n": p.n, "le": sorted(map(list, p.le))}
+        # row by row from the successor bitsets, so already sorted; json
+        # writes each (i, j) tuple as [i, j]
+        doc = {"n": p.n, "le": [(i, j) for i, row in enumerate(p.successors)
+                                for j in _bits(row)]}
         if meta is not None:
             doc["meta"] = meta
         return json.dumps(doc, sort_keys=True)

@@ -338,10 +338,18 @@ def iter_below(max_exp: int, max_coeff: int) -> Iterator[CnfOrdinal]:
 # -- grammar -----------------------------------------------------------------
 
 
+# The deepest nesting the ordinal, scaled W<k> and term grammars accept.
+# Comparison and arithmetic recurse once per level of a value's exponent
+# tower, and at about 200 levels they exceed Python's default recursion
+# limit; every parsed value stays well below that.
+MAX_NESTING = 64
+
+
 class _Parser:
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
+        self.depth = 0
 
     def error(self, msg: str) -> OrdinalError:
         return OrdinalError(
@@ -368,9 +376,13 @@ class _Parser:
 
     def atom(self) -> CnfOrdinal:
         if self.peek() == "(":
+            if self.depth == MAX_NESTING:
+                raise self.error("parentheses nested deeper than %d" % MAX_NESTING)
+            self.depth += 1
             self.eat("(")
             v = self.ordinal()
             self.eat(")")
+            self.depth -= 1
             return v
         if self.peek() == "w":
             self.eat("w")

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from typing import Union
 
 from .ordinals import (
+    MAX_NESTING,
     CnfOrdinal,
     OrdinalError,
     add,
@@ -215,7 +216,8 @@ def _balanced(text: str, pos: int) -> int:
     raise OrdinalError("unbalanced parentheses at position %d" % (pos - 1))
 
 
-def _parse(text: str, pos: int):
+def _parse(text: str, pos: int, nested: int = 0):
+    """The term at pos, below `nested` enclosing dsum/lexsum/prod nodes."""
     pos = _skip(text, pos)
     head = re.match(r"(ord|fin|dsum|lexsum|prod)\(", text[pos:])
     if not head:
@@ -227,11 +229,13 @@ def _parse(text: str, pos: int):
         return Ord(parse_ordinal(text[open_:close].strip())), close + 1
     if kind == "fin":
         return Fin(_parse_fin(text[open_:close].strip())), close + 1
-    left, after = _parse(text, open_)
+    if nested == MAX_NESTING:
+        raise OrdinalError("terms nested deeper than %d at position %d" % (MAX_NESTING, pos))
+    left, after = _parse(text, open_, nested + 1)
     after = _skip(text, after)
     if after >= len(text) or text[after] != ",":
         raise OrdinalError("expected ',' at position %d in %s(...)" % (after, kind))
-    right, after = _parse(text, after + 1)
+    right, after = _parse(text, after + 1, nested + 1)
     after = _skip(text, after)
     if after != close:
         raise OrdinalError("trailing input at position %d in %s(...)" % (after, kind))

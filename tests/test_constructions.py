@@ -1,7 +1,9 @@
 """Lazy countable posets: enumerations, sierpinskisations, mixing, and audits."""
 
 import random
+import time
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,6 +12,7 @@ from wpolab.bounds import theta_plus
 from wpolab.cardinals import KOrdinal
 from wpolab.constructions import (
     LazyPoset,
+    _key_matrix,
     decompinver_witness,
     enum_below,
     extend_realizer,
@@ -19,9 +22,11 @@ from wpolab.constructions import (
     sierpinskisation,
 )
 from wpolab.ordinals import (
+    OMEGA,
     ONE,
     add,
     from_int,
+    mul,
     nat_add,
     nat_mul,
     parse_ordinal,
@@ -120,8 +125,8 @@ def test_audit_catches_an_injected_transitivity_fault():
     broken = LazyPoset(
         vertex=s.vertex,
         lt=lambda x, y: s.lt(x, y) and (x, y) != (0, 5),
-        left=s.left,
-        right=s.right,
+        left_key=s.left_key,
+        right_key=s.right_key,
         type_left=s.type_left,
         type_right=s.type_right,
         certificate=s.certificate,
@@ -275,8 +280,8 @@ def test_audit_flags_a_non_linear_comparator():
     broken = LazyPoset(
         vertex=s.vertex,
         lt=s.lt,
-        left=lambda x, y: s.left(x, y) and {x, y} != {1, 2},
-        right=s.right,
+        left_key=lambda x: 1 if x == 2 else s.left_key(x),  # ties 1 and 2
+        right_key=s.right_key,
         type_left=s.type_left,
         type_right=s.type_right,
         certificate=s.certificate,
@@ -284,3 +289,66 @@ def test_audit_flags_a_non_linear_comparator():
     report = prefix_audit(broken, 8)
     ok, witness = report.checks["left_linear"]
     assert not ok and witness is not None
+
+
+# -- key-ranked realizers ----------------------------------------------------------
+
+
+def _random_infinite(rng):
+    return add(OMEGA, random_below(rng, o("w^3")))
+
+
+def _random_index(rng):
+    return rng.choice([from_int(1), from_int(2), o("w"), o("w*2"), o("w+1")])
+
+
+def _random_blocks(rng):
+    blocks = []
+    for _ in range(rng.randrange(1, 4)):
+        if rng.randrange(2):
+            blocks.append((mul(OMEGA, _random_index(rng)), mul(OMEGA, _random_index(rng))))
+        else:
+            x = rng.choice([from_int(rng.randrange(1, 5)), _random_infinite(rng)])
+            blocks.append((x, x))
+    return blocks
+
+
+def _extend_both(rng):
+    alpha = _random_infinite(rng)
+    g = rng.choice([from_int(rng.randrange(1, 6)), _random_infinite(rng)])
+    return extend_realizer(sierpinskisation(alpha), (add(o("w"), g), add(alpha, g)))
+
+
+KEYED = {
+    "sierpinskisation": lambda rng: sierpinskisation(_random_infinite(rng)),
+    "mixing": lambda rng: mixing_poset(_random_index(rng), _random_index(rng)),
+    "decompinver": lambda rng: decompinver_witness(_random_blocks(rng)),
+    "minoration": lambda rng: minoration_witness(_random_infinite(rng), _random_infinite(rng)),
+    # a common chunk on both sides, then left growth alone
+    "extend_both": _extend_both,
+    "extend_left": lambda rng: extend_realizer(
+        sierpinskisation(o("w")), (add(o("w"), _random_infinite(rng)), o("w"))),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(KEYED))
+@given(st.integers(0, 2**48))
+@settings(max_examples=10, deadline=None)
+def test_key_ranks_match_pairwise_key_comparisons(kind, seed):
+    rng = random.Random(seed)
+    p = KEYED[kind](rng)
+    vs = p.prefix(40 if p.size is None else min(40, p.size))
+    for key in (p.left_key, p.right_key):
+        keys = [key(v) for v in vs]
+        want = np.array([[kx < ky for ky in keys] for kx in keys])
+        assert (_key_matrix(vs, key) == want).all()
+
+
+def test_mixing_audit_cpu_budget():
+    # 0.15-0.3s of CPU on a 2-vCPU x86 machine; the budget leaves more
+    # than 2x headroom
+    start = time.process_time()
+    report = prefix_audit(mixing_poset(o("w"), o("w")), 300, window=(3, 3))
+    cpu = time.process_time() - start
+    assert report.passed, report.failures()
+    assert cpu < 0.75, "mixing(w, w) audit at N=300 took %.2fs of CPU (budget 0.75s)" % cpu

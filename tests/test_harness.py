@@ -181,3 +181,21 @@ def test_cli_finite_decompinver_prefix_past_its_end_fails_fast():
     assert done.returncode == 2 and done.stdout == ""
     assert done.stderr.startswith("wpolab: ") and done.stderr.count("\n") == 1
     assert "10" in done.stderr and "5" in done.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["ord", "add", "w^(" * 400 + "w" + ")" * 400, "1"],
+    ["construct", "sierp", "w^(" * 400 + "w" + ")" * 400, "--prefix", "3"],
+    ["theta", "W1*(1)+(" * 400 + "5" + ")" * 400, "w"],
+    ["poset", "len", "dsum(" * 400 + "ord(1)" + ", ord(2))" * 400],
+])
+def test_cli_deep_nesting_fails_with_one_line(argv):
+    # a 400-deep input would exceed the recursion limit; the grammars
+    # stop at a fixed nesting depth instead
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run([sys.executable, "-m", "wpolab.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr.startswith("wpolab: ") and done.stderr.count("\n") == 1
+    assert "nested deeper than" in done.stderr

@@ -1,10 +1,12 @@
 import itertools
+import json
 import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from wpolab.cli import main
+from wpolab.io import export_poset
 from wpolab.posets import (
     FinPoset,
     PosetError,
@@ -197,6 +199,18 @@ def test_make_poset_matches_reachability(graph):
     q = make_poset(n, [(j, i) for (i, j) in edges])  # the dual order
     assert intersect(p, q).le == frozenset()
     assert intersect(p, p) == p
+
+
+@given(digraphs())
+def test_json_export_lists_pairs_in_sorted_order(graph):
+    n, edges = graph
+    if any((v, v) in _reachability(n, edges) for v in range(n)):
+        return
+    p = make_poset(n, edges)
+    # with seeded bitsets, and with bitsets rebuilt from le
+    for q in (p, FinPoset(p.n, p.le)):
+        want = json.dumps({"n": n, "le": sorted(map(list, p.le))}, sort_keys=True)
+        assert export_poset(q, "json") == want
 
 
 @pytest.mark.parametrize("argv", [
