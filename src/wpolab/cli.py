@@ -168,7 +168,7 @@ def _cmd_construct(args) -> int:
 def _cmd_verify(args) -> int:
     if args.cases < 0:
         raise OrdinalError("--cases must be at least 0, got %d" % args.cases)
-    report = run_suite(args.suite, args.cases, args.seed, jobs=args.jobs)
+    report = run_suite(args.suite, args.cases, args.seed)
     print(report.to_json())
     for inp, want, got in report.failures:
         print("FAIL %s: expected %s, got %s" % (inp, want, got), file=sys.stderr)
@@ -212,7 +212,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", required=True, choices=sorted(SUITES))
     p.add_argument("--cases", type=int, default=200, metavar="N")
     p.add_argument("--seed", type=int, default=0, metavar="S")
-    p.add_argument("--jobs", type=int, default=1, metavar="J")
     p.set_defaults(fn=_cmd_verify)
     return top
 

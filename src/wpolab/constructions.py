@@ -19,6 +19,7 @@ admit prefix audits.
 from __future__ import annotations
 
 import time
+import weakref
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, NamedTuple, Optional
@@ -84,25 +85,26 @@ class Enumeration:
             offset = ZERO
             for e, c in alpha.terms:
                 if e.is_zero:
-                    blocks.append((offset, Enumeration(from_int(c))))
+                    blocks.append((offset, _sub_enumeration(from_int(c))))
                     offset = add(offset, from_int(c))
                 else:
                     for _ in range(c):
-                        blocks.append((offset, Enumeration(omega_pow(e))))
+                        blocks.append((offset, _sub_enumeration(omega_pow(e))))
                         offset = add(offset, omega_pow(e))
             self._blocks = blocks
             self._block_count = len(blocks)
 
     # block b of a pure power omega^e: the b-th step of its fundamental
-    # sequence, enumerated recursively
+    # sequence, enumerated recursively; block 0 starts at 0, since for a
+    # limit e the sequence itself starts above 0
     def _power_block(self, b: int):
         e = self.alpha.leading_exp
         if e.is_successor:
             step = omega_pow(e.pred())
-            return mul(step, from_int(b)), Enumeration(step)
-        lo = fund_seq(self.alpha, b)
+            return mul(step, from_int(b)), _sub_enumeration(step)
+        lo = ZERO if b == 0 else fund_seq(self.alpha, b)
         hi = fund_seq(self.alpha, b + 1)
-        return lo, Enumeration(left_subtract(lo, hi))
+        return lo, _sub_enumeration(left_subtract(lo, hi))
 
     def _block(self, b: int):
         if self._kind == "power":
@@ -160,6 +162,21 @@ class Enumeration:
 
     def __call__(self, i: int) -> CnfOrdinal:
         return self.at(i)
+
+
+# The blocks of an enumeration, by type.  Blocks of equal type share one
+# instance and its cached prefix while any enumeration still uses it; the
+# w^(e+1) blocks alone would otherwise rebuild one w^e per block, a cost
+# that grows exponentially with the exponent.
+_SUB_ENUMERATIONS: weakref.WeakValueDictionary[CnfOrdinal, Enumeration] = (
+    weakref.WeakValueDictionary())
+
+
+def _sub_enumeration(alpha: CnfOrdinal) -> Enumeration:
+    sub = _SUB_ENUMERATIONS.get(alpha)
+    if sub is None:
+        sub = _SUB_ENUMERATIONS[alpha] = Enumeration(alpha)
+    return sub
 
 
 def enum_below(alpha) -> Enumeration:

@@ -47,9 +47,12 @@ def _cycle_witness(n: int, pairs) -> list | None:
 
 def load_poset(source) -> FinPoset:
     """Parse a poset file (a JSON text, dict, or readable file object)."""
-    if hasattr(source, "read"):
-        source = source.read()
-    data = json.loads(source) if isinstance(source, (str, bytes)) else source
+    try:
+        if hasattr(source, "read"):
+            source = source.read()
+        data = json.loads(source) if isinstance(source, (str, bytes)) else source
+    except ValueError as exc:  # not JSON, or not UTF-8 text
+        raise PosetError("poset file is not JSON: %s" % exc) from None
     if not isinstance(data, dict) or "n" not in data or "le" not in data:
         raise PosetError('poset file must be an object with "n" and "le"')
     n, le = data["n"], data["le"]

@@ -1,7 +1,8 @@
-"""Independent brute-force oracles used to freeze expected values.
+"""Independent brute-force oracles, shared by the tests and `wpolab verify`.
 
 Everything here deliberately avoids the library's own nat_add/nat_mul
-code paths: sums of term sequences are evaluated by right-to-left
+code paths: from `ordinals` it takes only `CnfOrdinal`, `ZERO`, `add` and
+`omega_pow`.  Sums of term sequences are evaluated by right-to-left
 ordinal addition of single terms, and the natural operations are
 recovered from their order-theoretic maximization characterizations.
 """
@@ -10,15 +11,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from wpolab.ordinals import CnfOrdinal, ZERO, add, omega_pow
-
-
-def _eval_terms(terms) -> CnfOrdinal:
-    """Ordinal sum of single terms in the given order."""
-    out = ZERO
-    for exp, coeff in terms:
-        out = add(out, omega_pow(exp, coeff))
-    return out
+from .ordinals import ZERO, CnfOrdinal, add, omega_pow
 
 
 def nat_add_oracle(a: CnfOrdinal, b: CnfOrdinal) -> CnfOrdinal:

@@ -319,7 +319,7 @@ def fund_seq(a, n: int) -> CnfOrdinal:
     return add(prefix, step)
 
 
-# -- enumeration of small ordinals (test/support plumbing) -------------------
+# -- small ordinals: exhaustive cases for the suites and the criteria --------
 
 
 def iter_below(max_exp: int, max_coeff: int) -> Iterator[CnfOrdinal]:

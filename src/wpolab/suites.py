@@ -1,20 +1,21 @@
 """Deterministic, seeded verification suites behind `wpolab verify`.
 
 Each suite replays the algebraic and structural invariants of one part of
-the library against independent checks (brute-force oracles, exhaustive
-small cases, prefix audits).  Reports are reproducible: a fixed (suite,
+the library against independent checks (the brute-force oracles of
+`oracles`, exhaustive small cases from `ordinals.iter_below`, prefix
+audits).  Reports are reproducible: a fixed (suite,
 cases, seed) triple always produces the same failures in the same order,
 and the canonical serialization omits wall-clock time.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import random
 import time
 from dataclasses import dataclass, field
 
+from . import oracles
 from .bounds import (
     bracket_plus,
     reduction_identity_check,
@@ -37,6 +38,7 @@ from .ordinals import (
     add,
     euclid_div,
     from_int,
+    iter_below,
     left_subtract,
     mul,
     nat_add,
@@ -110,60 +112,11 @@ def random_countable_infinite(rng) -> CnfOrdinal:
     return a if not a.is_finite else add(OMEGA, a)
 
 
-def _small_ordinals(exp_bound: int, coeff_bound: int):
-    """Every ordinal below w^exp_bound with coefficients <= coeff_bound."""
-    coeffs = range(coeff_bound + 1)
-    for cs in itertools.product(coeffs, repeat=exp_bound):
-        out = ZERO
-        for e, c in enumerate(reversed(cs)):
-            if c:
-                out = nat_add(out, omega_pow(from_int(exp_bound - 1 - e), c))
-        yield out
-
-
-# -- oracles (independent of the library's merge code) --------------------------------
-
-
-def _eval_terms(terms) -> CnfOrdinal:
-    out = ZERO
-    for exp, coeff in terms:
-        out = add(out, omega_pow(exp, coeff))
-    return out
-
-
-def _nat_add_oracle(a: CnfOrdinal, b: CnfOrdinal) -> CnfOrdinal:
-    """Hessenberg sum as the maximal ordinal sum over term interleavings."""
-    n = len(a.terms)
-    best = ZERO
-    for picks in itertools.combinations(range(n + len(b.terms)), n):
-        picks = set(picks)
-        ia, ib = iter(a.terms), iter(b.terms)
-        merged = tuple(next(ia) if i in picks else next(ib) for i in range(n + len(b.terms)))
-        v = _eval_terms(merged)
-        if best < v:
-            best = v
-    return best
-
-
-def _nat_mul_oracle(a: CnfOrdinal, b: CnfOrdinal) -> CnfOrdinal:
-    """Hessenberg product by full expansion and insertion maximization."""
-    out = ZERO
-    for ea, ca in a.terms:
-        for eb, cb in b.terms:
-            term = (_nat_add_oracle(ea, eb), ca * cb)
-            ts = out.terms
-            out = max(
-                (_eval_terms(ts[:i] + (term,) + ts[i:]) for i in range(len(ts) + 1)),
-                default=ZERO,
-            )
-    return out
-
-
 # -- suites ---------------------------------------------------------------------------
 
 
 def _suite_ordinal_laws(report, cases, rng):
-    small = list(_small_ordinals(3, 2)) if cases else []
+    small = list(iter_below(2, 2)) if cases else []
 
     def check(label, lhs, rhs):
         if lhs != rhs:
@@ -204,11 +157,11 @@ def _suite_ordinal_laws(report, cases, rng):
 def _suite_oracle_agreement(report, cases, rng):
     for _ in range(cases):
         a, b = random_ordinal(rng, depth=2), random_ordinal(rng, depth=2)
-        got, want = nat_add(a, b), _nat_add_oracle(a, b)
+        got, want = nat_add(a, b), oracles.nat_add_oracle(a, b)
         if got != want:
             report.failures.append(("nat_add %s,%s" % (a, b),
                                     render_ordinal(want), render_ordinal(got)))
-        got, want = nat_mul(a, b), _nat_mul_oracle(a, b)
+        got, want = nat_mul(a, b), oracles.nat_mul_oracle(a, b)
         if got != want:
             report.failures.append(("nat_mul %s,%s" % (a, b),
                                     render_ordinal(want), render_ordinal(got)))
@@ -348,12 +301,8 @@ SUITES = {
 }
 
 
-def run_suite(name: str, cases: int, seed: int, jobs: int = 1) -> SuiteReport:
-    """Run one named suite; deterministic for fixed (name, cases, seed).
-
-    `jobs` is accepted for interface stability; execution is serial (case
-    budgets are small enough that parallelism buys nothing reproducible).
-    """
+def run_suite(name: str, cases: int, seed: int) -> SuiteReport:
+    """Run one named suite; deterministic for fixed (name, cases, seed)."""
     if name not in SUITES:
         raise KeyError("unknown suite %r; pick one of %s"
                        % (name, ", ".join(sorted(SUITES))))

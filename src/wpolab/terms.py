@@ -247,8 +247,12 @@ def _parse_fin(body: str) -> FinPoset:
     if body.startswith("@"):
         from .io import load_poset
 
-        with open(body[1:], "r") as fh:
-            return load_poset(fh)
+        try:
+            with open(body[1:], "r") as fh:
+                return load_poset(fh)
+        except OSError as exc:
+            raise PosetError("cannot read poset file %r: %s"
+                             % (body[1:], exc.strerror or exc)) from exc
     m = _INLINE_FIN.match(body)
     if not m:
         raise OrdinalError(

@@ -10,15 +10,17 @@ import random
 import time
 from functools import lru_cache
 
+from wpolab import oracles
 from wpolab.bounds import bracket_plus, reduction_identity_check, theta_plus, theta_tilde
 from wpolab.cardinals import KOrdinal
-from wpolab.constructions import mixing_poset, minoration_witness, prefix_audit, sierpinskisation
+from wpolab.constructions import mixing_poset, prefix_audit, sierpinskisation
 from wpolab.ordinals import (
     ONE,
     ZERO,
     add,
     euclid_div,
     from_int,
+    iter_below,
     left_subtract,
     mul,
     nat_add,
@@ -27,18 +29,8 @@ from wpolab.ordinals import (
     parse_ordinal,
     ul_nat_add,
 )
-from wpolab.posets import (
-    FinPoset,
-    all_posets,
-    bad_tree_height,
-    combine,
-    intersect,
-    length_fin,
-    length_recursive,
-)
-from wpolab.suites import random_countable_infinite, random_ordinal
-
-import oracles
+from wpolab.posets import FinPoset, intersect, length_recursive
+from wpolab.suites import random_countable_infinite, random_ordinal, run_suite
 
 
 def o(text):
@@ -72,17 +64,6 @@ class budget:
                 % (self.number, self.seconds, cpu))
 
 
-def _small_ordinals(exp_bound, coeff_bound):
-    out = []
-    for cs in itertools.product(range(coeff_bound + 1), repeat=exp_bound):
-        v = ZERO
-        for e, c in enumerate(cs):
-            if c:
-                v = nat_add(v, omega_pow(from_int(e), c))
-        out.append(v)
-    return out
-
-
 def _pair_laws(a, b):
     assert nat_add(a, b) == nat_add(b, a)
     assert nat_mul(a, b) == nat_mul(b, a)
@@ -104,7 +85,7 @@ def _triple_laws(a, b, c):
 
 def test_criterion_01_ordinal_laws():
     with budget(1, "ordinal laws, exhaustive small + 10^3 random", 30):
-        small = _small_ordinals(3, 2)
+        small = list(iter_below(2, 2))
         na, nm = {}, {}  # pairwise tables shared by the triple checks
         for a, b in itertools.product(small, repeat=2):
             _pair_laws(a, b)
@@ -155,7 +136,7 @@ def _oracle_agreement():
                 out = oracles._fold_term(out, (add_oracle(ea, eb), ca))
             return out
 
-        ords = _small_ordinals(4, 3)
+        ords = list(iter_below(3, 3))
         for i, a in enumerate(ords):
             for b in ords[i:]:  # both operations are commutative (criterion 1)
                 assert nat_add(a, b) == add_oracle(a, b)
@@ -197,14 +178,10 @@ def test_criterion_05_reduction_identities():
 def test_criterion_06_finite_poset_engines():
     with budget(6, "length engines agree on <=4 vertices; disjoint-union and "
                    "product rules on <=3-vertex pairs", 120):
-        for n in range(5):
-            for p in all_posets(n):
-                assert length_fin(p) == length_recursive(p) == bad_tree_height(p) == n
-        pool = [p for n in range(4) for p in all_posets(n)]
-        for p in pool:
-            for q in pool:
-                assert length_recursive(combine("direct_sum", p, q)) == p.n + q.n
-                assert length_recursive(combine("cartesian_product", p, q)) == p.n * q.n
+        # all 1+1+3+19+219 posets on <= 4 vertices, then all 24*24 pairs
+        # of posets on <= 3 vertices
+        report = run_suite("finite_poset_oracle", 243 + 576, 0)
+        assert report.passed, report.failures
 
 
 def test_criterion_07_intersections_of_five_element_orders():
@@ -246,26 +223,11 @@ def test_criterion_09_mixing_audits():
 
 def test_criterion_10_minoration_meets_theta():
     with budget(10, "minoration certificate + 1 = theta_plus on 100 random pairs"):
-        rng = random.Random(10)
-        for _ in range(100):
-            a = random_countable_infinite(rng)
-            b = random_countable_infinite(rng)
-            w = minoration_witness(a, b)
-            assert KOrdinal.of(add(w.certificate, ONE)) == theta_plus(a, b), (a, b)
+        report = run_suite("minoration_meets_theta", 100, 10)
+        assert report.passed, report.failures
 
 
 def test_criterion_11_majoration_shadow():
     with budget(11, "majoration shadow inequalities on 500 random tuples"):
-        from wpolab.bounds import theta_len, theta_sharp
-        from wpolab.cardinals import k_add, k_ul_nat_add
-
-        rng = random.Random(11)
-        for _ in range(500):
-            a1 = KOrdinal.of(random_countable_infinite(rng))
-            a2 = KOrdinal.of(random_countable_infinite(rng))
-            b = KOrdinal.of(random_countable_infinite(rng))
-            split = k_ul_nat_add(theta_sharp(a1, b), theta_sharp(a2, b))
-            assert not split < theta_plus(k_add(a1, a2), b), (a1, a2, b)
-            ul = k_ul_nat_add(theta_sharp(a1, b, under_first=True),
-                              theta_sharp(a1, b, under_second=True))
-            assert not ul < theta_len(a1, b), (a1, b)
+        report = run_suite("majoration_shadow", 500, 11)
+        assert report.passed, report.failures

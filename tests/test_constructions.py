@@ -24,8 +24,10 @@ from wpolab.constructions import (
 from wpolab.ordinals import (
     OMEGA,
     ONE,
+    ZERO,
     add,
     from_int,
+    iter_below,
     mul,
     nat_add,
     nat_mul,
@@ -95,6 +97,17 @@ def test_enum_values_are_distinct_and_below(seed):
     vals = [e.at(i) for i in range(top)]
     assert len(set(vals)) == len(vals)
     assert all(v < alpha for v in vals)
+
+
+@pytest.mark.parametrize("alpha", ["w^w", "w^w*2+3"])
+def test_enum_below_a_limit_exponent_starts_at_zero(alpha):
+    # the first block of w^e with a limit exponent e starts at 0, not at
+    # the first step of the fundamental sequence of w^e
+    e = enum_below(o(alpha))
+    assert e.index(ZERO) == 0
+    for beta in iter_below(2, 2):
+        assert beta < e.alpha
+        assert e.at(e.index(beta)) == beta
 
 
 # -- sierpinskisations -------------------------------------------------------------

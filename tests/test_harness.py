@@ -8,8 +8,12 @@ from pathlib import Path
 
 import pytest
 
+from wpolab import oracles, suites
+from wpolab.bounds import theta_plus
+from wpolab.cardinals import KOrdinal
 from wpolab.cli import main
 from wpolab.io import export_poset, load_poset
+from wpolab.ordinals import ZERO, add
 from wpolab.posets import PosetError, antichain, chain, make_poset
 from wpolab.suites import SUITES, run_suite
 
@@ -66,8 +70,26 @@ def test_reports_are_deterministic():
     a = run_suite("ordinal_laws", 40, 99)
     b = run_suite("ordinal_laws", 40, 99)
     assert a.to_json() == b.to_json()
-    assert a.to_json() != run_suite("ordinal_laws", 40, 100).to_json() or True
     assert json.loads(a.to_json())["passed"] is True
+    c = run_suite("ordinal_laws", 40, 100)
+    assert json.loads(c.to_json())["seed"] == 100
+    assert c.to_json() == run_suite("ordinal_laws", 40, 100).to_json()
+
+
+@pytest.mark.parametrize("name, target, wrong", [
+    ("oracle_agreement", "nat_add", add),  # the ordinal sum, not commutative
+    ("minoration_meets_theta", "theta_plus", lambda *a: theta_plus(*a).succ()),
+    ("majoration_shadow", "theta_sharp", lambda *a, **kw: KOrdinal.of(ZERO)),
+    ("finite_poset_oracle", "length_recursive", lambda p: p.n + 1),
+], ids=["oracle_agreement", "minoration_meets_theta", "majoration_shadow",
+        "finite_poset_oracle"])
+def test_suites_catch_a_wrong_library_function(monkeypatch, name, target, wrong):
+    # the criteria that run these suites rest on them failing here
+    monkeypatch.setattr(suites, target, wrong)
+    assert not run_suite(name, 25, 7).passed
+    # and the oracles never reach the natural operations they check
+    for op in ("nat_add", "nat_mul", "ul_nat_add"):
+        assert not hasattr(oracles, op)
 
 
 def test_zero_cases_is_a_vacuous_pass():
@@ -150,7 +172,7 @@ def test_cli_verify_exit_codes(capsys):
     assert code == 0 and json.loads(out)["passed"] is True
     code, _ = run_cli("verify", "--suite", "theta_laws", "--cases", "20",
                       "--seed", "3", "--jobs", "4", capsys=capsys)
-    assert code == 0  # --jobs accepted; execution is serial
+    assert code == 2  # there is no --jobs option
 
 
 def test_cli_usage_and_parse_errors(capsys):
@@ -158,6 +180,18 @@ def test_cli_usage_and_parse_errors(capsys):
     assert main(["ord", "nadd", "w^", "w"]) == 2
     assert main(["poset", "len", "fin(@/no/such/file)"]) == 2
     assert main(["nothing"]) == 2
+
+
+def test_cli_unreadable_poset_files_fail_with_one_line(capsys, tmp_path):
+    (tmp_path / "text").write_text("not json")
+    (tmp_path / "binary").write_bytes(b"\xff\xfe")
+    for name in ("text", "binary", "missing", "."):
+        path = tmp_path / name
+        for arg in ("@%s" % path, "fin(@%s)" % path):
+            assert main(["poset", "len", arg]) == 2, arg
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("wpolab: ") and captured.err.count("\n") == 1
 
 
 def test_cli_rejects_bad_counts(capsys):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import nat_add_oracle, nat_mul_oracle
+from wpolab.oracles import nat_add_oracle, nat_mul_oracle
 from wpolab.ordinals import (
     OMEGA,
     ONE,

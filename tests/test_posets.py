@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from wpolab.cli import main
 from wpolab.io import export_poset
+from wpolab.oracles import length_by_extensions
 from wpolab.posets import (
     FinPoset,
     PosetError,
@@ -23,8 +24,6 @@ from wpolab.posets import (
     longcut_fin,
     make_poset,
 )
-
-from oracles import length_by_extensions
 
 
 def test_make_poset():
