@@ -79,7 +79,6 @@ from .posets import (
     bad_sequences,
     bad_tree_height,
     chain,
-    combine,
     embeds,
     intersect,
     length_fin,

@@ -19,7 +19,7 @@ from .constructions import (
     mixing_poset,
     sierpinskisation,
 )
-from .io import export_poset, load_poset
+from .io import export_poset, read_poset_file
 from .ordinals import (
     OrdinalError,
     add,
@@ -90,8 +90,7 @@ def _cmd_theta(args) -> int:
 def _load_poset_arg(text: str):
     """A poset argument: @file (JSON poset file) or a poset term."""
     if text.startswith("@"):
-        with open(text[1:], "r") as fh:
-            return load_poset(fh)
+        return read_poset_file(text[1:])
     t = parse_term(text)
     size = term_size(t)
     if size is None:
@@ -102,15 +101,11 @@ def _load_poset_arg(text: str):
 
 def _cmd_poset(args) -> int:
     if args.op == "len":
-        try:
-            t = parse_term(args.args[0])
-            print(render_ordinal(length_term(t)))
-            return 0
-        except OrdinalError:
-            if args.args[0].startswith("@"):
-                print(length_fin(_load_poset_arg(args.args[0])))
-                return 0
-            raise
+        if args.args[0].startswith("@"):
+            print(length_fin(_load_poset_arg(args.args[0])))
+        else:
+            print(render_ordinal(length_term(parse_term(args.args[0]))))
+        return 0
     if args.op == "badtree":
         print(bad_tree_height(_load_poset_arg(args.args[0])))
         return 0

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 
-from .posets import FinPoset, PosetError, _bits, make_poset
+from .posets import FinPoset, PosetError, make_poset
 
 
 def _cycle_witness(n: int, pairs) -> list | None:
@@ -73,12 +73,21 @@ def load_poset(source) -> FinPoset:
         raise
 
 
+def read_poset_file(path: str) -> FinPoset:
+    """Load the poset file at path; a file that cannot be read is a
+    PosetError, like one that does not parse."""
+    try:
+        with open(path, "r") as fh:
+            return load_poset(fh)
+    except OSError as exc:
+        raise PosetError("cannot read poset file %r: %s"
+                         % (path, exc.strerror or exc)) from exc
+
+
 def export_poset(p: FinPoset, fmt: str = "json", meta=None) -> str:
     if fmt == "json":
-        # row by row from the successor bitsets, so already sorted; json
-        # writes each (i, j) tuple as [i, j]
-        doc = {"n": p.n, "le": [(i, j) for i, row in enumerate(p.successors)
-                                for j in _bits(row)]}
+        # pairs() comes sorted; json writes each (i, j) tuple as [i, j]
+        doc = {"n": p.n, "le": list(p.pairs())}
         if meta is not None:
             doc["meta"] = meta
         return json.dumps(doc, sort_keys=True)

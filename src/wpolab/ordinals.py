@@ -83,11 +83,7 @@ class CnfOrdinal:
     def pred(self) -> "CnfOrdinal":
         if not self.is_successor:
             raise OrdinalError("%s is not a successor" % self)
-        exp, coeff = self.terms[-1]
-        head = self.terms[:-1]
-        if coeff > 1:
-            head = head + ((exp, coeff - 1),)
-        return CnfOrdinal(head)
+        return self.minus_last()
 
     def minus_last(self) -> "CnfOrdinal":
         """Drop one unit of the last term's coefficient (any nonzero value)."""

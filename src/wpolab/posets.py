@@ -1,13 +1,14 @@
 """Exact finite-poset engine.
 
-Posets are stored with the strict order relation transitively closed, so
-order queries are set lookups.  Closure (`make_poset`) and transitive
-reduction (`FinPoset.hasse`) work on one Python-int successor bitset per
-vertex: Warshall's algorithm closes the relation in O(n^2) big-int
-operations.  The length engines and queries (`length_recursive`,
-`bad_tree_height`, `all_posets`, `embeds`, `linear_extensions`) stay brute
-force on purpose: they are the oracles the symbolic layers are checked
-against.
+A poset stores its strict order once, transitively closed, as one
+Python-int successor bitset per vertex, so order queries test a bit and
+the intersection of two orders ANDs their rows.  Closure (`make_poset`,
+Warshall's algorithm in O(n^2) big-int operations) and transitive
+reduction (`FinPoset.hasse`) work on the same bitsets; `FinPoset.pairs`
+lists the pairs for callers that need them.  The length engines and
+queries (`length_recursive`, `bad_tree_height`, `all_posets`, `embeds`,
+`linear_extensions`) stay brute force on purpose: they are the oracles the
+symbolic layers are checked against.
 """
 
 from __future__ import annotations
@@ -25,24 +26,28 @@ class PosetError(OrdinalError):
 
 @dataclass(frozen=True)
 class FinPoset:
-    """A finite strict partial order on vertices 0..n-1, stored closed."""
+    """A finite strict partial order on vertices 0..n-1, stored closed as
+    one successor bitset per vertex: bit j of successors[i] is set iff
+    i < j.  Build one with `make_poset`, which closes and checks."""
 
     n: int
-    le: frozenset  # strict pairs (i, j) meaning i < j, transitively closed
+    successors: tuple
 
     def lt(self, i: int, j: int) -> bool:
-        return (i, j) in self.le
+        return self.successors[i] >> j & 1 == 1
 
     def leq(self, i: int, j: int) -> bool:
-        return i == j or (i, j) in self.le
+        return i == j or self.successors[i] >> j & 1 == 1
+
+    def pairs(self):
+        """The strict pairs (i, j), row by row, so in sorted order."""
+        return itertools.chain.from_iterable(
+            zip(itertools.repeat(i), _bits(row)) for i, row in enumerate(self.successors))
 
     @cached_property
-    def successors(self) -> tuple:
-        """Successor bitsets: bit j of successors[i] is set iff i < j."""
-        rows = [0] * self.n
-        for (i, j) in self.le:
-            rows[i] |= 1 << j
-        return tuple(rows)
+    def le(self) -> frozenset:
+        """The strict pairs as a set."""
+        return frozenset(self.pairs())
 
     @cached_property
     def hasse(self) -> frozenset:
@@ -64,10 +69,8 @@ class FinPoset:
         """Induced subposet, relabelled order-preservingly to 0..k-1."""
         vs = sorted(vertices)
         index = {v: i for i, v in enumerate(vs)}
-        return FinPoset(
-            len(vs),
-            frozenset((index[i], index[j]) for (i, j) in self.le if i in index and j in index),
-        )
+        return make_poset(len(vs), [(index[i], index[j]) for (i, j) in self.pairs()
+                                    if i in index and j in index])
 
     def minimal(self):
         below = 0
@@ -76,7 +79,7 @@ class FinPoset:
         return [v for v in range(self.n) if not below >> v & 1]
 
     def __repr__(self) -> str:
-        return "FinPoset(%d, %s)" % (self.n, sorted(self.le))
+        return "FinPoset(%d, %s)" % (self.n, list(self.pairs()))
 
 
 _BIT_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
@@ -106,11 +109,7 @@ def make_poset(n: int, pairs) -> FinPoset:
         # also rules out antisymmetry violations
         if row >> i & 1:
             raise PosetError("cycle through vertex %d" % i)
-    le = frozenset(itertools.chain.from_iterable(
-        zip(itertools.repeat(i), _bits(row)) for i, row in enumerate(rows)))
-    p = FinPoset(n, le)
-    p.__dict__["successors"] = tuple(rows)  # seed the cached property
-    return p
+    return FinPoset(n, tuple(rows))
 
 
 def chain(n: int) -> FinPoset:
@@ -124,7 +123,8 @@ def antichain(n: int) -> FinPoset:
 def intersect(p: FinPoset, q: FinPoset) -> FinPoset:
     if p.n != q.n:
         raise PosetError("intersect needs equal vertex counts (%d vs %d)" % (p.n, q.n))
-    return FinPoset(p.n, p.le & q.le)
+    # the intersection of two closed strict orders is closed
+    return FinPoset(p.n, tuple(a & b for a, b in zip(p.successors, q.successors)))
 
 
 def linear_extensions(p: FinPoset):
@@ -136,7 +136,7 @@ def linear_extensions(p: FinPoset):
             yield tuple(prefix)
             return
         for v in sorted(remaining):
-            if not any((u, v) in p.le for u in remaining if u != v):
+            if not any(p.lt(u, v) for u in remaining if u != v):
                 prefix.append(v)
                 remaining.remove(v)
                 yield from walk(prefix, remaining)
@@ -159,8 +159,9 @@ def length_recursive(p: FinPoset) -> int:
     def ell(vertices: frozenset) -> int:
         best = 0
         for x in vertices:
+            row = p.successors[x]
             rest = frozenset(
-                y for y in vertices if y != x and (x, y) not in p.le
+                y for y in vertices if y != x and not row >> y & 1
             )
             best = max(best, ell(rest) + 1)
         return best
@@ -184,28 +185,6 @@ def bad_sequences(p: FinPoset):
 
 def bad_tree_height(p: FinPoset) -> int:
     return max(len(seq) for seq in bad_sequences(p))
-
-
-def combine(kind: str, p: FinPoset, q: FinPoset) -> FinPoset:
-    """direct_sum / cartesian_product / lex_sum of two finite posets."""
-    if kind == "direct_sum":
-        pairs = set(p.le) | {(i + p.n, j + p.n) for (i, j) in q.le}
-        return FinPoset(p.n + q.n, frozenset(pairs))
-    if kind == "lex_sum":
-        pairs = set(p.le) | {(i + p.n, j + p.n) for (i, j) in q.le}
-        pairs |= {(i, j + p.n) for i in range(p.n) for j in range(q.n)}
-        return FinPoset(p.n + q.n, frozenset(pairs))
-    if kind == "cartesian_product":
-        def code(i, j):
-            return i * q.n + j
-
-        pairs = set()
-        for i, k in itertools.product(range(p.n), repeat=2):
-            for j, l in itertools.product(range(q.n), repeat=2):
-                if (i, j) != (k, l) and p.leq(i, k) and q.leq(j, l):
-                    pairs.add((code(i, j), code(k, l)))
-        return FinPoset(p.n * q.n, frozenset(pairs))
-    raise PosetError("unknown combination kind %r" % kind)
 
 
 def embeds(p: FinPoset, q: FinPoset) -> bool:
@@ -263,4 +242,4 @@ def all_posets(n: int):
             if j == k
         ):
             continue
-        yield FinPoset(n, frozenset(rel))
+        yield make_poset(n, rel)

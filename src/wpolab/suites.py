@@ -51,10 +51,10 @@ from .ordinals import (
 from .posets import (
     all_posets,
     bad_tree_height,
-    combine,
     length_fin,
     length_recursive,
 )
+from .terms import DSum, Fin, Prod, denote_prefix
 
 OMEGA = parse_ordinal("w")
 
@@ -248,11 +248,11 @@ def _suite_finite_poset_oracle(report, cases, rng):
                 if budget <= 0:
                     return
                 budget -= 1
-                ds = length_recursive(combine("direct_sum", p, q))
+                ds = length_recursive(denote_prefix(DSum(Fin(p), Fin(q)), p.n + q.n))
                 if ds != p.n + q.n:
                     report.failures.append(("dsum %r,%r" % (p, q),
                                             str(p.n + q.n), str(ds)))
-                pr = length_recursive(combine("cartesian_product", p, q))
+                pr = length_recursive(denote_prefix(Prod(Fin(p), Fin(q)), p.n * q.n))
                 if pr != p.n * q.n:
                     report.failures.append(("prod %r,%r" % (p, q),
                                             str(p.n * q.n), str(pr)))

@@ -18,6 +18,7 @@ import re
 from dataclasses import dataclass
 from typing import Union
 
+from .io import read_poset_file
 from .ordinals import (
     MAX_NESTING,
     CnfOrdinal,
@@ -115,7 +116,7 @@ def _denote(t: PosetTerm) -> _Denotation:
         return _Denotation(e.size, e.at, lambda x, y: x < y)
     if isinstance(t, Fin):
         p = t.poset
-        return _Denotation(p.n, lambda i: i, lambda x, y: (x, y) in p.le)
+        return _Denotation(p.n, lambda i: i, p.lt)
     a, b = _denote(t.left), _denote(t.right)
     if isinstance(t, Prod):
         return _product(a, b)
@@ -190,14 +191,19 @@ def denote_prefix(t: PosetTerm, budget: int) -> FinPoset:
 
 
 _INLINE_FIN = re.compile(r"(chain|antichain)([0-9]+)$")
+# inline fin(chainN) and fin(antichainN) leaves have at most this many
+# vertices: chain(2000) takes about 0.5 s of CPU to close, chain(4000) 2.5 s
+MAX_INLINE_FIN = 2000
 
 
 def parse_term(text: str) -> PosetTerm:
-    term, pos = _parse(text, 0)
+    """Parse a term.  The whole text is checked before any finite poset is
+    built or any fin(@file) is read."""
+    build, pos = _parse(text, 0)
     pos = _skip(text, pos)
     if pos != len(text):
         raise OrdinalError("trailing input at position %d: %r" % (pos, text[pos:]))
-    return term
+    return build()
 
 
 def _skip(text: str, pos: int) -> int:
@@ -217,7 +223,8 @@ def _balanced(text: str, pos: int) -> int:
 
 
 def _parse(text: str, pos: int, nested: int = 0):
-    """The term at pos, below `nested` enclosing dsum/lexsum/prod nodes."""
+    """A function that builds the term at pos, below `nested` enclosing
+    dsum/lexsum/prod nodes, and the position after the term."""
     pos = _skip(text, pos)
     head = re.match(r"(ord|fin|dsum|lexsum|prod)\(", text[pos:])
     if not head:
@@ -226,9 +233,10 @@ def _parse(text: str, pos: int, nested: int = 0):
     open_ = pos + head.end()
     close = _balanced(text, open_)
     if kind == "ord":
-        return Ord(parse_ordinal(text[open_:close].strip())), close + 1
+        alpha = parse_ordinal(text[open_:close].strip())
+        return (lambda: Ord(alpha)), close + 1
     if kind == "fin":
-        return Fin(_parse_fin(text[open_:close].strip())), close + 1
+        return _parse_fin(text[open_:close].strip()), close + 1
     if nested == MAX_NESTING:
         raise OrdinalError("terms nested deeper than %d at position %d" % (MAX_NESTING, pos))
     left, after = _parse(text, open_, nested + 1)
@@ -240,26 +248,26 @@ def _parse(text: str, pos: int, nested: int = 0):
     if after != close:
         raise OrdinalError("trailing input at position %d in %s(...)" % (after, kind))
     node = {"dsum": DSum, "lexsum": LexSum, "prod": Prod}[kind]
-    return node(left, right), close + 1
+    return (lambda: node(left(), right())), close + 1
 
 
-def _parse_fin(body: str) -> FinPoset:
+def _parse_fin(body: str):
+    """A function that builds the Fin leaf fin(body): it reads the file of
+    fin(@file), or makes the chain or antichain of an inline leaf."""
     if body.startswith("@"):
-        from .io import load_poset
-
-        try:
-            with open(body[1:], "r") as fh:
-                return load_poset(fh)
-        except OSError as exc:
-            raise PosetError("cannot read poset file %r: %s"
-                             % (body[1:], exc.strerror or exc)) from exc
+        return lambda: Fin(read_poset_file(body[1:]))
     m = _INLINE_FIN.match(body)
     if not m:
         raise OrdinalError(
             "fin(...) takes chainN, antichainN, or @file, got %r" % body
         )
+    digits = m.group(2).lstrip("0") or "0"
+    if len(digits) > len(str(MAX_INLINE_FIN)) or int(digits) > MAX_INLINE_FIN:
+        raise PosetError("inline fin(%s...) takes at most %d vertices; put a "
+                         "larger poset in a file and use fin(@file)"
+                         % (m.group(1), MAX_INLINE_FIN))
     make = chain if m.group(1) == "chain" else antichain
-    return make(int(m.group(2)))
+    return lambda: Fin(make(int(digits)))
 
 
 def render_term(t: PosetTerm) -> str:
@@ -269,7 +277,7 @@ def render_term(t: PosetTerm) -> str:
         p = t.poset
         if p == chain(p.n):
             return "fin(chain%d)" % p.n
-        if not p.le:
+        if p == antichain(p.n):
             return "fin(antichain%d)" % p.n
         raise PosetError("no inline rendering for %r; export it to a file" % p)
     name = {DSum: "dsum", LexSum: "lexsum", Prod: "prod"}[type(t)]

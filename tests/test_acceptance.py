@@ -29,7 +29,7 @@ from wpolab.ordinals import (
     parse_ordinal,
     ul_nat_add,
 )
-from wpolab.posets import FinPoset, intersect, length_recursive
+from wpolab.posets import intersect, length_recursive, make_poset
 from wpolab.suites import random_countable_infinite, random_ordinal, run_suite
 
 
@@ -188,7 +188,7 @@ def test_criterion_07_intersections_of_five_element_orders():
     with budget(7, "all 14400 pairs of linear orders on 5 elements have "
                    "intersection length 5; strict sup 6 = theta_plus(5,5)"):
         orders = [
-            FinPoset(5, frozenset((p[i], p[j]) for i in range(5) for j in range(i + 1, 5)))
+            make_poset(5, [(p[i], p[j]) for i in range(5) for j in range(i + 1, 5)])
             for p in itertools.permutations(range(5))
         ]
         assert len(orders) ** 2 == 14400

@@ -117,8 +117,8 @@ def test_scaled_grammar_parses_or_rejects(text):
     assert parse_k(render_k(a)) == a
 
 
-# fin(chainN) builds N*(N-1)/2 pairs, so N stays below 100: random text has
-# at most 12 characters, and token texts no run of three digits
+# fin(chainN) closes an N-vertex chain at parse time, so N stays below 100:
+# random text has at most 12 characters, and token texts no run of three digits
 @given(st.one_of(
     st.text(TERM_ALPHABET, max_size=12),
     token_texts(TERM_TOKENS, st.sampled_from(TERM_HEADS), st.sampled_from(["", ")", "))"]))

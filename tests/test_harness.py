@@ -16,6 +16,7 @@ from wpolab.io import export_poset, load_poset
 from wpolab.ordinals import ZERO, add
 from wpolab.posets import PosetError, antichain, chain, make_poset
 from wpolab.suites import SUITES, run_suite
+from wpolab.terms import MAX_INLINE_FIN
 
 
 # -- poset files -------------------------------------------------------------------
@@ -215,6 +216,18 @@ def test_cli_finite_decompinver_prefix_past_its_end_fails_fast():
     assert done.returncode == 2 and done.stdout == ""
     assert done.stderr.startswith("wpolab: ") and done.stderr.count("\n") == 1
     assert "10" in done.stderr and "5" in done.stderr
+
+
+def test_cli_inline_finite_poset_over_the_bound_fails_fast():
+    # 16 characters that would ask for a 100000-vertex chain
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run(
+        [sys.executable, "-m", "wpolab.cli", "poset", "len", "fin(chain100000)"],
+        capture_output=True, text=True, env=env, timeout=20)
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr.startswith("wpolab: ") and done.stderr.count("\n") == 1
+    assert str(MAX_INLINE_FIN) in done.stderr
 
 
 @pytest.mark.parametrize("argv", [

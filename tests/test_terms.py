@@ -15,7 +15,9 @@ from wpolab.ordinals import (
     parse_ordinal,
 )
 from wpolab.posets import PosetError, antichain, chain, length_fin, make_poset
+from wpolab import terms
 from wpolab.terms import (
+    MAX_INLINE_FIN,
     DSum,
     Fin,
     LexSum,
@@ -147,6 +149,27 @@ def test_parse_term_from_poset_file(tmp_path):
     path = tmp_path / "p.json"
     path.write_text('{"n": 3, "le": [[0, 1], [1, 2]]}')
     assert parse_term("fin(@%s)" % path) == Fin(chain(3))
+
+
+def test_inline_finite_posets_are_bounded():
+    big = MAX_INLINE_FIN
+    assert parse_term("fin(antichain%d)" % big) == Fin(antichain(big))
+    assert parse_term("fin(chain007)") == Fin(chain(7))
+    for body in ("chain%d" % (big + 1), "antichain%d" % (big + 1), "chain" + "9" * 5000):
+        with pytest.raises(PosetError, match="at most %d vertices" % big):
+            parse_term("fin(%s)" % body)
+
+
+def test_parse_term_checks_the_whole_text_before_building(monkeypatch):
+    with pytest.raises(OrdinalError, match="trailing input"):
+        parse_term("fin(@/no/such/file)junk")
+
+    def unexpected(n):
+        raise AssertionError("built a poset for a malformed term")
+
+    monkeypatch.setattr(terms, "chain", unexpected)
+    with pytest.raises(OrdinalError, match="trailing input"):
+        parse_term("dsum(fin(chain5), ord(w)) junk")
 
 
 @pytest.mark.parametrize(
