@@ -18,6 +18,7 @@ import functools
 from dataclasses import dataclass, field
 
 from .ordinals import (
+    DIGITS,
     MAX_NESTING,
     ZERO,
     ONE,
@@ -133,12 +134,6 @@ class KOrdinal:
         if not self.is_successor:
             raise OrdinalError("%s is not a successor" % self)
         return KOrdinal((self.coeffs[0].pred(),) + self.coeffs[1:])
-
-    def is_initial(self) -> bool:
-        """True for 0, finite ordinals and the omega_k themselves."""
-        if self.level == 0:
-            return self.coeffs[0].is_finite or self.coeffs[0] == OMEGA
-        return self == omega_level(self.level)
 
     # -- comparison / display -------------------------------------------------
 
@@ -310,13 +305,15 @@ def _parse_k(text: str, nested: int) -> KOrdinal:
         raise OrdinalError("scaled forms nested deeper than %d" % MAX_NESTING)
     # W<k>*( q )+( rest )
     i = 1
-    while i < len(text) and text[i].isdigit():
+    while i < len(text) and text[i] in DIGITS:
         i += 1
     if i == 1 or not text.startswith("*(", i):
         raise OrdinalError("malformed scaled ordinal %r (expected W<k>*(q)+(r))" % text)
-    k = int(text[1:i])
-    if not 1 <= k <= MAX_LEVEL:
-        raise LevelOverflowError("scale W%d is outside 1..%d" % (k, MAX_LEVEL))
+    # compare by length first: int() rejects digit runs over 4300 long
+    digits = text[1:i].lstrip("0") or "0"
+    if len(digits) > len(str(MAX_LEVEL)) or not 1 <= int(digits) <= MAX_LEVEL:
+        raise LevelOverflowError("scale W%s is outside 1..%d" % (digits, MAX_LEVEL))
+    k = int(digits)
     j = i + 2
     depth = 1
     while j < len(text) and depth:

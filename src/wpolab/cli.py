@@ -167,6 +167,8 @@ def _cmd_verify(args) -> int:
     print(report.to_json())
     for inp, want, got in report.failures:
         print("FAIL %s: expected %s, got %s" % (inp, want, got), file=sys.stderr)
+    if args.timing:
+        print("elapsed %.3f s" % report.elapsed, file=sys.stderr)
     return 0 if report.passed else 1
 
 
@@ -207,6 +209,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", required=True, choices=sorted(SUITES))
     p.add_argument("--cases", type=int, default=200, metavar="N")
     p.add_argument("--seed", type=int, default=0, metavar="S")
+    p.add_argument("--timing", action="store_true",
+                   help="write the suite's wall time to stderr")
     p.set_defaults(fn=_cmd_verify)
     return top
 

@@ -4,6 +4,13 @@ An ordinal is a finite sum  w^e1*c1 + ... + w^ek*ck  with strictly
 decreasing exponents (themselves ordinals) and positive integer
 coefficients; the empty sum is 0.  Values are immutable and hashable.
 
+Values are interned (hash-consed, after Filliatre & Conchon, "Type-safe
+modular hash-consing", 2006): there is exactly one live `CnfOrdinal` per
+value, held in a weak table, so equality is identity, the hash is computed
+once, and comparison skips every shared exponent by an `is` test.
+Arithmetic builds its canonical results through the unchecked `_mk`; the
+public constructor validates first.
+
 Ordinal (non-commutative) and natural (Hessenberg) arithmetic both live
 here, together with the textual grammar used by the CLI:
 
@@ -18,9 +25,8 @@ be strictly decreasing; anything else is rejected with a hint.
 
 from __future__ import annotations
 
-import functools
 import itertools
-from dataclasses import dataclass
+import weakref
 from typing import Iterator
 
 
@@ -28,22 +34,47 @@ class OrdinalError(ValueError):
     pass
 
 
-@functools.total_ordering
-@dataclass(frozen=True)
 class CnfOrdinal:
-    # ((exponent, coefficient), ...) with exponents strictly decreasing
-    terms: tuple[tuple["CnfOrdinal", int], ...] = ()
+    """((exponent, coefficient), ...) with exponents strictly decreasing.
 
-    def __post_init__(self) -> None:
+    `CnfOrdinal(terms)` checks its argument and returns the one instance
+    of that value; it rejects non-tuples, malformed terms, non-int or
+    bool coefficients, coefficients below 1 and exponents that do not
+    strictly decrease.
+    """
+
+    __slots__ = ("terms", "_hash", "__weakref__")
+    terms: tuple[tuple["CnfOrdinal", int], ...]
+
+    def __new__(cls, terms: tuple = ()) -> "CnfOrdinal":
+        # check types before the table lookup: ((ZERO, 1.0),) and
+        # ((ZERO, True),) compare equal to ONE's terms
+        if type(terms) is not tuple:
+            raise OrdinalError("malformed terms %r" % (terms,))
         prev = None
-        for exp, coeff in self.terms:
-            if not isinstance(exp, CnfOrdinal) or not isinstance(coeff, int):
-                raise OrdinalError("malformed term %r" % (self.terms,))
+        for t in terms:
+            if type(t) is not tuple or len(t) != 2:
+                raise OrdinalError("malformed term %r" % (terms,))
+            exp, coeff = t
+            if (not isinstance(exp, CnfOrdinal) or not isinstance(coeff, int)
+                    or isinstance(coeff, bool)):
+                raise OrdinalError("malformed term %r" % (terms,))
             if coeff <= 0:
                 raise OrdinalError("coefficients must be positive")
             if prev is not None and not _lt(exp, prev):
                 raise OrdinalError("exponents must strictly decrease")
             prev = exp
+        return _mk(terms)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("CnfOrdinal values are immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("CnfOrdinal values are immutable")
+
+    def __reduce__(self):
+        # copy and pickle rebuild through the constructor, which interns
+        return CnfOrdinal, (self.terms,)
 
     # -- structure ---------------------------------------------------------
 
@@ -53,25 +84,25 @@ class CnfOrdinal:
 
     @property
     def is_finite(self) -> bool:
-        return not self.terms or (len(self.terms) == 1 and self.terms[0][0].is_zero)
+        return not self.terms or (len(self.terms) == 1 and self.terms[0][0] is ZERO)
 
     @property
     def is_successor(self) -> bool:
-        return bool(self.terms) and self.terms[-1][0].is_zero
+        return bool(self.terms) and self.terms[-1][0] is ZERO
 
     @property
     def is_limit(self) -> bool:
-        return bool(self.terms) and not self.terms[-1][0].is_zero
+        return bool(self.terms) and self.terms[-1][0] is not ZERO
 
     @property
     def leading_exp(self) -> "CnfOrdinal":
-        if self.is_zero:
+        if not self.terms:
             raise OrdinalError("0 has no leading exponent")
         return self.terms[0][0]
 
     @property
     def last_exp(self) -> "CnfOrdinal":
-        if self.is_zero:
+        if not self.terms:
             raise OrdinalError("0 has no last exponent")
         return self.terms[-1][0]
 
@@ -87,30 +118,53 @@ class CnfOrdinal:
 
     def minus_last(self) -> "CnfOrdinal":
         """Drop one unit of the last term's coefficient (any nonzero value)."""
-        if self.is_zero:
+        if not self.terms:
             raise OrdinalError("0 has no last term")
         exp, coeff = self.terms[-1]
         head = self.terms[:-1]
         if coeff > 1:
             head = head + ((exp, coeff - 1),)
-        return CnfOrdinal(head)
+        return _mk(head)
 
     def trunc_ge(self, exp: "CnfOrdinal") -> "CnfOrdinal":
         """Keep only the terms with exponent >= exp."""
-        return CnfOrdinal(tuple(t for t in self.terms if not _lt(t[0], exp)))
+        return _mk(self.terms[:_cut(self.terms, exp)])
 
-    def degree(self) -> int:
-        """Tower height of the leading exponent (0 for finite ordinals)."""
-        if self.is_finite:
-            return 0
-        return 1 + self.leading_exp.degree()
+    # -- equality, hashing, comparison, display ------------------------------
+    #
+    # Interning makes equality identity.  The hash stays structural,
+    # hash((terms,)): a hash by address would make set and dict orders, and
+    # so outputs, differ from run to run.
 
-    # -- comparison / display ----------------------------------------------
+    def __eq__(self, other) -> bool:
+        if self is other:
+            return True
+        return False if isinstance(other, CnfOrdinal) else NotImplemented
 
+    def __hash__(self) -> int:
+        return self._hash
+
+    # all four orders spelled out: total_ordering's derived ones cost a
+    # second call per comparison
     def __lt__(self, other: "CnfOrdinal") -> bool:
         if not isinstance(other, CnfOrdinal):
             return NotImplemented
         return _lt(self, other)
+
+    def __gt__(self, other: "CnfOrdinal") -> bool:
+        if not isinstance(other, CnfOrdinal):
+            return NotImplemented
+        return _lt(other, self)
+
+    def __le__(self, other: "CnfOrdinal") -> bool:
+        if not isinstance(other, CnfOrdinal):
+            return NotImplemented
+        return not _lt(other, self)
+
+    def __ge__(self, other: "CnfOrdinal") -> bool:
+        if not isinstance(other, CnfOrdinal):
+            return NotImplemented
+        return not _lt(self, other)
 
     def __str__(self) -> str:
         return render_ordinal(self)
@@ -126,13 +180,45 @@ class CnfOrdinal:
         return mul(self, _coerce(other))
 
 
+# The intern table: terms -> the one live instance with those terms.  It
+# holds its values weakly, so an ordinal nothing else refers to is freed.
+_TABLE: "weakref.WeakValueDictionary[tuple, CnfOrdinal]" = weakref.WeakValueDictionary()
+_new = object.__new__
+_set_terms = CnfOrdinal.terms.__set__
+_set_hash = CnfOrdinal._hash.__set__
+
+
+def _mk(terms: tuple) -> CnfOrdinal:
+    """The interned value of canonical `terms`, unchecked: for results
+    that arithmetic builds in Cantor normal form from interned parts."""
+    v = _TABLE.get(terms)
+    if v is None:
+        v = _new(CnfOrdinal)
+        _set_terms(v, terms)
+        _set_hash(v, hash((terms,)))
+        _TABLE[terms] = v
+    return v
+
+
 def _lt(a: CnfOrdinal, b: CnfOrdinal) -> bool:
+    if a is b:
+        return False
     for (ea, ca), (eb, cb) in zip(a.terms, b.terms):
-        if ea != eb:
+        if ea is not eb:
             return _lt(ea, eb)
         if ca != cb:
             return ca < cb
     return len(a.terms) < len(b.terms)
+
+
+def _cut(terms: tuple, e: CnfOrdinal) -> int:
+    """The number of leading terms with exponent >= e."""
+    i = 0
+    for exp, _ in terms:
+        if _lt(exp, e):
+            break
+        i += 1
+    return i
 
 
 def _coerce(x) -> CnfOrdinal:
@@ -156,6 +242,8 @@ OMEGA = CnfOrdinal(((ONE, 1),))
 
 def omega_pow(e, coeff: int = 1) -> CnfOrdinal:
     e = _coerce(e)
+    if type(coeff) is int and coeff > 0:
+        return _mk(((e, coeff),))
     return CnfOrdinal(((e, coeff),)) if coeff else ZERO
 
 
@@ -172,15 +260,13 @@ def cmp(a, b) -> int:
 def add(a, b) -> CnfOrdinal:
     """Ordinal sum a + b (absorbs the low tail of a)."""
     a, b = _coerce(a), _coerce(b)
-    if b.is_zero:
+    if not b.terms:
         return a
-    e = b.leading_exp
-    kept = [t for t in a.terms if not _lt(t[0], e)]
-    if kept and kept[-1][0] == e:
-        exp, coeff = kept[-1]
-        kept[-1] = (exp, coeff + b.terms[0][1])
-        return CnfOrdinal(tuple(kept) + b.terms[1:])
-    return CnfOrdinal(tuple(kept) + b.terms)
+    e, c = b.terms[0]
+    i = _cut(a.terms, e)
+    if i and a.terms[i - 1][0] is e:
+        return _mk(a.terms[: i - 1] + ((e, a.terms[i - 1][1] + c),) + b.terms[1:])
+    return _mk(a.terms[:i] + b.terms)
 
 
 def mul(a, b) -> CnfOrdinal:
@@ -189,14 +275,14 @@ def mul(a, b) -> CnfOrdinal:
     if a.is_zero or b.is_zero:
         return ZERO
     out = ZERO
-    e1 = a.leading_exp
+    e1 = a.terms[0][0]
     for f, d in b.terms:
-        if f.is_zero:
+        if f is ZERO:
             # a * d: only the leading term is multiplied, the tail survives once
             head = ((e1, a.terms[0][1] * d),)
-            out = add(out, CnfOrdinal(head + a.terms[1:]))
+            out = add(out, _mk(head + a.terms[1:]))
         else:
-            out = add(out, omega_pow(add(e1, f), d))
+            out = add(out, _mk(((add(e1, f), d),)))
     return out
 
 
@@ -208,11 +294,11 @@ def left_subtract(a, b) -> CnfOrdinal:
     for i, (ta, tb) in enumerate(zip(a.terms, b.terms)):
         if ta == tb:
             continue
-        if ta[0] == tb[0]:
+        if ta[0] is tb[0]:
             # same exponent, b's coefficient is larger
-            return CnfOrdinal(((ta[0], tb[1] - ta[1]),) + b.terms[i + 1 :])
-        return CnfOrdinal(b.terms[i:])
-    return CnfOrdinal(b.terms[len(a.terms) :])
+            return _mk(((ta[0], tb[1] - ta[1]),) + b.terms[i + 1 :])
+        return _mk(b.terms[i:])
+    return _mk(b.terms[len(a.terms) :])
 
 
 def euclid_div(a, d) -> tuple[CnfOrdinal, CnfOrdinal]:
@@ -230,7 +316,7 @@ def euclid_div(a, d) -> tuple[CnfOrdinal, CnfOrdinal]:
             # d * w^((-e)+f) * g == w^f * g exactly
             qt = omega_pow(left_subtract(e, f), g)
             q = add(q, qt)
-            r = left_subtract(CnfOrdinal(((f, g),)), r)
+            r = left_subtract(_mk(((f, g),)), r)
         else:
             # f == e: the quotient contribution is a maximal finite m
             m = g // c + 1
@@ -248,19 +334,40 @@ def euclid_div(a, d) -> tuple[CnfOrdinal, CnfOrdinal]:
 def nat_add(a, b) -> CnfOrdinal:
     """Hessenberg sum: merge the two term lists, adding equal exponents."""
     a, b = _coerce(a), _coerce(b)
-    acc: dict[CnfOrdinal, int] = {}
-    for exp, coeff in a.terms + b.terms:
-        acc[exp] = acc.get(exp, 0) + coeff
-    return CnfOrdinal(tuple((e, acc[e]) for e in sorted(acc, reverse=True)))
+    xs, ys = a.terms, b.terms
+    if not ys:
+        return a
+    if not xs:
+        return b
+    out = []
+    i = j = 0
+    nx, ny = len(xs), len(ys)
+    while i < nx and j < ny:
+        ex, cx = xs[i]
+        ey, cy = ys[j]
+        if ex is ey:
+            out.append((ex, cx + cy))
+            i += 1
+            j += 1
+        elif _lt(ey, ex):
+            out.append(xs[i])
+            i += 1
+        else:
+            out.append(ys[j])
+            j += 1
+    return _mk(tuple(out) + xs[i:] + ys[j:])
 
 
 def nat_mul(a, b) -> CnfOrdinal:
-    """Hessenberg product: distribute with nat_add-combined exponents."""
+    """Hessenberg product: distribute with nat_add-combined exponents.
+
+    Each row  w^ea*ca (x) b  is already in normal form, because the
+    natural sum is strictly increasing in each argument; the rows are
+    merged with nat_add."""
     a, b = _coerce(a), _coerce(b)
     out = ZERO
     for ea, ca in a.terms:
-        for eb, cb in b.terms:
-            out = nat_add(out, omega_pow(nat_add(ea, eb), ca * cb))
+        out = nat_add(out, _mk(tuple((nat_add(ea, eb), ca * cb) for eb, cb in b.terms)))
     return out
 
 
@@ -307,7 +414,7 @@ def fund_seq(a, n: int) -> CnfOrdinal:
     if n < 0:
         raise OrdinalError("index must be non-negative")
     exp, coeff = a.terms[-1]
-    prefix = CnfOrdinal(a.terms[:-1] + (((exp, coeff - 1),) if coeff > 1 else ()))
+    prefix = _mk(a.terms[:-1] + (((exp, coeff - 1),) if coeff > 1 else ()))
     if exp.is_successor:
         step = omega_pow(exp.pred(), n) if n else ZERO
     else:
@@ -322,7 +429,7 @@ def iter_below(max_exp: int, max_coeff: int) -> Iterator[CnfOrdinal]:
     """All ordinals w^max_exp*c_k + ... + c_0 with finite exponents <= max_exp
     and coefficients in 0..max_coeff, in increasing order."""
     for coeffs in itertools.product(range(max_coeff + 1), repeat=max_exp + 1):
-        yield CnfOrdinal(
+        yield _mk(
             tuple(
                 (from_int(e), c)
                 for e, c in zip(range(max_exp, -1, -1), coeffs)
@@ -339,6 +446,12 @@ def iter_below(max_exp: int, max_coeff: int) -> Iterator[CnfOrdinal]:
 # tower, and at about 200 levels they exceed Python's default recursion
 # limit; every parsed value stays well below that.
 MAX_NESTING = 64
+
+# The longest numeral the grammars accept: Python's default limit for
+# int-from-text conversion, so a longer digit run is a parse error instead
+# of the interpreter's ValueError.
+MAX_NUMERAL_DIGITS = 4300
+DIGITS = frozenset("0123456789")
 
 
 class _Parser:
@@ -364,10 +477,12 @@ class _Parser:
 
     def nat(self) -> int:
         start = self.pos
-        while self.peek().isdigit():
+        while self.peek() in DIGITS:
             self.pos += 1
         if start == self.pos:
             raise self.error("expected a natural number")
+        if self.pos - start > MAX_NUMERAL_DIGITS:
+            raise self.error("numeral longer than %d digits" % MAX_NUMERAL_DIGITS)
         return int(self.text[start : self.pos])
 
     def atom(self) -> CnfOrdinal:
@@ -387,7 +502,7 @@ class _Parser:
 
     def ordinal(self) -> CnfOrdinal:
         if self.peek() == "0" and not (
-            self.pos + 1 < len(self.text) and self.text[self.pos + 1].isdigit()
+            self.pos + 1 < len(self.text) and self.text[self.pos + 1] in DIGITS
         ):
             self.eat("0")
             return ZERO
@@ -443,7 +558,7 @@ def render_ordinal(a: CnfOrdinal) -> str:
     parts = []
     for exp, coeff in a.terms:
         if exp.is_zero:
-            parts.append(str(coeff))
+            parts.append(_numeral(coeff))
             continue
         if exp == ONE:
             base = "w"
@@ -451,5 +566,13 @@ def render_ordinal(a: CnfOrdinal) -> str:
             base = "w^%s" % render_ordinal(exp)
         else:
             base = "w^(%s)" % render_ordinal(exp)
-        parts.append(base if coeff == 1 else "%s*%d" % (base, coeff))
+        parts.append(base if coeff == 1 else "%s*%s" % (base, _numeral(coeff)))
     return "+".join(parts)
+
+
+def _numeral(n: int) -> str:
+    try:
+        return str(n)
+    except ValueError:  # Python's int-to-text limit
+        raise OrdinalError("a coefficient is too long to render (over %d digits)"
+                           % MAX_NUMERAL_DIGITS) from None

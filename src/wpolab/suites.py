@@ -71,7 +71,7 @@ class SuiteReport:
     def passed(self) -> bool:
         return not self.failures
 
-    def to_json(self, include_elapsed: bool = False) -> str:
+    def to_json(self) -> str:
         doc = {
             "suite": self.suite,
             "cases": self.cases,
@@ -79,8 +79,6 @@ class SuiteReport:
             "passed": self.passed,
             "failures": [list(f) for f in sorted(self.failures)],
         }
-        if include_elapsed:
-            doc["elapsed"] = self.elapsed
         return json.dumps(doc, sort_keys=True)
 
 

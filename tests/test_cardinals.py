@@ -105,3 +105,11 @@ def test_parse_k_rejects_malformed():
     for bad in ["W1*(0)+(0)", "W10*(1)+(0)", "W1*(w", "W1(1)+(2)"]:
         with pytest.raises(OrdinalError):
             parse_k(bad)
+
+
+def test_parse_k_reads_the_scale_by_its_digits():
+    # leading zeros do not count toward the scale's length; 5000 nines is
+    # out of range without converting the run to an int
+    assert parse_k("W%s1*(1)+(0)" % ("0" * 5000)) == W1
+    with pytest.raises(LevelOverflowError):
+        parse_k("W%s*(1)+(0)" % ("9" * 5000))

@@ -12,7 +12,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from wpolab.cardinals import MAX_LEVEL, KOrdinal, parse_k, render_k
-from wpolab.ordinals import ZERO, CnfOrdinal, OrdinalError, from_int, parse_ordinal, render_ordinal
+from wpolab.ordinals import (MAX_NUMERAL_DIGITS, ZERO, CnfOrdinal, OrdinalError, from_int,
+                             parse_ordinal, render_ordinal)
 from wpolab.posets import PosetError, antichain, chain
 from wpolab.terms import DSum, Fin, LexSum, Ord, Prod, parse_term, render_term
 
@@ -21,8 +22,10 @@ K_ALPHABET = ORD_ALPHABET + "W"
 # every letter of ord, fin, dsum, lexsum, prod, chain and antichain
 TERM_ALPHABET = ORD_ALPHABET + "acdefhilmnoprstux,@"
 
-# grammar pieces, so that random inputs reach the deeper rules
-ORD_TOKENS = ["w", "^", "*", "+", "(", ")", " ", "0", "1", "2", "10"]
+# grammar pieces, so that random inputs reach the deeper rules; the digit
+# runs at and past the numeral bound reach the length checks in front of int()
+LONG_RUNS = ["9" * MAX_NUMERAL_DIGITS, "9" * (MAX_NUMERAL_DIGITS + 1)]
+ORD_TOKENS = ["w", "^", "*", "+", "(", ")", " ", "0", "1", "2", "10"] + LONG_RUNS
 K_TOKENS = ORD_TOKENS + ["W", "W1", "W9", "W10", "*(", ")+("]
 TERM_HEADS = ["ord(", "fin(", "dsum(", "lexsum(", "prod(", "fin(chain", "fin(@"]
 TERM_TOKENS = ORD_TOKENS + TERM_HEADS + ["chain", "antichain", "@", ","]
@@ -118,11 +121,13 @@ def test_scaled_grammar_parses_or_rejects(text):
 
 
 # fin(chainN) closes an N-vertex chain at parse time, so N stays below 100:
-# random text has at most 12 characters, and token texts no run of three digits
+# random text has at most 12 characters, and token texts no run of three
+# digits short of the numeral bound (a longer run is past every bound)
 @given(st.one_of(
     st.text(TERM_ALPHABET, max_size=12),
     token_texts(TERM_TOKENS, st.sampled_from(TERM_HEADS), st.sampled_from(["", ")", "))"]))
-    .filter(lambda text: not re.search(r"[0-9]{3}", text)),
+    .filter(lambda text: not re.search(
+        r"(?<![0-9])[0-9]{3,%d}(?![0-9])" % MAX_NUMERAL_DIGITS, text)),
     edited_terms()))
 @settings(max_examples=500, suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_term_grammar_parses_or_rejects(monkeypatch, tmp_path, text):

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -13,7 +14,7 @@ from wpolab.bounds import theta_plus
 from wpolab.cardinals import KOrdinal
 from wpolab.cli import main
 from wpolab.io import export_poset, load_poset
-from wpolab.ordinals import ZERO, add
+from wpolab.ordinals import MAX_NUMERAL_DIGITS, ZERO, add
 from wpolab.posets import PosetError, antichain, chain, make_poset
 from wpolab.suites import SUITES, run_suite
 from wpolab.terms import MAX_INLINE_FIN
@@ -174,6 +175,33 @@ def test_cli_verify_exit_codes(capsys):
     code, _ = run_cli("verify", "--suite", "theta_laws", "--cases", "20",
                       "--seed", "3", "--jobs", "4", capsys=capsys)
     assert code == 2  # there is no --jobs option
+
+
+def test_cli_verify_timing_goes_to_stderr(capsys):
+    argv = ["verify", "--suite", "theta_laws", "--cases", "20", "--seed", "3"]
+    assert main(argv) == 0
+    plain = capsys.readouterr()
+    assert main(argv + ["--timing"]) == 0
+    timed = capsys.readouterr()
+    assert timed.out == plain.out and plain.err == ""
+    assert re.fullmatch(r"elapsed \d+\.\d{3} s\n", timed.err)
+
+
+@pytest.mark.parametrize("argv", [
+    ["ord", "add", "9" * 5000, "1"],
+    ["ord", "add", "W%s*(1)+(0)" % ("9" * 5000), "1"],
+    ["theta", "w*%s" % ("9" * (MAX_NUMERAL_DIGITS + 1)), "w"],
+    # a product past the limit of Python's int-to-text conversion
+    ["ord", "nmul", "9" * 3000, "9" * 3000],
+    # digits other than 0-9 are not numerals
+    ["ord", "add", "w^\u00b2", "1"],
+    ["ord", "add", "W\u00b2*(1)+(0)", "1"],
+])
+def test_cli_long_numerals_fail_with_one_line(capsys, argv):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("wpolab: ") and captured.err.count("\n") == 1
 
 
 def test_cli_usage_and_parse_errors(capsys):

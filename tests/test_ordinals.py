@@ -1,10 +1,14 @@
+import copy
+import gc
 import itertools
+import pickle
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wpolab import ordinals as ordinals_module
 from wpolab.oracles import nat_add_oracle, nat_mul_oracle
 from wpolab.ordinals import (
     OMEGA,
@@ -279,3 +283,113 @@ def test_indecomposable():
     assert not is_indecomposable(o("w*2"))
     assert not is_indecomposable(o("w+1"))
     assert not is_indecomposable(ZERO)
+
+
+# -- interning ----------------------------------------------------------------------
+
+
+@st.composite
+def term_tuples(draw):
+    """A freshly built, valid terms tuple: distinct exponents in decreasing
+    order and positive coefficients, some too large to be cached ints."""
+    pairs = draw(st.lists(st.tuples(ordinals(), st.integers(1, 10**30)), max_size=4))
+    coeffs = {}
+    for exp, coeff in pairs:
+        coeffs.setdefault(exp, coeff)
+    return tuple(sorted(coeffs.items(), key=lambda t: t[0], reverse=True))
+
+
+@given(term_tuples())
+def test_equal_terms_give_one_instance(terms):
+    a = CnfOrdinal(terms)
+    assert CnfOrdinal(tuple(list(terms))) is a
+    assert a is CnfOrdinal(a.terms) and a == CnfOrdinal(terms)
+    assert hash(a) == hash((terms,))
+
+
+@given(ordinals(), ordinals(), st.integers(0, 6))
+@settings(max_examples=200)
+def test_arithmetic_results_are_canonical_and_interned(a, b, n):
+    # the public constructor re-checks the terms that arithmetic built
+    # unchecked, and must hand back the very same instance
+    lo, hi = (a, b) if a <= b else (b, a)
+    results = [add(a, b), mul(a, b), nat_add(a, b), nat_mul(a, b),
+               left_subtract(lo, hi), ul_nat_add(a, b)]
+    if a.is_limit:
+        results.append(fund_seq(a, n))
+    if not a.is_zero:
+        results += [a.minus_last(), a.trunc_ge(a.last_exp)]
+    for x in results:
+        assert x is CnfOrdinal(x.terms)
+
+
+@pytest.mark.parametrize("terms", [
+    [(ZERO, 1)],                 # not a tuple
+    None,
+    3,
+    ((ZERO, 1.0),),              # float coefficient (equal to ONE's terms)
+    ((ZERO, True),),             # bool coefficient (equal to ONE's terms)
+    ((ZERO, 0),),
+    ((ZERO, -2),),
+    ((ONE, 1), (ONE, 1)),        # exponents must strictly decrease
+    ((ZERO, 1), (ONE, 1)),
+    ((0, 1),),                   # exponent is not an ordinal
+    ((ZERO,),),                  # a term is not a pair
+    ((ZERO, 1, 2),),
+    ([ZERO, 1],),
+])
+def test_constructor_rejects_malformed_terms(terms):
+    with pytest.raises(OrdinalError):
+        CnfOrdinal(terms)
+
+
+@given(ordinals().filter(lambda a: not a.is_zero), st.data())
+def test_constructor_rejects_corrupted_terms(a, data):
+    i = data.draw(st.integers(0, len(a.terms) - 1))
+    exp, coeff = a.terms[i]
+    bad = data.draw(st.sampled_from([
+        (exp, float(coeff)), (exp, bool(coeff)), (exp, 0), (exp, -coeff),
+        (exp.terms, coeff), (exp,)]))
+    variants = [a.terms[:i] + (bad,) + a.terms[i + 1:], list(a.terms)]
+    if len(a.terms) > 1:
+        variants.append(a.terms[::-1])  # increasing exponents
+    for terms in variants:
+        with pytest.raises(OrdinalError):
+            CnfOrdinal(terms)
+
+
+def test_omega_pow_still_checks_its_coefficient():
+    for coeff in (-1, 1.5, True):
+        with pytest.raises(OrdinalError):
+            omega_pow(OMEGA, coeff)
+    assert omega_pow(OMEGA, 0) is ZERO and omega_pow(OMEGA, 3) is o("w^w*3")
+
+
+def test_values_are_immutable():
+    a = o("w^2+1")
+    with pytest.raises(AttributeError):
+        a.terms = ()
+    with pytest.raises(AttributeError):
+        del a.terms
+    assert a is o("w^2+1")
+
+
+def test_intern_table_does_not_keep_values_alive():
+    gc.collect()
+    start = len(ordinals_module._TABLE)
+    fresh = [nat_add(omega_pow(from_int(10**6 + i), 7), from_int(10**9 + i))
+             for i in range(3000)]
+    assert len(ordinals_module._TABLE) >= start + len(fresh)
+    del fresh
+    gc.collect()
+    assert len(ordinals_module._TABLE) <= start + 10
+
+
+@pytest.mark.parametrize("text", ["0", "1", "w", "w^(w^w*2+1)*3+w^2+7", "w*" + "9" * 40])
+def test_copy_and_pickle_return_the_interned_instance(text):
+    a = o(text)
+    assert copy.copy(a) is a
+    assert copy.deepcopy(a) is a
+    assert copy.deepcopy([a, (a, 1)])[1][0] is a
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.loads(pickle.dumps(a, protocol)) is a
