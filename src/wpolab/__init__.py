@@ -45,6 +45,7 @@ from .constructions import (
     minoration_witness,
     mixing_poset,
     prefix_audit,
+    relation_matrix,
     sierpinskisation,
 )
 from .io import export_poset, load_poset
@@ -86,6 +87,7 @@ from .posets import (
     linear_extensions,
     longcut_fin,
     make_poset,
+    poset_of_matrix,
 )
 from .suites import SUITES, SuiteReport, run_suite
 from .terms import (

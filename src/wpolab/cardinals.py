@@ -26,6 +26,7 @@ from .ordinals import (
     CnfOrdinal,
     OrdinalError,
     add,
+    clip,
     euclid_div,
     from_int,
     parse_ordinal,
@@ -308,11 +309,11 @@ def _parse_k(text: str, nested: int) -> KOrdinal:
     while i < len(text) and text[i] in DIGITS:
         i += 1
     if i == 1 or not text.startswith("*(", i):
-        raise OrdinalError("malformed scaled ordinal %r (expected W<k>*(q)+(r))" % text)
+        raise OrdinalError("malformed scaled ordinal %r (expected W<k>*(q)+(r))" % clip(text))
     # compare by length first: int() rejects digit runs over 4300 long
     digits = text[1:i].lstrip("0") or "0"
     if len(digits) > len(str(MAX_LEVEL)) or not 1 <= int(digits) <= MAX_LEVEL:
-        raise LevelOverflowError("scale W%s is outside 1..%d" % (digits, MAX_LEVEL))
+        raise LevelOverflowError("scale W%s is outside 1..%d" % (clip(digits), MAX_LEVEL))
     k = int(digits)
     j = i + 2
     depth = 1
@@ -320,7 +321,7 @@ def _parse_k(text: str, nested: int) -> KOrdinal:
         depth += {"(": 1, ")": -1}.get(text[j], 0)
         j += 1
     if depth or not text.startswith("+(", j) or not text.endswith(")"):
-        raise OrdinalError("malformed scaled ordinal %r (expected W<k>*(q)+(r))" % text)
+        raise OrdinalError("malformed scaled ordinal %r (expected W<k>*(q)+(r))" % clip(text))
     q = parse_ordinal(text[i + 2 : j - 1])
     rest = _parse_k(text[j + 2 : -1], nested + 1)
     if q.is_zero:

@@ -8,6 +8,7 @@ parse error.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 
 from .bounds import theta_plus
@@ -21,8 +22,10 @@ from .constructions import (
 )
 from .io import export_poset, read_poset_file
 from .ordinals import (
+    MAX_ECHO,
     OrdinalError,
     add,
+    clip,
     euclid_div,
     left_subtract,
     mul,
@@ -31,7 +34,7 @@ from .ordinals import (
     parse_ordinal,
     render_ordinal,
 )
-from .posets import PosetError, bad_tree_height, embeds, intersect, length_fin, make_poset
+from .posets import PosetError, bad_tree_height, embeds, intersect, length_fin, poset_of_matrix
 from .suites import SUITES, run_suite
 from .terms import denote_prefix, length_term, parse_term, term_size
 
@@ -127,6 +130,14 @@ def _cmd_construct(args) -> int:
     if args.prefix < 1:
         raise PosetError("--prefix must be at least 1, got %d" % args.prefix)
     ords = [_parse_any(t) for t in args.ordinals]
+    for text, o in zip(args.ordinals, ords):
+        if isinstance(o, KOrdinal):
+            raise OrdinalError("constructions take countable ordinals; %s is scaled"
+                               % clip(text))
+    arity = {"sierp": 1, "mixing": 2, "minoration": 2, "extend": 3}.get(args.kind)
+    if arity is not None and len(ords) != arity:
+        raise OrdinalError("construct %s takes %d ordinals, got %d"
+                           % (args.kind, arity, len(ords)))
     if args.kind == "sierp":
         lazy = sierpinskisation(*ords)
     elif args.kind == "mixing":
@@ -138,13 +149,9 @@ def _cmd_construct(args) -> int:
             raise OrdinalError("decompinver takes ordinals in pairs QA QB ...")
         lazy = decompinver_witness(list(zip(ords[::2], ords[1::2])))
     else:  # extend: ALPHA TARGET_LEFT TARGET_RIGHT, over a sierpinskisation
-        if len(ords) != 3:
-            raise OrdinalError("extend takes ALPHA TARGET_LEFT TARGET_RIGHT")
         lazy = extend_realizer(sierpinskisation(ords[0]), (ords[1], ords[2]))
     n = args.prefix
-    vs = lazy.prefix(n)
-    p = make_poset(n, [(i, j) for i in range(n) for j in range(n)
-                       if lazy.lt(vs[i], vs[j])])
+    p = poset_of_matrix(lazy.lt_matrix(lazy.prefix(n)))
     meta = {"construction": args.kind,
             "parameters": [render_ordinal(o) for o in ords],
             "prefix": n,
@@ -172,8 +179,22 @@ def _cmd_verify(args) -> int:
     return 0 if report.passed else 1
 
 
+class UsageError(Exception):
+    """A command line that argparse rejects."""
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    """argparse that reports a usage error as an exception, which main
+    prints as one line, instead of printing the usage and exiting."""
+
+    def error(self, message):
+        # argparse echoes the offending argument; clip it like the grammars do
+        message = re.sub(r"\S{%d,}" % (MAX_ECHO + 1), lambda m: clip(m.group()), message)
+        raise UsageError("%s (see %s -h)" % (message, self.prog))
+
+
 def build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(
+    top = _ArgumentParser(
         prog="wpolab",
         description="ordinal arithmetic and well-partial-order lengths",
     )
@@ -216,11 +237,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
+        args = build_parser().parse_args(argv)
+    except SystemExit:  # -h and --help exit 0 after printing the help
+        return 0
+    except UsageError as exc:
+        print("wpolab: %s" % exc, file=sys.stderr)
+        return 2
     try:
         return args.fn(args)
     except (OrdinalError, PosetError, OSError, KeyError) as exc:

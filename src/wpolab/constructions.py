@@ -2,14 +2,18 @@
 
 Each construction returns a LazyPoset: an enumerated vertex universe with a
 decidable strict order, optionally a realizer, and a length certificate
-recorded as an arithmetic derivation.  A realizer is two linear orders
-whose intersection is the order (Dushnik & Miller), each given by a
-per-vertex key: x comes before y when key(x) < key(y), and two vertices
-with equal keys are incomparable, so a tie is how a non-linear order shows
-up.  Certificates are claims about the infinite object; prefix_audit
-verifies the finite structure (order axioms, realizer linearity, exact
-intersection, and the mixing invariants) on enumerated prefixes, ranking
-each realizer order with one sort of the prefix keys.
+recorded as an arithmetic derivation.  The order comes twice: `lt_matrix`
+builds it on a vertex list in one numpy batch from the construction's
+defining data (ranks, indices, blocks), and the pairwise comparator `lt`
+is its oracle.  A realizer is two linear orders whose intersection is the
+order (Dushnik & Miller), each given by a per-vertex key: x comes before y
+when key(x) < key(y), and two vertices with equal keys are incomparable,
+so a tie is how a non-linear order shows up.  Certificates are claims
+about the infinite object; prefix_audit verifies the finite structure
+(order axioms, realizer linearity, exact intersection, and the mixing
+invariants) on enumerated prefixes: it reads the order from `lt_matrix`
+and ranks each realizer order with one sort of the prefix keys, so the
+intersection check compares two separate code paths.
 
 Everything is built at the countable scale: uncountable cardinals exist
 only symbolically in the theta calculus, since only countable structures
@@ -190,7 +194,13 @@ def enum_below(alpha) -> Enumeration:
 class LazyPoset:
     """An enumerated poset with a decidable order and an optional realizer.
 
-    `lt` is the strict partial order, a pairwise comparator.  The realizer,
+    `lt_matrix(vs)` is the strict partial order on a vertex list, as a
+    bool matrix with m[i, j] iff vs[i] < vs[j]; it is built in one batch
+    from the construction's defining data, never through left_key/right_key
+    or the audit's key ranking, and it is what prefix_audit and
+    `wpolab construct` read.  `lt` is the
+    same order as a pairwise comparator, kept as the oracle that tests and
+    the constructions_prefix suite compare `lt_matrix` against.  The realizer,
     when present, is two per-vertex keys `left_key`/`right_key`, each
     valued in a set totally ordered by `<`: the left order puts x before y
     iff left_key(x) < left_key(y), and likewise on the right.  Vertices
@@ -202,6 +212,7 @@ class LazyPoset:
 
     vertex: Callable[[int], object]
     lt: Callable[[object, object], bool]
+    lt_matrix: Callable[[list], np.ndarray]
     left_key: Optional[Callable[[object], object]] = None
     right_key: Optional[Callable[[object], object]] = None
     type_left: Optional[CnfOrdinal] = None
@@ -235,6 +246,7 @@ def sierpinskisation(alpha) -> LazyPoset:
     return LazyPoset(
         vertex=lambda i: i,
         lt=lambda x, y: x < y and at(x) < at(y),
+        lt_matrix=lambda vs: _below(np.array(vs, dtype=np.int64), _index_ranks(vs, at)),
         left_key=lambda i: i,
         right_key=at,
         type_left=OMEGA,
@@ -299,6 +311,16 @@ def mixing_poset(a, b) -> LazyPoset:
         rx, ry = row(x), row(y)
         return rx[2] < ry[2] and rx[3] < ry[3]
 
+    def lt_matrix(vs):
+        rs = [row(v) for v in vs]
+        k1 = np.array([r[2][1] for r in rs], dtype=np.int64)
+        k2 = np.array([r[3][1] for r in rs], dtype=np.int64)
+        ra = _index_ranks([r[0] for r in rs], ea.at)
+        rb = _index_ranks([r[1] for r in rs], eb.at)
+        # (a-rank, k1) and (b-rank, k2) lexicographically, each as one integer
+        return _below(ra * (k1.max(initial=0) + 1) + k1,
+                      rb * (k2.max(initial=0) + 1) + k2)
+
     def bikeys(n: int):
         _, _, (a, k1), (b, k2) = row(n)
         return (k1, a), (k2, b)
@@ -306,6 +328,7 @@ def mixing_poset(a, b) -> LazyPoset:
     return LazyPoset(
         vertex=lambda i: i,
         lt=lt,
+        lt_matrix=lt_matrix,
         left_key=lambda n: row(n)[2],
         right_key=lambda n: row(n)[3],
         type_left=mul(OMEGA, alpha),
@@ -340,6 +363,7 @@ def _aligned_block(alpha: CnfOrdinal) -> LazyPoset:
     return LazyPoset(
         vertex=lambda i: i,
         lt=lambda x, y: key(x) < key(y),
+        lt_matrix=lambda vs: _below(_index_ranks(vs, key)),
         left_key=key,
         right_key=key,
         type_left=alpha,
@@ -401,6 +425,14 @@ def decompinver_witness(blocks) -> LazyPoset:
     def lt(x, y):
         return x[0] == y[0] and parts[x[0]].lt(x[1], y[1])
 
+    def lt_matrix(vs):
+        m = np.zeros((len(vs), len(vs)), dtype=bool)
+        block = np.array([k for k, _ in vs], dtype=np.int64)
+        for k, part in enumerate(parts):
+            idx = np.flatnonzero(block == k)
+            m[np.ix_(idx, idx)] = part.lt_matrix([vs[i][1] for i in idx])
+        return m
+
     # blocks ascend on the left and descend on the right; keys of
     # different blocks never get past the block index
     def left_key(x):
@@ -421,6 +453,7 @@ def decompinver_witness(blocks) -> LazyPoset:
     return LazyPoset(
         vertex=vertex,
         lt=lt,
+        lt_matrix=lt_matrix,
         left_key=left_key,
         right_key=right_key,
         type_left=tl,
@@ -510,9 +543,14 @@ def _append_chunk_both(p: LazyPoset, g: CnfOrdinal) -> LazyPoset:
     def lt(x, y):
         return left_key(x) < left_key(y) and right_key(x) < right_key(y)
 
+    def lt_matrix(vs):
+        return _extension_matrix(p, vs, lambda new: _below(_index_ranks(new, key_new)),
+                                 lambda old, new: True)
+
     return LazyPoset(
         vertex=vertex,
         lt=lt,
+        lt_matrix=lt_matrix,
         left_key=left_key,
         right_key=right_key,
         type_left=add(p.type_left, g),
@@ -563,9 +601,17 @@ def _grow_left(p: LazyPoset, g: CnfOrdinal) -> LazyPoset:
     def lt(x, y):
         return left_key(x) < left_key(y) and slot(x) < slot(y)
 
+    def new_new(new):
+        return _below(_index_ranks(new, enum.at), np.array(new, dtype=np.int64))
+
+    def old_new(old, new):
+        rank = np.array([right_rank(v) for v in old], dtype=np.int64)
+        return rank[:, None] < np.array(new, dtype=np.int64)[None, :]
+
     return LazyPoset(
         vertex=vertex,
         lt=lt,
+        lt_matrix=lambda vs: _extension_matrix(p, vs, new_new, old_new),
         left_key=left_key,
         right_key=slot,
         type_left=add(p.type_left, g),
@@ -573,6 +619,41 @@ def _grow_left(p: LazyPoset, g: CnfOrdinal) -> LazyPoset:
         certificate=p.certificate,
         note=(p.note + "; left type padded by %s via rank-doubling" % g).strip("; "),
     )
+
+
+def _extension_matrix(p: LazyPoset, vs, new_new, old_new) -> np.ndarray:
+    """The order of an extension of p on ("old", v)/("new", i) vertices:
+    old/old from p.lt_matrix, new/new from new_new(new ids), old below new
+    where old_new(old vertices, new ids) says so, new never below old."""
+    is_new = np.array([x[0] == "new" for x in vs], dtype=bool)
+    old_i, new_i = np.flatnonzero(~is_new), np.flatnonzero(is_new)
+    old = [vs[i][1] for i in old_i]
+    new = [vs[i][1] for i in new_i]
+    m = np.zeros((len(vs), len(vs)), dtype=bool)
+    m[np.ix_(old_i, old_i)] = p.lt_matrix(old)
+    m[np.ix_(new_i, new_i)] = new_new(new)
+    m[np.ix_(old_i, new_i)] = old_new(old, new)
+    return m
+
+
+# -- batch relation matrices -------------------------------------------------------------
+
+
+def _index_ranks(indices, at) -> np.ndarray:
+    """The rank of each index by the value at() gives it, from one sort of
+    the distinct indices; at is injective, so distinct indices never tie.
+    The audit ranks realizer keys with _ranks instead, so the two sides of
+    its intersection check share no ranking code."""
+    rank = {ix: r for r, ix in enumerate(sorted(set(indices), key=at))}
+    return np.array([rank[ix] for ix in indices], dtype=np.int64)
+
+
+def _below(*ranks: np.ndarray) -> np.ndarray:
+    """m[i, j] iff every rank array puts i strictly below j."""
+    m = ranks[0][:, None] < ranks[0][None, :]
+    for r in ranks[1:]:
+        m &= r[:, None] < r[None, :]
+    return m
 
 
 # -- prefix audits -----------------------------------------------------------------------
@@ -587,7 +668,7 @@ class CheckTiming(NamedTuple):
 class AuditReport:
     checks: dict  # name -> (passed, witness-or-None)
     # step name -> CheckTiming: every check, plus the shared steps it reads,
-    # "vertices" (enumerating the prefix), "lt" (the comparator matrix) and
+    # "vertices" (enumerating the prefix), "lt" (the lt_matrix batch) and
     # "left_key"/"right_key" (ranking the realizer keys); the steps run one
     # after another, so their times add up to the audit's
     timings: dict = field(default_factory=dict)
@@ -613,8 +694,9 @@ class _Laps:
         self._last = now
 
 
-def _relation_matrix(vs, pred) -> np.ndarray:
-    """pred on every ordered pair of distinct vertices of vs."""
+def relation_matrix(vs, pred) -> np.ndarray:
+    """pred on every ordered pair of distinct vertices of vs: the pairwise
+    oracle for LazyPoset.lt_matrix, as relation_matrix(vs, p.lt)."""
     m = np.zeros((len(vs), len(vs)), dtype=bool)
     for i, x in enumerate(vs):
         m[i, :i] = [pred(x, y) for y in vs[:i]]
@@ -656,15 +738,16 @@ def _transitivity_witness(m: np.ndarray):
 def prefix_audit(p: LazyPoset, n: int, window=None) -> AuditReport:
     """Check the structural invariants of p on its first n vertices.
 
-    `lt` is evaluated on every pair; each realizer order is ranked from
-    one sort of its keys, and the intersection check compares the two."""
+    The order is read from p.lt_matrix in one batch; each realizer order
+    is ranked from one sort of its keys, and the intersection check
+    compares the two."""
     laps = _Laps()
     pairs = n * (n - 1)
     vs = p.prefix(n)
     laps.lap("vertices", n)
     checks: dict = {}
     eye = np.eye(n, dtype=bool)
-    lt = _relation_matrix(vs, p.lt)
+    lt = p.lt_matrix(vs)
     laps.lap("lt", pairs)
 
     sym = lt & lt.T

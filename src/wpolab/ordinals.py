@@ -454,6 +454,16 @@ MAX_NUMERAL_DIGITS = 4300
 DIGITS = frozenset("0123456789")
 
 
+# Error messages echo at most this many characters of the input.
+MAX_ECHO = 60
+
+
+def clip(text: str) -> str:
+    """text as an error message echoes it: at most MAX_ECHO characters,
+    then '...', so a long input still gives a short one-line message."""
+    return text if len(text) <= MAX_ECHO else text[:MAX_ECHO] + "..."
+
+
 class _Parser:
     def __init__(self, text: str):
         self.text = text
@@ -462,9 +472,9 @@ class _Parser:
 
     def error(self, msg: str) -> OrdinalError:
         return OrdinalError(
-            "%s at position %d in %r (grammar: w^e*c terms with strictly "
-            "decreasing exponents, bare naturals only as the final term)"
-            % (msg, self.pos, self.text)
+            "%s at position %d in %r (grammar: w^e*c terms, exponents "
+            "decreasing, a bare natural last)"
+            % (msg, self.pos, clip(self.text))
         )
 
     def peek(self) -> str:

@@ -2,8 +2,9 @@
 
 A poset stores its strict order once, transitively closed, as one
 Python-int successor bitset per vertex, so order queries test a bit and
-the intersection of two orders ANDs their rows.  Closure (`make_poset`,
-Warshall's algorithm in O(n^2) big-int operations) and transitive
+the intersection of two orders ANDs their rows.  Closure (`make_poset`
+from pairs, `poset_of_matrix` from a bool matrix, both through one checked
+Warshall closure in O(n^2) big-int operations) and transitive
 reduction (`FinPoset.hasse`) work on the same bitsets; `FinPoset.pairs`
 lists the pairs for callers that need them.  The length engines and
 queries (`length_recursive`, `bad_tree_height`, `all_posets`, `embeds`,
@@ -17,6 +18,8 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache, cached_property
 
+import numpy as np
+
 from .ordinals import OrdinalError
 
 
@@ -28,7 +31,8 @@ class PosetError(OrdinalError):
 class FinPoset:
     """A finite strict partial order on vertices 0..n-1, stored closed as
     one successor bitset per vertex: bit j of successors[i] is set iff
-    i < j.  Build one with `make_poset`, which closes and checks."""
+    i < j.  Build one with `make_poset` or `poset_of_matrix`, which close
+    and check."""
 
     n: int
     successors: tuple
@@ -100,6 +104,23 @@ def make_poset(n: int, pairs) -> FinPoset:
         if not (0 <= i < n and 0 <= j < n):
             raise PosetError("vertex pair (%d, %d) out of range 0..%d" % (i, j, n - 1))
         rows[i] |= 1 << j
+    return _close(n, rows)
+
+
+def poset_of_matrix(m: np.ndarray) -> FinPoset:
+    """Build a FinPoset from a square bool matrix of generating strict
+    pairs (m[i, j] iff i < j); closes and rejects cycles like make_poset.
+    One numpy call packs every row into the bytes of its successor bitset."""
+    m = np.asarray(m, dtype=bool)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise PosetError("a relation matrix must be square, got shape %s" % (m.shape,))
+    packed = np.packbits(m, axis=1, bitorder="little")
+    return _close(len(m), [int.from_bytes(row.tobytes(), "little") for row in packed])
+
+
+def _close(n: int, rows: list) -> FinPoset:
+    """The FinPoset of successor bitsets rows, closed transitively
+    (Warshall's algorithm), or PosetError on a cycle."""
     for k in range(n):
         bit, row_k = 1 << k, rows[k]
         if row_k:

@@ -15,6 +15,8 @@ import random
 import time
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from . import oracles
 from .bounds import (
     bracket_plus,
@@ -26,9 +28,11 @@ from .bounds import (
 )
 from .cardinals import KOrdinal, k_add, k_ul_nat_add, render_k
 from .constructions import (
+    enum_below,
     minoration_witness,
     mixing_poset,
     prefix_audit,
+    relation_matrix,
     sierpinskisation,
 )
 from .ordinals import (
@@ -260,18 +264,34 @@ def _suite_constructions_prefix(report, cases, rng):
     # vertex 10 is the first in mixing cell (1, 1), so the (2, 2) windows
     # below need a prefix of at least 11 vertices
     prefix = max(11, min(cases, 400))
-    for text in ("w", "w*2", "w^2+w*3+5"):
-        rep = prefix_audit(sierpinskisation(parse_ordinal(text)), prefix)
+
+    def audit(label, p, window=None):
+        rep = prefix_audit(p, prefix, window=window)
         for name, witness in rep.failures().items():
-            report.failures.append(("sierp(%s) %s" % (text, name), "pass",
-                                    repr(witness)))
+            report.failures.append(("%s %s" % (label, name), "pass", repr(witness)))
+        # the batch order the audit reads, against the pairwise oracle
+        vs = p.prefix(prefix)
+        diff = np.argwhere(p.lt_matrix(vs) != relation_matrix(vs, p.lt))
+        if len(diff):
+            report.failures.append(("%s lt_matrix" % label, "pass",
+                                    repr(tuple(map(int, diff[0])))))
+
+    for text in ("w", "w*2", "w^2+w*3+5"):
+        alpha = parse_ordinal(text)
+        s = sierpinskisation(alpha)
+        audit("sierp(%s)" % text, s)
+        # sierp's lt, lt_matrix and right_key all read Enumeration.at, so
+        # only index, a separate algorithm, can catch an at that is not a
+        # bijection
+        index = enum_below(alpha).index
+        bad = next((i for i in range(prefix) if index(s.right_key(i)) != i), None)
+        if bad is not None:
+            report.failures.append(("sierp(%s) enumeration_bijective" % text,
+                                    str(bad), str(index(s.right_key(bad)))))
     for a, b, window in (("1", "1", (1, 1)), ("w", "w", (2, 2)),
                          ("w*2", "w*3", (2, 2))):
-        rep = prefix_audit(mixing_poset(parse_ordinal(a), parse_ordinal(b)),
-                           prefix, window=window)
-        for name, witness in rep.failures().items():
-            report.failures.append(("mixing(%s,%s) %s" % (a, b, name), "pass",
-                                    repr(witness)))
+        audit("mixing(%s,%s)" % (a, b),
+              mixing_poset(parse_ordinal(a), parse_ordinal(b)), window)
 
 
 def _suite_minoration_meets_theta(report, cases, rng):

@@ -24,6 +24,7 @@ from .ordinals import (
     CnfOrdinal,
     OrdinalError,
     add,
+    clip,
     from_int,
     nat_add,
     nat_mul,
@@ -202,7 +203,7 @@ def parse_term(text: str) -> PosetTerm:
     build, pos = _parse(text, 0)
     pos = _skip(text, pos)
     if pos != len(text):
-        raise OrdinalError("trailing input at position %d: %r" % (pos, text[pos:]))
+        raise OrdinalError("trailing input at position %d: %r" % (pos, clip(text[pos:])))
     return build()
 
 
@@ -259,7 +260,7 @@ def _parse_fin(body: str):
     m = _INLINE_FIN.match(body)
     if not m:
         raise OrdinalError(
-            "fin(...) takes chainN, antichainN, or @file, got %r" % body
+            "fin(...) takes chainN, antichainN, or @file, got %r" % clip(body)
         )
     digits = m.group(2).lstrip("0") or "0"
     if len(digits) > len(str(MAX_INLINE_FIN)) or int(digits) > MAX_INLINE_FIN:

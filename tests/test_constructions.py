@@ -8,9 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wpolab import constructions
 from wpolab.bounds import theta_plus
 from wpolab.cardinals import KOrdinal
 from wpolab.constructions import (
+    Enumeration,
     LazyPoset,
     _key_matrix,
     decompinver_witness,
@@ -19,6 +21,7 @@ from wpolab.constructions import (
     minoration_witness,
     mixing_poset,
     prefix_audit,
+    relation_matrix,
     sierpinskisation,
 )
 from wpolab.ordinals import (
@@ -35,6 +38,7 @@ from wpolab.ordinals import (
     render_ordinal,
 )
 from wpolab.posets import PosetError
+from wpolab.suites import run_suite
 
 from test_bounds import random_below
 
@@ -135,9 +139,17 @@ def test_sierpinskisation_of_omega_is_a_chain():
 
 def test_audit_catches_an_injected_transitivity_fault():
     s = sierpinskisation(o("w*2"))
+
+    # the audit reads lt_matrix, so the fault goes there; lt stays sound
+    def lt_matrix(vs):
+        m = s.lt_matrix(vs)
+        m[vs.index(0), vs.index(5)] = False
+        return m
+
     broken = LazyPoset(
         vertex=s.vertex,
-        lt=lambda x, y: s.lt(x, y) and (x, y) != (0, 5),
+        lt=s.lt,
+        lt_matrix=lt_matrix,
         left_key=s.left_key,
         right_key=s.right_key,
         type_left=s.type_left,
@@ -293,6 +305,7 @@ def test_audit_flags_a_non_linear_comparator():
     broken = LazyPoset(
         vertex=s.vertex,
         lt=s.lt,
+        lt_matrix=s.lt_matrix,
         left_key=lambda x: 1 if x == 2 else s.left_key(x),  # ties 1 and 2
         right_key=s.right_key,
         type_left=s.type_left,
@@ -355,6 +368,56 @@ def test_key_ranks_match_pairwise_key_comparisons(kind, seed):
         keys = [key(v) for v in vs]
         want = np.array([[kx < ky for ky in keys] for kx in keys])
         assert (_key_matrix(vs, key) == want).all()
+
+
+@pytest.mark.parametrize("kind", sorted(KEYED))
+@given(st.integers(0, 2**48))
+@settings(max_examples=6, deadline=None)
+def test_lt_matrix_matches_the_pairwise_oracle(kind, seed):
+    # decompinver draws aligned, mixing and finite blocks; extend_both
+    # takes the common-chunk branch, extend_left grows sierp(w) on the left
+    rng = random.Random(seed)
+    p = KEYED[kind](rng)
+    n = rng.randrange(1, 301)
+    vs = p.prefix(n if p.size is None else min(n, p.size))
+    rng.shuffle(vs)  # any vertex list, not only a prefix in order
+    assert (p.lt_matrix(vs) == relation_matrix(vs, p.lt)).all()
+
+
+def test_sierp_enumerations_are_bijective_on_the_prefix():
+    for text in ("w", "w*2", "w^2+w*3+5", "w^w"):
+        alpha = o(text)
+        s = sierpinskisation(alpha)
+        index = enum_below(alpha).index
+        assert [index(s.right_key(i)) for i in range(300)] == list(range(300))
+
+
+def _repeat_an_enumeration_value(monkeypatch):
+    # on a fresh instance only: shared sub-enumerations keep clean caches
+    def enum_below(alpha):
+        e = Enumeration(alpha)
+        at = e.at
+        e.at = lambda i: at(6 if i == 7 else i)
+        return e
+
+    monkeypatch.setattr(constructions, "enum_below", enum_below)
+
+
+def _reverse_batch_ranks(monkeypatch):
+    ranks = constructions._index_ranks
+    monkeypatch.setattr(constructions, "_index_ranks",
+                        lambda indices, at: -ranks(indices, at))
+
+
+@pytest.mark.parametrize("fault,check", [
+    (_repeat_an_enumeration_value, "enumeration_bijective"),
+    (_reverse_batch_ranks, "lt_matrix"),
+])
+def test_constructions_suite_reports_an_injected_fault(monkeypatch, fault, check):
+    assert run_suite("constructions_prefix", 40, 0).passed
+    fault(monkeypatch)
+    labels = [label for label, _, _ in run_suite("constructions_prefix", 40, 0).failures]
+    assert "sierp(w*2) %s" % check in labels
 
 
 def test_mixing_audit_cpu_budget():

@@ -8,6 +8,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from wpolab import oracles, suites
 from wpolab.bounds import theta_plus
@@ -196,12 +198,29 @@ def test_cli_verify_timing_goes_to_stderr(capsys):
     # digits other than 0-9 are not numerals
     ["ord", "add", "w^\u00b2", "1"],
     ["ord", "add", "W\u00b2*(1)+(0)", "1"],
+    # echoed input is clipped, so the message stays one short line
+    ["poset", "len", "ord(w) " + "x" * 5000],
+    ["poset", "len", "fin(%s)" % ("x" * 5000)],
 ])
 def test_cli_long_numerals_fail_with_one_line(capsys, argv):
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("wpolab: ") and captured.err.count("\n") == 1
+    assert len(captured.err) < 200
+
+
+@pytest.mark.parametrize("argv", [
+    ["ord", "x" * 5000, "w"],
+    ["construct", "sierp", "w", "--prefix", "x" * 5000],
+    ["ord", "add", "w", "w", "x" * 5000],
+])
+def test_cli_usage_errors_clip_long_arguments(capsys, argv):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("wpolab: ") and captured.err.count("\n") == 1
+    assert len(captured.err) < 300 and "x" * 61 not in captured.err
 
 
 def test_cli_usage_and_parse_errors(capsys):
@@ -223,6 +242,69 @@ def test_cli_unreadable_poset_files_fail_with_one_line(capsys, tmp_path):
             assert captured.err.startswith("wpolab: ") and captured.err.count("\n") == 1
 
 
+# argv from the CLI grammar: each command with its own argument shapes,
+# values drawn from valid texts (two times in three) and from token
+# strings, and now and then a stray word.  Inline leaves have at most two
+# vertices and a token string at most six tokens, so a finite denotation
+# has at most four vertices and badtree and embeds stay instant.
+CLI_ORD_TOKENS = ["w", "^", "*", "+", "(", ")", "0", "1", "2", "10", "W1", "W10",
+                  "*(", ")+("]
+CLI_TERM_TOKENS = ["ord(w)", "ord(2)", "fin(chain2)", "fin(antichain2)", "fin(", "ord(",
+                   "dsum(", "lexsum(", "prod(", ",", ")", "chain", "@", "w"]
+VALID_ORDINALS = st.sampled_from(["0", "1", "3", "w", "w+1", "w*2", "w^2", "w^w",
+                                  "w^2*3+w+2", "W1*(1)+(0)", "W2*(w)+(3)"])
+CLI_ORDINALS = st.one_of(
+    VALID_ORDINALS, VALID_ORDINALS,
+    st.lists(st.sampled_from(CLI_ORD_TOKENS), min_size=1, max_size=6).map("".join))
+VALID_TERMS = st.sampled_from(["fin(chain2)", "fin(antichain2)", "ord(w)", "ord(3)",
+                               "dsum(fin(chain2), fin(antichain2))",
+                               "prod(fin(chain2), fin(chain2))",
+                               "lexsum(ord(w), ord(2))", "prod(ord(w), ord(w*2))"])
+CLI_TERMS = st.one_of(
+    VALID_TERMS, VALID_TERMS,
+    st.lists(st.sampled_from(CLI_TERM_TOKENS), min_size=1, max_size=6).map("".join))
+CLI_STRAY = st.one_of(st.just([]), st.just([]), st.lists(st.sampled_from(
+    ["--format", "dot", "json", "--out", "out.txt", "--timing", "-1", "x", "w"]),
+    min_size=1, max_size=2))
+
+
+def _command(*parts):
+    return st.tuples(*parts, CLI_STRAY).map(
+        lambda t: [x for part in t for x in (part if isinstance(part, list) else [part])])
+
+
+CLI_ARGV = st.one_of(
+    _command(st.just("ord"), st.sampled_from(["add", "mul", "nadd", "nmul", "div", "sub",
+                                              "hartog", "cmp"]),
+             st.lists(CLI_ORDINALS, min_size=1, max_size=2)),
+    _command(st.just("theta"), st.lists(CLI_ORDINALS, min_size=1, max_size=3)),
+    _command(st.just("poset"), st.sampled_from(["len", "badtree", "intersect", "embeds"]),
+             st.lists(CLI_TERMS, min_size=1, max_size=2)),
+    _command(st.just("construct"),
+             st.sampled_from(["sierp", "mixing", "decompinver", "minoration", "extend"]),
+             st.lists(CLI_ORDINALS, min_size=1, max_size=4),
+             st.sampled_from(["1", "2", "7", "30", "0"]).map(lambda n: ["--prefix", n])),
+    _command(st.just("verify"), st.sampled_from(sorted(SUITES)).map(lambda s: ["--suite", s]),
+             st.sampled_from(["0", "1", "3", "12"]).map(lambda c: ["--cases", c]),
+             st.sampled_from(["0", "5"]).map(lambda s: ["--seed", s])),
+)
+
+
+@given(CLI_ARGV)
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_cli_fuzz_exits_cleanly(monkeypatch, tmp_path, capsys, argv):
+    monkeypatch.chdir(tmp_path)  # --out files and fin(@file) names stay here
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in captured.err
+    if code == 2:
+        assert captured.out == ""
+        assert captured.err.startswith("wpolab: ") and captured.err.count("\n") == 1, (
+            argv, captured.err)
+
+
 def test_cli_rejects_bad_counts(capsys):
     for argv in (["construct", "sierp", "w", "--prefix", "0"],
                  ["construct", "sierp", "w", "--prefix", "-3"],
@@ -231,6 +313,14 @@ def test_cli_rejects_bad_counts(capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("wpolab: ") and captured.err.count("\n") == 1
+
+
+def test_cli_construct_rejects_scaled_ordinals(capsys):
+    assert main(["construct", "sierp", "W1*(1)+(0)"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("wpolab: constructions take countable ordinals; "
+                            "W1*(1)+(0) is scaled\n")
 
 
 def test_cli_finite_decompinver_prefix_past_its_end_fails_fast():
