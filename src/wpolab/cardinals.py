@@ -26,6 +26,7 @@ from .ordinals import (
     CnfOrdinal,
     OrdinalError,
     add,
+    as_ordinal,
     clip,
     euclid_div,
     from_int,
@@ -38,14 +39,6 @@ MAX_LEVEL = 9
 
 class LevelOverflowError(OrdinalError):
     pass
-
-
-def _coerce_cnf(x) -> CnfOrdinal:
-    if isinstance(x, CnfOrdinal):
-        return x
-    if isinstance(x, int):
-        return from_int(x)
-    raise OrdinalError("cannot interpret %r as a countable ordinal" % (x,))
 
 
 @functools.total_ordering
@@ -62,14 +55,14 @@ class KOrdinal:
     def of(x) -> "KOrdinal":
         if isinstance(x, KOrdinal):
             return x
-        return KOrdinal((_coerce_cnf(x),) + (ZERO,) * MAX_LEVEL)
+        return KOrdinal((as_ordinal(x),) + (ZERO,) * MAX_LEVEL)
 
     @staticmethod
     def at_level(level: int, q, r: "KOrdinal | CnfOrdinal | int" = 0) -> "KOrdinal":
         """omega_level * q + r, with r below omega_level."""
-        q = _coerce_cnf(q)
+        q = as_ordinal(q)
         if level == 0:
-            r = _coerce_cnf(r if not isinstance(r, KOrdinal) else r.countable())
+            r = as_ordinal(r if not isinstance(r, KOrdinal) else r.countable())
             if not r.is_finite:
                 raise OrdinalError("level-0 remainder must be finite")
             return KOrdinal.of(add(mul_omega(q), r))

@@ -155,8 +155,8 @@ def _cmd_construct(args) -> int:
     meta = {"construction": args.kind,
             "parameters": [render_ordinal(o) for o in ords],
             "prefix": n,
-            "type_left": render_ordinal(lazy.type_left),
-            "type_right": render_ordinal(lazy.type_right),
+            "type_left": render_ordinal(lazy.types[0]),
+            "type_right": render_ordinal(lazy.types[1]),
             "certificate": render_ordinal(lazy.certificate)}
     text = export_poset(p, args.format, meta=meta if args.format == "json" else None)
     if args.out and args.out != "-":

@@ -1,16 +1,17 @@
 """Explicit countable witness posets with two-order realizers.
 
-Each construction returns a LazyPoset: an enumerated vertex universe with a
-decidable strict order, optionally a realizer, and a length certificate
-recorded as an arithmetic derivation.  The order comes twice: `lt_matrix`
-builds it on a vertex list in one numpy batch from the construction's
-defining data (ranks, indices, blocks), and the pairwise comparator `lt`
-is its oracle.  A realizer is two linear orders whose intersection is the
-order (Dushnik & Miller), each given by a per-vertex key: x comes before y
-when key(x) < key(y), and two vertices with equal keys are incomparable,
-so a tie is how a non-linear order shows up.  Certificates are claims
-about the infinite object; prefix_audit verifies the finite structure
-(order axioms, realizer linearity, exact intersection, and the mixing
+Each construction returns a LazyPoset: an enumerated vertex universe with
+a decidable strict order, a two-order realizer with the order types of its
+two orders, and a length certificate recorded as an arithmetic derivation.
+The order comes twice: `lt_matrix` builds it on a vertex list in one numpy
+batch from the construction's defining data (ranks, indices, blocks), and
+the pairwise comparator `lt` is its oracle.  A realizer is two linear
+orders whose intersection is the order (Dushnik & Miller), each given by a
+per-vertex key: x comes before y when key(x) < key(y), and two vertices
+with equal keys are incomparable, so a tie is how a non-linear order shows
+up.  Certificates are claims about the infinite object; prefix_audit
+verifies the finite structure (order axioms, realizer linearity, exact
+intersection, and any checks the construction adds, such as the mixing
 invariants) on enumerated prefixes: it reads the order from `lt_matrix`
 and ranks each realizer order with one sort of the prefix keys, so the
 intersection check compares two separate code paths.
@@ -22,6 +23,7 @@ admit prefix audits.
 
 from __future__ import annotations
 
+import math
 import time
 import weakref
 from dataclasses import dataclass, field
@@ -36,6 +38,7 @@ from .ordinals import (
     CnfOrdinal,
     OrdinalError,
     add,
+    as_ordinal,
     euclid_div,
     from_int,
     fund_seq,
@@ -46,10 +49,6 @@ from .ordinals import (
     omega_pow,
 )
 from .posets import PosetError
-
-
-def _ord(x) -> CnfOrdinal:
-    return x if isinstance(x, CnfOrdinal) else from_int(x)
 
 
 # -- canonical enumerations of countable ordinals --------------------------------
@@ -66,7 +65,7 @@ class Enumeration:
     """
 
     def __init__(self, alpha: CnfOrdinal):
-        alpha = _ord(alpha)
+        alpha = as_ordinal(alpha)
         if alpha.is_zero:
             raise OrdinalError("cannot enumerate below 0")
         self.alpha = alpha
@@ -155,11 +154,17 @@ class Enumeration:
                 break
             b += 1
         j = sub.index(left_subtract(offset, beta))
+        # before diagonal d, block bb has been visited on the diagonals
+        # bb..d-1, one vertex each while its sub-enumeration lasts
+        d = b + j
+        top = d if self._block_count is None else min(d, self._block_count)
         pos = 0
-        for d in range(b + j):
-            pos += sum(1 for _ in self._diagonal(d))
-        for bb, jj in self._diagonal(b + j):
-            if (bb, jj) == (b, j):
+        for bb in range(top):
+            size = self._block(bb)[1].size
+            pos += d - bb if size is None else min(d - bb, size)
+        # diagonal d itself visits the blocks in descending order
+        for bb, _ in self._diagonal(d):
+            if bb == b:
                 return pos
             pos += 1
         raise OrdinalError("enumeration inconsistency at %s" % beta)  # unreachable
@@ -192,42 +197,49 @@ def enum_below(alpha) -> Enumeration:
 
 @dataclass
 class LazyPoset:
-    """An enumerated poset with a decidable order and an optional realizer.
+    """An enumerated poset with a decidable order and a two-order realizer.
 
     `lt_matrix(vs)` is the strict partial order on a vertex list, as a
     bool matrix with m[i, j] iff vs[i] < vs[j]; it is built in one batch
-    from the construction's defining data, never through left_key/right_key
+    from the construction's defining data, never through the realizer keys
     or the audit's key ranking, and it is what prefix_audit and
     `wpolab construct` read.  `lt` is the
     same order as a pairwise comparator, kept as the oracle that tests and
-    the constructions_prefix suite compare `lt_matrix` against.  The realizer,
-    when present, is two per-vertex keys `left_key`/`right_key`, each
+    the constructions_prefix suite compare `lt_matrix` against.  The realizer
+    is `keys`, the pair (left key, right key) of per-vertex keys, each
     valued in a set totally ordered by `<`: the left order puts x before y
     iff left_key(x) < left_key(y), and likewise on the right.  Vertices
     with equal keys are incomparable in that order, so a tie makes it
     non-linear.  On every prefix, lt must be the intersection of the two
-    orders.  `certificate` is a recorded length derivation (a claim about
-    the infinite object), `note` its justification chain.
+    orders, whose order types are `types`.  `certificate` is a recorded
+    length derivation (a claim about the infinite object), `note` its
+    justification chain.
     """
 
     vertex: Callable[[int], object]
     lt: Callable[[object, object], bool]
     lt_matrix: Callable[[list], np.ndarray]
-    left_key: Optional[Callable[[object], object]] = None
-    right_key: Optional[Callable[[object], object]] = None
-    type_left: Optional[CnfOrdinal] = None
-    type_right: Optional[CnfOrdinal] = None
-    certificate: Optional[CnfOrdinal] = None
+    keys: tuple  # (left key, right key)
+    types: tuple  # (left order type, right order type)
+    certificate: CnfOrdinal
     note: str = ""
-    # mixing-specific hooks: vertex -> (a_index, b_index) and
-    # vertex -> ((k1, a), (k2, b)) for bi-functionality audits
-    cell: Optional[Callable[[object], tuple]] = None
-    bikeys: Optional[Callable[[object], tuple]] = None
+    # checks of the construction's own invariants that prefix_audit adds:
+    # extra_checks(vs, lt, window, laps) -> {name: (ok, witness)}, with lt
+    # the prefix's order matrix and one laps.lap per check
+    extra_checks: Optional[Callable[..., dict]] = None
     # the vertex at a given rank of the right linear order, when that rank
     # is computable; used by extend_realizer
     nth_right: Optional[Callable[[int], object]] = None
     # the number of vertices when the universe is finite
     size: Optional[int] = None
+
+    @property
+    def type_left(self) -> CnfOrdinal:
+        return self.types[0]
+
+    @property
+    def type_right(self) -> CnfOrdinal:
+        return self.types[1]
 
     def prefix(self, n: int) -> list:
         if self.size is not None and n > self.size:
@@ -239,7 +251,7 @@ class LazyPoset:
 def sierpinskisation(alpha) -> LazyPoset:
     """The poset on the naturals ordered by (numeric order) intersect
     (pullback of the alpha order along the canonical enumeration)."""
-    alpha = _ord(alpha)
+    alpha = as_ordinal(alpha)
     if alpha.is_finite:
         raise OrdinalError("sierpinskisation needs an infinite countable ordinal")
     at = enum_below(alpha).at
@@ -247,10 +259,8 @@ def sierpinskisation(alpha) -> LazyPoset:
         vertex=lambda i: i,
         lt=lambda x, y: x < y and at(x) < at(y),
         lt_matrix=lambda vs: _below(np.array(vs, dtype=np.int64), _index_ranks(vs, at)),
-        left_key=lambda i: i,
-        right_key=at,
-        type_left=OMEGA,
-        type_right=alpha,
+        keys=(lambda i: i, at),
+        types=(OMEGA, alpha),
         certificate=alpha,
         note="length of a sierpinskisation of %s is %s" % (alpha, alpha),
         nth_right=lambda i: i if alpha == OMEGA else None,
@@ -265,11 +275,7 @@ def _pair(x: int, y: int) -> int:
 
 
 def _unpair(n: int) -> tuple[int, int]:
-    w = int(((8 * n + 1) ** 0.5 - 1) // 2)
-    while (w + 1) * (w + 2) // 2 <= n:
-        w += 1
-    while w * (w + 1) // 2 > n:
-        w -= 1
+    w = (math.isqrt(8 * n + 1) - 1) // 2  # the largest w with w(w+1)/2 <= n
     y = n - w * (w + 1) // 2
     return w - y, y
 
@@ -284,8 +290,10 @@ def mixing_poset(a, b) -> LazyPoset:
     cell K_a intersect K^b is infinite (w is free).  Vertex n stands for
     the relation element ((k1, a), (k2, b)) with k1 the rank of n inside
     K_a and k2 its rank inside K^b; bi-functionality is then structural.
+    The audit checks it, with the window and projection invariants, from
+    the same row table (_mixing_checks).
     """
-    alpha, beta = _as_ordinal(a), _as_ordinal(b)
+    alpha, beta = as_ordinal(a), as_ordinal(b)
     if alpha.is_zero or beta.is_zero:
         raise OrdinalError("mixing_poset needs nonzero index ordinals")
     ea, eb = enum_below(alpha), enum_below(beta)
@@ -321,36 +329,59 @@ def mixing_poset(a, b) -> LazyPoset:
         return _below(ra * (k1.max(initial=0) + 1) + k1,
                       rb * (k2.max(initial=0) + 1) + k2)
 
-    def bikeys(n: int):
-        _, _, (a, k1), (b, k2) = row(n)
-        return (k1, a), (k2, b)
+    def extra_checks(vs, lt, window, laps):
+        return _mixing_checks([row(v) for v in vs], vs, lt, window, laps)
 
     return LazyPoset(
         vertex=lambda i: i,
         lt=lt,
         lt_matrix=lt_matrix,
-        left_key=lambda n: row(n)[2],
-        right_key=lambda n: row(n)[3],
-        type_left=mul(OMEGA, alpha),
-        type_right=mul(OMEGA, beta),
+        keys=(lambda n: row(n)[2], lambda n: row(n)[3]),
+        types=(mul(OMEGA, alpha), mul(OMEGA, beta)),
         certificate=mul(OMEGA, nat_mul(alpha, beta)),
         note="mixing relation: length at least w*(%s (x) %s); certificate is "
         "a lower bound" % (alpha, beta),
-        cell=lambda n: row(n)[:2],
-        bikeys=bikeys,
+        extra_checks=extra_checks,
     )
 
 
-def _as_ordinal(t) -> CnfOrdinal:
-    if isinstance(t, CnfOrdinal):
-        return t
-    if isinstance(t, int):
-        return from_int(t)
-    from .terms import Ord
+def _mixing_checks(rows, vs, lt, window, laps) -> dict:
+    """The mixing invariants on the vertex list vs, from its rows
+    (ai, bi, (a, k1), (b, k2)) and its order matrix lt: bi_functional (no
+    two vertices share (k1, a) or (k2, b)), window_sections (every cell
+    (ai, bi) inside the window holds a vertex) and projection_monotone (lt
+    lies inside the order of type w*(alpha x beta) on (k1, (a, b)))."""
+    n = len(vs)
+    checks = {}
+    firsts, seconds = set(), set()
+    clash = None
+    for v, (_, _, (a, k1), (b, k2)) in zip(vs, rows):
+        if (k1, a) in firsts or (k2, b) in seconds:
+            clash = v
+            break
+        firsts.add((k1, a))
+        seconds.add((k2, b))
+    checks["bi_functional"] = (clash is None, clash)
+    laps.lap("bi_functional", n)
 
-    if isinstance(t, Ord):
-        return t.alpha
-    raise OrdinalError("expected an ordinal or an ord() term, got %r" % (t,))
+    if window is not None:
+        wa, wb = window
+        seen = {r[:2] for r in rows}
+        missing = [(x, y) for x in range(wa) for y in range(wb) if (x, y) not in seen]
+        checks["window_sections"] = (not missing, missing or None)
+        laps.lap("window_sections", n)
+
+    k1 = np.array([r[2][1] for r in rows], dtype=np.int64)
+    a = _ranks([r[2][0] for r in rows])
+    b = _ranks([r[3][0] for r in rows])
+    same = (a[:, None] == a[None, :]) & (b[:, None] == b[None, :])
+    le = np.where(same, k1[:, None] < k1[None, :],
+                  (a[:, None] <= a[None, :]) & (b[:, None] <= b[None, :]))
+    bad = _first_pair(lt & ~le)
+    checks["projection_monotone"] = (
+        bad is None, None if bad is None else (vs[bad[0]], vs[bad[1]]))
+    laps.lap("projection_monotone", n * (n - 1))
+    return checks
 
 
 # -- block decompositions -------------------------------------------------------------
@@ -364,10 +395,8 @@ def _aligned_block(alpha: CnfOrdinal) -> LazyPoset:
         vertex=lambda i: i,
         lt=lambda x, y: key(x) < key(y),
         lt_matrix=lambda vs: _below(_index_ranks(vs, key)),
-        left_key=key,
-        right_key=key,
-        type_left=alpha,
-        type_right=alpha,
+        keys=(key, key),
+        types=(alpha, alpha),
         certificate=alpha,
         note="aligned chain of type %s" % alpha,
     )
@@ -385,7 +414,7 @@ def decompinver_witness(blocks) -> LazyPoset:
     intersection is the disjoint sum of the block intersections, with
     certificate the natural sum of the block certificates.
     """
-    blocks = [(_ord(x), _ord(y)) for (x, y) in blocks]
+    blocks = [(as_ordinal(x), as_ordinal(y)) for (x, y) in blocks]
     if not blocks:
         raise OrdinalError("decompinver needs at least one block")
     parts: list[LazyPoset] = []
@@ -436,28 +465,22 @@ def decompinver_witness(blocks) -> LazyPoset:
     # blocks ascend on the left and descend on the right; keys of
     # different blocks never get past the block index
     def left_key(x):
-        return x[0], parts[x[0]].left_key(x[1])
+        return x[0], parts[x[0]].keys[0](x[1])
 
     def right_key(x):
-        return -x[0], parts[x[0]].right_key(x[1])
+        return -x[0], parts[x[0]].keys[1](x[1])
 
-    tl = ZERO
+    tl = tr = cert = ZERO
     for p in parts:
         tl = add(tl, p.type_left)
-    tr = ZERO
-    for p in reversed(parts):
-        tr = add(tr, p.type_right)
-    cert = ZERO
-    for p in parts:
+        tr = add(p.type_right, tr)
         cert = nat_add(cert, p.certificate)
     return LazyPoset(
         vertex=vertex,
         lt=lt,
         lt_matrix=lt_matrix,
-        left_key=left_key,
-        right_key=right_key,
-        type_left=tl,
-        type_right=tr,
+        keys=(left_key, right_key),
+        types=(tl, tr),
         certificate=cert,
         note="disjoint sum of %d blocks; certificate is the natural sum of "
         "the block certificates" % len(parts),
@@ -469,8 +492,8 @@ def minoration_witness(alpha, beta) -> LazyPoset:
     """The three-block decomposition realizing types exactly (alpha, beta)
     whose intersection certifies r(beta) (+) w*(q(alpha) (x) q(beta)) (+)
     r(alpha) from below."""
-    alpha = _ord(alpha)
-    beta = _ord(beta)
+    alpha = as_ordinal(alpha)
+    beta = as_ordinal(beta)
     if alpha.is_finite or beta.is_finite:
         raise OrdinalError("minoration_witness needs infinite countable inputs")
     qa, ra = euclid_div(alpha, OMEGA)
@@ -491,10 +514,8 @@ def extend_realizer(p: LazyPoset, targets) -> LazyPoset:
     """Grow a realizer to larger types while preserving the order on the
     original vertices (well-order padding case only)."""
     ta, tb = targets
-    ta, tb = _ord(ta), _ord(tb)
-    a, b = p.type_left, p.type_right
-    if p.left_key is None or p.right_key is None:
-        raise PosetError("extend_realizer needs a realizer on the input")
+    ta, tb = as_ordinal(ta), as_ordinal(tb)
+    a, b = p.types
     if ta < a or tb < b or a.is_finite != ta.is_finite or b.is_finite != tb.is_finite:
         raise PosetError("targets (%s, %s) below or non-equipotent to (%s, %s)"
                          % (ta, tb, a, b))
@@ -522,26 +543,24 @@ def _append_chunk_both(p: LazyPoset, g: CnfOrdinal) -> LazyPoset:
 
     def vertex(i: int):
         # odd slots take new vertices until the finite chunk runs out
-        if size is None:
-            return ("old", p.vertex(i // 2)) if i % 2 == 0 else ("new", i // 2)
-        if i < 2 * size:
+        if size is None or i < 2 * size:
             return ("old", p.vertex(i // 2)) if i % 2 == 0 else ("new", i // 2)
         return ("old", p.vertex(i - size))
 
     # old vertices keep their keys below every new one, on both sides
-    @lru_cache(maxsize=None)
-    def left_key(x):
-        return (0, p.left_key(x[1])) if x[0] == "old" else (1, key_new(x[1]))
+    def chunk_key(old_key):
+        @lru_cache(maxsize=None)
+        def key(x):
+            return (0, old_key(x[1])) if x[0] == "old" else (1, key_new(x[1]))
+        return key
 
-    @lru_cache(maxsize=None)
-    def right_key(x):
-        return (0, p.right_key(x[1])) if x[0] == "old" else (1, key_new(x[1]))
+    keys = tuple(map(chunk_key, p.keys))
 
     def key_new(i):
         return enum.at(i) if size is None else i
 
     def lt(x, y):
-        return left_key(x) < left_key(y) and right_key(x) < right_key(y)
+        return all(key(x) < key(y) for key in keys)
 
     def lt_matrix(vs):
         return _extension_matrix(p, vs, lambda new: _below(_index_ranks(new, key_new)),
@@ -551,10 +570,8 @@ def _append_chunk_both(p: LazyPoset, g: CnfOrdinal) -> LazyPoset:
         vertex=vertex,
         lt=lt,
         lt_matrix=lt_matrix,
-        left_key=left_key,
-        right_key=right_key,
-        type_left=add(p.type_left, g),
-        type_right=add(p.type_right, g),
+        keys=keys,
+        types=(add(p.type_left, g), add(p.type_right, g)),
         certificate=p.certificate,
         note=(p.note + "; realizer padded by a common chunk of type %s" % g).strip("; "),
     )
@@ -591,7 +608,7 @@ def _grow_left(p: LazyPoset, g: CnfOrdinal) -> LazyPoset:
 
     @lru_cache(maxsize=None)
     def left_key(x):
-        return (0, p.left_key(x[1])) if x[0] == "old" else (1, enum.at(x[1]))
+        return (0, p.keys[0](x[1])) if x[0] == "old" else (1, enum.at(x[1]))
 
     # new_i sits immediately below the right-rank-i original
     @lru_cache(maxsize=None)
@@ -612,10 +629,8 @@ def _grow_left(p: LazyPoset, g: CnfOrdinal) -> LazyPoset:
         vertex=vertex,
         lt=lt,
         lt_matrix=lambda vs: _extension_matrix(p, vs, new_new, old_new),
-        left_key=left_key,
-        right_key=slot,
-        type_left=add(p.type_left, g),
-        type_right=p.type_right,
+        keys=(left_key, slot),
+        types=(add(p.type_left, g), p.type_right),
         certificate=p.certificate,
         note=(p.note + "; left type padded by %s via rank-doubling" % g).strip("; "),
     )
@@ -757,11 +772,10 @@ def prefix_audit(p: LazyPoset, n: int, window=None) -> AuditReport:
     checks["transitivity"] = (w is None, w)
     laps.lap("transitivity", pairs)
 
-    orders = {}
-    for name, key in (("left", p.left_key), ("right", p.right_key)):
-        if key is None:
-            continue
-        m = orders[name] = _key_matrix(vs, key)
+    orders = []
+    for name, key in zip(("left", "right"), p.keys, strict=True):
+        m = _key_matrix(vs, key)
+        orders.append(m)
         laps.lap("%s_key" % name, n)
         incomparable = ~(m | m.T | eye)
         wit = (
@@ -771,49 +785,13 @@ def prefix_audit(p: LazyPoset, n: int, window=None) -> AuditReport:
         )
         checks["%s_linear" % name] = (wit is None, wit)
         laps.lap("%s_linear" % name, pairs)
-    if len(orders) == 2:
-        agree = (orders["left"] & orders["right"]) == lt
-        checks["intersection"] = (bool(agree.all()), _first_pair(~agree))
-        laps.lap("intersection", pairs)
+    agree = (orders[0] & orders[1]) == lt
+    checks["intersection"] = (bool(agree.all()), _first_pair(~agree))
+    laps.lap("intersection", pairs)
 
-    if p.bikeys is not None:
-        bikeys = [p.bikeys(v) for v in vs]
-        firsts: dict = {}
-        seconds: dict = {}
-        clash = None
-        for v, (kf, ks) in zip(vs, bikeys):
-            if kf in firsts or ks in seconds:
-                clash = v
-                break
-            firsts[kf], seconds[ks] = v, v
-        checks["bi_functional"] = (clash is None, clash)
-        laps.lap("bi_functional", n)
-
-    if window is not None and p.cell is not None:
-        wa, wb = window
-        seen = {p.cell(v) for v in vs}
-        missing = [(x, y) for x in range(wa) for y in range(wb) if (x, y) not in seen]
-        checks["window_sections"] = (not missing, missing or None)
-        laps.lap("window_sections", n)
-
-    if p.cell is not None and p.bikeys is not None:
-        bad = _first_pair(lt & ~_projection_le(bikeys))
-        checks["projection_monotone"] = (
-            bad is None, None if bad is None else (vs[bad[0]], vs[bad[1]]))
-        laps.lap("projection_monotone", pairs)
+    if p.extra_checks is not None:
+        checks.update(p.extra_checks(vs, lt, window, laps))
     return AuditReport(checks, laps.timings)
-
-
-def _projection_le(bikeys: list) -> np.ndarray:
-    """The (k1,(a,b)) order of type w*(alpha x beta) on ((k1, a), (k2, b))
-    bikeys: product on the (a,b) pair, rank below; m[i, j] iff i <= j."""
-    k1 = np.array([k for (k, _), _ in bikeys], dtype=np.int64)
-    a = _ranks([x for (_, x), _ in bikeys])
-    b = _ranks([y for _, (_, y) in bikeys])
-    same = (a[:, None] == a[None, :]) & (b[:, None] == b[None, :])
-    a_le = a[:, None] <= a[None, :]
-    b_le = b[:, None] <= b[None, :]
-    return np.where(same, k1[:, None] < k1[None, :], a_le & b_le)
 
 
 def _first_pair(mask):

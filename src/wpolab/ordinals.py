@@ -174,10 +174,10 @@ class CnfOrdinal:
 
     # Convenience operators; the named functions are the primary API.
     def __add__(self, other):
-        return add(self, _coerce(other))
+        return add(self, as_ordinal(other))
 
     def __mul__(self, other):
-        return mul(self, _coerce(other))
+        return mul(self, as_ordinal(other))
 
 
 # The intern table: terms -> the one live instance with those terms.  It
@@ -221,7 +221,8 @@ def _cut(terms: tuple, e: CnfOrdinal) -> int:
     return i
 
 
-def _coerce(x) -> CnfOrdinal:
+def as_ordinal(x) -> CnfOrdinal:
+    """x as a CNF ordinal: a CnfOrdinal itself or a natural number."""
     if isinstance(x, CnfOrdinal):
         return x
     if isinstance(x, int):
@@ -241,14 +242,14 @@ OMEGA = CnfOrdinal(((ONE, 1),))
 
 
 def omega_pow(e, coeff: int = 1) -> CnfOrdinal:
-    e = _coerce(e)
+    e = as_ordinal(e)
     if type(coeff) is int and coeff > 0:
         return _mk(((e, coeff),))
     return CnfOrdinal(((e, coeff),)) if coeff else ZERO
 
 
 def cmp(a, b) -> int:
-    a, b = _coerce(a), _coerce(b)
+    a, b = as_ordinal(a), as_ordinal(b)
     if _lt(a, b):
         return -1
     return 1 if _lt(b, a) else 0
@@ -259,7 +260,7 @@ def cmp(a, b) -> int:
 
 def add(a, b) -> CnfOrdinal:
     """Ordinal sum a + b (absorbs the low tail of a)."""
-    a, b = _coerce(a), _coerce(b)
+    a, b = as_ordinal(a), as_ordinal(b)
     if not b.terms:
         return a
     e, c = b.terms[0]
@@ -271,7 +272,7 @@ def add(a, b) -> CnfOrdinal:
 
 def mul(a, b) -> CnfOrdinal:
     """Ordinal product a * b (left-distributes over sums in b)."""
-    a, b = _coerce(a), _coerce(b)
+    a, b = as_ordinal(a), as_ordinal(b)
     if a.is_zero or b.is_zero:
         return ZERO
     out = ZERO
@@ -288,7 +289,7 @@ def mul(a, b) -> CnfOrdinal:
 
 def left_subtract(a, b) -> CnfOrdinal:
     """The unique g with a + g = b (requires a <= b)."""
-    a, b = _coerce(a), _coerce(b)
+    a, b = as_ordinal(a), as_ordinal(b)
     if _lt(b, a):
         raise OrdinalError("left_subtract needs a <= b")
     for i, (ta, tb) in enumerate(zip(a.terms, b.terms)):
@@ -303,7 +304,7 @@ def left_subtract(a, b) -> CnfOrdinal:
 
 def euclid_div(a, d) -> tuple[CnfOrdinal, CnfOrdinal]:
     """Quotient/remainder with a = d*q + r and r < d."""
-    a, d = _coerce(a), _coerce(d)
+    a, d = as_ordinal(a), as_ordinal(d)
     if d.is_zero:
         raise OrdinalError("division by zero")
     q = ZERO
@@ -333,7 +334,7 @@ def euclid_div(a, d) -> tuple[CnfOrdinal, CnfOrdinal]:
 
 def nat_add(a, b) -> CnfOrdinal:
     """Hessenberg sum: merge the two term lists, adding equal exponents."""
-    a, b = _coerce(a), _coerce(b)
+    a, b = as_ordinal(a), as_ordinal(b)
     xs, ys = a.terms, b.terms
     if not ys:
         return a
@@ -364,7 +365,7 @@ def nat_mul(a, b) -> CnfOrdinal:
     Each row  w^ea*ca (x) b  is already in normal form, because the
     natural sum is strictly increasing in each argument; the rows are
     merged with nat_add."""
-    a, b = _coerce(a), _coerce(b)
+    a, b = as_ordinal(a), as_ordinal(b)
     out = ZERO
     for ea, ca in a.terms:
         out = nat_add(out, _mk(tuple((nat_add(ea, eb), ca * cb) for eb, cb in b.terms)))
@@ -373,13 +374,13 @@ def nat_mul(a, b) -> CnfOrdinal:
 
 def is_indecomposable(a) -> bool:
     """a = w^b for some b, i.e. a single term with coefficient 1."""
-    a = _coerce(a)
+    a = as_ordinal(a)
     return len(a.terms) == 1 and a.terms[0][1] == 1
 
 
 def sup_plus(xs) -> CnfOrdinal:
     """Least strict upper bound of a finite set; 0 for the empty set."""
-    xs = [_coerce(x) for x in xs]
+    xs = [as_ordinal(x) for x in xs]
     if not xs:
         return ZERO
     return add(max(xs), ONE)
@@ -392,7 +393,7 @@ def ul_nat_add(a, b) -> CnfOrdinal:
     cases wash out every term of the other side below the limit's final
     exponent.  Validated against fund_seq sampling in the tests.
     """
-    a, b = _coerce(a), _coerce(b)
+    a, b = as_ordinal(a), as_ordinal(b)
     if a.is_zero or b.is_zero:
         return ZERO
     if a.is_successor and b.is_successor:
@@ -408,7 +409,7 @@ def ul_nat_add(a, b) -> CnfOrdinal:
 
 def fund_seq(a, n: int) -> CnfOrdinal:
     """n-th element of the canonical fundamental sequence of a limit ordinal."""
-    a = _coerce(a)
+    a = as_ordinal(a)
     if not a.is_limit:
         raise OrdinalError("%s is not a limit ordinal" % a)
     if n < 0:
@@ -562,7 +563,7 @@ def parse_ordinal(text: str) -> CnfOrdinal:
 
 
 def render_ordinal(a: CnfOrdinal) -> str:
-    a = _coerce(a)
+    a = as_ordinal(a)
     if a.is_zero:
         return "0"
     parts = []

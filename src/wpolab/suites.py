@@ -280,14 +280,14 @@ def _suite_constructions_prefix(report, cases, rng):
         alpha = parse_ordinal(text)
         s = sierpinskisation(alpha)
         audit("sierp(%s)" % text, s)
-        # sierp's lt, lt_matrix and right_key all read Enumeration.at, so
+        # sierp's lt, lt_matrix and right key all read Enumeration.at, so
         # only index, a separate algorithm, can catch an at that is not a
         # bijection
-        index = enum_below(alpha).index
-        bad = next((i for i in range(prefix) if index(s.right_key(i)) != i), None)
+        index, right_key = enum_below(alpha).index, s.keys[1]
+        bad = next((i for i in range(prefix) if index(right_key(i)) != i), None)
         if bad is not None:
             report.failures.append(("sierp(%s) enumeration_bijective" % text,
-                                    str(bad), str(index(s.right_key(bad)))))
+                                    str(bad), str(index(right_key(bad)))))
     for a, b, window in (("1", "1", (1, 1)), ("w", "w", (2, 2)),
                          ("w*2", "w*3", (2, 2))):
         audit("mixing(%s,%s)" % (a, b),

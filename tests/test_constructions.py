@@ -28,6 +28,7 @@ from wpolab.ordinals import (
     OMEGA,
     ONE,
     ZERO,
+    OrdinalError,
     add,
     from_int,
     iter_below,
@@ -103,6 +104,20 @@ def test_enum_values_are_distinct_and_below(seed):
     assert all(v < alpha for v in vals)
 
 
+@pytest.mark.parametrize("alpha", ["w*2", "w+3"])
+def test_enum_index_round_trips_within_budget(alpha):
+    # 0.03-0.04 s of CPU for the 3000 index calls on a 2-vCPU x86 machine,
+    # where counting the earlier diagonals one vertex at a time took 4-8 s;
+    # the budget leaves more than 10x headroom
+    e = enum_below(o(alpha))
+    values = [e.at(i) for i in range(3000)]
+    start = time.process_time()
+    back = [e.index(v) for v in values]
+    cpu = time.process_time() - start
+    assert back == list(range(3000))
+    assert cpu < 0.5, "3000 index calls below %s took %.2fs of CPU (budget 0.5s)" % (alpha, cpu)
+
+
 @pytest.mark.parametrize("alpha", ["w^w", "w^w*2+3"])
 def test_enum_below_a_limit_exponent_starts_at_zero(alpha):
     # the first block of w^e with a limit exponent e starts at 0, not at
@@ -150,10 +165,8 @@ def test_audit_catches_an_injected_transitivity_fault():
         vertex=s.vertex,
         lt=s.lt,
         lt_matrix=lt_matrix,
-        left_key=s.left_key,
-        right_key=s.right_key,
-        type_left=s.type_left,
-        type_right=s.type_right,
+        keys=s.keys,
+        types=s.types,
         certificate=s.certificate,
     )
     report = prefix_audit(broken, 8)
@@ -172,6 +185,62 @@ def test_mixing_posets_audit_clean(a, b, window):
     m = mixing_poset(o(a), o(b))
     report = prefix_audit(m, 220, window=window)
     assert report.passed, report.failures()
+
+
+def test_unpair_inverts_pair():
+    grid = [(x, y) for x in range(60) for y in range(60)]
+    big = [(10**15 + dx, dy) for dx in range(-3, 4) for dy in range(4)]
+    big += [(dy, 10**15 + dx) for dx, dy in big]
+    for x, y in grid + big:
+        assert constructions._unpair(constructions._pair(x, y)) == (x, y)
+    # every natural up to 10^4 is a pair code
+    assert [constructions._pair(*constructions._unpair(n)) for n in range(10**4)] == \
+        list(range(10**4))
+
+
+def _omega_mixing_rows(m, vs):
+    # below w the index enumerations are the identity, so a row of
+    # mixing(w, w) is (a, b, left key (a, k1), right key (b, k2))
+    rows = []
+    for v in vs:
+        left, right = m.keys[0](v), m.keys[1](v)
+        rows.append((left[0].as_int(), right[0].as_int(), left, right))
+    return rows
+
+
+def test_mixing_checks_report_a_repeated_first_key():
+    m = mixing_poset(o("w"), o("w"))
+    vs = m.prefix(40)
+    rows = _omega_mixing_rows(m, vs)
+    checks = constructions._mixing_checks(rows, vs, m.lt_matrix(vs), None,
+                                          constructions._Laps())
+    assert all(ok for ok, _ in checks.values())
+    rows[5] = rows[5][:2] + (rows[2][2],) + rows[5][3:]  # vertex 5 repeats (k1, a) of 2
+    checks = constructions._mixing_checks(rows, vs, m.lt_matrix(vs), None,
+                                          constructions._Laps())
+    assert checks["bi_functional"] == (False, 5)
+
+
+def test_mixing_checks_report_an_order_pair_off_the_projection():
+    m = mixing_poset(o("w"), o("w"))
+    vs = m.prefix(40)
+    rows = _omega_mixing_rows(m, vs)
+    # i has a larger a-index than j, so (k1, (a, b)) cannot put i below j
+    i, j = next((i, j) for i in range(40) for j in range(40) if rows[i][0] > rows[j][0])
+    lt = m.lt_matrix(vs)
+    lt[i, j] = True
+    checks = constructions._mixing_checks(rows, vs, lt, None, constructions._Laps())
+    assert checks["projection_monotone"] == (False, (vs[i], vs[j]))
+    assert checks["bi_functional"] == (True, None)
+
+
+def test_mixing_audit_reports_the_cells_a_short_prefix_misses():
+    m = mixing_poset(o("w"), o("w"))
+    cells = {row[:2] for row in _omega_mixing_rows(m, m.prefix(10))}
+    want = [(x, y) for x in range(5) for y in range(5) if (x, y) not in cells]
+    report = prefix_audit(m, 10, window=(5, 5))
+    assert want and report.checks["window_sections"] == (False, want)
+    assert set(report.failures()) == {"window_sections"}
 
 
 def test_mixing_types_and_certificate():
@@ -306,10 +375,8 @@ def test_audit_flags_a_non_linear_comparator():
         vertex=s.vertex,
         lt=s.lt,
         lt_matrix=s.lt_matrix,
-        left_key=lambda x: 1 if x == 2 else s.left_key(x),  # ties 1 and 2
-        right_key=s.right_key,
-        type_left=s.type_left,
-        type_right=s.type_right,
+        keys=(lambda x: 1 if x == 2 else s.keys[0](x), s.keys[1]),  # ties 1 and 2
+        types=s.types,
         certificate=s.certificate,
     )
     report = prefix_audit(broken, 8)
@@ -364,7 +431,7 @@ def test_key_ranks_match_pairwise_key_comparisons(kind, seed):
     rng = random.Random(seed)
     p = KEYED[kind](rng)
     vs = p.prefix(40 if p.size is None else min(40, p.size))
-    for key in (p.left_key, p.right_key):
+    for key in p.keys:
         keys = [key(v) for v in vs]
         want = np.array([[kx < ky for ky in keys] for kx in keys])
         assert (_key_matrix(vs, key) == want).all()
@@ -384,12 +451,46 @@ def test_lt_matrix_matches_the_pairwise_oracle(kind, seed):
     assert (p.lt_matrix(vs) == relation_matrix(vs, p.lt)).all()
 
 
+BASE_CHECKS = {"antisymmetry", "transitivity", "left_linear", "right_linear", "intersection"}
+
+
+@pytest.mark.parametrize("kind", sorted(KEYED))
+@pytest.mark.parametrize("window", [None, (1, 1)])
+def test_audit_check_names(kind, window):
+    p = KEYED[kind](random.Random(0))
+    report = prefix_audit(p, 30 if p.size is None else min(30, p.size), window=window)
+    want = set(BASE_CHECKS)
+    if kind == "mixing":
+        want |= {"bi_functional", "projection_monotone"}
+        if window is not None:
+            want.add("window_sections")
+    assert set(report.checks) == want
+    # one timing lap per check, plus the shared steps
+    assert set(report.timings) == want | {"vertices", "lt", "left_key", "right_key"}
+
+
+CONSTRUCTORS = {
+    "sierpinskisation": lambda x: sierpinskisation(x),
+    "mixing": lambda x: mixing_poset(x, o("w")),
+    "decompinver": lambda x: decompinver_witness([(x, x)]),
+    "minoration": lambda x: minoration_witness(o("w"), x),
+    "extend": lambda x: extend_realizer(sierpinskisation(o("w")), (x, o("w"))),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(CONSTRUCTORS))
+@pytest.mark.parametrize("bad", ["w", 2.5, None])
+def test_constructions_reject_a_non_ordinal_argument(kind, bad):
+    with pytest.raises(OrdinalError):
+        CONSTRUCTORS[kind](bad)
+
+
 def test_sierp_enumerations_are_bijective_on_the_prefix():
     for text in ("w", "w*2", "w^2+w*3+5", "w^w"):
         alpha = o(text)
         s = sierpinskisation(alpha)
         index = enum_below(alpha).index
-        assert [index(s.right_key(i)) for i in range(300)] == list(range(300))
+        assert [index(s.keys[1](i)) for i in range(300)] == list(range(300))
 
 
 def _repeat_an_enumeration_value(monkeypatch):
