@@ -42,7 +42,6 @@ from .ordinals import (
     add,
     euclid_div,
     fund_seq,
-    nat_add,
     nat_mul,
     omega_pow,
     ul_nat_add,
@@ -113,23 +112,18 @@ def _hartog_of_sum(rems: Sequence[KOrdinal]) -> KOrdinal:
 
 
 def nat_add_box_sup(gammas: Sequence[CnfOrdinal]) -> tuple[CnfOrdinal, bool]:
-    """sup{ x_1 (+) ... (+) x_m : x_i < g_i } for g_i >= 1."""
-    fixed = ZERO
-    limits = []
-    for g in gammas:
-        if g.is_zero:
-            raise OrdinalError("empty box")
-        if g.is_successor:
-            fixed = nat_add(fixed, g.pred())
-        else:
-            limits.append(g)
-    if not limits:
-        return fixed, True
-    top = max(g.last_exp for g in limits)
-    base = fixed
-    for g in limits:
-        base = nat_add(base, g.minus_last())
-    return add(base.trunc_ge(top), omega_pow(top)), False
+    """sup{ x_1 (+) ... (+) x_m : x_i < g_i } for g_i >= 1, and whether it
+    is attained.
+
+    The box's least strict upper bound is ul_nat_add(*gammas): every
+    value below it lies at or below some x_1 (+) ... (+) x_m.  That bound
+    is a successor exactly when the supremum is attained, at its
+    predecessor.  With no coordinates (m = 0) the box holds only the
+    empty sum 0."""
+    if ZERO in gammas:
+        raise OrdinalError("empty box")
+    s = ul_nat_add(*gammas) if gammas else ONE
+    return (s.pred(), True) if s.is_successor else (s, False)
 
 
 def nat_mul_box_sup(
@@ -169,12 +163,8 @@ def nat_mul_box_sup(
     return add(t0.trunc_ge(best), omega_pow(best)), False
 
 
-_FREE = object()  # remainder coordinate with a free range below omega_level
-
-
-def _chi(s, level: int, variant: str) -> tuple[KOrdinal, bool]:
+def _chi(s: KOrdinal, variant: str) -> tuple[KOrdinal, bool]:
     """sup (and attainedness) of the remainder value over rho < s."""
-    s = omega_level(level) if s is _FREE else _k(s)
     if s.is_finite:
         n = s.countable().as_int()
         return (KOrdinal.of(n), True) if variant == "plus" else (KOrdinal.of(n - 1), True)
@@ -187,11 +177,10 @@ def _chi(s, level: int, variant: str) -> tuple[KOrdinal, bool]:
     return omega_level(s.level + 1), True
 
 
-def _remainder_box_sup(ss: list, level: int, variant: str) -> tuple[KOrdinal, bool]:
+def _remainder_box_sup(ss: list[KOrdinal], variant: str) -> tuple[KOrdinal, bool]:
     """sup{ remainder-value(rho_1 + .. + rho_n) : rho_i < s_i }."""
-    concrete = [omega_level(level) if s is _FREE else _k(s) for s in ss]
-    if all(s.is_finite for s in concrete):
-        total = sum(s.countable().as_int() - 1 for s in concrete)
+    if all(s.is_finite for s in ss):
+        total = sum(s.countable().as_int() - 1 for s in ss)
         return (
             (KOrdinal.of(total + 1), True)
             if variant == "plus"
@@ -199,7 +188,7 @@ def _remainder_box_sup(ss: list, level: int, variant: str) -> tuple[KOrdinal, bo
         )
     best, att = K_ZERO, True
     for s in ss:
-        v, a = _chi(s, level, variant)
+        v, a = _chi(s, variant)
         if best < v:
             best, att = v, a
         elif best == v:
@@ -253,9 +242,9 @@ def theta_box_sup(bounds: Sequence, variant: str = "plus") -> tuple[KOrdinal, bo
         if not att_w:
             s_val, s_att = KOrdinal.at_level(j, w), False
         else:
-            free = len(limit_qs)
+            # each limit quotient leaves its remainder free below omega_j
             t_val, t_att = _remainder_box_sup(
-                list(rbars) + [_FREE] * free, j, variant
+                rbars + [omega_level(j)] * len(limit_qs), variant
             )
             s_val, s_att = k_add(KOrdinal.at_level(j, w), t_val), t_att
 
@@ -311,8 +300,6 @@ THETA_PLUS = BoundOp(
     at_least_cardinality=True,
     stratum_bounded=True,
 )
-
-IDENTITY_1 = BoundOp("id", lambda a: _k(a), monotone=True)
 
 
 def bracket_plus(f) -> BoundOp:
@@ -412,18 +399,7 @@ def _gated_sup(fn: BoundOp, bounds: list[KOrdinal]) -> KOrdinal:
     if top:
         j = max(top)
         if j == 0 and all(b.level == 0 for b in bounds):
-
-            def corner(n: int) -> KOrdinal:
-                xs = []
-                for b in bounds:
-                    c = b.countable()
-                    xs.append(KOrdinal.of(c.pred() if c.is_successor else fund_seq(c, n)))
-                return _k(fn(*xs))
-
-            if all(b.is_successor for b in bounds):
-                candidates.append(corner(1))
-            else:
-                candidates.append(_sampled_sup(corner))
+            candidates.append(_corner_sup(fn, bounds))
         else:
             if not (fn.at_least_cardinality and fn.stratum_bounded):
                 raise UnsupportedSupremum(

@@ -29,9 +29,11 @@ from .ordinals import (
     as_ordinal,
     clip,
     euclid_div,
-    from_int,
+    mul,
+    nat_add,
     parse_ordinal,
     render_ordinal,
+    ul_nat_add,
 )
 
 MAX_LEVEL = 9
@@ -65,7 +67,7 @@ class KOrdinal:
             r = as_ordinal(r if not isinstance(r, KOrdinal) else r.countable())
             if not r.is_finite:
                 raise OrdinalError("level-0 remainder must be finite")
-            return KOrdinal.of(add(mul_omega(q), r))
+            return KOrdinal.of(add(mul(OMEGA, q), r))
         r = KOrdinal.of(r)
         if r.level >= level and not r.is_zero:
             raise OrdinalError("remainder %s is not below omega_%d" % (r, level))
@@ -161,12 +163,6 @@ def omega_level(k: int) -> KOrdinal:
     return KOrdinal.at_level(k, ONE)
 
 
-def mul_omega(q: CnfOrdinal) -> CnfOrdinal:
-    from .ordinals import mul
-
-    return mul(OMEGA, q)
-
-
 def cardinality(a) -> KOrdinal:
     """|a|: a itself when finite, otherwise the omega_k of its level."""
     a = KOrdinal.of(a)
@@ -208,67 +204,29 @@ def k_add(a, b) -> KOrdinal:
 
 def k_nat_add(a, b) -> KOrdinal:
     """Hessenberg sum of towers is scale-wise Hessenberg."""
-    from .ordinals import nat_add
-
     a, b = KOrdinal.of(a), KOrdinal.of(b)
     return KOrdinal(tuple(nat_add(x, y) for x, y in zip(a.coeffs, b.coeffs)))
 
 
-# -- underlined natural sum at tower level -----------------------------------
-#
-# Same case split as ordinals.ul_nat_add, but the "last term" of a tower may
-# live at a cardinal scale: its exponent is modelled as the pair (scale,
-# countable exponent), ordered lexicographically.
-
-
-def _last_piece(a: KOrdinal) -> tuple[int, CnfOrdinal]:
-    if a.is_zero:
-        raise OrdinalError("0 has no last term")
-    for k in range(MAX_LEVEL + 1):
-        if not a.coeffs[k].is_zero:
-            return k, a.coeffs[k].last_exp
-    raise AssertionError
-
-
-def _minus_last(a: KOrdinal) -> KOrdinal:
-    k, _ = _last_piece(a)
-    coeffs = list(a.coeffs)
-    coeffs[k] = coeffs[k].minus_last()
-    return KOrdinal(tuple(coeffs))
-
-
-def _trunc_ge(a: KOrdinal, piece: tuple[int, CnfOrdinal]) -> KOrdinal:
-    k, e = piece
-    coeffs = [ZERO] * (MAX_LEVEL + 1)
-    for j in range(k, MAX_LEVEL + 1):
-        coeffs[j] = a.coeffs[j].trunc_ge(e) if j == k else a.coeffs[j]
-    return KOrdinal(tuple(coeffs))
-
-
-def _piece_pow(piece: tuple[int, CnfOrdinal]) -> KOrdinal:
-    from .ordinals import omega_pow
-
-    k, e = piece
-    if k == 0:
-        return KOrdinal.of(omega_pow(e))
-    return KOrdinal.at_level(k, omega_pow(e))
-
-
 def k_ul_nat_add(a, b) -> KOrdinal:
+    """Underlined natural sum of towers: sup_plus{a' (+) b' : a' < a, b' < b}.
+
+    Scale by scale, with k the larger of the two lowest nonzero scales:
+    every scale above k is the natural sum of the two coefficients, scale
+    k is ordinals.ul_nat_add of the two scale-k coefficients, and every
+    scale below k is 0.  A tower whose lowest nonzero scale lies below k
+    takes its scale-k coefficient plus one: taking its last unit off
+    leaves that coefficient whole, and the exponent 0 of the extra unit
+    never wins ul_nat_add's largest last exponent.  0 if a or b is 0.
+    """
     a, b = KOrdinal.of(a), KOrdinal.of(b)
     if a.is_zero or b.is_zero:
         return KOrdinal.of(0)
-    if a.is_successor and b.is_successor:
-        return k_nat_add(a.pred(), b.pred()).succ()
-    if a.is_successor:
-        g = _last_piece(b)
-        return k_add(_trunc_ge(k_nat_add(a.pred(), _minus_last(b)), g), _piece_pow(g))
-    if b.is_successor:
-        return k_ul_nat_add(b, a)
-    g = max(_last_piece(a), _last_piece(b), key=lambda p: (p[0], p[1]))
-    return k_add(
-        _trunc_ge(k_nat_add(_minus_last(a), _minus_last(b)), g), _piece_pow(g)
-    )
+    lows = [min(j for j, c in enumerate(x.coeffs) if not c.is_zero) for x in (a, b)]
+    k = max(lows)
+    at_k = [add(x.coeffs[k], ONE) if low < k else x.coeffs[k] for x, low in zip((a, b), lows)]
+    return KOrdinal((ZERO,) * k + (ul_nat_add(*at_k),)
+                    + tuple(map(nat_add, a.coeffs[k + 1:], b.coeffs[k + 1:])))
 
 
 # -- textual form -------------------------------------------------------------

@@ -12,7 +12,7 @@ import re
 import sys
 
 from .bounds import theta_plus
-from .cardinals import KOrdinal, hartog, k_nat_add, k_ul_nat_add, parse_k, render_k
+from .cardinals import KOrdinal, hartog, k_add, k_nat_add, parse_k, render_k
 from .constructions import (
     decompinver_witness,
     extend_realizer,
@@ -67,8 +67,6 @@ def _cmd_ord(args) -> int:
     scaled = isinstance(a, KOrdinal) or isinstance(b, KOrdinal)
     if scaled:
         ka, kb = KOrdinal.of(a), KOrdinal.of(b)
-        from .cardinals import k_add
-
         fns = {"add": k_add, "nadd": k_nat_add}
         if args.op not in fns:
             raise OrdinalError("ord %s supports countable arguments only" % args.op)

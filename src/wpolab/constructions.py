@@ -23,6 +23,7 @@ admit prefix audits.
 
 from __future__ import annotations
 
+import bisect
 import math
 import time
 import weakref
@@ -62,6 +63,8 @@ class Enumeration:
     omega^e of its normal form, the finite part as one block), blocks are
     visited anti-diagonally (within diagonal d, block index descending),
     and each omega^e block recurses through its fundamental sequence.
+    A block, the pair (offset, sub-enumeration), is built from the normal
+    form when first visited, so a term w^e*c costs nothing per unit of c.
     """
 
     def __init__(self, alpha: CnfOrdinal):
@@ -70,37 +73,40 @@ class Enumeration:
             raise OrdinalError("cannot enumerate below 0")
         self.alpha = alpha
         self._prefix: list[CnfOrdinal] = []  # cache of at(0..k)
+        self._blocks: dict = {}  # b -> block b, built on first use
+        self.size: Optional[int] = None
         if alpha.is_finite:
-            self.size: Optional[int] = alpha.as_int()
+            self.size = alpha.as_int()
             self._kind = "range"
         elif alpha == OMEGA:
-            self.size = None
             self._kind = "range"
         elif len(alpha.terms) == 1 and alpha.terms[0][1] == 1:
-            self.size = None
             self._kind = "power"  # omega^e, e >= 2 or a limit exponent
             self._block_count: Optional[int] = None
-            self._power_blocks: dict = {}  # b -> _power_block(b)
         else:
-            self.size = None
             self._kind = "blocks"
-            blocks = []
-            offset = ZERO
+            # per term w^e*c: its first block and the sum of the earlier
+            # terms; the term has c blocks w^e, or one block if e = 0
+            self._firsts, self._heads = [], []
+            first, head = 0, ZERO
             for e, c in alpha.terms:
-                if e.is_zero:
-                    blocks.append((offset, _sub_enumeration(from_int(c))))
-                    offset = add(offset, from_int(c))
-                else:
-                    for _ in range(c):
-                        blocks.append((offset, _sub_enumeration(omega_pow(e))))
-                        offset = add(offset, omega_pow(e))
-            self._blocks = blocks
-            self._block_count = len(blocks)
+                self._firsts.append(first)
+                self._heads.append(head)
+                first += 1 if e.is_zero else c
+                head = add(head, omega_pow(e, c))
+            self._block_count = first
 
-    # block b of a pure power omega^e: the b-th step of its fundamental
-    # sequence, enumerated recursively; block 0 starts at 0, since for a
-    # limit e the sequence itself starts above 0
-    def _power_block(self, b: int):
+    def _new_block(self, b: int):
+        if self._kind == "blocks":
+            t = bisect.bisect_right(self._firsts, b) - 1
+            e, c = self.alpha.terms[t]
+            if e.is_zero:
+                return self._heads[t], _sub_enumeration(from_int(c))
+            offset = add(self._heads[t], omega_pow(e, b - self._firsts[t]))
+            return offset, _sub_enumeration(omega_pow(e))
+        # a pure power omega^e: block b is the b-th step of its fundamental
+        # sequence, enumerated recursively; block 0 starts at 0, since for
+        # a limit e the sequence itself starts above 0
         e = self.alpha.leading_exp
         if e.is_successor:
             step = omega_pow(e.pred())
@@ -110,12 +116,10 @@ class Enumeration:
         return lo, _sub_enumeration(left_subtract(lo, hi))
 
     def _block(self, b: int):
-        if self._kind == "power":
-            block = self._power_blocks.get(b)
-            if block is None:
-                block = self._power_blocks[b] = self._power_block(b)
-            return block
-        return self._blocks[b]
+        block = self._blocks.get(b)
+        if block is None:
+            block = self._blocks[b] = self._new_block(b)
+        return block
 
     def _diagonal(self, d: int):
         top = d if self._block_count is None else min(d, self._block_count - 1)
@@ -168,9 +172,6 @@ class Enumeration:
                 return pos
             pos += 1
         raise OrdinalError("enumeration inconsistency at %s" % beta)  # unreachable
-
-    def __call__(self, i: int) -> CnfOrdinal:
-        return self.at(i)
 
 
 # The blocks of an enumeration, by type.  Blocks of equal type share one
@@ -406,6 +407,34 @@ def _block_size(alpha: CnfOrdinal) -> Optional[int]:
     return alpha.as_int() if alpha.is_finite else None
 
 
+def _round_robin(sizes: list) -> Callable[[int], tuple[int, int]]:
+    """locate(i) -> (part, index) for the i-th item of parts of the given
+    sizes (None: infinite) merged in rounds: round d takes item d of each
+    part in part order, skipping a finite part once it has run out.
+
+    Closed form: between two consecutive finite sizes the number of parts
+    in a round is constant, so i is placed by one pass over the sorted
+    sizes.  Past the last item of all-finite parts, locate raises
+    PosetError."""
+    total = None if None in sizes else sum(sizes)
+    ends = sorted(n for n in sizes if n is not None) + [None]
+
+    def locate(i: int) -> tuple[int, int]:
+        if total is not None and i >= total:
+            raise PosetError("vertex %d does not exist: the parts have %d "
+                             "vertices in all" % (i, total))
+        start, width = 0, len(sizes)  # first round of the phase, parts per round
+        for end in ends:
+            if end is None or i < (end - start) * width:
+                d = start + i // width
+                live = [k for k, n in enumerate(sizes) if n is None or d < n]
+                return live[i % width], d
+            i -= (end - start) * width
+            start, width = end, width - 1
+
+    return locate
+
+
 def decompinver_witness(blocks) -> LazyPoset:
     """Blockwise realizer with the right-hand block order reversed.
 
@@ -435,21 +464,11 @@ def decompinver_witness(blocks) -> LazyPoset:
                 % (alpha, beta)
             )
     sizes = [_block_size(a) for a, _ in blocks]
-    total = None if None in sizes else sum(sizes)
+    locate = _round_robin(sizes)
 
     def vertex(i: int):
-        if total is not None and i >= total:
-            raise PosetError("vertex %d does not exist: the blocks have %d "
-                             "vertices in all" % (i, total))
-        # round-robin across blocks, skipping exhausted finite ones
-        d = 0
-        while True:
-            for k in range(len(parts)):
-                if sizes[k] is None or d < sizes[k]:
-                    if i == 0:
-                        return (k, parts[k].vertex(d))
-                    i -= 1
-            d += 1
+        k, d = locate(i)
+        return (k, parts[k].vertex(d))
 
     def lt(x, y):
         return x[0] == y[0] and parts[x[0]].lt(x[1], y[1])
@@ -484,7 +503,7 @@ def decompinver_witness(blocks) -> LazyPoset:
         certificate=cert,
         note="disjoint sum of %d blocks; certificate is the natural sum of "
         "the block certificates" % len(parts),
-        size=total,
+        size=None if None in sizes else sum(sizes),
     )
 
 
@@ -540,12 +559,11 @@ def _append_chunk_both(p: LazyPoset, g: CnfOrdinal) -> LazyPoset:
         return p
     enum = enum_below(g)
     size = _block_size(g)
+    locate = _round_robin([p.size, size])
 
     def vertex(i: int):
-        # odd slots take new vertices until the finite chunk runs out
-        if size is None or i < 2 * size:
-            return ("old", p.vertex(i // 2)) if i % 2 == 0 else ("new", i // 2)
-        return ("old", p.vertex(i - size))
+        part, j = locate(i)
+        return ("old", p.vertex(j)) if part == 0 else ("new", j)
 
     # old vertices keep their keys below every new one, on both sides
     def chunk_key(old_key):
@@ -574,6 +592,7 @@ def _append_chunk_both(p: LazyPoset, g: CnfOrdinal) -> LazyPoset:
         types=(add(p.type_left, g), add(p.type_right, g)),
         certificate=p.certificate,
         note=(p.note + "; realizer padded by a common chunk of type %s" % g).strip("; "),
+        size=None if p.size is None or size is None else p.size + size,
     )
 
 

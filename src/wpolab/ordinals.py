@@ -386,25 +386,26 @@ def sup_plus(xs) -> CnfOrdinal:
     return add(max(xs), ONE)
 
 
-def ul_nat_add(a, b) -> CnfOrdinal:
-    """Underlined natural sum: sup_plus{a' (+) b' : a' < a, b' < b}.
+def ul_nat_add(*xs) -> CnfOrdinal:
+    """Underlined natural sum: sup_plus{x_1' (+) ... (+) x_n' : x_i' < x_i}.
 
-    Closed form by successor/limit case split on each argument; the limit
-    cases wash out every term of the other side below the limit's final
-    exponent.  Validated against fund_seq sampling in the tests.
+    One closed form: with g the largest last exponent, the natural sum of
+    the x_i.minus_last(), cut to its terms of exponent >= g, plus w^g.
+    The terms below g wash out under the w^g that the limits leave; when
+    every argument is a successor, g = 0, the cut keeps everything and
+    w^0 adds the 1.  The result is 0 when some x_i is 0.  Validated
+    against fund_seq sampling in the tests.
     """
-    a, b = as_ordinal(a), as_ordinal(b)
-    if a.is_zero or b.is_zero:
+    if not xs:
+        raise OrdinalError("ul_nat_add needs at least one argument")
+    xs = [as_ordinal(x) for x in xs]
+    if ZERO in xs:
         return ZERO
-    if a.is_successor and b.is_successor:
-        return add(nat_add(a.pred(), b.pred()), ONE)
-    if a.is_successor:  # b is a limit
-        g = b.last_exp
-        return add(nat_add(a.pred(), b.minus_last()).trunc_ge(g), omega_pow(g))
-    if b.is_successor:
-        return ul_nat_add(b, a)
-    g = max(a.last_exp, b.last_exp)
-    return add(nat_add(a.minus_last(), b.minus_last()).trunc_ge(g), omega_pow(g))
+    g = max(x.last_exp for x in xs)
+    s = ZERO
+    for x in xs:
+        s = nat_add(s, x.minus_last())
+    return add(s.trunc_ge(g), omega_pow(g))
 
 
 def fund_seq(a, n: int) -> CnfOrdinal:

@@ -36,6 +36,7 @@ from .constructions import (
     sierpinskisation,
 )
 from .ordinals import (
+    OMEGA,
     ONE,
     ZERO,
     CnfOrdinal,
@@ -59,8 +60,6 @@ from .posets import (
     length_recursive,
 )
 from .terms import DSum, Fin, Prod, denote_prefix
-
-OMEGA = parse_ordinal("w")
 
 
 @dataclass

@@ -18,6 +18,7 @@ import re
 from dataclasses import dataclass
 from typing import Union
 
+from .constructions import _round_robin, enum_below
 from .io import read_poset_file
 from .ordinals import (
     MAX_NESTING,
@@ -109,8 +110,6 @@ class _Denotation:
 
 def _denote(t: PosetTerm) -> _Denotation:
     if isinstance(t, Ord):
-        from .constructions import enum_below
-
         if t.alpha.is_zero:
             return _Denotation(0, lambda i: None, lambda x, y: False)
         e = enum_below(t.alpha)
@@ -125,21 +124,11 @@ def _denote(t: PosetTerm) -> _Denotation:
 
 
 def _interleave(a: _Denotation, b: _Denotation, lexicographic: bool) -> _Denotation:
-    sa = a.size if a.size is not None else None
-    sb = b.size if b.size is not None else None
-    both = None if sa is None or sb is None else sa + sb
-    # strict alternation left, right, left, ... until one factor runs dry
-    m = min(x for x in (sa, sb) if x is not None) if (sa is not None or sb is not None) else None
+    both = None if a.size is None or b.size is None else a.size + b.size
+    locate = _round_robin([a.size, b.size])
 
     def at(i: int):
-        if both is not None and i >= both:
-            raise OrdinalError("enumeration index %d out of range" % i)
-        if m is None or i < 2 * m:
-            side, k = i % 2, i // 2
-        elif sa == m and (sb is None or sb > m):
-            side, k = 1, i - m
-        else:
-            side, k = 0, i - m
+        side, k = locate(i)
         return (side, (a if side == 0 else b).at(k))
 
     def lt(x, y):

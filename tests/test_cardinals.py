@@ -1,6 +1,10 @@
+import random
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wpolab.cardinals import (
+    MAX_LEVEL,
     KOrdinal,
     LevelOverflowError,
     cardinality,
@@ -13,6 +17,9 @@ from wpolab.cardinals import (
     render_k,
 )
 from wpolab.ordinals import OMEGA, ZERO, OrdinalError, parse_ordinal
+
+from test_bounds import random_below, random_kordinal
+from test_ordinals import random_ordinal
 
 o = parse_ordinal
 W1 = omega_level(1)
@@ -79,14 +86,54 @@ def test_k_nat_add_is_scalewise():
 def test_k_ul_nat_add():
     assert k_ul_nat_add(W1, W1) == W1  # omega_1 is a fixpoint (indecomposable)
     assert k_ul_nat_add(omega_level(4), omega_level(4)) == omega_level(4)
-    # countable values agree with the CNF-level operation
-    from wpolab.ordinals import ul_nat_add
-
-    for x, y in [(o("w+1"), o("w+1")), (o("w*2"), o("w")), (o("5"), o("3"))]:
-        assert k_ul_nat_add(x, y) == KOrdinal.of(ul_nat_add(x, y))
+    # countable values, checked by hand
+    for x, y, want in [("w+1", "w+1", "w*2+1"), ("w*2", "w", "w*2"), ("5", "3", "7")]:
+        assert k_ul_nat_add(o(x), o(y)) == KOrdinal.of(o(want))
     # a successor above omega_1 against omega_1
     a = k_add(W1, 1)
     assert k_ul_nat_add(a, W1) == KOrdinal.at_level(1, o("2"))
+
+
+@pytest.mark.parametrize("a, b, want", [
+    # the higher scale comes from b alone
+    ("W1*(2)+(5)", "W2*(1)+(0)", "W2*(1)+(0)"),
+    # equal lowest scales, a successor coefficient
+    ("W1*(w+1)+(0)", "W1*(2)+(0)", "W1*(w+2)+(0)"),
+    # successor tails under a scale
+    ("W3*(1)+(4)", "W3*(w)+(2)", "W3*(w+1)+(5)"),
+    # b's lowest scale lies below a's: b's W1 coefficient counts as 0 + 1
+    ("W2*(3)+(W1*(w)+(0))", "W2*(1)+(w^2)", "W2*(4)+(W1*(w)+(0))"),
+    # the top scale, with the +1 on b
+    ("W9*(1)+(0)", "W9*(2)+(7)", "W9*(3)+(0)"),
+])
+def test_k_ul_nat_add_frozen_towers(a, b, want):
+    assert k_ul_nat_add(parse_k(a), parse_k(b)) == parse_k(want)
+    assert k_ul_nat_add(parse_k(b), parse_k(a)) == parse_k(want)
+
+
+def _lowered(rng, a):
+    """A random tower below a nonzero a: its lowest nonzero coefficient
+    lowered, with a random tail on the scales below it."""
+    coeffs = list(a.coeffs)
+    low = min(j for j, c in enumerate(coeffs) if not c.is_zero)
+    coeffs[low] = random_below(rng, coeffs[low])
+    for j in range(low):
+        coeffs[j] = random_ordinal(rng, depth=2) if rng.random() < 0.5 else ZERO
+    return KOrdinal(tuple(coeffs))
+
+
+towers = st.integers(0, 2**48).map(
+    lambda s: random_kordinal(random.Random(s), max_level=MAX_LEVEL))
+
+
+@given(towers, towers, st.integers(0, 2**48))
+@settings(max_examples=200)
+def test_k_ul_nat_add_bounds_every_lower_sum(a, b, seed):
+    # a' < a and b' < b give a' (+) b' < the underlined sum of a and b
+    rng = random.Random(seed)
+    u = k_ul_nat_add(a, b)
+    for _ in range(10):
+        assert k_nat_add(_lowered(rng, a), _lowered(rng, b)) < u
 
 
 def test_render_parse_roundtrip():

@@ -336,6 +336,21 @@ def test_cli_finite_decompinver_prefix_past_its_end_fails_fast():
     assert "10" in done.stderr and "5" in done.stderr
 
 
+@pytest.mark.parametrize("argv, n", [
+    (["construct", "sierp", "w*99999999", "--prefix", "3"], 3),
+    (["construct", "mixing", "w*99999999", "1"], 32),
+])
+def test_cli_construct_over_a_large_coefficient_returns(argv, n):
+    # the enumeration builds its blocks when first visited, not one per
+    # unit of the coefficient; about 0.4 s of wall time on a 2-vCPU machine
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run([sys.executable, "-m", "wpolab.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=15)
+    assert done.returncode == 0 and done.stderr == ""
+    assert json.loads(done.stdout)["n"] == n
+
+
 def test_cli_inline_finite_poset_over_the_bound_fails_fast():
     # 16 characters that would ask for a 100000-vertex chain
     src = Path(__file__).resolve().parents[1] / "src"

@@ -198,6 +198,11 @@ def test_ul_nat_add_examples():
     assert ul_nat_add(ZERO, o("w")) == ZERO
 
 
+def test_ul_nat_add_needs_an_argument():
+    with pytest.raises(OrdinalError):
+        ul_nat_add()
+
+
 def test_ul_nat_add_fixpoints_are_indecomposables():
     for a in SMALL:
         if a.is_zero:
