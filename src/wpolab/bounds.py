@@ -40,7 +40,6 @@ from .ordinals import (
     CnfOrdinal,
     OrdinalError,
     add,
-    euclid_div,
     fund_seq,
     nat_mul,
     omega_pow,
@@ -66,14 +65,6 @@ def equipotent(args: Sequence) -> bool:
 # -- theta_plus ----------------------------------------------------------------
 
 
-def _parts(a: KOrdinal, level: int) -> tuple[CnfOrdinal, KOrdinal]:
-    """Euclidean (q, r) of a by omega_level; a must have that exact level."""
-    if level == 0:
-        q, r = euclid_div(a.countable(), OMEGA)
-        return q, KOrdinal.of(r)
-    return a.coeffs[level], a.r
-
-
 def theta_plus(*args) -> KOrdinal:
     args = [_k(a) for a in args]
     if not args:
@@ -88,7 +79,7 @@ def theta_plus(*args) -> KOrdinal:
     prod = ONE
     rems: list[KOrdinal] = []
     for a in args:
-        q, r = _parts(a, level)
+        q, r = a.euclid()
         prod = nat_mul(prod, q)
         rems.append(r)
     return k_add(KOrdinal.at_level(level, prod), _hartog_of_sum(rems))
@@ -160,7 +151,8 @@ def nat_mul_box_sup(
         d = ul_nat_add(add(g.leading_exp, ONE), y_bound)
         if best is None or best < d:
             best = d
-    return add(t0.trunc_ge(best), omega_pow(best)), False
+    # the ordinal sum drops t0's terms below best
+    return add(t0, omega_pow(best)), False
 
 
 def _chi(s: KOrdinal, variant: str) -> tuple[KOrdinal, bool]:
@@ -232,7 +224,7 @@ def theta_box_sup(bounds: Sequence, variant: str = "plus") -> tuple[KOrdinal, bo
         rbars: list[KOrdinal] = []
         limit_qs: list[CnfOrdinal] = []
         for b in bounds:
-            qbar, rbar = _parts(b, j)
+            qbar, rbar = b.euclid()  # every bound has level j here
             if rbar.is_zero:
                 limit_qs.append(qbar)
             else:

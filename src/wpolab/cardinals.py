@@ -94,21 +94,24 @@ class KOrdinal:
                 return k
         return 0
 
+    def euclid(self) -> tuple[CnfOrdinal, "KOrdinal"]:
+        """(q, r) with self = omega_level*q + r and r below omega_level
+        (omega itself at level 0)."""
+        k = self.level
+        if k:
+            return self.coeffs[k], KOrdinal(self.coeffs[:k] + (ZERO,) * (MAX_LEVEL + 1 - k))
+        q, r = euclid_div(self.coeffs[0], OMEGA)
+        return q, KOrdinal.of(r)
+
     @property
     def q(self) -> CnfOrdinal:
         """Euclidean quotient by omega_level (by omega itself at level 0)."""
-        k = self.level
-        if k:
-            return self.coeffs[k]
-        return euclid_div(self.coeffs[0], OMEGA)[0]
+        return self.euclid()[0]
 
     @property
     def r(self) -> "KOrdinal":
         """Euclidean remainder below omega_level."""
-        k = self.level
-        if k:
-            return KOrdinal(self.coeffs[:k] + (ZERO,) * (MAX_LEVEL + 1 - k))
-        return KOrdinal.of(euclid_div(self.coeffs[0], OMEGA)[1])
+        return self.euclid()[1]
 
     def countable(self) -> CnfOrdinal:
         if self.level:
@@ -155,12 +158,15 @@ class KOrdinal:
         return "KOrdinal(%s)" % render_k(self)
 
 
+# omega_0 = omega, omega_1, ..., omega_MAX_LEVEL
+_OMEGA_LEVELS = (KOrdinal.of(OMEGA),) + tuple(
+    KOrdinal.at_level(k, ONE) for k in range(1, MAX_LEVEL + 1))
+
+
 def omega_level(k: int) -> KOrdinal:
-    if k == 0:
-        return KOrdinal.of(OMEGA)
-    if not 0 < k <= MAX_LEVEL:
+    if not 0 <= k <= MAX_LEVEL:
         raise LevelOverflowError("omega_%d is outside the modelled scale" % k)
-    return KOrdinal.at_level(k, ONE)
+    return _OMEGA_LEVELS[k]
 
 
 def cardinality(a) -> KOrdinal:

@@ -1,10 +1,11 @@
 """Independent brute-force oracles, shared by the tests and `wpolab verify`.
 
-Everything here deliberately avoids the library's own nat_add/nat_mul
-code paths: from `ordinals` it takes only `CnfOrdinal`, `ZERO`, `add` and
-`omega_pow`.  Sums of term sequences are evaluated by right-to-left
-ordinal addition of single terms, and the natural operations are
-recovered from their order-theoretic maximization characterizations.
+Everything here deliberately avoids the library's own mul, nat_add and
+nat_mul code paths: from `ordinals` it takes only `CnfOrdinal`, `ZERO`,
+`add` and `omega_pow`.  Sums of term sequences are evaluated by ordinal
+addition of single terms, the ordinal product by distributing over the
+right factor's terms, and the natural operations are recovered from
+their order-theoretic maximization characterizations.
 """
 
 from __future__ import annotations
@@ -12,6 +13,26 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .ordinals import ZERO, CnfOrdinal, add, omega_pow
+
+
+def mul_oracle(a: CnfOrdinal, b: CnfOrdinal) -> CnfOrdinal:
+    """Ordinal product as a left-to-right ordinal sum of one product per
+    term of b: a * w^f*d = w^(e1+f)*d for f > 0, and a * d is a with its
+    leading coefficient c1 multiplied by d, since the tail of a is
+    absorbed by every copy of a but the last.  Every partial product is
+    folded in with `add`."""
+    if not a.terms or not b.terms:
+        return ZERO
+    e1, c1 = a.terms[0]
+    out = ZERO
+    for f, d in b.terms:
+        if f.terms:
+            out = add(out, omega_pow(add(e1, f), d))
+            continue
+        out = add(out, omega_pow(e1, c1 * d))
+        for t in a.terms[1:]:
+            out = add(out, omega_pow(*t))
+    return out
 
 
 def nat_add_oracle(a: CnfOrdinal, b: CnfOrdinal) -> CnfOrdinal:

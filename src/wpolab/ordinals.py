@@ -120,15 +120,7 @@ class CnfOrdinal:
         """Drop one unit of the last term's coefficient (any nonzero value)."""
         if not self.terms:
             raise OrdinalError("0 has no last term")
-        exp, coeff = self.terms[-1]
-        head = self.terms[:-1]
-        if coeff > 1:
-            head = head + ((exp, coeff - 1),)
-        return _mk(head)
-
-    def trunc_ge(self, exp: "CnfOrdinal") -> "CnfOrdinal":
-        """Keep only the terms with exponent >= exp."""
-        return _mk(self.terms[:_cut(self.terms, exp)])
+        return _mk(_minus_last(self.terms))
 
     # -- equality, hashing, comparison, display ------------------------------
     #
@@ -211,6 +203,12 @@ def _lt(a: CnfOrdinal, b: CnfOrdinal) -> bool:
     return len(a.terms) < len(b.terms)
 
 
+def _minus_last(terms: tuple) -> tuple:
+    """The terms of a nonzero value less one unit of its last term."""
+    exp, coeff = terms[-1]
+    return terms[:-1] + (((exp, coeff - 1),) if coeff > 1 else ())
+
+
 def _cut(terms: tuple, e: CnfOrdinal) -> int:
     """The number of leading terms with exponent >= e."""
     i = 0
@@ -258,33 +256,51 @@ def cmp(a, b) -> int:
 # -- ordinal arithmetic ------------------------------------------------------
 
 
+def _add(xs: tuple, ys: tuple) -> tuple:
+    """The terms of the ordinal sum of the term tuples xs and ys (ys nonempty)."""
+    e, c = ys[0]
+    i = _cut(xs, e)
+    if i and xs[i - 1][0] is e:
+        return xs[: i - 1] + ((e, xs[i - 1][1] + c),) + ys[1:]
+    return xs[:i] + ys
+
+
 def add(a, b) -> CnfOrdinal:
     """Ordinal sum a + b (absorbs the low tail of a)."""
     a, b = as_ordinal(a), as_ordinal(b)
     if not b.terms:
         return a
-    e, c = b.terms[0]
-    i = _cut(a.terms, e)
-    if i and a.terms[i - 1][0] is e:
-        return _mk(a.terms[: i - 1] + ((e, a.terms[i - 1][1] + c),) + b.terms[1:])
-    return _mk(a.terms[:i] + b.terms)
+    return _mk(_add(a.terms, b.terms))
 
 
 def mul(a, b) -> CnfOrdinal:
-    """Ordinal product a * b (left-distributes over sums in b)."""
+    """Ordinal product a * b, in one pass over b's terms.
+
+    With w^e1*c1 the leading term of a, a * w^f*d = w^(e1+f)*d for f > 0,
+    and a * d = w^e1*(c1*d) + (a's tail) for a finite d: only the leading
+    term is multiplied, the tail survives once.  The exponents e1+f
+    strictly decrease and stay above e1, so the terms are already in
+    normal form."""
     a, b = as_ordinal(a), as_ordinal(b)
     if a.is_zero or b.is_zero:
         return ZERO
-    out = ZERO
-    e1 = a.terms[0][0]
-    for f, d in b.terms:
-        if f is ZERO:
-            # a * d: only the leading term is multiplied, the tail survives once
-            head = ((e1, a.terms[0][1] * d),)
-            out = add(out, _mk(head + a.terms[1:]))
-        else:
-            out = add(out, _mk(((add(e1, f), d),)))
-    return out
+    e1, c1 = a.terms[0]
+    out = tuple((add(e1, f), d) for f, d in b.terms if f is not ZERO)
+    if b.is_successor:
+        out += ((e1, c1 * b.terms[-1][1]),) + a.terms[1:]
+    return _mk(out)
+
+
+def _left_sub(xs: tuple, ys: tuple) -> tuple:
+    """The terms of g with x + g = y, for the terms xs of x <= y and ys of y."""
+    for i, (tx, ty) in enumerate(zip(xs, ys)):
+        if tx == ty:
+            continue
+        if tx[0] is ty[0]:
+            # same exponent, y's coefficient is larger
+            return ((tx[0], ty[1] - tx[1]),) + ys[i + 1 :]
+        return ys[i:]
+    return ys[len(xs) :]
 
 
 def left_subtract(a, b) -> CnfOrdinal:
@@ -292,54 +308,50 @@ def left_subtract(a, b) -> CnfOrdinal:
     a, b = as_ordinal(a), as_ordinal(b)
     if _lt(b, a):
         raise OrdinalError("left_subtract needs a <= b")
-    for i, (ta, tb) in enumerate(zip(a.terms, b.terms)):
-        if ta == tb:
-            continue
-        if ta[0] is tb[0]:
-            # same exponent, b's coefficient is larger
-            return _mk(((ta[0], tb[1] - ta[1]),) + b.terms[i + 1 :])
-        return _mk(b.terms[i:])
-    return _mk(b.terms[len(a.terms) :])
+    return _mk(_left_sub(a.terms, b.terms))
 
 
 def euclid_div(a, d) -> tuple[CnfOrdinal, CnfOrdinal]:
-    """Quotient/remainder with a = d*q + r and r < d."""
+    """Quotient/remainder with a = d*q + r and r < d, in one pass.
+
+    With w^e*c the leading term of d, each term w^f*g of a with f > e is
+    d * w^((-e)+f)*g exactly, so it gives the quotient term w^((-e)+f)*g.
+    The rest r0 of a lies below w^(e+1), so the quotient ends in the
+    largest finite m with d*m <= r0, and r = (-(d*m)) + r0."""
     a, d = as_ordinal(a), as_ordinal(d)
     if d.is_zero:
         raise OrdinalError("division by zero")
-    q = ZERO
-    r = a
-    e = d.leading_exp
-    c = d.terms[0][1]
-    while not _lt(r, d):
-        f, g = r.terms[0]
-        if _lt(e, f):
-            # d * w^((-e)+f) * g == w^f * g exactly
-            qt = omega_pow(left_subtract(e, f), g)
-            q = add(q, qt)
-            r = left_subtract(_mk(((f, g),)), r)
-        else:
-            # f == e: the quotient contribution is a maximal finite m
-            m = g // c + 1
-            while _lt(r, mul(d, from_int(m))):
-                m -= 1
-            q = add(q, from_int(m))
-            r = left_subtract(mul(d, from_int(m)), r)
-            break
-    return q, r
+    e, c = d.terms[0]
+    ts = a.terms
+    i = 0
+    while i < len(ts) and _lt(e, ts[i][0]):
+        i += 1
+    q = [(_mk(_left_sub(e.terms, f.terms)), g) for f, g in ts[:i]]
+    r = ts[i:]
+    if r and r[0][0] is e:
+        # r0 = w^e*g + t and d = w^e*c + u: m = g // c, one less when
+        # c*m == g and t < u.  Term tuples compare in CNF order, since
+        # tuples compare lexicographically and exponents by _lt.
+        g = r[0][1]
+        m = g // c
+        if c * m == g and r[1:] < d.terms[1:]:
+            m -= 1
+        if m:
+            r = _left_sub(((e, c * m),) + d.terms[1:], r)
+            q.append((ZERO, m))
+    return _mk(tuple(q)), _mk(r)
 
 
 # -- natural (Hessenberg) arithmetic ----------------------------------------
 
 
-def nat_add(a, b) -> CnfOrdinal:
-    """Hessenberg sum: merge the two term lists, adding equal exponents."""
-    a, b = as_ordinal(a), as_ordinal(b)
-    xs, ys = a.terms, b.terms
+def _merge(xs: tuple, ys: tuple) -> tuple:
+    """The terms of the Hessenberg sum of the term tuples xs and ys: merge
+    them, adding the coefficients of equal exponents."""
     if not ys:
-        return a
+        return xs
     if not xs:
-        return b
+        return ys
     out = []
     i = j = 0
     nx, ny = len(xs), len(ys)
@@ -356,20 +368,30 @@ def nat_add(a, b) -> CnfOrdinal:
         else:
             out.append(ys[j])
             j += 1
-    return _mk(tuple(out) + xs[i:] + ys[j:])
+    return tuple(out) + xs[i:] + ys[j:]
+
+
+def nat_add(a, b) -> CnfOrdinal:
+    """Hessenberg sum: merge the two term lists, adding equal exponents."""
+    a, b = as_ordinal(a), as_ordinal(b)
+    if not b.terms:
+        return a
+    if not a.terms:
+        return b
+    return _mk(_merge(a.terms, b.terms))
 
 
 def nat_mul(a, b) -> CnfOrdinal:
     """Hessenberg product: distribute with nat_add-combined exponents.
 
     Each row  w^ea*ca (x) b  is already in normal form, because the
-    natural sum is strictly increasing in each argument; the rows are
-    merged with nat_add."""
+    natural sum is strictly increasing in each argument; the rows' terms
+    are merged as raw tuples and only the product is interned."""
     a, b = as_ordinal(a), as_ordinal(b)
-    out = ZERO
+    out: tuple = ()
     for ea, ca in a.terms:
-        out = nat_add(out, _mk(tuple((nat_add(ea, eb), ca * cb) for eb, cb in b.terms)))
-    return out
+        out = _merge(out, tuple((nat_add(ea, eb), ca * cb) for eb, cb in b.terms))
+    return _mk(out)
 
 
 def is_indecomposable(a) -> bool:
@@ -390,11 +412,11 @@ def ul_nat_add(*xs) -> CnfOrdinal:
     """Underlined natural sum: sup_plus{x_1' (+) ... (+) x_n' : x_i' < x_i}.
 
     One closed form: with g the largest last exponent, the natural sum of
-    the x_i.minus_last(), cut to its terms of exponent >= g, plus w^g.
-    The terms below g wash out under the w^g that the limits leave; when
-    every argument is a successor, g = 0, the cut keeps everything and
-    w^0 adds the 1.  The result is 0 when some x_i is 0.  Validated
-    against fund_seq sampling in the tests.
+    the x_i.minus_last() plus w^g.  The ordinal sum drops the terms below
+    g, which wash out under the w^g that the limits leave; when every
+    argument is a successor, g = 0, nothing is dropped and w^0 adds the 1.
+    The result is 0 when some x_i is 0.  Only the result is interned.
+    Validated against fund_seq sampling in the tests.
     """
     if not xs:
         raise OrdinalError("ul_nat_add needs at least one argument")
@@ -402,10 +424,10 @@ def ul_nat_add(*xs) -> CnfOrdinal:
     if ZERO in xs:
         return ZERO
     g = max(x.last_exp for x in xs)
-    s = ZERO
+    s: tuple = ()
     for x in xs:
-        s = nat_add(s, x.minus_last())
-    return add(s.trunc_ge(g), omega_pow(g))
+        s = _merge(s, _minus_last(x.terms))
+    return _mk(_add(s, ((g, 1),)))
 
 
 def fund_seq(a, n: int) -> CnfOrdinal:
@@ -415,8 +437,8 @@ def fund_seq(a, n: int) -> CnfOrdinal:
         raise OrdinalError("%s is not a limit ordinal" % a)
     if n < 0:
         raise OrdinalError("index must be non-negative")
-    exp, coeff = a.terms[-1]
-    prefix = _mk(a.terms[:-1] + (((exp, coeff - 1),) if coeff > 1 else ()))
+    exp = a.terms[-1][0]
+    prefix = _mk(_minus_last(a.terms))
     if exp.is_successor:
         step = omega_pow(exp.pred(), n) if n else ZERO
     else:

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wpolab import ordinals as ordinals_module
-from wpolab.oracles import nat_add_oracle, nat_mul_oracle
+from wpolab.oracles import mul_oracle, nat_add_oracle, nat_mul_oracle
 from wpolab.ordinals import (
     OMEGA,
     ONE,
@@ -116,6 +116,12 @@ def test_mul_examples():
     assert mul(o("w^2+w+1"), o("w^w*2+w+3")) == o("w^w*2+w^3+w^2*3+w+1")
 
 
+@given(ordinals(), ordinals())
+@settings(max_examples=300)
+def test_mul_matches_oracle(a, b):
+    assert mul(a, b) == mul_oracle(a, b)
+
+
 @given(ordinals(), ordinals(), ordinals())
 @settings(max_examples=200)
 def test_add_mul_associative(a, b, c):
@@ -160,8 +166,17 @@ def test_euclid_div_reconstructs(a, d):
     if d.is_zero:
         return
     q, r = euclid_div(a, d)
-    assert add(mul(d, q), r) == a
+    assert add(mul_oracle(d, q), r) == a
     assert r < d
+
+
+@pytest.mark.parametrize("a, d, q, r", [
+    ("w^3+w^2*5+w+1", "w^2*2+w*3", "w+2", "w^2+w+1"),
+    ("w^2*4+w", "w^2*2+w*3", "1", "w^2*2+w"),  # finite digit one below g // c
+    ("w^(w+2)*3+w^5+7", "w^2+1", "w^(w+2)*3+w^3", "7"),
+])
+def test_euclid_div_frozen_cases(a, d, q, r):
+    assert euclid_div(o(a), o(d)) == (o(q), o(r))
 
 
 # -- natural operations vs oracles ---------------------------------------------
@@ -323,7 +338,7 @@ def test_arithmetic_results_are_canonical_and_interned(a, b, n):
     if a.is_limit:
         results.append(fund_seq(a, n))
     if not a.is_zero:
-        results += [a.minus_last(), a.trunc_ge(a.last_exp)]
+        results += [a.minus_last(), *euclid_div(b, a)]
     for x in results:
         assert x is CnfOrdinal(x.terms)
 
