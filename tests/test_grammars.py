@@ -8,10 +8,11 @@ else.
 
 import re
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from wpolab.cardinals import MAX_LEVEL, KOrdinal, parse_k, render_k
+from wpolab.cardinals import MAX_LEVEL, KOrdinal, LevelOverflowError, parse_k, render_k
 from wpolab.ordinals import (MAX_NUMERAL_DIGITS, ZERO, CnfOrdinal, OrdinalError, from_int,
                              parse_ordinal, render_ordinal)
 from wpolab.posets import PosetError, antichain, chain
@@ -137,3 +138,89 @@ def test_term_grammar_parses_or_rejects(monkeypatch, tmp_path, text):
     except (OrdinalError, PosetError):
         return
     assert parse_term(render_term(t)) == t
+
+
+# -- frozen error messages -------------------------------------------------------------
+#
+# One input per raise site of the three grammars, with the exception type and
+# the exact message.  An ordinal error counts positions in the space-stripped
+# text; inside W<k>*(q)+(r) it counts from the start of q or r, and inside
+# ord(...) from the stripped body.
+
+_HINT = " (grammar: w^e*c terms, exponents decreasing, a bare natural last)"
+_DEEP_TERM = "ord(1)"
+for _ in range(65):
+    _DEEP_TERM = "dsum(%s,ord(1))" % _DEEP_TERM
+
+GRAMMAR_ERRORS = [
+    # parse_ordinal
+    ("w^(w", OrdinalError, "expected ')' at position 4 in 'w^(w'" + _HINT),
+    ("w ^ (w", OrdinalError, "expected ')' at position 4 in 'w^(w'" + _HINT),
+    ("w*", OrdinalError, "expected a natural number at position 2 in 'w*'" + _HINT),
+    ("", OrdinalError, "expected a natural number at position 0 in ''" + _HINT),
+    ("w\n+1", OrdinalError, "trailing input at position 1 in 'w\\n+1'" + _HINT),
+    ("9" * (MAX_NUMERAL_DIGITS + 1), OrdinalError, "numeral longer than 4300 digits at position 4301"
+     " in '%s...'" % ("9" * 60) + _HINT),
+    ("w^(" * 65 + "1" + ")" * 65, OrdinalError, "parentheses nested deeper than 64 at position 194"
+     " in '%s...'" % ("w^(" * 20) + _HINT),
+    ("w*0", OrdinalError, "zero coefficient is not canonical at position 3 in 'w*0'" + _HINT),
+    ("w+0", OrdinalError, "'0' may only stand alone at position 3 in 'w+0'" + _HINT),
+    ("00", OrdinalError, "'0' may only stand alone at position 2 in '00'" + _HINT),
+    ("1+w", OrdinalError, "a bare natural must be the final term at position 1 in '1+w'" + _HINT),
+    ("w+w^2", OrdinalError, "non-canonical form: exponents must strictly decrease at position 5"
+     " in 'w+w^2'" + _HINT),
+    ("w)", OrdinalError, "trailing input at position 1 in 'w)'" + _HINT),
+    ("w\t", OrdinalError, "trailing input at position 1 in 'w\\t'" + _HINT),
+    ("0+1", OrdinalError, "trailing input at position 1 in '0+1'" + _HINT),
+]
+SCALED_ERRORS = [
+    ("W*(1)+(0)", OrdinalError, "malformed scaled ordinal 'W*(1)+(0)' (expected W<k>*(q)+(r))"),
+    ("W1*(1)(0)", OrdinalError, "malformed scaled ordinal 'W1*(1)(0)' (expected W<k>*(q)+(r))"),
+    ("W1*(1)+(0", OrdinalError, "malformed scaled ordinal 'W1*(1)+(0' (expected W<k>*(q)+(r))"),
+    ("W2*(1)+(W1*(1)+0)", OrdinalError,
+     "malformed scaled ordinal 'W1*(1)+0' (expected W<k>*(q)+(r))"),
+    ("W10*(1)+(0)", LevelOverflowError, "scale W10 is outside 1..9"),
+    ("W0*(1)+(0)", LevelOverflowError, "scale W0 is outside 1..9"),
+    ("W1*(1)+(" * 65 + "0" + ")" * 65, OrdinalError, "scaled forms nested deeper than 64"),
+    ("W1*(0)+(0)", OrdinalError, "scaled form needs a nonzero quotient"),
+    ("W1*(w+w^2)+(0)", OrdinalError, "non-canonical form: exponents must strictly decrease at"
+     " position 5 in 'w+w^2'" + _HINT),
+    ("W2 * (1)+(W1*(1)+(w*0))", OrdinalError, "zero coefficient is not canonical at position 3"
+     " in 'w*0'" + _HINT),
+    ("W1*(1)+(w^(w)", OrdinalError, "expected ')' at position 4 in 'w^(w'" + _HINT),
+]
+TERM_ERRORS = [
+    ("ord", OrdinalError, "expected a term at position 0: 'ord'"),
+    ("dsum(ord(1), x)", OrdinalError, "expected a term at position 13: 'x)'"),
+    ("ord(w", OrdinalError, "unbalanced parentheses at position 3"),
+    (_DEEP_TERM, OrdinalError, "terms nested deeper than 64 at position 320"),
+    ("dsum(ord(1) ord(2))", OrdinalError, "expected ',' at position 12 in dsum(...)"),
+    ("dsum(ord(1),ord(2) x)", OrdinalError, "trailing input at position 19 in dsum(...)"),
+    ("ord(1) x", OrdinalError, "trailing input at position 7: 'x'"),
+    ("fin(chain)", OrdinalError, "fin(...) takes chainN, antichainN, or @file, got 'chain'"),
+    ("fin(chain2001)", PosetError, "inline fin(chain...) takes at most 2000 vertices; put a"
+     " larger poset in a file and use fin(@file)"),
+    ("ord( w + w^2 )", OrdinalError, "non-canonical form: exponents must strictly decrease at"
+     " position 5 in 'w+w^2'" + _HINT),
+    ("\tprod(\nord(1) ,ord(w*0))", OrdinalError, "zero coefficient is not canonical at position 3"
+     " in 'w*0'" + _HINT),
+]
+
+
+def _test_id(text):
+    return text if len(text) <= 24 else text[:21] + "..."
+
+
+@pytest.mark.parametrize(
+    "parse, text, kind, message",
+    [(parse_ordinal,) + row for row in GRAMMAR_ERRORS]
+    + [(parse_k,) + row for row in SCALED_ERRORS]
+    + [(parse_term,) + row for row in TERM_ERRORS],
+    ids=["ordinal:" + _test_id(t) for t, _, _ in GRAMMAR_ERRORS]
+    + ["scaled:" + _test_id(t) for t, _, _ in SCALED_ERRORS]
+    + ["term:" + _test_id(t) for t, _, _ in TERM_ERRORS])
+def test_grammar_error_messages_are_frozen(parse, text, kind, message):
+    with pytest.raises(OrdinalError) as info:
+        parse(text)
+    assert type(info.value) is kind
+    assert str(info.value) == message
