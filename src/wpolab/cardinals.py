@@ -18,20 +18,20 @@ import functools
 from dataclasses import dataclass, field
 
 from .ordinals import (
-    DIGITS,
     MAX_NESTING,
     ZERO,
     ONE,
     OMEGA,
     CnfOrdinal,
     OrdinalError,
+    _Parser,
+    _Scan,
     add,
     as_ordinal,
     clip,
     euclid_div,
     mul,
     nat_add,
-    parse_ordinal,
     render_ordinal,
     ul_nat_add,
 )
@@ -239,7 +239,8 @@ def k_ul_nat_add(a, b) -> KOrdinal:
 #
 # Scaled grammar: "W<k>*(" ordinal ")+(" rest ")" with the rest itself either
 # a plain ordinal or a nested scaled form; plain ordinals denote countable
-# values.
+# values.  q and a plain rest are read in place from the ordinals._Scan
+# tokens, with error positions counted from their start.
 
 
 def render_k(a: KOrdinal) -> str:
@@ -252,35 +253,33 @@ def render_k(a: KOrdinal) -> str:
 
 
 def parse_k(text: str) -> KOrdinal:
-    return _parse_k(text.replace(" ", ""), 0)
+    scan = _Scan(text.replace(" ", ""))
+    return _parse_k(scan, 0, len(scan.toks) - 1, 0)
 
 
-def _parse_k(text: str, nested: int) -> KOrdinal:
-    """parse_k below `nested` enclosing scaled forms."""
-    if not text.startswith("W"):
-        return KOrdinal.of(parse_ordinal(text))
+def _parse_k(scan: _Scan, k0: int, k1: int, nested: int) -> KOrdinal:
+    """parse_k of tokens k0 .. k1 - 1, below `nested` enclosing scaled forms."""
+    toks = scan.toks
+    if k0 == k1 or toks[k0] != "W":
+        return KOrdinal.of(_Parser(scan, k0, k1).parse())
     if nested == MAX_NESTING:
         raise OrdinalError("scaled forms nested deeper than %d" % MAX_NESTING)
-    # W<k>*( q )+( rest )
-    i = 1
-    while i < len(text) and text[i] in DIGITS:
-        i += 1
-    if i == 1 or not text.startswith("*(", i):
-        raise OrdinalError("malformed scaled ordinal %r (expected W<k>*(q)+(r))" % clip(text))
+    # W<k>*( q )+( rest ): tokens W, k, *, ( and q up to the matching )
+    scale = toks[k0 + 1]
+    if k0 + 3 >= k1 or not "0" <= scale[:1] <= "9" or toks[k0 + 2 : k0 + 4] != ["*", "("]:
+        raise OrdinalError("malformed scaled ordinal %r (expected W<k>*(q)+(r))"
+                           % clip(scan.window(k0, k1)))
     # compare by length first: int() rejects digit runs over 4300 long
-    digits = text[1:i].lstrip("0") or "0"
+    digits = scale.lstrip("0") or "0"
     if len(digits) > len(str(MAX_LEVEL)) or not 1 <= int(digits) <= MAX_LEVEL:
         raise LevelOverflowError("scale W%s is outside 1..%d" % (clip(digits), MAX_LEVEL))
-    k = int(digits)
-    j = i + 2
-    depth = 1
-    while j < len(text) and depth:
-        depth += {"(": 1, ")": -1}.get(text[j], 0)
-        j += 1
-    if depth or not text.startswith("+(", j) or not text.endswith(")"):
-        raise OrdinalError("malformed scaled ordinal %r (expected W<k>*(q)+(r))" % clip(text))
-    q = parse_ordinal(text[i + 2 : j - 1])
-    rest = _parse_k(text[j + 2 : -1], nested + 1)
+    close = scan.close.get(k0 + 3)
+    if (close is None or close + 2 >= k1 or toks[close + 1 : close + 3] != ["+", "("]
+            or toks[k1 - 1] != ")"):
+        raise OrdinalError("malformed scaled ordinal %r (expected W<k>*(q)+(r))"
+                           % clip(scan.window(k0, k1)))
+    q = _Parser(scan, k0 + 4, close).parse()
+    rest = _parse_k(scan, close + 3, k1 - 1, nested + 1)
     if q.is_zero:
         raise OrdinalError("scaled form needs a nonzero quotient")
-    return KOrdinal.at_level(k, q, rest)
+    return KOrdinal.at_level(int(digits), q, rest)

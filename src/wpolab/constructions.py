@@ -29,6 +29,7 @@ import time
 import weakref
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import accumulate
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -73,6 +74,7 @@ class Enumeration:
             raise OrdinalError("cannot enumerate below 0")
         self.alpha = alpha
         self._prefix: list[CnfOrdinal] = []  # cache of at(0..k)
+        self._next_d = 0  # the first diagonal not yet in _prefix
         self._blocks: dict = {}  # b -> block b, built on first use
         self.size: Optional[int] = None
         if alpha.is_finite:
@@ -82,19 +84,14 @@ class Enumeration:
             self._kind = "range"
         elif len(alpha.terms) == 1 and alpha.terms[0][1] == 1:
             self._kind = "power"  # omega^e, e >= 2 or a limit exponent
-            self._block_count: Optional[int] = None
+            self._block_count = math.inf
         else:
             self._kind = "blocks"
             # per term w^e*c: its first block and the sum of the earlier
             # terms; the term has c blocks w^e, or one block if e = 0
-            self._firsts, self._heads = [], []
-            first, head = 0, ZERO
-            for e, c in alpha.terms:
-                self._firsts.append(first)
-                self._heads.append(head)
-                first += 1 if e.is_zero else c
-                head = add(head, omega_pow(e, c))
-            self._block_count = first
+            self._heads = [CnfOrdinal(alpha.terms[:t]) for t in range(len(alpha.terms))]
+            self._firsts = [0, *accumulate(1 if e.is_zero else c for e, c in alpha.terms)]
+            self._block_count = self._firsts.pop()
 
     def _new_block(self, b: int):
         if self._kind == "blocks":
@@ -121,57 +118,52 @@ class Enumeration:
             block = self._blocks[b] = self._new_block(b)
         return block
 
-    def _diagonal(self, d: int):
-        top = d if self._block_count is None else min(d, self._block_count - 1)
-        for b in range(top, -1, -1):
-            j = d - b
-            offset, sub = self._block(b)
-            if sub.size is None or j < sub.size:
-                yield b, j
-
     def at(self, i: int) -> CnfOrdinal:
         if i < 0 or (self.size is not None and i >= self.size):
             raise OrdinalError("enumeration index %d out of range" % i)
         if self._kind == "range":
             return from_int(i)
         while len(self._prefix) <= i:
-            d = getattr(self, "_next_d", 0)
-            for b, j in self._diagonal(d):
+            d = self._next_d
+            for b in range(min(d, self._block_count - 1), -1, -1):
                 offset, sub = self._block(b)
-                self._prefix.append(add(offset, sub.at(j)))
-            self._next_d = d + 1
+                if sub.size is None or d - b < sub.size:
+                    self._prefix.append(add(offset, sub.at(d - b)))
+            self._next_d += 1
         return self._prefix[i]
 
     def index(self, beta: CnfOrdinal) -> int:
-        """Inverse of at (beta must lie below alpha)."""
+        """Inverse of at (beta must lie below alpha), in closed form: every
+        block is infinite but the finite part, the last block of `blocks`."""
         if not beta < self.alpha:
             raise OrdinalError("%s is not below %s" % (beta, self.alpha))
         if self._kind == "range":
             return beta.as_int()
-        b = 0
-        while True:
-            offset, sub = self._block(b)
-            nxt = None
-            if self._block_count is None or b + 1 < self._block_count:
-                nxt = self._block(b + 1)[0]
-            if nxt is None or beta < nxt:
-                break
-            b += 1
-        j = sub.index(left_subtract(offset, beta))
-        # before diagonal d, block bb has been visited on the diagonals
-        # bb..d-1, one vertex each while its sub-enumeration lasts
-        d = b + j
-        top = d if self._block_count is None else min(d, self._block_count)
-        pos = 0
-        for bb in range(top):
-            size = self._block(bb)[1].size
-            pos += d - bb if size is None else min(d - bb, size)
-        # diagonal d itself visits the blocks in descending order
-        for bb, _ in self._diagonal(d):
-            if bb == b:
-                return pos
-            pos += 1
-        raise OrdinalError("enumeration inconsistency at %s" % beta)  # unreachable
+        # beta's block: after the terms beta shares with alpha, its next
+        # coefficient of w^e counts whole blocks; a limit power walks them
+        b, e, rest = 0, self.alpha.leading_exp, ()
+        if self._kind == "blocks":
+            t = bisect.bisect_right(self._heads, beta) - 1
+            b, e, rest = self._firsts[t], self.alpha.terms[t][0], beta.terms[t:]
+        elif e.is_successor:
+            e, rest = e.pred(), beta.terms
+        else:
+            while not beta < self._block(b + 1)[0]:
+                b += 1
+        if rest and rest[0][0] is e and not e.is_zero:
+            b += rest[0][1]
+        offset, sub = self._block(b)
+        d = b + sub.index(left_subtract(offset, beta))
+        # blocks bb < top gave d - bb vertices before diagonal d, which
+        # visits the blocks from `last` down to b
+        top, last = min(d, self._block_count), min(d, self._block_count - 1)
+        pos = top * d - top * (top - 1) // 2 + last - b
+        if self.alpha.is_successor:
+            # the finite block ran out after its c vertices
+            fin = self._block_count - 1
+            over = d - fin - self.alpha.terms[-1][1]
+            pos -= max(over, 0) + (over >= 0 and b < fin)
+        return pos
 
 
 # The blocks of an enumeration, by type.  Blocks of equal type share one

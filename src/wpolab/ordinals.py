@@ -20,12 +20,15 @@ here, together with the textual grammar used by the CLI:
     atom    := nat | "w" | "(" ordinal ")"
 
 A bare natural base may only appear as the final term and exponents must
-be strictly decreasing; anything else is rejected with a hint.
+be strictly decreasing; anything else is rejected with a hint.  Spaces are
+dropped, other whitespace is an error; all three grammars read `_Scan`.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import re
 import weakref
 from typing import Iterator
 
@@ -475,7 +478,6 @@ MAX_NESTING = 64
 # int-from-text conversion, so a longer digit run is a parse error instead
 # of the interpreter's ValueError.
 MAX_NUMERAL_DIGITS = 4300
-DIGITS = frozenset("0123456789")
 
 
 # Error messages echo at most this many characters of the input.
@@ -488,101 +490,111 @@ def clip(text: str) -> str:
     return text if len(text) <= MAX_ECHO else text[:MAX_ECHO] + "..."
 
 
-class _Parser:
+_TOKEN = re.compile(r"[0-9]+|.", re.DOTALL)
+
+
+class _Scan:
+    """The tokens of a text, read by index: each ASCII digit run (a token
+    that starts with an ASCII digit) and each other character, then the
+    sentinel "".  offs[k] is the offset of token k."""
+
     def __init__(self, text: str):
         self.text = text
-        self.pos = 0
-        self.depth = 0
+        self.toks = _TOKEN.findall(text) + [""]
+        self.offs = list(itertools.accumulate(map(len, self.toks), initial=0))
 
-    def error(self, msg: str) -> OrdinalError:
+    @functools.cached_property
+    def close(self) -> dict:
+        """{k: j} for each '(' at token k and the ')' at token j matching it."""
+        close, opened = {}, []
+        for k, tok in enumerate(self.toks):
+            if tok == "(":
+                opened.append(k)
+            elif tok == ")" and opened:
+                close[opened.pop()] = k
+        return close
+
+    def window(self, k0: int, k1: int) -> str:
+        return self.text[self.offs[k0] : self.offs[k1]]
+
+
+class _Parser:
+    """The ordinal descent over tokens k0 .. k1 - 1 of a space-free scan:
+    each rule reads from token i and returns its value and the next i."""
+
+    def __init__(self, scan: _Scan, k0: int, k1: int):
+        self.scan, self.k0, self.k1 = scan, k0, k1
+        self.toks = scan.toks[k0:k1] + [""]
+
+    def error(self, i: int, msg: str) -> OrdinalError:
+        s, k0 = self.scan, self.k0
         return OrdinalError(
             "%s at position %d in %r (grammar: w^e*c terms, exponents "
             "decreasing, a bare natural last)"
-            % (msg, self.pos, clip(self.text))
-        )
+            % (msg, s.offs[k0 + i] - s.offs[k0], clip(s.window(k0, self.k1))))
 
-    def peek(self) -> str:
-        return self.text[self.pos] if self.pos < len(self.text) else ""
+    def parse(self) -> CnfOrdinal:
+        v, i = self.ordinal(0, 0)
+        if self.toks[i]:
+            raise self.error(i, "trailing input")
+        return v
 
-    def eat(self, s: str) -> None:
-        if not self.text.startswith(s, self.pos):
-            raise self.error("expected %r" % s)
-        self.pos += len(s)
+    def nat(self, i: int) -> tuple[int, int]:
+        tok = self.toks[i]
+        if not "0" <= tok[:1] <= "9":
+            raise self.error(i, "expected a natural number")
+        if len(tok) > MAX_NUMERAL_DIGITS:
+            raise self.error(i + 1, "numeral longer than %d digits" % MAX_NUMERAL_DIGITS)
+        return int(tok), i + 1
 
-    def nat(self) -> int:
-        start = self.pos
-        while self.peek() in DIGITS:
-            self.pos += 1
-        if start == self.pos:
-            raise self.error("expected a natural number")
-        if self.pos - start > MAX_NUMERAL_DIGITS:
-            raise self.error("numeral longer than %d digits" % MAX_NUMERAL_DIGITS)
-        return int(self.text[start : self.pos])
+    def atom(self, i: int, depth: int) -> tuple[CnfOrdinal, int]:
+        tok = self.toks[i]
+        if tok == "w":
+            return OMEGA, i + 1
+        if tok != "(":
+            n, i = self.nat(i)
+            return from_int(n), i
+        if depth == MAX_NESTING:
+            raise self.error(i, "parentheses nested deeper than %d" % MAX_NESTING)
+        v, i = self.ordinal(i + 1, depth + 1)
+        if self.toks[i] != ")":
+            raise self.error(i, "expected ')'")
+        return v, i + 1
 
-    def atom(self) -> CnfOrdinal:
-        if self.peek() == "(":
-            if self.depth == MAX_NESTING:
-                raise self.error("parentheses nested deeper than %d" % MAX_NESTING)
-            self.depth += 1
-            self.eat("(")
-            v = self.ordinal()
-            self.eat(")")
-            self.depth -= 1
-            return v
-        if self.peek() == "w":
-            self.eat("w")
-            return OMEGA
-        return from_int(self.nat())
-
-    def ordinal(self) -> CnfOrdinal:
-        if self.peek() == "0" and not (
-            self.pos + 1 < len(self.text) and self.text[self.pos + 1] in DIGITS
-        ):
-            self.eat("0")
-            return ZERO
+    def ordinal(self, i: int, depth: int) -> tuple[CnfOrdinal, int]:
+        if self.toks[i] == "0":
+            return ZERO, i + 1
         terms: list[tuple[CnfOrdinal, int]] = []
         while True:
-            exp, coeff = self.term()
-            if terms:
-                if not _lt(exp, terms[-1][0]):
-                    raise self.error(
-                        "non-canonical form: exponents must strictly decrease"
-                    )
+            exp, coeff, i = self.term(i, depth)
+            if terms and not _lt(exp, terms[-1][0]):
+                raise self.error(i, "non-canonical form: exponents must strictly decrease")
             terms.append((exp, coeff))
-            if self.peek() == "+":
-                self.eat("+")
-                continue
-            break
-        return CnfOrdinal(tuple(terms))
+            if self.toks[i] != "+":
+                return _mk(tuple(terms)), i
+            i += 1
 
-    def term(self) -> tuple[CnfOrdinal, int]:
-        if self.peek() == "w":
-            self.eat("w")
-            exp = ONE
-            if self.peek() == "^":
-                self.eat("^")
-                exp = self.atom()
-            coeff = 1
-            if self.peek() == "*":
-                self.eat("*")
-                coeff = self.nat()
-                if coeff == 0:
-                    raise self.error("zero coefficient is not canonical")
-            return exp, coeff
-        n = self.nat()
-        if n == 0:
-            raise self.error("'0' may only stand alone")
-        if self.peek() == "+":
-            raise self.error("a bare natural must be the final term")
-        return ZERO, n
+    def term(self, i: int, depth: int) -> tuple[CnfOrdinal, int, int]:
+        toks = self.toks
+        if toks[i] != "w":
+            n, i = self.nat(i)
+            if n == 0:
+                raise self.error(i, "'0' may only stand alone")
+            if toks[i] == "+":
+                raise self.error(i, "a bare natural must be the final term")
+            return ZERO, n, i
+        exp, i = self.atom(i + 2, depth) if toks[i + 1] == "^" else (ONE, i + 1)
+        if toks[i] != "*":
+            return exp, 1, i
+        coeff, i = self.nat(i + 1)
+        if coeff == 0:
+            raise self.error(i, "zero coefficient is not canonical")
+        return exp, coeff, i
 
 
 def parse_ordinal(text: str) -> CnfOrdinal:
-    p = _Parser(text.replace(" ", ""))
-    v = p.ordinal()
-    if p.pos != len(p.text):
-        raise p.error("trailing input")
-    return v
+    scan = _Scan(text.replace(" ", ""))
+    return _Parser(scan, 0, len(scan.toks) - 1).parse()
 
 
 def render_ordinal(a: CnfOrdinal) -> str:

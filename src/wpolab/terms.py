@@ -24,6 +24,7 @@ from .ordinals import (
     MAX_NESTING,
     CnfOrdinal,
     OrdinalError,
+    _Scan,
     add,
     clip,
     from_int,
@@ -178,8 +179,11 @@ def denote_prefix(t: PosetTerm, budget: int) -> FinPoset:
 
 
 # -- term grammar --------------------------------------------------------------------
+# Any whitespace may stand around a term and its comma.  A node ends at the
+# ')' that ordinals._Scan pairs with its '('.
 
 
+_HEAD = re.compile(r"(ord|fin|dsum|lexsum|prod)\(")
 _INLINE_FIN = re.compile(r"(chain|antichain)([0-9]+)$")
 # inline fin(chainN) and fin(antichainN) leaves have at most this many
 # vertices: chain(2000) takes about 0.5 s of CPU to close, chain(4000) 2.5 s
@@ -189,56 +193,47 @@ MAX_INLINE_FIN = 2000
 def parse_term(text: str) -> PosetTerm:
     """Parse a term.  The whole text is checked before any finite poset is
     built or any fin(@file) is read."""
-    build, pos = _parse(text, 0)
-    pos = _skip(text, pos)
-    if pos != len(text):
+    scan = _Scan(text)
+    build, k = _parse(scan, 0)
+    if scan.toks[k]:
+        pos = scan.offs[k]
         raise OrdinalError("trailing input at position %d: %r" % (pos, clip(text[pos:])))
     return build()
 
 
-def _skip(text: str, pos: int) -> int:
-    while pos < len(text) and text[pos].isspace():
-        pos += 1
-    return pos
-
-
-def _balanced(text: str, pos: int) -> int:
-    """Index of the ')' matching the '(' at pos - 1."""
-    depth = 1
-    for i in range(pos, len(text)):
-        depth += {"(": 1, ")": -1}.get(text[i], 0)
-        if depth == 0:
-            return i
-    raise OrdinalError("unbalanced parentheses at position %d" % (pos - 1))
-
-
-def _parse(text: str, pos: int, nested: int = 0):
-    """A function that builds the term at pos, below `nested` enclosing
-    dsum/lexsum/prod nodes, and the position after the term."""
-    pos = _skip(text, pos)
-    head = re.match(r"(ord|fin|dsum|lexsum|prod)\(", text[pos:])
+def _parse(scan: _Scan, k: int, nested: int = 0):
+    """A function that builds the term at token k, below `nested` enclosing
+    dsum/lexsum/prod nodes, and the first non-blank token after the term."""
+    text, toks, offs = scan.text, scan.toks, scan.offs
+    while toks[k].isspace():
+        k += 1
+    pos = offs[k]
+    head = _HEAD.match(text, pos)
     if not head:
         raise OrdinalError("expected a term at position %d: %r" % (pos, text[pos:pos + 20]))
     kind = head.group(1)
-    open_ = pos + head.end()
-    close = _balanced(text, open_)
+    open_ = k + len(kind)  # every letter of a head is one token
+    close = scan.close.get(open_)
+    if close is None:
+        raise OrdinalError("unbalanced parentheses at position %d" % offs[open_])
+    end = close + 1
+    while toks[end].isspace():
+        end += 1
     if kind == "ord":
-        alpha = parse_ordinal(text[open_:close].strip())
-        return (lambda: Ord(alpha)), close + 1
+        alpha = parse_ordinal(scan.window(open_ + 1, close).strip())
+        return (lambda: Ord(alpha)), end
     if kind == "fin":
-        return _parse_fin(text[open_:close].strip()), close + 1
+        return _parse_fin(scan.window(open_ + 1, close).strip()), end
     if nested == MAX_NESTING:
         raise OrdinalError("terms nested deeper than %d at position %d" % (MAX_NESTING, pos))
-    left, after = _parse(text, open_, nested + 1)
-    after = _skip(text, after)
-    if after >= len(text) or text[after] != ",":
-        raise OrdinalError("expected ',' at position %d in %s(...)" % (after, kind))
-    right, after = _parse(text, after + 1, nested + 1)
-    after = _skip(text, after)
+    left, after = _parse(scan, open_ + 1, nested + 1)
+    if toks[after] != ",":
+        raise OrdinalError("expected ',' at position %d in %s(...)" % (offs[after], kind))
+    right, after = _parse(scan, after + 1, nested + 1)
     if after != close:
-        raise OrdinalError("trailing input at position %d in %s(...)" % (after, kind))
+        raise OrdinalError("trailing input at position %d in %s(...)" % (offs[after], kind))
     node = {"dsum": DSum, "lexsum": LexSum, "prod": Prod}[kind]
-    return (lambda: node(left(), right())), close + 1
+    return (lambda: node(left(), right())), end
 
 
 def _parse_fin(body: str):

@@ -104,18 +104,43 @@ def test_enum_values_are_distinct_and_below(seed):
     assert all(v < alpha for v in vals)
 
 
-@pytest.mark.parametrize("alpha", ["w*2", "w+3"])
+# 0.01-0.02 s of CPU for the 3000 index calls below w*2 and w+3 on a 2-vCPU
+# x86 machine, where counting the earlier diagonals one vertex at a time took
+# 4-8 s; 0.18-0.23 s below w^w and w^w*2+3, whose index recurses once per
+# exponent it descends.  Each budget leaves more than 6x headroom
+_ROUND_TRIP_BUDGETS = {"w*2": 0.5, "w+3": 0.5, "w^w": 1.5, "w^w*2+3": 1.5}
+
+
+@pytest.mark.parametrize("alpha", list(_ROUND_TRIP_BUDGETS))
 def test_enum_index_round_trips_within_budget(alpha):
-    # 0.03-0.04 s of CPU for the 3000 index calls on a 2-vCPU x86 machine,
-    # where counting the earlier diagonals one vertex at a time took 4-8 s;
-    # the budget leaves more than 10x headroom
+    budget = _ROUND_TRIP_BUDGETS[alpha]
     e = enum_below(o(alpha))
     values = [e.at(i) for i in range(3000)]
     start = time.process_time()
     back = [e.index(v) for v in values]
     cpu = time.process_time() - start
     assert back == list(range(3000))
-    assert cpu < 0.5, "3000 index calls below %s took %.2fs of CPU (budget 0.5s)" % (alpha, cpu)
+    assert cpu < budget, "3000 index calls below %s took %.2fs of CPU (budget %.1fs)" % (
+        alpha, cpu, budget)
+
+
+@pytest.mark.parametrize("alpha, beta, index", [
+    ("w^w", "w^3*9+9", 718706381577),
+    ("w^2", "w*100000+5", 5000550020),
+    ("w*99999999", "w*100000+5", 5000550020),
+])
+def test_enum_index_is_a_closed_form(alpha, beta, index):
+    # on a 2-vCPU x86 machine, walking every earlier block and diagonal
+    # took 48 s, 1.7 s and 1.0 s of CPU and left 1.2 million, 100,006 and
+    # 100,006 cached blocks; the closed form takes under 5 ms and builds
+    # only the blocks up to beta's (the budget leaves 100x headroom)
+    e = enum_below(o(alpha))
+    start = time.process_time()
+    got = e.index(o(beta))
+    cpu = time.process_time() - start
+    assert got == index
+    assert cpu < 0.5, "index(%s) below %s took %.2fs of CPU (budget 0.5s)" % (beta, alpha, cpu)
+    assert len(e._blocks) <= 5
 
 
 @pytest.mark.parametrize("alpha", ["w^w", "w^w*2+3"])

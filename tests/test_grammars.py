@@ -152,21 +152,24 @@ _DEEP_TERM = "ord(1)"
 for _ in range(65):
     _DEEP_TERM = "dsum(%s,ord(1))" % _DEEP_TERM
 
-GRAMMAR_ERRORS = [
+ORDINAL_ERRORS = [
     # parse_ordinal
     ("w^(w", OrdinalError, "expected ')' at position 4 in 'w^(w'" + _HINT),
     ("w ^ (w", OrdinalError, "expected ')' at position 4 in 'w^(w'" + _HINT),
     ("w*", OrdinalError, "expected a natural number at position 2 in 'w*'" + _HINT),
+    # numerals are ASCII digit runs, not any Unicode digit
+    ("w*\u00b2", OrdinalError, "expected a natural number at position 2 in 'w*\u00b2'" + _HINT),
     ("", OrdinalError, "expected a natural number at position 0 in ''" + _HINT),
     ("w\n+1", OrdinalError, "trailing input at position 1 in 'w\\n+1'" + _HINT),
-    ("9" * (MAX_NUMERAL_DIGITS + 1), OrdinalError, "numeral longer than 4300 digits at position 4301"
-     " in '%s...'" % ("9" * 60) + _HINT),
-    ("w^(" * 65 + "1" + ")" * 65, OrdinalError, "parentheses nested deeper than 64 at position 194"
-     " in '%s...'" % ("w^(" * 20) + _HINT),
+    ("9" * (MAX_NUMERAL_DIGITS + 1), OrdinalError,
+     "numeral longer than 4300 digits at position 4301 in '%s...'" % ("9" * 60) + _HINT),
+    ("w^(" * 65 + "1" + ")" * 65, OrdinalError,
+     "parentheses nested deeper than 64 at position 194 in '%s...'" % ("w^(" * 20) + _HINT),
     ("w*0", OrdinalError, "zero coefficient is not canonical at position 3 in 'w*0'" + _HINT),
     ("w+0", OrdinalError, "'0' may only stand alone at position 3 in 'w+0'" + _HINT),
     ("00", OrdinalError, "'0' may only stand alone at position 2 in '00'" + _HINT),
-    ("1+w", OrdinalError, "a bare natural must be the final term at position 1 in '1+w'" + _HINT),
+    ("1+w", OrdinalError,
+     "a bare natural must be the final term at position 1 in '1+w'" + _HINT),
     ("w+w^2", OrdinalError, "non-canonical form: exponents must strictly decrease at position 5"
      " in 'w+w^2'" + _HINT),
     ("w)", OrdinalError, "trailing input at position 1 in 'w)'" + _HINT),
@@ -179,6 +182,8 @@ SCALED_ERRORS = [
     ("W1*(1)+(0", OrdinalError, "malformed scaled ordinal 'W1*(1)+(0' (expected W<k>*(q)+(r))"),
     ("W2*(1)+(W1*(1)+0)", OrdinalError,
      "malformed scaled ordinal 'W1*(1)+0' (expected W<k>*(q)+(r))"),
+    ("W\u0663*(1)+(0)", OrdinalError,
+     "malformed scaled ordinal 'W\u0663*(1)+(0)' (expected W<k>*(q)+(r))"),
     ("W10*(1)+(0)", LevelOverflowError, "scale W10 is outside 1..9"),
     ("W0*(1)+(0)", LevelOverflowError, "scale W0 is outside 1..9"),
     ("W1*(1)+(" * 65 + "0" + ")" * 65, OrdinalError, "scaled forms nested deeper than 64"),
@@ -202,8 +207,8 @@ TERM_ERRORS = [
      " larger poset in a file and use fin(@file)"),
     ("ord( w + w^2 )", OrdinalError, "non-canonical form: exponents must strictly decrease at"
      " position 5 in 'w+w^2'" + _HINT),
-    ("\tprod(\nord(1) ,ord(w*0))", OrdinalError, "zero coefficient is not canonical at position 3"
-     " in 'w*0'" + _HINT),
+    ("\tprod(\nord(1) ,ord(w*0))", OrdinalError,
+     "zero coefficient is not canonical at position 3 in 'w*0'" + _HINT),
 ]
 
 
@@ -213,10 +218,10 @@ def _test_id(text):
 
 @pytest.mark.parametrize(
     "parse, text, kind, message",
-    [(parse_ordinal,) + row for row in GRAMMAR_ERRORS]
+    [(parse_ordinal,) + row for row in ORDINAL_ERRORS]
     + [(parse_k,) + row for row in SCALED_ERRORS]
     + [(parse_term,) + row for row in TERM_ERRORS],
-    ids=["ordinal:" + _test_id(t) for t, _, _ in GRAMMAR_ERRORS]
+    ids=["ordinal:" + _test_id(t) for t, _, _ in ORDINAL_ERRORS]
     + ["scaled:" + _test_id(t) for t, _, _ in SCALED_ERRORS]
     + ["term:" + _test_id(t) for t, _, _ in TERM_ERRORS])
 def test_grammar_error_messages_are_frozen(parse, text, kind, message):
