@@ -3,11 +3,15 @@ construction export, and the seeded verification suites.
 
 Exit codes: 0 all requested checks pass, 1 a check failed, 2 usage or
 parse error.
+
+The argument parser is built once per process (`build_parser` is cached):
+parse_args leaves it unchanged, so every `main` call reuses it.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import re
 import sys
 
@@ -191,6 +195,7 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise UsageError("%s (see %s -h)" % (message, self.prog))
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     top = _ArgumentParser(
         prog="wpolab",

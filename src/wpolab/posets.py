@@ -134,7 +134,11 @@ def _close(n: int, rows: list) -> FinPoset:
 
 
 def chain(n: int) -> FinPoset:
-    return make_poset(n, [(i, i + 1) for i in range(n - 1)])
+    """0 < 1 < ... < n-1: row i holds the bits above i, built closed."""
+    if n < 0:
+        raise PosetError("vertex count %d is negative" % n)
+    full = (1 << n) - 1
+    return FinPoset(n, tuple(full ^ ((2 << i) - 1) for i in range(n)))
 
 
 def antichain(n: int) -> FinPoset:

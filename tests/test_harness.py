@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from wpolab import oracles, suites
 from wpolab.bounds import theta_plus
 from wpolab.cardinals import KOrdinal
-from wpolab.cli import main
+from wpolab.cli import build_parser, main
 from wpolab.io import export_poset, load_poset
 from wpolab.ordinals import MAX_NUMERAL_DIGITS, ZERO, add
 from wpolab.posets import PosetError, antichain, chain, make_poset
@@ -228,6 +228,37 @@ def test_cli_usage_and_parse_errors(capsys):
     assert main(["ord", "nadd", "w^", "w"]) == 2
     assert main(["poset", "len", "fin(@/no/such/file)"]) == 2
     assert main(["nothing"]) == 2
+
+
+def test_a_reused_parser_keeps_no_state(capsys):
+    # main reuses one parser per process: a command's result must not
+    # depend on the commands that ran before it
+    argvs = [
+        ["-h"],
+        ["ord", "frobnicate", "w", "w"],  # usage error
+        ["ord", "nadd", "w^", "w"],  # parse error
+        ["verify", "--suite", "theta_laws", "--cases", "5", "--seed", "3"],
+        ["construct", "sierp", "w*2", "--prefix", "6", "--format", "dot"],
+        ["construct", "sierp", "w*2", "--prefix", "6"],
+        ["poset", "intersect", "prod(fin(chain2),fin(chain2))", "fin(chain4)"],
+        ["poset", "intersect", "prod(fin(chain2),fin(chain2))", "fin(chain4)",
+         "--format", "dot"],
+        ["poset", "len", "prod(ord(w+1), ord(w+1))"],
+    ]
+
+    def run_all(order):
+        results = {}
+        for k in order:
+            code = main(list(argvs[k]))
+            captured = capsys.readouterr()
+            results[k] = (code, captured.out, captured.err)
+        return results
+
+    forward = run_all(range(len(argvs)))
+    assert forward == run_all(reversed(range(len(argvs))))
+    assert [forward[k][0] for k in range(len(argvs))] == [0, 2, 2, 0, 0, 0, 0, 0, 0]
+    assert forward[6][1] == '{"le": [[0, 1], [0, 2], [0, 3], [1, 3], [2, 3]], "n": 4}\n'
+    assert build_parser() is build_parser()
 
 
 def test_cli_unreadable_poset_files_fail_with_one_line(capsys, tmp_path):

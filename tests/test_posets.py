@@ -28,6 +28,11 @@ from wpolab.terms import DSum, Fin, LexSum, Prod, denote_prefix
 def test_make_poset():
     p = make_poset(3, [(0, 1), (1, 2)])
     assert p.le == frozenset({(0, 1), (1, 2), (0, 2)})
+
+
+def test_chain_is_the_closure_of_its_covers():
+    for n in range(65):
+        assert chain(n) == make_poset(n, [(i, i + 1) for i in range(n - 1)])
     assert antichain(3).le == frozenset()
     with pytest.raises(PosetError):
         make_poset(2, [(0, 1), (1, 0)])
