@@ -246,6 +246,89 @@ def test_theta_tilde_frozen():
     )
 
 
+# Frozen closed-form values, one row per branch of the box supremum: empty
+# boxes, single bounds, the finite stratum, the jump to the next initial
+# ordinal, attained and unattained product boxes, forced and free limit
+# quotients, and every remainder case (finite, omega, countable past omega,
+# omega_k itself, past omega_k).  Each theta_sharp row lists the four flag
+# combinations (under_first, under_second) = FF, TF, FT, TT.
+THETA_TILDE_TABLE = [
+    (("0", "w"), "0"),
+    (("w", "0"), "0"),
+    (("5",), "5"),
+    (("w",), "w"),
+    (("W1*(2)+(0)",), "W1*(2)+(0)"),
+    (("W1*(1)+(3)",), "W1*(1)+(3)"),
+    (("4", "7"), "4"),
+    (("3", "w*2"), "3"),
+    (("w", "w"), "w"),
+    (("w+1", "w+1"), "w+1"),
+    (("w*2", "w*2"), "w*2"),
+    (("w", "w*2"), "w"),
+    (("w*2+4", "w*2+5"), "w*4+8"),
+    (("w^2", "w*2+1"), "w^2"),
+    (("w*3", "w*2+1"), "w*5"),
+    (("w^3", "w^2*2"), "w^4"),
+    (("w^w", "w^w"), "w^w"),
+    (("w^2+w", "w*5+1"), "w^2*5+w"),
+    (("w*2", "W1*(1)+(0)"), "W1*(1)+(0)"),
+    (("W1*(1)+(0)", "W1*(1)+(0)"), "W1*(1)+(0)"),
+    (("w+1", "w*2", "w^2+1"), "w^2+w"),
+    (("W1*(1)+(w+3)", "W1*(2)+(5)"), "W1*(3)+(0)"),
+    (("W1*(2)+(w)", "W1*(1)+(1)"), "W1*(2)+(w)"),
+    (("W1*(2)+(0)", "W1*(3)+(0)"), "W1*(3)+(0)"),
+    (("W1*(w)+(0)", "W1*(2)+(0)"), "W1*(w)+(0)"),
+    (("W1*(w*2)+(0)", "W1*(w^2+w)+(0)"), "W1*(w^3*2)+(0)"),
+    (("W2*(1)+(W1*(2)+(0))", "W2*(2)+(1)"), "W2*(3)+(0)"),
+    (("W2*(3)+(W1*(1)+(w))", "W2*(1)+(W1*(1)+(0))"), "W2*(4)+(0)"),
+    (("W9*(2)+(0)", "W9*(1)+(1)"), "W9*(2)+(0)"),
+    (("W1*(2)+(1)", "W2*(1)+(0)"), "W2*(1)+(0)"),
+    (("w*2+1", "w*3", "w^2"), "w^2"),
+    (("W1*(1)+(1)", "W1*(1)+(1)", "W1*(1)+(1)"), "W1*(1)+(1)"),
+]
+
+THETA_SHARP_TABLE = [
+    (("0", "0"), ["1", "0", "0", "0"]),
+    (("0", "w"), ["1", "0", "1", "0"]),
+    (("2", "2"), ["3", "2", "2", "2"]),
+    (("3", "5"), ["4", "3", "4", "3"]),
+    (("w", "w"), ["w+1", "w", "w", "w"]),
+    (("w", "w*2"), ["w*2+1", "w", "w*2", "w"]),
+    (("w*2+3", "w*2+4"), ["w*4+8", "w*4+7", "w*4+7", "w*4+6"]),
+    (("w^2", "w*2"), ["w^2*2+1", "w^2", "w^2+w", "w^2"]),
+    (("w*2", "w^2+w"), ["w^2*2+w*2+1", "w^2+w*2", "w^2*2+w", "w^2+w"]),
+    (("W1*(1)+(0)", "W1*(1)+(0)"),
+     ["W1*(1)+(1)", "W1*(1)+(0)", "W1*(1)+(0)", "W1*(1)+(0)"]),
+    (("W1*(1)+(w)", "W1*(1)+(w)"),
+     ["W1*(2)+(1)", "W1*(2)+(1)", "W1*(2)+(1)", "W1*(1)+(w)"]),
+    (("W1*(2)+(w+1)", "W1*(1)+(3)"),
+     ["W1*(3)+(1)", "W1*(3)+(1)", "W1*(3)+(1)", "W1*(3)+(1)"]),
+    (("W1*(w)+(0)", "W1*(2)+(5)"),
+     ["W1*(w*2)+(6)", "W1*(w)+(0)", "W1*(w*2)+(5)", "W1*(w)+(0)"]),
+    (("W2*(1)+(0)", "W2*(1)+(W1*(1)+(0))"),
+     ["W2*(2)+(1)", "W2*(1)+(0)", "W2*(1)+(W1*(1)+(1))", "W2*(1)+(0)"]),
+    (("w^w", "w^2+1"), ["w^(w+1)+2", "w^w", "w^(w+1)+1", "w^w"]),
+    (("W1*(3)+(0)", "W1*(3)+(0)"),
+     ["W1*(9)+(1)", "W1*(7)+(1)", "W1*(7)+(1)", "W1*(5)+(1)"]),
+    (("w*2", "W1*(1)+(0)"),
+     ["W1*(1)+(0)", "W1*(1)+(0)", "W1*(1)+(0)", "W1*(1)+(0)"]),
+]
+
+SHARP_FLAGS = [(False, False), (True, False), (False, True), (True, True)]
+
+
+def test_theta_tilde_frozen_table():
+    for args, want in THETA_TILDE_TABLE:
+        assert theta_tilde(*map(parse_k, args)) == parse_k(want), args
+
+
+def test_theta_sharp_frozen_table():
+    for (a, b), wants in THETA_SHARP_TABLE:
+        for (f1, f2), want in zip(SHARP_FLAGS, wants):
+            got = theta_sharp(parse_k(a), parse_k(b), under_first=f1, under_second=f2)
+            assert got == parse_k(want), (a, b, f1, f2)
+
+
 def test_theta_tilde_attained_iff_successor_corner():
     val, att = theta_box_sup([o("w*2+4"), o("w*2+5")], "plus")
     assert (val, att) == (K(o("w*4+8")), True)
