@@ -10,7 +10,6 @@ term algebra, and a seeded verification harness with a CLI (`wpolab`).
 from .bounds import (
     BoundOp,
     THETA_PLUS,
-    THETA_TILDE,
     UnsupportedSupremum,
     bracket_plus,
     bracket_tilde,

@@ -17,6 +17,12 @@ to underlined natural sum/product box suprema.  Every closed-form branch is
 validated by fund_seq sampling in the test suite, and the whole function is
 cross-checked against the generic bracket_tilde combinator.
 
+Every box supremum is computed as one ordinal, the box's least strict upper
+bound S = sup+ of its values (0 for an empty box).  The supremum is attained
+exactly when S is a successor, at S - 1; otherwise it is S itself, a limit.
+theta_tilde reads its value off S, and so does theta_sharp, the sup+ of the
+attained-length operator theta_len.
+
 bracket_plus / bracket_tilde are the generic combinators over black-box
 operators; bracket_tilde treats its operand purely as a value oracle
 (successor corners, plus cofinal sampling with structural limit
@@ -53,12 +59,8 @@ class UnsupportedSupremum(OrdinalError):
     """The generic combinator cannot evaluate this supremum exactly."""
 
 
-def _k(a) -> KOrdinal:
-    return KOrdinal.of(a)
-
-
 def equipotent(args: Sequence) -> bool:
-    args = [_k(a) for a in args]
+    args = [KOrdinal.of(a) for a in args]
     return all(cardinality(a) == cardinality(args[0]) for a in args[1:])
 
 
@@ -66,7 +68,7 @@ def equipotent(args: Sequence) -> bool:
 
 
 def theta_plus(*args) -> KOrdinal:
-    args = [_k(a) for a in args]
+    args = [KOrdinal.of(a) for a in args]
     if not args:
         raise OrdinalError("theta_plus needs at least one argument")
     if len(args) == 1:
@@ -96,31 +98,11 @@ def _hartog_of_sum(rems: Sequence[KOrdinal]) -> KOrdinal:
 
 # -- box suprema over theta ------------------------------------------------------
 #
-# theta_box_sup computes sup{ v(x) : x_i < b_i } together with whether the
-# supremum is attained, where v is theta_plus (variant "plus") or its
-# attained-length version (variant "sup", i.e. theta_plus minus one on
-# successor values).
+# Each function here returns a sup+, as the module docstring sets out.
 
 
-def nat_add_box_sup(gammas: Sequence[CnfOrdinal]) -> tuple[CnfOrdinal, bool]:
-    """sup{ x_1 (+) ... (+) x_m : x_i < g_i } for g_i >= 1, and whether it
-    is attained.
-
-    The box's least strict upper bound is ul_nat_add(*gammas): every
-    value below it lies at or below some x_1 (+) ... (+) x_m.  That bound
-    is a successor exactly when the supremum is attained, at its
-    predecessor.  With no coordinates (m = 0) the box holds only the
-    empty sum 0."""
-    if ZERO in gammas:
-        raise OrdinalError("empty box")
-    s = ul_nat_add(*gammas) if gammas else ONE
-    return (s.pred(), True) if s.is_successor else (s, False)
-
-
-def nat_mul_box_sup(
-    fixed: CnfOrdinal, qs: Sequence[CnfOrdinal]
-) -> tuple[CnfOrdinal, bool]:
-    """sup{ fixed (x) Q_1 (x) ... (x) Q_m : 1 <= Q_i < q_i } for fixed >= 1."""
+def nat_mul_box_sup(fixed: CnfOrdinal, qs: Sequence[CnfOrdinal]) -> CnfOrdinal:
+    """sup+{ fixed (x) Q_1 (x) ... (x) Q_m : 1 <= Q_i < q_i } for fixed >= 1."""
     if fixed.is_zero:
         raise OrdinalError("fixed factor must be positive")
     limits = []
@@ -132,7 +114,7 @@ def nat_mul_box_sup(
         else:
             limits.append(q)
     if not limits:
-        return fixed, True
+        return add(fixed, ONE)
     t0 = fixed
     for lam in limits:
         t0 = nat_mul(t0, lam.minus_last())
@@ -144,120 +126,89 @@ def nat_mul_box_sup(
         for i, lam in enumerate(limits):
             if i not in sub:
                 g = nat_mul(g, lam.minus_last())
-        esup, att = nat_add_box_sup([limits[i].last_exp for i in sub])
-        # d = sup+{ e(g) (+) y : y strictly below the exponent box }, a
+        # d = sup+{ e(g) (+) y_1 (+) ... : y_i < last_exp(limit_i) }, a
         # half-underlined natural sum: the fixed slot is attained at e(g).
-        y_bound = add(esup, ONE) if att else esup
-        d = ul_nat_add(add(g.leading_exp, ONE), y_bound)
+        d = ul_nat_add(add(g.leading_exp, ONE), *[limits[i].last_exp for i in sub])
         if best is None or best < d:
             best = d
     # the ordinal sum drops t0's terms below best
-    return add(t0, omega_pow(best)), False
+    return add(t0, omega_pow(best))
 
 
-def _chi(s: KOrdinal, variant: str) -> tuple[KOrdinal, bool]:
-    """sup (and attainedness) of the remainder value over rho < s."""
+def _chi(s: KOrdinal) -> KOrdinal:
+    """sup+ of the remainder value over rho < s."""
     if s.is_finite:
-        n = s.countable().as_int()
-        return (KOrdinal.of(n), True) if variant == "plus" else (KOrdinal.of(n - 1), True)
+        return s.succ()
     if s.level == 0:
         if s == KOrdinal.of(OMEGA):
-            return KOrdinal.of(OMEGA), False
-        return omega_level(1), True
+            return s
+        return omega_level(1).succ()
     if s == omega_level(s.level):
-        return omega_level(s.level), True
-    return omega_level(s.level + 1), True
+        return s.succ()
+    return omega_level(s.level + 1).succ()
 
 
-def _remainder_box_sup(ss: list[KOrdinal], variant: str) -> tuple[KOrdinal, bool]:
-    """sup{ remainder-value(rho_1 + .. + rho_n) : rho_i < s_i }."""
+def _remainder_box_sup(ss: list[KOrdinal]) -> KOrdinal:
+    """sup+{ remainder-value(rho_1 + .. + rho_n) : rho_i < s_i }."""
     if all(s.is_finite for s in ss):
-        total = sum(s.countable().as_int() - 1 for s in ss)
-        return (
-            (KOrdinal.of(total + 1), True)
-            if variant == "plus"
-            else (KOrdinal.of(total), True)
-        )
-    best, att = K_ZERO, True
-    for s in ss:
-        v, a = _chi(s, variant)
-        if best < v:
-            best, att = v, a
-        elif best == v:
-            att = att or a
-    return best, att
+        return KOrdinal.of(sum(s.countable().as_int() - 1 for s in ss) + 2)
+    return max(_chi(s) for s in ss)
 
 
-def theta_box_sup(bounds: Sequence, variant: str = "plus") -> tuple[KOrdinal, bool]:
-    if variant not in ("plus", "sup"):
-        raise ValueError("variant must be 'plus' or 'sup'")
-    bounds = [_k(b) for b in bounds]
+def theta_box_sup(bounds: Sequence) -> KOrdinal:
+    """sup+{ theta_plus(x) : x_i < b_i }."""
+    bounds = [KOrdinal.of(b) for b in bounds]
     if not bounds:
         raise OrdinalError("empty bound tuple")
     if any(b.is_zero for b in bounds):
-        return K_ZERO, False
+        return K_ZERO
     if len(bounds) == 1:
         b = bounds[0]
-        if variant == "plus":
-            return b, b.is_successor
-        return (b.pred(), True) if b.is_successor else (b, False)
+        return b.succ() if b.is_successor else b
 
-    # finite stratum: all coordinates equal to some t below every bound
-    fin = [b.countable().as_int() for b in bounds if b.is_finite]
-    if fin:
-        m = min(fin)
-        f_val, f_att = (
-            (KOrdinal.of(m), True) if variant == "plus" else (KOrdinal.of(m - 1), True)
-        )
-    else:
-        f_val, f_att = KOrdinal.of(OMEGA), False
-
-    eligible = [j for j in range(MAX_LEVEL + 1) if all(omega_level(j) < b for b in bounds)]
-    if not eligible:
-        return f_val, f_att
-    j = max(eligible)
-
-    if j < MAX_LEVEL and any(not b < omega_level(j + 1) for b in bounds):
-        s_val, s_att = omega_level(j + 1), False
-    else:
-        prod = ONE
-        rbars: list[KOrdinal] = []
-        limit_qs: list[CnfOrdinal] = []
-        for b in bounds:
-            qbar, rbar = b.euclid()  # every bound has level j here
-            if rbar.is_zero:
-                limit_qs.append(qbar)
-            else:
-                prod = nat_mul(prod, qbar)
-                rbars.append(rbar)
-        w, att_w = nat_mul_box_sup(prod, limit_qs)
-        if not att_w:
-            s_val, s_att = KOrdinal.at_level(j, w), False
+    lo, hi = min(bounds), max(bounds)
+    if not omega_level(0) < lo:
+        # some bound is at most omega, so only the finite stratum, tuples
+        # (t, .., t) below every bound, passes the gate.  With every bound
+        # past omega, that stratum's sup+ omega is dominated by the top one.
+        return KOrdinal.of(lo.succ() if lo.is_finite else OMEGA)
+    j = max(k for k in range(MAX_LEVEL + 1) if omega_level(k) < lo)  # top stratum
+    if j < MAX_LEVEL and not hi < omega_level(j + 1):
+        return omega_level(j + 1)
+    prod = ONE
+    rbars: list[KOrdinal] = []
+    limit_qs: list[CnfOrdinal] = []
+    for b in bounds:
+        qbar, rbar = b.euclid()  # every bound has level j here
+        if rbar.is_zero:
+            limit_qs.append(qbar)
         else:
-            # each limit quotient leaves its remainder free below omega_j
-            t_val, t_att = _remainder_box_sup(
-                rbars + [omega_level(j)] * len(limit_qs), variant
-            )
-            s_val, s_att = k_add(KOrdinal.at_level(j, w), t_val), t_att
-
-    if f_val < s_val:
-        return s_val, s_att
-    if s_val < f_val:
-        return f_val, f_att
-    return f_val, f_att or s_att
+            prod = nat_mul(prod, qbar)
+            rbars.append(rbar)
+    w = nat_mul_box_sup(prod, limit_qs)
+    if not w.is_successor:
+        return KOrdinal.at_level(j, w)
+    # each limit quotient leaves its remainder free below omega_j
+    t = _remainder_box_sup(rbars + [omega_level(j)] * len(limit_qs))
+    return k_add(KOrdinal.at_level(j, w.pred()), t)
 
 
 def theta_tilde(*args) -> KOrdinal:
-    return theta_box_sup([_k(a) for a in args], "plus")[0]
+    s = theta_box_sup(args)
+    return s.pred() if s.is_successor else s
 
 
 def theta_sharp(alpha, beta, under_first: bool = False, under_second: bool = False) -> KOrdinal:
     """sup_plus of the attained-length operator over the (half-)open box
-    { (x, y) : x <(=) alpha, y <(=) beta }, underlined slots being strict."""
-    b1 = _k(alpha) if under_first else _k(alpha).succ()
-    b2 = _k(beta) if under_second else _k(beta).succ()
-    v, att = theta_box_sup([b1, b2], "sup")
-    return v.succ() if att else v
+    { (x, y) : x <(=) alpha, y <(=) beta }, underlined slots being strict.
+
+    theta_len is theta_plus less one on successors, so it moves the
+    sup_plus of theta_plus down by one exactly when the largest value is
+    itself a successor."""
+    b1 = KOrdinal.of(alpha) if under_first else KOrdinal.of(alpha).succ()
+    b2 = KOrdinal.of(beta) if under_second else KOrdinal.of(beta).succ()
+    s = theta_box_sup([b1, b2])
+    return s.pred() if s.is_successor and s.pred().is_successor else s
 
 
 def theta_len(*args) -> KOrdinal:
@@ -267,6 +218,11 @@ def theta_len(*args) -> KOrdinal:
 
 
 # -- generic combinators -----------------------------------------------------------
+#
+# The independent oracle the closed forms above are tested against: they
+# read operators only as value oracles.  _k is their coercion to KOrdinal.
+
+_k = KOrdinal.of
 
 
 @dataclass(frozen=True)
@@ -440,19 +396,10 @@ def bracket_tilde(f) -> BoundOp:
     return BoundOp("[%s]~" % fn.name, g, monotone=fn.monotone)
 
 
-THETA_TILDE = BoundOp(
-    "theta_tilde",
-    theta_tilde,
-    monotone=True,
-    at_least_cardinality=True,
-    stratum_bounded=True,
-)
-
-
 def reduction_identity_sides(args) -> tuple[KOrdinal, KOrdinal]:
     """Both sides of [theta_tilde_2(theta_tilde_n, id)]^+ vs theta_plus at
     arity n+1, evaluated independently."""
-    args = [_k(a) for a in args]
+    args = [KOrdinal.of(a) for a in args]
     if len(args) < 3:
         raise OrdinalError("the reduction identity needs arity >= 3")
     rhs = theta_plus(*args)

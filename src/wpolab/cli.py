@@ -59,6 +59,8 @@ def _show(value) -> str:
 def _cmd_ord(args) -> int:
     a = _parse_any(args.a)
     if args.op == "hartog":
+        if args.b is not None:
+            raise OrdinalError("ord hartog takes one argument")
         print(_show(hartog(KOrdinal.of(a))))
         return 0
     if args.b is None:
@@ -105,6 +107,8 @@ def _load_poset_arg(text: str):
 
 
 def _cmd_poset(args) -> int:
+    if args.op in ("len", "badtree") and len(args.args) != 1:
+        raise OrdinalError("poset %s takes one poset argument" % args.op)
     if args.op == "len":
         if args.args[0].startswith("@"):
             print(length_fin(_load_poset_arg(args.args[0])))

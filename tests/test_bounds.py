@@ -2,7 +2,7 @@
 
 The closed forms in wpolab.bounds are validated three ways: frozen
 hand-checked values, soundness sampling (every tuple drawn strictly below
-the bounds stays <= the claimed supremum, with attainedness witnessed),
+the bounds stays below the claimed sup+, the least strict upper bound),
 and agreement with the generic bracket_tilde combinator, which computes
 the same suprema by cofinal sampling instead of by formula.
 """
@@ -20,6 +20,7 @@ from wpolab.ordinals import (
     fund_seq,
     nat_add,
     parse_ordinal as o,
+    ul_nat_add,
 )
 from wpolab.cardinals import (
     KOrdinal,
@@ -37,7 +38,6 @@ from wpolab.bounds import (
     bracket_plus,
     bracket_tilde,
     equipotent,
-    nat_add_box_sup,
     nat_mul_box_sup,
     reduction_identity_check,
     reduction_identity_sides,
@@ -161,14 +161,19 @@ def test_theta_plus_monotone(a, b, c):
 # -- underlined box suprema over natural sum / product -------------------------
 
 
+# Every box supremum is its least strict upper bound sup+: attained, at its
+# predecessor, exactly when it is a successor.  The natural-sum box
+# { x_i < g_i } has sup+ ul_nat_add(g_1, .., g_m).
+
+
 def test_nat_add_box_sup_examples():
-    assert nat_add_box_sup([o("5")]) == (o("4"), True)
-    assert nat_add_box_sup([o("3"), o("4")]) == (o("5"), True)
-    assert nat_add_box_sup([o("w")]) == (OMEGA, False)
-    assert nat_add_box_sup([o("w+1"), o("w*2")]) == (o("w*3"), False)
-    assert nat_add_box_sup([o("w^2+1"), o("w*3")]) == (o("w^2+w*3"), False)
+    assert ul_nat_add(o("5")) == o("5")  # attained at 4
+    assert ul_nat_add(o("3"), o("4")) == o("6")
+    assert ul_nat_add(o("w")) == OMEGA
+    assert ul_nat_add(o("w+1"), o("w*2")) == o("w*3")
+    assert ul_nat_add(o("w^2+1"), o("w*3")) == o("w^2+w*3")
     # indecomposable bounds absorb each other: x (+) y < w^2 whenever both are
-    assert nat_add_box_sup([o("w^2"), o("w^2")]) == (o("w^2"), False)
+    assert ul_nat_add(o("w^2"), o("w^2")) == o("w^2")
 
 
 def test_nat_add_box_sup_sound():
@@ -176,26 +181,22 @@ def test_nat_add_box_sup_sound():
     for _ in range(60):
         gs = [random_ordinal(rng, depth=2) for _ in range(rng.randint(1, 3))]
         gs = [g if not g.is_zero else ONE for g in gs]
-        v, att = nat_add_box_sup(gs)
-        seen_eq = False
+        bound = ul_nat_add(*gs)
         for _ in range(40):
             xs = [random_below(rng, g) for g in gs]
             s = ZERO
             for x in xs:
                 s = nat_add(s, x)
-            assert not v < s
-            seen_eq = seen_eq or s == v
-        if not att:
-            assert not seen_eq
+            assert s < bound
 
 
 def test_nat_mul_box_sup_examples():
-    assert nat_mul_box_sup(o("3"), [o("5")]) == (o("12"), True)
-    assert nat_mul_box_sup(ONE, [o("w")]) == (OMEGA, False)
+    assert nat_mul_box_sup(o("3"), [o("5")]) == o("13")  # attained at 12
+    assert nat_mul_box_sup(ONE, [o("w")]) == OMEGA
     # sup{(w+1) (x) Q : Q < w*2} = w^2*2
-    assert nat_mul_box_sup(o("w+1"), [o("w*2")]) == (o("w^2*2"), False)
-    assert nat_mul_box_sup(ONE, [o("w"), o("w")]) == (o("w"), False)
-    assert nat_mul_box_sup(o("2"), [o("w+1"), o("3")]) == (o("w*4"), True)
+    assert nat_mul_box_sup(o("w+1"), [o("w*2")]) == o("w^2*2")
+    assert nat_mul_box_sup(ONE, [o("w"), o("w")]) == o("w")
+    assert nat_mul_box_sup(o("2"), [o("w+1"), o("3")]) == o("w*4+1")
 
 
 def test_nat_mul_box_sup_sound():
@@ -212,17 +213,13 @@ def test_nat_mul_box_sup_sound():
             while q.is_zero or q == ONE:
                 q = random_ordinal(rng, depth=2)
             qs.append(q)
-        v, att = nat_mul_box_sup(fixed, qs)
-        seen_eq = False
+        bound = nat_mul_box_sup(fixed, qs)
         for _ in range(40):
             prod = fixed
             for q in qs:
                 x = random_below(rng, q)
                 prod = nat_mul(prod, x if not x.is_zero else ONE)
-            assert not v < prod
-            seen_eq = seen_eq or prod == v
-        if not att:
-            assert not seen_eq
+            assert prod < bound
 
 
 # -- theta_tilde ----------------------------------------------------------------
@@ -330,10 +327,12 @@ def test_theta_sharp_frozen_table():
 
 
 def test_theta_tilde_attained_iff_successor_corner():
-    val, att = theta_box_sup([o("w*2+4"), o("w*2+5")], "plus")
-    assert (val, att) == (K(o("w*4+8")), True)
-    assert theta_box_sup([o("w"), o("w")], "plus") == (K(OMEGA), False)
-    assert theta_box_sup([o("w*2"), W1], "plus") == (W1, False)
+    # sup+ w*4+9: the supremum w*4+8 is attained at the corner (w*2+3, w*2+4)
+    assert theta_box_sup([o("w*2+4"), o("w*2+5")]) == K(o("w*4+9"))
+    assert theta_plus(o("w*2+3"), o("w*2+4")) == K(o("w*4+8"))
+    # limit sup+: not attained
+    assert theta_box_sup([o("w"), o("w")]) == K(OMEGA)
+    assert theta_box_sup([o("w*2"), W1]) == W1
 
 
 def test_theta_tilde_sound_countable():

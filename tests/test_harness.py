@@ -228,6 +228,15 @@ def test_cli_usage_and_parse_errors(capsys):
     assert main(["ord", "nadd", "w^", "w"]) == 2
     assert main(["poset", "len", "fin(@/no/such/file)"]) == 2
     assert main(["nothing"]) == 2
+    capsys.readouterr()
+    # a surplus argument is an error, not silently dropped
+    for argv in (["poset", "len", "fin(chain2)", "fin(chain2)"],
+                 ["poset", "badtree", "fin(chain2)", "fin(chain2)"],
+                 ["ord", "hartog", "w", "w"]):
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("wpolab: ") and captured.err.count("\n") == 1
 
 
 def test_a_reused_parser_keeps_no_state(capsys):
