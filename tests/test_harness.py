@@ -1,5 +1,6 @@
 """Verification harness: file formats, suites, and the CLI surface."""
 
+import hashlib
 import json
 import os
 import re
@@ -160,6 +161,69 @@ def test_cli_construct_matches_frozen_prefix(capsys):
     assert code == 0
     assert doc["le"] == [[0, 1], [0, 2], [0, 3], [0, 4], [0, 5], [1, 3], [1, 5],
                          [2, 3], [2, 4], [2, 5], [3, 5], [4, 5]]
+
+
+# md5 of the printed document of `wpolab construct ARGS --prefix N --format F`
+# for (N, F) in PREFIX_FORMATS order: the sums of realizers behind
+# decompinver (finite, aligned and mixing blocks), minoration and both
+# branches of extend (a finite and an infinite common chunk; left growth)
+PREFIX_FORMATS = [(n, f) for n in (1, 7, 60) for f in ("json", "dot")]
+FROZEN_CONSTRUCT = {
+    "decompinver 3 3 w w*2 w+2 w+2": (
+        "99575e6922a86c8c60846df29e220c59", "fe6f66f681eefbc4b3e2cf3656e92358",
+        "ec907056437f034b3cd3a3f6d6ad2a75", "1afcfa3b977165684b896a44c86bcbb4",
+        "4099dbf6a7006b9cf944557f69ba639a", "ed865aa2dd41b1efbaa431365f0f2500"),
+    "decompinver w*2 w 2 2": (
+        "5baeffb5401c34cb97c4486e0eefb893", "fe6f66f681eefbc4b3e2cf3656e92358",
+        "b4cfa365c4eba440d5cca932958bf9db", "6d1443381bb3106e26ae72285bb16314",
+        "eb7a6de477035f91c099224126ca74d9", "44ba3fb4a3fbfcd54892fb4e671e261b"),
+    "minoration w*2+3 w*2+4": (
+        "583d96574b9911e97068d1e5f14b1bea", "fe6f66f681eefbc4b3e2cf3656e92358",
+        "44a6881b9475e96f184c2825dfab5173", "1afcfa3b977165684b896a44c86bcbb4",
+        "e350ad3a3a5edf69eabd769339d56e4a", "9342f3248408425d091e142d060f17d4"),
+    "extend w w+3 w+3": (
+        "5f063da40c70d2aff1b61e2345a10014", "fe6f66f681eefbc4b3e2cf3656e92358",
+        "3236ce39152759a7f3b62d2243cffcc3", "da6a74103c771a99c969597f04f77df3",
+        "7dbfac29423c6a054f8ef1675d2dc928", "7c68d9e52eba66ba85d04355d2d7b575"),
+    "extend w^2 w^2 w^2*2": (
+        "393e435c5e06bc120792755664a8acfb", "fe6f66f681eefbc4b3e2cf3656e92358",
+        "a6c0c28d2aa7f0fb0abbab8b901e4910", "88641e3b7e963097077ade5148080e5a",
+        "3f3282ac105e0a93f19cd45703b069d7", "3ca1d7cac44990b6a13accb73162e854"),
+    "extend w w*2 w": (
+        "88508b26f14c40a831ec7fdda48eb5de", "fe6f66f681eefbc4b3e2cf3656e92358",
+        "cf246a5a4047f61d7251d29a226c4e3d", "51a406809472cc4dbdbd598975ef0a41",
+        "b8d2b8a5b852aadc8afd069a09bc007e", "82ee115ba931759c7d82bfa420e37977"),
+}
+# md5 of the printed `wpolab poset intersect A B --format F`, json then dot,
+# over finite dsum/lexsum terms
+FROZEN_INTERSECT = {
+    ("dsum(fin(chain3), lexsum(ord(2), fin(antichain2)))",
+     "lexsum(dsum(fin(chain2), ord(3)), fin(antichain2))"): (
+        "f0b1d0268cd8b83a978064adfa0840e0", "780a5217a6e6f0e5e49b95686c02276c"),
+    ("lexsum(fin(antichain3), dsum(ord(3), fin(chain1)))",
+     "dsum(lexsum(ord(2), fin(chain2)), dsum(fin(antichain1), ord(2)))"): (
+        "7e9c402e8ef366a038b9cf3c9e94b683", "eac43dfb113360c7b9da74ac68d93250"),
+}
+
+
+def _printed_md5(argv, capsys) -> str:
+    assert main(argv) == 0
+    return hashlib.md5(capsys.readouterr().out.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("args", sorted(FROZEN_CONSTRUCT))
+def test_cli_construct_documents_are_frozen(args, capsys):
+    got = tuple(_printed_md5(["construct", *args.split(), "--prefix", str(n),
+                              "--format", f], capsys)
+                for n, f in PREFIX_FORMATS)
+    assert got == FROZEN_CONSTRUCT[args]
+
+
+@pytest.mark.parametrize("terms", sorted(FROZEN_INTERSECT))
+def test_cli_intersect_documents_are_frozen(terms, capsys):
+    got = tuple(_printed_md5(["poset", "intersect", *terms, "--format", f], capsys)
+                for f in ("json", "dot"))
+    assert got == FROZEN_INTERSECT[terms]
 
 
 def test_cli_construct_writes_files_and_dot(capsys, tmp_path):
