@@ -198,11 +198,8 @@ def k_add(a, b) -> KOrdinal:
     if b.is_zero:
         return a
     k = b.level
-    if k == 0 and b.coeffs[0].is_zero:
-        return a
     coeffs = list(a.coeffs)
-    top = b.coeffs[k] if k else b.coeffs[0]
-    coeffs[k] = add(coeffs[k], top) if k else add(coeffs[0], b.coeffs[0])
+    coeffs[k] = add(a.coeffs[k], b.coeffs[k])
     for j in range(k):
         coeffs[j] = b.coeffs[j]
     return KOrdinal(tuple(coeffs))

@@ -263,21 +263,12 @@ def sierpinskisation(alpha) -> LazyPoset:
 # -- the mixing bi-functional relation ----------------------------------------------
 
 
-def _pair(x: int, y: int) -> int:
-    return (x + y) * (x + y + 1) // 2 + y
-
-
-def _unpair(n: int) -> tuple[int, int]:
-    w = (math.isqrt(8 * n + 1) - 1) // 2  # the largest w with w(w+1)/2 <= n
-    y = n - w * (w + 1) // 2
-    return w - y, y
-
-
 def mixing_poset(a, b) -> LazyPoset:
     """Intersection of two lexicographic orders of types omega*alpha and
     omega*beta over a mixing bi-functional relation.
 
-    The naturals are partitioned by a fixed triple coding n = <u, v, w>:
+    The naturals are partitioned by a fixed triple coding n = <u, v, w>,
+    two steps of the anti-diagonal grid walk (_diagonal_cell(None, None)):
     K_a collects first-component matches, K^b second-component matches
     (indices folded modulo the size of a finite index ordinal), so every
     cell K_a intersect K^b is infinite (w is free).  Vertex n stands for
@@ -290,6 +281,7 @@ def mixing_poset(a, b) -> LazyPoset:
     if alpha.is_zero or beta.is_zero:
         raise OrdinalError("mixing_poset needs nonzero index ordinals")
     ea, eb = enum_below(alpha), enum_below(beta)
+    cell = _diagonal_cell(None, None)
     # vertex n -> (ai, bi, left key (ea.at(ai), k1), right key (eb.at(bi), k2)),
     # built in vertex order: k1 (k2) counts the earlier vertices with the
     # same ai (bi), kept in running per-cell counters
@@ -299,8 +291,8 @@ def mixing_poset(a, b) -> LazyPoset:
 
     def row(n: int):
         while len(rows) <= n:
-            uv, _ = _unpair(len(rows))
-            u, v = _unpair(uv)
+            _, uv = cell(len(rows))
+            v, u = cell(uv)
             ai = u % ea.size if ea.size is not None else u
             bi = v % eb.size if eb.size is not None else v
             k1, k2 = seen_a.get(ai, 0), seen_b.get(bi, 0)
@@ -392,6 +384,7 @@ def _aligned_block(alpha: CnfOrdinal) -> LazyPoset:
         types=(alpha, alpha),
         certificate=alpha,
         note="aligned chain of type %s" % alpha,
+        size=_block_size(alpha),
     )
 
 
@@ -427,6 +420,74 @@ def _round_robin(sizes: list) -> Callable[[int], tuple[int, int]]:
     return locate
 
 
+def _diagonal_cell(sa, sb) -> Callable[[int], tuple[int, int]]:
+    """cell(k) -> (i, j), the k-th cell of the grid of sa x sb indices
+    (None: infinite) walked by anti-diagonals, first index ascending.
+
+    Closed form: the diagonals grow by one cell up to the shorter side p,
+    keep p cells up to the longer side q, then shrink by one; the growing
+    and the shrinking runs are triangular numbers, read from the end in the
+    shrinking one."""
+    p = sb if sa is None else sa if sb is None else min(sa, sb)
+    grow = None if p is None else p * (p + 1) // 2
+    flat = None if sa is None or sb is None else grow + (max(sa, sb) - p) * p
+
+    def cell(k: int) -> tuple[int, int]:
+        if grow is None or k < grow:
+            d = (math.isqrt(8 * k + 1) - 1) // 2
+            step = k - d * (d + 1) // 2
+        elif flat is None or k < flat:
+            d, step = divmod(k - grow, p)
+            d += p
+        else:
+            r = flat + p * (p - 1) // 2 - 1 - k  # cells after this one
+            t = (math.isqrt(8 * r + 1) - 1) // 2
+            d = sa + sb - 2 - t
+            step = t - (r - t * (t + 1) // 2)
+        i = step + (0 if sb is None else max(0, d - sb + 1))
+        return i, d - i
+
+    return cell
+
+
+def _realizer_sum(parts, sign: int, certificate: CnfOrdinal, note: str) -> LazyPoset:
+    """The sum of the realizers of parts, on vertices (k, v) with v a
+    vertex of parts[k], merged round robin.
+
+    The left order puts the parts one after another in part order, the
+    right order in part order for sign 1 and in reverse for sign -1.  Keys
+    of different parts never get past the part number, so for sign 1 each
+    part lies below every later one (a chunk on top extends both orders)
+    and for sign -1 the parts are incomparable (their disjoint sum)."""
+    sizes = [p.size for p in parts]
+    locate = _round_robin(sizes)
+
+    def vertex(i: int):
+        k, d = locate(i)
+        return k, parts[k].vertex(d)
+
+    def lt(x, y):
+        if x[0] == y[0]:
+            return parts[x[0]].lt(x[1], y[1])
+        return sign == 1 and x[0] < y[0]
+
+    tl = tr = ZERO
+    for p in parts:
+        tl = add(tl, p.type_left)
+        tr = add(tr, p.type_right) if sign == 1 else add(p.type_right, tr)
+    return LazyPoset(
+        vertex=vertex,
+        lt=lt,
+        lt_matrix=lambda vs: _place(vs, [p.lt_matrix for p in parts], sign == 1),
+        keys=(lambda x: (x[0], parts[x[0]].keys[0](x[1])),
+              lambda x: (sign * x[0], parts[x[0]].keys[1](x[1]))),
+        types=(tl, tr),
+        certificate=certificate,
+        note=note,
+        size=None if None in sizes else sum(sizes),
+    )
+
+
 def decompinver_witness(blocks) -> LazyPoset:
     """Blockwise realizer with the right-hand block order reversed.
 
@@ -455,48 +516,12 @@ def decompinver_witness(blocks) -> LazyPoset:
                 "unsupported block kind (%s, %s): aligned or omega-multiple only"
                 % (alpha, beta)
             )
-    sizes = [_block_size(a) for a, _ in blocks]
-    locate = _round_robin(sizes)
-
-    def vertex(i: int):
-        k, d = locate(i)
-        return (k, parts[k].vertex(d))
-
-    def lt(x, y):
-        return x[0] == y[0] and parts[x[0]].lt(x[1], y[1])
-
-    def lt_matrix(vs):
-        m = np.zeros((len(vs), len(vs)), dtype=bool)
-        block = np.array([k for k, _ in vs], dtype=np.int64)
-        for k, part in enumerate(parts):
-            idx = np.flatnonzero(block == k)
-            m[np.ix_(idx, idx)] = part.lt_matrix([vs[i][1] for i in idx])
-        return m
-
-    # blocks ascend on the left and descend on the right; keys of
-    # different blocks never get past the block index
-    def left_key(x):
-        return x[0], parts[x[0]].keys[0](x[1])
-
-    def right_key(x):
-        return -x[0], parts[x[0]].keys[1](x[1])
-
-    tl = tr = cert = ZERO
+    cert = ZERO
     for p in parts:
-        tl = add(tl, p.type_left)
-        tr = add(p.type_right, tr)
         cert = nat_add(cert, p.certificate)
-    return LazyPoset(
-        vertex=vertex,
-        lt=lt,
-        lt_matrix=lt_matrix,
-        keys=(left_key, right_key),
-        types=(tl, tr),
-        certificate=cert,
-        note="disjoint sum of %d blocks; certificate is the natural sum of "
-        "the block certificates" % len(parts),
-        size=None if None in sizes else sum(sizes),
-    )
+    return _realizer_sum(parts, -1, cert,
+                         "disjoint sum of %d blocks; certificate is the natural "
+                         "sum of the block certificates" % len(parts))
 
 
 def minoration_witness(alpha, beta) -> LazyPoset:
@@ -549,43 +574,9 @@ def _append_chunk_both(p: LazyPoset, g: CnfOrdinal) -> LazyPoset:
     """Add a chunk of type g above everything in both linear orders."""
     if g.is_zero:
         return p
-    enum = enum_below(g)
-    size = _block_size(g)
-    locate = _round_robin([p.size, size])
-
-    def vertex(i: int):
-        part, j = locate(i)
-        return ("old", p.vertex(j)) if part == 0 else ("new", j)
-
-    # old vertices keep their keys below every new one, on both sides
-    def chunk_key(old_key):
-        @lru_cache(maxsize=None)
-        def key(x):
-            return (0, old_key(x[1])) if x[0] == "old" else (1, key_new(x[1]))
-        return key
-
-    keys = tuple(map(chunk_key, p.keys))
-
-    def key_new(i):
-        return enum.at(i) if size is None else i
-
-    def lt(x, y):
-        return all(key(x) < key(y) for key in keys)
-
-    def lt_matrix(vs):
-        return _extension_matrix(p, vs, lambda new: _below(_index_ranks(new, key_new)),
-                                 lambda old, new: True)
-
-    return LazyPoset(
-        vertex=vertex,
-        lt=lt,
-        lt_matrix=lt_matrix,
-        keys=keys,
-        types=(add(p.type_left, g), add(p.type_right, g)),
-        certificate=p.certificate,
-        note=(p.note + "; realizer padded by a common chunk of type %s" % g).strip("; "),
-        size=None if p.size is None or size is None else p.size + size,
-    )
+    return _realizer_sum([p, _aligned_block(g)], 1, p.certificate,
+                         (p.note + "; realizer padded by a common chunk of type %s"
+                          % g).strip("; "))
 
 
 def _grow_left(p: LazyPoset, g: CnfOrdinal) -> LazyPoset:
@@ -615,16 +606,16 @@ def _grow_left(p: LazyPoset, g: CnfOrdinal) -> LazyPoset:
         return rank_of[v]
 
     def vertex(i: int):
-        return ("old", p.vertex(i // 2)) if i % 2 == 0 else ("new", i // 2)
+        return (0, p.vertex(i // 2)) if i % 2 == 0 else (1, i // 2)
 
     @lru_cache(maxsize=None)
     def left_key(x):
-        return (0, p.keys[0](x[1])) if x[0] == "old" else (1, enum.at(x[1]))
+        return x[0], (p.keys[0](x[1]) if x[0] == 0 else enum.at(x[1]))
 
     # new_i sits immediately below the right-rank-i original
     @lru_cache(maxsize=None)
     def slot(x):
-        return (right_rank(x[1]), 1) if x[0] == "old" else (x[1], 0)
+        return (right_rank(x[1]), 1) if x[0] == 0 else (x[1], 0)
 
     def lt(x, y):
         return left_key(x) < left_key(y) and slot(x) < slot(y)
@@ -632,34 +623,25 @@ def _grow_left(p: LazyPoset, g: CnfOrdinal) -> LazyPoset:
     def new_new(new):
         return _below(_index_ranks(new, enum.at), np.array(new, dtype=np.int64))
 
-    def old_new(old, new):
-        rank = np.array([right_rank(v) for v in old], dtype=np.int64)
-        return rank[:, None] < np.array(new, dtype=np.int64)[None, :]
+    def lt_matrix(vs):
+        m = _place(vs, [p.lt_matrix, new_new], False)
+        # an original lies below new_i iff its right rank is below i
+        new = np.array([k for k, _ in vs], dtype=bool)
+        old_i, new_i = np.flatnonzero(~new), np.flatnonzero(new)
+        rank = np.array([right_rank(vs[i][1]) for i in old_i], dtype=np.int64)
+        ids = np.array([vs[i][1] for i in new_i], dtype=np.int64)
+        m[np.ix_(old_i, new_i)] = rank[:, None] < ids[None, :]
+        return m
 
     return LazyPoset(
         vertex=vertex,
         lt=lt,
-        lt_matrix=lambda vs: _extension_matrix(p, vs, new_new, old_new),
+        lt_matrix=lt_matrix,
         keys=(left_key, slot),
         types=(add(p.type_left, g), p.type_right),
         certificate=p.certificate,
         note=(p.note + "; left type padded by %s via rank-doubling" % g).strip("; "),
     )
-
-
-def _extension_matrix(p: LazyPoset, vs, new_new, old_new) -> np.ndarray:
-    """The order of an extension of p on ("old", v)/("new", i) vertices:
-    old/old from p.lt_matrix, new/new from new_new(new ids), old below new
-    where old_new(old vertices, new ids) says so, new never below old."""
-    is_new = np.array([x[0] == "new" for x in vs], dtype=bool)
-    old_i, new_i = np.flatnonzero(~is_new), np.flatnonzero(is_new)
-    old = [vs[i][1] for i in old_i]
-    new = [vs[i][1] for i in new_i]
-    m = np.zeros((len(vs), len(vs)), dtype=bool)
-    m[np.ix_(old_i, old_i)] = p.lt_matrix(old)
-    m[np.ix_(new_i, new_i)] = new_new(new)
-    m[np.ix_(old_i, new_i)] = old_new(old, new)
-    return m
 
 
 # -- batch relation matrices -------------------------------------------------------------
@@ -679,6 +661,19 @@ def _below(*ranks: np.ndarray) -> np.ndarray:
     m = ranks[0][:, None] < ranks[0][None, :]
     for r in ranks[1:]:
         m &= r[:, None] < r[None, :]
+    return m
+
+
+def _place(part, orders, ordered: bool) -> np.ndarray:
+    """The order of a sum of blocks on vertices given as (block, label)
+    pairs: the vertices of block k are ordered among themselves by
+    orders[k](their labels, in list order), and each lies below every
+    vertex of a later block iff ordered (otherwise blocks are incomparable)."""
+    block = np.array([k for k, _ in part], dtype=np.int64)
+    m = block[:, None] < block[None, :] if ordered else np.zeros((len(part),) * 2, dtype=bool)
+    for k, order in enumerate(orders):
+        idx = np.flatnonzero(block == k)
+        m[np.ix_(idx, idx)] = order([part[i][1] for i in idx])
     return m
 
 

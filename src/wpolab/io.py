@@ -1,9 +1,10 @@
 """Poset file formats: JSON round-tripping and DOT (Hasse diagram) export.
 
-A poset file is a single JSON object {"n": int, "le": [[i, j], ...]} with
-optional "realizer" and "meta" fields, which are preserved verbatim.  The
-loader closes `le` transitively and rejects antisymmetry violations with a
-cycle witness.
+A poset file is a single JSON object {"n": int, "le": [[i, j], ...]}.  It
+may carry other fields, such as the "meta" that `wpolab construct` writes;
+the loader ignores them, so a loaded poset does not keep them.  The loader
+closes `le` transitively and rejects antisymmetry violations with a cycle
+witness (make_poset names one).
 """
 
 from __future__ import annotations
@@ -11,38 +12,6 @@ from __future__ import annotations
 import json
 
 from .posets import FinPoset, PosetError, make_poset
-
-
-def _cycle_witness(n: int, pairs) -> list | None:
-    """A vertex cycle in the strict-pair digraph, if one exists."""
-    adj = {i: [] for i in range(n)}
-    for i, j in pairs:
-        if not (0 <= i < n and 0 <= j < n):
-            continue  # out-of-range pairs are reported by make_poset itself
-        if i == j:
-            return [i, i]
-        adj[i].append(j)
-    state = {}  # 0 = on stack, 1 = done
-    for start in range(n):
-        if start in state:
-            continue
-        stack = [(start, iter(adj[start]))]
-        path = [start]
-        state[start] = 0
-        while stack:
-            v, it = stack[-1]
-            nxt = next(it, None)
-            if nxt is None:
-                stack.pop()
-                path.pop()
-                state[v] = 1
-            elif nxt not in state:
-                state[nxt] = 0
-                stack.append((nxt, iter(adj[nxt])))
-                path.append(nxt)
-            elif state[nxt] == 0:
-                return path[path.index(nxt):] + [nxt]
-    return None
 
 
 def load_poset(source) -> FinPoset:
@@ -61,16 +30,7 @@ def load_poset(source) -> FinPoset:
             and all(type(v) is int for v in p) for p in le)):
         raise PosetError('poset file needs a vertex count "n" >= 0 and "le" '
                          'as a list of [i, j] integer pairs')
-    pairs = [tuple(p) for p in le]
-    try:
-        return make_poset(n, pairs)
-    except PosetError:
-        witness = _cycle_witness(n, pairs)
-        if witness is not None:
-            raise PosetError(
-                "le is not antisymmetric; cycle witness %s" % (witness,)
-            ) from None
-        raise
+    return make_poset(n, le)
 
 
 def read_poset_file(path: str) -> FinPoset:

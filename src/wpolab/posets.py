@@ -120,17 +120,39 @@ def poset_of_matrix(m: np.ndarray) -> FinPoset:
 
 def _close(n: int, rows: list) -> FinPoset:
     """The FinPoset of successor bitsets rows, closed transitively
-    (Warshall's algorithm), or PosetError on a cycle."""
+    (Warshall's algorithm), or PosetError naming a cycle."""
+    closed = rows
     for k in range(n):
-        bit, row_k = 1 << k, rows[k]
+        bit, row_k = 1 << k, closed[k]
         if row_k:
-            rows = [row | row_k if row & bit else row for row in rows]
-    for i, row in enumerate(rows):
+            closed = [row | row_k if row & bit else row for row in closed]
+    for i, row in enumerate(closed):
         # a cycle through i and j puts i above itself, so this one test
         # also rules out antisymmetry violations
         if row >> i & 1:
-            raise PosetError("cycle through vertex %d" % i)
-    return FinPoset(n, tuple(rows))
+            raise PosetError("le is not antisymmetric; cycle witness %s"
+                             % (_cycle(rows, i),))
+    return FinPoset(n, tuple(closed))
+
+
+def _cycle(rows: list, i: int) -> list:
+    """A shortest cycle from i back to i along the generating bitsets rows,
+    found breadth first; i must lie on one."""
+    parent = {}
+    frontier = [i]
+    while True:
+        step = []
+        for u in frontier:
+            for v in _bits(rows[u]):
+                if v == i:
+                    path = [u]
+                    while path[-1] != i:
+                        path.append(parent[path[-1]])
+                    return path[::-1] + [i]
+                if v not in parent:
+                    parent[v] = u
+                    step.append(v)
+        frontier = step
 
 
 def chain(n: int) -> FinPoset:

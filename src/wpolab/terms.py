@@ -21,14 +21,20 @@ elements stays as the oracle that tests compare lt_matrix against.
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Union
 
 import numpy as np
 
-from .constructions import _below, _index_ranks, _round_robin, enum_below
+from .constructions import (
+    _below,
+    _diagonal_cell,
+    _index_ranks,
+    _place,
+    _round_robin,
+    enum_below,
+)
 from .io import read_poset_file
 from .ordinals import (
     MAX_NESTING,
@@ -165,46 +171,12 @@ def _interleave(a: _Denotation, b: _Denotation, lexicographic: bool) -> _Denotat
         return lexicographic and x[0] == 0
 
     def lt_matrix(n: int) -> np.ndarray:
-        right = np.array([locate(i)[0] for i in range(n)], dtype=bool)
-        ia, ib = np.flatnonzero(~right), np.flatnonzero(right)
-        m = np.zeros((n, n), dtype=bool)
-        m[np.ix_(ia, ia)] = a.lt_matrix(len(ia))
-        m[np.ix_(ib, ib)] = b.lt_matrix(len(ib))
-        if lexicographic:  # every left element lies below every right one
-            m[np.ix_(ia, ib)] = True
-        return m
+        # a lexicographic sum puts every left element below every right one
+        return _place([locate(i) for i in range(n)],
+                      [lambda ks: a.lt_matrix(len(ks)), lambda ks: b.lt_matrix(len(ks))],
+                      lexicographic)
 
     return _Denotation(both, at, lt, lt_matrix)
-
-
-def _diagonal_cell(sa, sb) -> Callable[[int], tuple[int, int]]:
-    """cell(k) -> (i, j), the k-th cell of the grid of sa x sb indices
-    (None: infinite) walked by anti-diagonals, first index ascending.
-
-    Closed form: the diagonals grow by one cell up to the shorter side p,
-    keep p cells up to the longer side q, then shrink by one; the growing
-    and the shrinking runs are triangular numbers, read from the end in the
-    shrinking one."""
-    p = sb if sa is None else sa if sb is None else min(sa, sb)
-    grow = None if p is None else p * (p + 1) // 2
-    flat = None if sa is None or sb is None else grow + (max(sa, sb) - p) * p
-
-    def cell(k: int) -> tuple[int, int]:
-        if grow is None or k < grow:
-            d = (math.isqrt(8 * k + 1) - 1) // 2
-            step = k - d * (d + 1) // 2
-        elif flat is None or k < flat:
-            d, step = divmod(k - grow, p)
-            d += p
-        else:
-            r = flat + p * (p - 1) // 2 - 1 - k  # cells after this one
-            t = (math.isqrt(8 * r + 1) - 1) // 2
-            d = sa + sb - 2 - t
-            step = t - (r - t * (t + 1) // 2)
-        i = step + (0 if sb is None else max(0, d - sb + 1))
-        return i, d - i
-
-    return cell
 
 
 def _product(a: _Denotation, b: _Denotation) -> _Denotation:

@@ -326,6 +326,17 @@ def test_theta_sharp_frozen_table():
             assert got == parse_k(want), (a, b, f1, f2)
 
 
+def test_theta_sharp_closed_box_is_theta_len_plus_one():
+    # with both slots closed the corner (a, b) is the box's maximum, so the
+    # sup+ of theta_len over the box is its value there plus one; this pins
+    # theta_sharp from below, where the majoration tests only bound it above
+    rng = random.Random(1)
+    pairs = [(random_kordinal(rng), random_kordinal(rng)) for _ in range(3000)]
+    pairs = [(parse_k("W1*(1)+(w)"), W1)] + [p for p in pairs if equipotent(p)]
+    for a, b in pairs:
+        assert theta_sharp(a, b) == theta_len(a, b).succ(), (a, b)
+
+
 def test_theta_tilde_attained_iff_successor_corner():
     # sup+ w*4+9: the supremum w*4+8 is attained at the corner (w*2+3, w*2+4)
     assert theta_box_sup([o("w*2+4"), o("w*2+5")]) == K(o("w*4+9"))

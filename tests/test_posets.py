@@ -219,6 +219,29 @@ def test_make_poset_matches_reachability(graph, data):
         assert both == make_poset(n, reach & other_reach)
 
 
+@settings(max_examples=200)
+@given(digraphs())
+def test_a_cycle_is_reported_by_a_shortest_witness(graph):
+    n, edges = graph
+    reach = _reachability(n, edges)
+    cyclic = [v for v in range(n) if (v, v) in reach]
+    if not cyclic:
+        return
+    with pytest.raises(PosetError, match="le is not antisymmetric; cycle witness") as info:
+        make_poset(n, edges)
+    witness = json.loads(str(info.value).split("cycle witness ")[1])
+    # a closed walk along generating pairs through the first vertex on a cycle
+    start = cyclic[0]
+    assert witness[0] == witness[-1] == start
+    assert all((u, v) in edges for u, v in zip(witness, witness[1:]))
+    # with as few steps as any closed walk through it
+    ends, steps = {start}, 0
+    while steps == 0 or start not in ends:
+        ends = {v for (u, v) in edges if u in ends}
+        steps += 1
+    assert len(witness) - 1 == steps
+
+
 @given(digraphs())
 def test_json_export_lists_pairs_in_sorted_order(graph):
     n, edges = graph
