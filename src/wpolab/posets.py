@@ -4,7 +4,8 @@ A poset stores its strict order once, transitively closed, as one
 Python-int successor bitset per vertex, so order queries test a bit and
 the intersection of two orders ANDs their rows.  Closure (`make_poset`
 from pairs, `poset_of_matrix` from a bool matrix, both through one checked
-Warshall closure in O(n^2) big-int operations) and transitive
+depth-first closure that skips what it has already reached, so a chain
+that comes in closed costs O(n) big-int operations) and transitive
 reduction (`FinPoset.hasse`) work on the same bitsets; `FinPoset.pairs`
 lists the pairs for callers that need them.  The length engines and
 queries (`length_recursive`, `bad_tree_height`, `all_posets`, `embeds`,
@@ -96,7 +97,7 @@ def _bits(x: int):
 
 def make_poset(n: int, pairs) -> FinPoset:
     """Build a FinPoset from generating strict pairs; closes transitively
-    (Warshall's algorithm on successor bitsets) and rejects cycles."""
+    (depth first on successor bitsets, see `_close`) and rejects cycles."""
     if n < 0:
         raise PosetError("vertex count %d is negative" % n)
     rows = [0] * n
@@ -109,38 +110,113 @@ def make_poset(n: int, pairs) -> FinPoset:
 
 def poset_of_matrix(m: np.ndarray) -> FinPoset:
     """Build a FinPoset from a square bool matrix of generating strict
-    pairs (m[i, j] iff i < j); closes and rejects cycles like make_poset.
-    One numpy call packs every row into the bytes of its successor bitset."""
+    pairs (m[i, j] iff i < j); closes and rejects cycles like make_poset."""
     m = np.asarray(m, dtype=bool)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise PosetError("a relation matrix must be square, got shape %s" % (m.shape,))
-    packed = np.packbits(m, axis=1, bitorder="little")
-    return _close(len(m), [int.from_bytes(row.tobytes(), "little") for row in packed])
+    return _close(len(m), _pack(m))
+
+
+def _pack(m: np.ndarray) -> list:
+    """The rows of a square bool matrix as successor bitsets, packed by one
+    numpy call."""
+    return [int.from_bytes(row.tobytes(), "little")
+            for row in np.packbits(m, axis=1, bitorder="little")]
 
 
 def _close(n: int, rows: list) -> FinPoset:
-    """The FinPoset of successor bitsets rows, closed transitively
-    (Warshall's algorithm), or PosetError naming a cycle."""
-    closed = rows
-    for k in range(n):
-        bit, row_k = 1 << k, closed[k]
-        if row_k:
-            closed = [row | row_k if row & bit else row for row in closed]
-    for i, row in enumerate(closed):
-        # a cycle through i and j puts i above itself, so this one test
-        # also rules out antisymmetry violations
-        if row >> i & 1:
-            raise PosetError("le is not antisymmetric; cycle witness %s"
-                             % (_cycle(rows, i),))
+    """The FinPoset of successor bitsets rows, closed transitively, or
+    PosetError naming a cycle.
+
+    Depth-first closure of a DAG (Purdom 1970; Goralčíková and Koubek
+    1979), iterative so that no n reaches the recursion limit: a vertex is
+    closed once all its successors are, as the union of their closures, and
+    a successor already inside that union is skipped, like a non-cover in
+    `FinPoset.hasse`.  On an order that is already closed a vertex visits
+    only successors that no earlier visit reached (its covers, when the
+    labels follow the order), so a chain costs O(n) big-int operations.
+    Reaching a vertex still on the depth-first path means a cycle."""
+    closed = [-1] * n  # -1: not reached; -2: on the depth-first path
+    path = []
+    for root in range(n):
+        if closed[root] != -1:
+            continue
+        v = root
+        acc = rest = rows[v]
+        closed[v] = -2
+        while True:
+            while rest:
+                low = rest & -rest
+                j = low.bit_length() - 1
+                done = closed[j]
+                if done < 0:
+                    if done == -2:
+                        raise _cycle_error(rows)
+                    path.append((v, acc, rest))
+                    v = j
+                    acc = rest = rows[v]
+                    closed[v] = -2
+                    continue
+                acc |= done
+                rest &= ~(done | low)
+            closed[v] = acc
+            if not path:
+                break
+            v, acc, rest = path.pop()
     return FinPoset(n, tuple(closed))
 
 
-def _cycle(rows: list, i: int) -> list:
+def _cycle_error(rows: list) -> PosetError:
+    """The PosetError naming a shortest cycle through the lowest-numbered
+    vertex on a cycle of rows, which must hold one.  The vertices on cycles
+    are those of the strongly connected components with two or more
+    vertices or a loop, found by Kosaraju's two searches (the second over
+    the transposed bitsets) in O(n) big-int operations and one numpy
+    transpose."""
+    # (i, j) and (j, i) make a cycle of two, so this also reports
+    # antisymmetry violations
+    n = len(rows)
+    order, seen = [], 0
+    for v in range(n):
+        if not seen >> v & 1:
+            tree, seen = _search(rows, v, seen)
+            order += tree
+    width = (n + 7) // 8
+    m = np.unpackbits(np.frombuffer(b"".join(row.to_bytes(width, "little") for row in rows),
+                                    dtype=np.uint8).reshape(n, width),
+                      axis=1, count=n, bitorder="little")
+    below = _pack(m.T)
+    first, seen = n, 0
+    for v in reversed(order):
+        if not seen >> v & 1:
+            component, seen = _search(below, v, seen)
+            if len(component) > 1 or rows[v] >> v & 1:
+                first = min(first, *component)
+    return PosetError("le is not antisymmetric; cycle witness %s" % (_cycle(rows, first),))
+
+
+def _search(rows: list, root: int, seen: int) -> tuple:
+    """The vertices that root reaches along rows without entering the
+    bitset seen, in depth-first post-order, and seen with them added."""
+    seen |= 1 << root
+    stack, order = [root], []
+    while stack:
+        todo = rows[stack[-1]] & ~seen
+        if todo:
+            low = todo & -todo
+            seen |= low
+            stack.append(low.bit_length() - 1)
+        else:
+            order.append(stack.pop())
+    return order, seen
+
+
+def _cycle(rows: list, i: int) -> list | None:
     """A shortest cycle from i back to i along the generating bitsets rows,
-    found breadth first; i must lie on one."""
+    found breadth first, or None when i lies on no cycle."""
     parent = {}
     frontier = [i]
-    while True:
+    while frontier:
         step = []
         for u in frontier:
             for v in _bits(rows[u]):
@@ -153,6 +229,7 @@ def _cycle(rows: list, i: int) -> list:
                     parent[v] = u
                     step.append(v)
         frontier = step
+    return None
 
 
 def chain(n: int) -> FinPoset:

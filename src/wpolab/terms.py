@@ -228,9 +228,10 @@ def denote_prefix(t: PosetTerm, budget: int) -> FinPoset:
 _HEAD = re.compile(r"(ord|fin|dsum|lexsum|prod)\(")
 _INLINE_FIN = re.compile(r"(chain|antichain)([0-9]+)$")
 # inline fin(chainN) and fin(antichainN) leaves have at most this many
-# vertices: chain(2000) is built closed in 0.5 ms of CPU, but closing the
-# denoted prefix of fin(chain2000) in poset_of_matrix takes 0.5 s, and of
-# fin(chain4000) 3.7 s (2-vCPU x86)
+# vertices: chain(2000) is built closed in 0.5 ms of CPU and its denoted
+# prefix closes in poset_of_matrix in 0.02 s, but its JSON document lists
+# two million pairs (26 MB, 1.6 s to export), and fin(chain4000)'s four
+# times as many (108 MB, 4.8 s) (2-vCPU x86)
 MAX_INLINE_FIN = 2000
 
 
