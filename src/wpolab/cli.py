@@ -106,6 +106,15 @@ def _load_poset_arg(text: str):
     return denote_prefix(t, size)
 
 
+# The brute-force bad_tree_height lists every bad sequence, so its cost
+# grows about eightfold per vertex: fin(antichain8) takes 0.7 s, 9 takes
+# 3.6 s, 10 takes 29 s and 11 did not finish in a minute (2-vCPU x86).  The
+# CLI fuzz and the export benchmark ask for at most 5 vertices; 8 keeps
+# every command under a second.  The engine itself stays unbounded, as the
+# oracle it is.
+MAX_BADTREE_VERTICES = 8
+
+
 def _cmd_poset(args) -> int:
     if args.op in ("len", "badtree") and len(args.args) != 1:
         raise OrdinalError("poset %s takes one poset argument" % args.op)
@@ -116,7 +125,11 @@ def _cmd_poset(args) -> int:
             print(render_ordinal(length_term(parse_term(args.args[0]))))
         return 0
     if args.op == "badtree":
-        print(bad_tree_height(_load_poset_arg(args.args[0])))
+        p = _load_poset_arg(args.args[0])
+        if p.n > MAX_BADTREE_VERTICES:
+            raise PosetError("poset badtree lists every bad sequence, so it takes at "
+                             "most %d vertices; got %d" % (MAX_BADTREE_VERTICES, p.n))
+        print(bad_tree_height(p))
         return 0
     if len(args.args) != 2:
         raise OrdinalError("poset %s takes two poset arguments" % args.op)

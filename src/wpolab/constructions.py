@@ -26,7 +26,6 @@ from __future__ import annotations
 import bisect
 import math
 import time
-import weakref
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import accumulate
@@ -63,9 +62,10 @@ class Enumeration:
     otherwise alpha is cut into unit blocks (one block per unit power
     omega^e of its normal form, the finite part as one block), blocks are
     visited anti-diagonally (within diagonal d, block index descending),
-    and each omega^e block recurses through its fundamental sequence.
-    A block, the pair (offset, sub-enumeration), is built from the normal
-    form when first visited, so a term w^e*c costs nothing per unit of c.
+    and each omega^e block is enumerated the same way through its
+    fundamental sequence.  `at` and `index` run one loop down the cached
+    levels (`_layout`) and blocks (`_block`), each level placing an index
+    in its block in closed form; `at` memoizes values by (ordinal, index).
     """
 
     def __init__(self, alpha: CnfOrdinal):
@@ -73,112 +73,110 @@ class Enumeration:
         if alpha.is_zero:
             raise OrdinalError("cannot enumerate below 0")
         self.alpha = alpha
-        self._prefix: list[CnfOrdinal] = []  # cache of at(0..k)
-        self._next_d = 0  # the first diagonal not yet in _prefix
-        self._blocks: dict = {}  # b -> block b, built on first use
-        self.size: Optional[int] = None
-        if alpha.is_finite:
-            self.size = alpha.as_int()
-            self._kind = "range"
-        elif alpha == OMEGA:
+        self.size = alpha.as_int() if alpha.is_finite else None
+        self._skip = math.inf
+        if alpha.is_finite or alpha is OMEGA:
             self._kind = "range"
         elif len(alpha.terms) == 1 and alpha.terms[0][1] == 1:
             self._kind = "power"  # omega^e, e >= 2 or a limit exponent
             self._block_count = math.inf
+            self._cell = _diagonal_cell(None, None)
         else:
             self._kind = "blocks"
             # per term w^e*c: its first block and the sum of the earlier
             # terms; the term has c blocks w^e, or one block if e = 0
             self._heads = [CnfOrdinal(alpha.terms[:t]) for t in range(len(alpha.terms))]
             self._firsts = [0, *accumulate(1 if e.is_zero else c for e, c in alpha.terms)]
-            self._block_count = self._firsts.pop()
-
-    def _new_block(self, b: int):
-        if self._kind == "blocks":
-            t = bisect.bisect_right(self._firsts, b) - 1
-            e, c = self.alpha.terms[t]
-            if e.is_zero:
-                return self._heads[t], _sub_enumeration(from_int(c))
-            offset = add(self._heads[t], omega_pow(e, b - self._firsts[t]))
-            return offset, _sub_enumeration(omega_pow(e))
-        # a pure power omega^e: block b is the b-th step of its fundamental
-        # sequence, enumerated recursively; block 0 starts at 0, since for
-        # a limit e the sequence itself starts above 0
-        e = self.alpha.leading_exp
-        if e.is_successor:
-            step = omega_pow(e.pred())
-            return mul(step, from_int(b)), _sub_enumeration(step)
-        lo = ZERO if b == 0 else fund_seq(self.alpha, b)
-        hi = fund_seq(self.alpha, b + 1)
-        return lo, _sub_enumeration(left_subtract(lo, hi))
-
-    def _block(self, b: int):
-        block = self._blocks.get(b)
-        if block is None:
-            block = self._blocks[b] = self._new_block(b)
-        return block
+            n = self._block_count = self._firsts.pop()
+            self._cell = _diagonal_cell(None, n)
+            if alpha.is_successor:
+                # from this cell on the finite last block has run out, so
+                # each diagonal's first cell is empty
+                self._skip = n * (n + 1) // 2 + (alpha.terms[-1][1] - 1) * n
 
     def at(self, i: int) -> CnfOrdinal:
         if i < 0 or (self.size is not None and i >= self.size):
             raise OrdinalError("enumeration index %d out of range" % i)
-        if self._kind == "range":
-            return from_int(i)
-        while len(self._prefix) <= i:
-            d = self._next_d
-            for b in range(min(d, self._block_count - 1), -1, -1):
-                offset, sub = self._block(b)
-                if sub.size is None or d - b < sub.size:
-                    self._prefix.append(add(offset, sub.at(d - b)))
-            self._next_d += 1
-        return self._prefix[i]
+        level, steps = self, []  # (alpha, i, offset) per level above
+        while level._kind != "range" and i:  # block 0 starts at 0 on every level
+            value = _VALUES.get((level.alpha, i))
+            if value is not None:
+                break
+            k = i
+            if i >= level._skip:
+                k += (i - level._skip) // (level._block_count - 1) + 1
+            j, b = level._cell(k)
+            offset, sub = _block(level.alpha, b)
+            steps.append((level.alpha, i, offset))
+            level, i = _layout(sub), j
+        else:
+            value = from_int(i)
+        if len(_VALUES) + len(steps) > VALUE_MEMO_SIZE:
+            _VALUES.clear()
+        for alpha, i, offset in reversed(steps):
+            value = _VALUES[alpha, i] = add(offset, value)
+        return value
 
     def index(self, beta: CnfOrdinal) -> int:
-        """Inverse of at (beta must lie below alpha), in closed form: every
-        block is infinite but the finite part, the last block of `blocks`."""
+        """Inverse of at (beta must lie below alpha), in closed form."""
         if not beta < self.alpha:
             raise OrdinalError("%s is not below %s" % (beta, self.alpha))
-        if self._kind == "range":
-            return beta.as_int()
-        # beta's block: after the terms beta shares with alpha, its next
-        # coefficient of w^e counts whole blocks; a limit power walks them
-        b, e, rest = 0, self.alpha.leading_exp, ()
-        if self._kind == "blocks":
-            t = bisect.bisect_right(self._heads, beta) - 1
-            b, e, rest = self._firsts[t], self.alpha.terms[t][0], beta.terms[t:]
-        elif e.is_successor:
-            e, rest = e.pred(), beta.terms
-        else:
-            while not beta < self._block(b + 1)[0]:
-                b += 1
-        if rest and rest[0][0] is e and not e.is_zero:
-            b += rest[0][1]
-        offset, sub = self._block(b)
-        d = b + sub.index(left_subtract(offset, beta))
-        # blocks bb < top gave d - bb vertices before diagonal d, which
-        # visits the blocks from `last` down to b
-        top, last = min(d, self._block_count), min(d, self._block_count - 1)
-        pos = top * d - top * (top - 1) // 2 + last - b
-        if self.alpha.is_successor:
-            # the finite block ran out after its c vertices
-            fin = self._block_count - 1
-            over = d - fin - self.alpha.terms[-1][1]
-            pos -= max(over, 0) + (over >= 0 and b < fin)
-        return pos
+        level, steps = self, []  # (level, block) per level above
+        while level._kind != "range" and beta is not ZERO:
+            # beta's block: after the terms beta shares with alpha, its next
+            # coefficient of w^e counts whole blocks; a limit power walks them
+            b, e, rest = 0, level.alpha.leading_exp, ()
+            if level._kind == "blocks":
+                t = bisect.bisect_right(level._heads, beta) - 1
+                b, e, rest = level._firsts[t], level.alpha.terms[t][0], beta.terms[t:]
+            elif e.is_successor:
+                e, rest = e.pred(), beta.terms
+            else:
+                while not beta < _block(level.alpha, b + 1)[0]:
+                    b += 1
+            if rest and rest[0][0] is e and not e.is_zero:
+                b += rest[0][1]
+            offset, sub = _block(level.alpha, b)
+            steps.append((level, b))
+            level, beta = _layout(sub), left_subtract(offset, beta)
+        i = beta.as_int()
+        for level, b in reversed(steps):
+            # the cells of the diagonals before d, b's place in d, less the empty cells
+            d = b + i
+            top, last = min(d, level._block_count), min(d, level._block_count - 1)
+            i = top * d - top * (top - 1) // 2 + last - b
+            if i >= level._skip:
+                i -= (i - level._skip) // level._block_count + 1
+        return i
 
 
-# The blocks of an enumeration, by type.  Blocks of equal type share one
-# instance and its cached prefix while any enumeration still uses it; the
-# w^(e+1) blocks alone would otherwise rebuild one w^e per block, a cost
-# that grows exponentially with the exponent.
-_SUB_ENUMERATIONS: weakref.WeakValueDictionary[CnfOrdinal, Enumeration] = (
-    weakref.WeakValueDictionary())
+# Cache bounds: a tower such as w^(w^w) meets a new sub-ordinal at nearly
+# every vertex, so every table is bounded; the memo is emptied when full.
+LAYOUT_CACHE_SIZE = 1024
+BLOCK_CACHE_SIZE = 4096
+VALUE_MEMO_SIZE = 4096
+_VALUES: dict = {}
+_layout = lru_cache(maxsize=LAYOUT_CACHE_SIZE)(Enumeration)
 
 
-def _sub_enumeration(alpha: CnfOrdinal) -> Enumeration:
-    sub = _SUB_ENUMERATIONS.get(alpha)
-    if sub is None:
-        sub = _SUB_ENUMERATIONS[alpha] = Enumeration(alpha)
-    return sub
+@lru_cache(maxsize=BLOCK_CACHE_SIZE)
+def _block(alpha: CnfOrdinal, b: int) -> tuple[CnfOrdinal, CnfOrdinal]:
+    """Block b of alpha as (offset, sub): offset + beta for every beta < sub."""
+    level = _layout(alpha)
+    if level._kind == "blocks":
+        t = bisect.bisect_right(level._firsts, b) - 1
+        e, c = alpha.terms[t]
+        if e.is_zero:
+            return level._heads[t], from_int(c)
+        return add(level._heads[t], omega_pow(e, b - level._firsts[t])), omega_pow(e)
+    # a pure power omega^e: block b is the b-th step of its fundamental
+    # sequence, and block 0 starts at 0 (for a limit e the sequence does not)
+    e = alpha.leading_exp
+    if e.is_successor:
+        step = omega_pow(e.pred())
+        return mul(step, from_int(b)), step
+    lo = ZERO if b == 0 else fund_seq(alpha, b)
+    return lo, left_subtract(lo, fund_seq(alpha, b + 1))
 
 
 def enum_below(alpha) -> Enumeration:

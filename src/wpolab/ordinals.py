@@ -167,13 +167,6 @@ class CnfOrdinal:
     def __repr__(self) -> str:
         return "CnfOrdinal(%s)" % render_ordinal(self)
 
-    # Convenience operators; the named functions are the primary API.
-    def __add__(self, other):
-        return add(self, as_ordinal(other))
-
-    def __mul__(self, other):
-        return mul(self, as_ordinal(other))
-
 
 # The intern table: terms -> the one live instance with those terms.  It
 # holds its values weakly, so an ordinal nothing else refers to is freed.

@@ -1,11 +1,12 @@
 """Lazy countable posets: enumerations, sierpinskisations, mixing, and audits."""
 
+import itertools
 import random
 import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wpolab import constructions
@@ -28,13 +29,17 @@ from wpolab.ordinals import (
     OMEGA,
     ONE,
     ZERO,
+    CnfOrdinal,
     OrdinalError,
     add,
     from_int,
+    fund_seq,
     iter_below,
+    left_subtract,
     mul,
     nat_add,
     nat_mul,
+    omega_pow,
     parse_ordinal,
     render_ordinal,
 )
@@ -106,8 +111,9 @@ def test_enum_values_are_distinct_and_below(seed):
 
 # 0.01-0.02 s of CPU for the 3000 index calls below w*2 and w+3 on a 2-vCPU
 # x86 machine, where counting the earlier diagonals one vertex at a time took
-# 4-8 s; 0.18-0.23 s below w^w and w^w*2+3, whose index recurses once per
-# exponent it descends.  Each budget leaves more than 6x headroom
+# 4-8 s; 0.12-0.18 s below w^w and w^w*2+3, whose index steps down one
+# block level per exponent it descends.  Each budget leaves more than 6x
+# headroom
 _ROUND_TRIP_BUDGETS = {"w*2": 0.5, "w+3": 0.5, "w^w": 1.5, "w^w*2+3": 1.5}
 
 
@@ -124,6 +130,12 @@ def test_enum_index_round_trips_within_budget(alpha):
         alpha, cpu, budget)
 
 
+# The blocks that index builds, on every level: below w^w, blocks 1-4 of
+# w^w (the walk up to beta's block 3), then one block each of w^4, w^3 and
+# w^2; below w^2 and w*99999999, beta's block alone
+_INDEX_BLOCKS = {"w^w": 7, "w^2": 1, "w*99999999": 1}
+
+
 @pytest.mark.parametrize("alpha, beta, index", [
     ("w^w", "w^3*9+9", 718706381577),
     ("w^2", "w*100000+5", 5000550020),
@@ -135,12 +147,13 @@ def test_enum_index_is_a_closed_form(alpha, beta, index):
     # 100,006 cached blocks; the closed form takes under 5 ms and builds
     # only the blocks up to beta's (the budget leaves 100x headroom)
     e = enum_below(o(alpha))
+    constructions._block.cache_clear()
     start = time.process_time()
     got = e.index(o(beta))
     cpu = time.process_time() - start
     assert got == index
     assert cpu < 0.5, "index(%s) below %s took %.2fs of CPU (budget 0.5s)" % (beta, alpha, cpu)
-    assert len(e._blocks) <= 5
+    assert constructions._block.cache_info().currsize <= _INDEX_BLOCKS[alpha]
 
 
 @pytest.mark.parametrize("alpha", ["w^w", "w^w*2+3"])
@@ -152,6 +165,105 @@ def test_enum_below_a_limit_exponent_starts_at_zero(alpha):
     for beta in iter_below(2, 2):
         assert beta < e.alpha
         assert e.at(e.index(beta)) == beta
+
+
+def _reference_walk(alpha):
+    """The frozen coding by its definition, as a generator of at(0),
+    at(1), ...: identity below omega; otherwise alpha's unit blocks, each
+    an interval [lo, hi) enumerated as lo + (the walk below -lo + hi), are
+    walked anti-diagonally: diagonal d opens block d, if there is one,
+    then takes the next value of every open block, the highest first.  It
+    nests one generator per block level, so it serves shallow ordinals
+    only."""
+    if alpha.is_finite:
+        yield from map(from_int, range(alpha.as_int()))
+        return
+    if alpha == OMEGA:
+        yield from map(from_int, itertools.count())
+        return
+    blocks, walks = _unit_blocks(alpha), []
+    while True:
+        for lo, hi in itertools.islice(blocks, 1):
+            walks.append((lo, _reference_walk(left_subtract(lo, hi))))
+        for lo, walk in reversed(walks):
+            for beta in itertools.islice(walk, 1):
+                yield add(lo, beta)
+
+
+def _unit_blocks(alpha):
+    """alpha's unit blocks as intervals [lo, hi) in increasing order: w^e
+    alone splits along its fundamental sequence, with block 0 from 0;
+    otherwise each term w^e*c gives c blocks w^e, or one block c if e = 0."""
+    if len(alpha.terms) == 1 and alpha.terms[0][1] == 1:
+        for b in itertools.count():
+            yield ZERO if b == 0 else fund_seq(alpha, b), fund_seq(alpha, b + 1)
+    else:
+        lo = ZERO
+        for e, c in alpha.terms:
+            for _ in range(1 if e.is_zero else c):
+                hi = add(lo, from_int(c) if e.is_zero else omega_pow(e))
+                yield lo, hi
+                lo = hi
+
+
+_EXPONENTS = st.one_of(
+    st.integers(0, 4).map(from_int),
+    st.tuples(st.integers(1, 2), st.integers(0, 3)).map(
+        lambda km: add(mul(OMEGA, from_int(km[0])), from_int(km[1]))),
+    st.sampled_from(["w^2", "w^w"]).map(o))
+
+
+@st.composite
+def _shallow_ordinals(draw):
+    """An infinite ordinal of up to 3 terms with coefficients up to 4, whose
+    exponents are naturals up to 4, w*k+m (k <= 2, m <= 3), w^2 or w^w."""
+    exps = draw(st.sets(_EXPONENTS, min_size=1, max_size=3))
+    terms = tuple((e, draw(st.integers(1, 4))) for e in sorted(exps, reverse=True))
+    alpha = CnfOrdinal(terms)
+    return alpha if not alpha.is_finite else add(OMEGA, alpha)
+
+
+@given(_shallow_ordinals())
+@example(o("w^w*2+3"))
+@example(o("w^(w*2+1)+w^3*4+7"))
+@example(o("w^(w^w)"))
+@settings(max_examples=60)
+def test_enum_at_follows_the_reference_walk(alpha):
+    e = enum_below(alpha)
+    want = list(itertools.islice(_reference_walk(alpha), 150))
+    got = [e.at(i) for i in range(150)]
+    assert all(g is w for g, w in zip(got, want)), (alpha, got, want)
+
+
+# The deep ordinals of the audit benchmark (wpobench/wl_audit.py, DEEP):
+# block 0 alone descends more than 1000 block levels below each of them
+DEEP = [
+    "w^(w^(w^8*9+w^4*7)*9)*8",
+    "w^(w^(w^9*9+w^4*6)*9)*6+w^(w^(w^9*7+w^6*8+w^4*7+w*3)*3+w^(w^3*6)*6)*3+9",
+    "w^(w^(w^10*5+w^7*9)*3+w^(w^9*6+w^8*4)*6+w^(w^4*2)+w^9*6)*8+w*13+2",
+]
+
+
+@pytest.mark.parametrize("alpha", DEEP)
+def test_enum_below_a_deep_tower_needs_no_recursion(alpha):
+    e = enum_below(o(alpha))
+    values = [e.at(i) for i in range(100)]
+    assert len(set(values)) == 100
+    assert all(v < e.alpha for v in values)
+    assert [e.index(v) for v in values] == list(range(100))
+
+
+def test_tower_enumeration_cpu_budget():
+    # 0.08-0.16 s of CPU on a 2-vCPU x86 machine, where a cached
+    # sub-enumeration per block, each walking its own prefix, took
+    # 8.8-9.5 s and 341 MB; the budget leaves more than 6x headroom
+    s = sierpinskisation(o("w^(w^w)"))
+    start = time.process_time()
+    m = s.lt_matrix(range(2000))
+    cpu = time.process_time() - start
+    assert m.shape == (2000, 2000)
+    assert cpu < 1.0, "lt_matrix of 2000 vertices below w^(w^w) took %.2fs of CPU " \
+        "(budget 1.0s)" % cpu
 
 
 # -- sierpinskisations -------------------------------------------------------------
@@ -564,7 +676,8 @@ def test_sierp_enumerations_are_bijective_on_the_prefix():
 
 
 def _repeat_an_enumeration_value(monkeypatch):
-    # on a fresh instance only: shared sub-enumerations keep clean caches
+    # on a fresh instance only: the value memo that every enumeration
+    # shares stays clean
     def enum_below(alpha):
         e = Enumeration(alpha)
         at = e.at

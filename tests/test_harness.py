@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from wpolab import oracles, suites
 from wpolab.bounds import theta_plus
 from wpolab.cardinals import KOrdinal
-from wpolab.cli import build_parser, main
+from wpolab.cli import MAX_BADTREE_VERTICES, build_parser, main
 from wpolab.io import export_poset, load_poset
 from wpolab.ordinals import MAX_NUMERAL_DIGITS, ZERO, add
 from wpolab.posets import PosetError, antichain, chain, make_poset
@@ -419,6 +419,30 @@ def test_cli_rejects_bad_counts(capsys):
         assert captured.err.startswith("wpolab: ") and captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("targets, message", [
+    ("w w w*2", "growing the right type alone is not implemented; swap the "
+                "realizer and grow left"),
+    ("w w+1 w", "left growth alternates old and new vertices forever, so the "
+                "padding type must be infinite (got 1)"),
+    ("w w*3 w*2", "unsupported extension (w,w) -> (w*3,w*2)"),
+    ("w*2 w*3 w*2", "left growth needs the nth_right rank hook"),
+    ("w+3 w*2 w+3", "left growth needs a right type that is a multiple of omega "
+                    "(doubled points change w+3)"),
+])
+def test_cli_extend_refusals_are_frozen(capsys, targets, message):
+    assert main(["construct", "extend", *targets.split()]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "wpolab: %s\n" % message)
+
+
+@pytest.mark.parametrize("op", ["mul", "nmul", "div", "sub"])
+def test_cli_scaled_ord_takes_add_and_nadd_only(capsys, op):
+    assert main(["ord", op, "W1*(1)+(0)", "w"]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (
+        "", "wpolab: ord %s supports countable arguments only\n" % op)
+
+
 def test_cli_construct_rejects_scaled_ordinals(capsys):
     assert main(["construct", "sierp", "W1*(1)+(0)"]) == 2
     captured = capsys.readouterr()
@@ -465,6 +489,28 @@ def test_cli_inline_finite_poset_over_the_bound_fails_fast():
     assert done.returncode == 2 and done.stdout == ""
     assert done.stderr.startswith("wpolab: ") and done.stderr.count("\n") == 1
     assert str(MAX_INLINE_FIN) in done.stderr
+
+
+@pytest.mark.parametrize("source", ["inline", "file"])
+def test_cli_badtree_over_its_vertex_cap_fails_fast(tmp_path, source):
+    # antichain11 did not finish in a minute through the brute force
+    n = MAX_BADTREE_VERTICES + 3
+    arg = "fin(antichain%d)" % n
+    if source == "file":
+        (tmp_path / "a.json").write_text(json.dumps({"n": n, "le": []}))
+        arg = "@%s" % (tmp_path / "a.json")
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run([sys.executable, "-m", "wpolab.cli", "poset", "badtree", arg],
+                          capture_output=True, text=True, env=env, timeout=20)
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr == ("wpolab: poset badtree lists every bad sequence, so it "
+                           "takes at most %d vertices; got %d\n" % (MAX_BADTREE_VERTICES, n))
+
+
+def test_cli_badtree_at_its_vertex_cap_answers(capsys):
+    n = MAX_BADTREE_VERTICES
+    assert run_cli("poset", "badtree", "fin(chain%d)" % n, capsys=capsys) == (0, str(n))
 
 
 @pytest.mark.parametrize("argv", [
