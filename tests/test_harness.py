@@ -355,8 +355,11 @@ CLI_ORD_TOKENS = ["w", "^", "*", "+", "(", ")", "0", "1", "2", "10", "W1", "W10"
                   "*(", ")+("]
 CLI_TERM_TOKENS = ["ord(w)", "ord(2)", "fin(chain2)", "fin(antichain2)", "fin(", "ord(",
                    "dsum(", "lexsum(", "prod(", ",", ")", "chain", "@", "w"]
+# w^(w^(w^8*9+w^4*7)*9)*8 is an exponent tower deeper than the recursion
+# limit for any enumeration that recurses once per block level
 VALID_ORDINALS = st.sampled_from(["0", "1", "3", "w", "w+1", "w*2", "w^2", "w^w",
-                                  "w^2*3+w+2", "W1*(1)+(0)", "W2*(w)+(3)"])
+                                  "w^2*3+w+2", "w^(w^(w^8*9+w^4*7)*9)*8",
+                                  "W1*(1)+(0)", "W2*(w)+(3)"])
 CLI_ORDINALS = st.one_of(
     VALID_ORDINALS, VALID_ORDINALS,
     st.lists(st.sampled_from(CLI_ORD_TOKENS), min_size=1, max_size=6).map("".join))
