@@ -203,6 +203,12 @@ FROZEN_INTERSECT = {
     ("lexsum(fin(antichain3), dsum(ord(3), fin(chain1)))",
      "dsum(lexsum(ord(2), fin(chain2)), dsum(fin(antichain1), ord(2)))"): (
         "7e9c402e8ef366a038b9cf3c9e94b683", "eac43dfb113360c7b9da74ac68d93250"),
+    # products, over sums and over each other
+    ("prod(lexsum(fin(chain3), ord(4)), dsum(ord(3), fin(antichain2)))", "fin(chain35)"): (
+        "b947b3a37b13d8373ac42053738d5ed3", "784cb265dd79266cdac6d791b9b7cc3c"),
+    ("prod(fin(antichain3), prod(ord(2), fin(chain4)))",
+     "prod(fin(chain4), dsum(ord(3), lexsum(fin(chain2), fin(antichain1))))"): (
+        "3269e16722dbf4fda1632e8ab9fe852d", "eda86de4e4f7db66ba6fe37f115877db"),
 }
 
 
