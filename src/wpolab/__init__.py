@@ -37,6 +37,7 @@ from .cardinals import (
 from .constructions import (
     AuditReport,
     Enumeration,
+    LazyOrder,
     LazyPoset,
     decompinver_witness,
     enum_below,

@@ -50,18 +50,12 @@ def _parse_any(text: str):
     return parse_ordinal(text)
 
 
-def _show(value) -> str:
-    if isinstance(value, KOrdinal):
-        return render_ordinal(value.countable()) if value.level == 0 else render_k(value)
-    return render_ordinal(value)
-
-
 def _cmd_ord(args) -> int:
     a = _parse_any(args.a)
     if args.op == "hartog":
         if args.b is not None:
             raise OrdinalError("ord hartog takes one argument")
-        print(_show(hartog(KOrdinal.of(a))))
+        print(render_k(hartog(KOrdinal.of(a))))
         return 0
     if args.b is None:
         raise OrdinalError("ord %s needs two arguments" % args.op)
@@ -76,7 +70,7 @@ def _cmd_ord(args) -> int:
         fns = {"add": k_add, "nadd": k_nat_add}
         if args.op not in fns:
             raise OrdinalError("ord %s supports countable arguments only" % args.op)
-        print(_show(fns[args.op](ka, kb)))
+        print(render_k(fns[args.op](ka, kb)))
         return 0
     if args.op == "div":
         q, r = euclid_div(a, b)
@@ -90,7 +84,7 @@ def _cmd_ord(args) -> int:
 
 def _cmd_theta(args) -> int:
     vals = [KOrdinal.of(_parse_any(t)) for t in args.ordinals]
-    print(_show(theta_plus(*vals)))
+    print(render_k(theta_plus(*vals)))
     return 0
 
 

@@ -1,8 +1,9 @@
 """Explicit countable witness posets with two-order realizers.
 
-Each construction returns a LazyPoset: an enumerated vertex universe with
-a decidable strict order, a two-order realizer with the order types of its
-two orders, and a length certificate recorded as an arithmetic derivation.
+Each construction returns a LazyPoset: a LazyOrder (an enumerated vertex
+universe with a decidable strict order, which is also what a term of
+`terms` denotes) with a two-order realizer, the order types of its two
+orders, and a length certificate recorded as an arithmetic derivation.
 The order comes twice: `lt_matrix` builds it on a vertex list in one numpy
 batch from the construction's defining data (ranks, indices, blocks), and
 the pairwise comparator `lt` is its oracle.  A realizer is two linear
@@ -187,29 +188,42 @@ def enum_below(alpha) -> Enumeration:
 
 
 @dataclass
-class LazyPoset:
-    """An enumerated poset with a decidable order and a two-order realizer.
+class LazyOrder:
+    """An enumerated strict order: `vertex(i)` is the i-th vertex, and
+    `size` the number of vertices, None when infinite.  `lt_matrix(vs)` is
+    the order on a vertex list as a bool matrix, m[i, j] iff vs[i] < vs[j],
+    built in one batch from the defining data (ranks, indices, blocks); it
+    is what prefix_audit, `wpolab construct` and denote_prefix read.  `lt`
+    is the same order as a pairwise comparator, the oracle that tests and
+    the suites compare `lt_matrix` against."""
 
-    `lt_matrix(vs)` is the strict partial order on a vertex list, as a
-    bool matrix with m[i, j] iff vs[i] < vs[j]; it is built in one batch
-    from the construction's defining data, never through the realizer keys
-    or the audit's key ranking, and it is what prefix_audit and
-    `wpolab construct` read.  `lt` is the
-    same order as a pairwise comparator, kept as the oracle that tests and
-    the constructions_prefix suite compare `lt_matrix` against.  The realizer
-    is `keys`, the pair (left key, right key) of per-vertex keys, each
-    valued in a set totally ordered by `<`: the left order puts x before y
-    iff left_key(x) < left_key(y), and likewise on the right.  Vertices
-    with equal keys are incomparable in that order, so a tie makes it
-    non-linear.  On every prefix, lt must be the intersection of the two
+    vertex: Callable[[int], object]
+    lt: Callable[[object, object], bool]
+    lt_matrix: Callable[[list], np.ndarray]
+    size: Optional[int] = None
+
+    def prefix(self, n: int) -> list:
+        if self.size is not None and n > self.size:
+            raise PosetError("a prefix of %d vertices was requested, but the "
+                             "poset has only %d" % (n, self.size))
+        return [self.vertex(i) for i in range(n)]
+
+
+@dataclass(kw_only=True)
+class LazyPoset(LazyOrder):
+    """An enumerated order with a two-order realizer.
+
+    `lt_matrix` never reads the realizer keys or the audit's key ranking.
+    The realizer is `keys`, the pair (left key, right key) of per-vertex
+    keys, each valued in a set totally ordered by `<`: the left order puts
+    x before y iff left_key(x) < left_key(y), and likewise on the right.
+    Vertices with equal keys are incomparable in that order, so a tie makes
+    it non-linear.  On every prefix, lt must be the intersection of the two
     orders, whose order types are `types`.  `certificate` is a recorded
     length derivation (a claim about the infinite object), `note` its
     justification chain.
     """
 
-    vertex: Callable[[int], object]
-    lt: Callable[[object, object], bool]
-    lt_matrix: Callable[[list], np.ndarray]
     keys: tuple  # (left key, right key)
     types: tuple  # (left order type, right order type)
     certificate: CnfOrdinal
@@ -221,8 +235,6 @@ class LazyPoset:
     # the vertex at a given rank of the right linear order, when that rank
     # is computable; used by extend_realizer
     nth_right: Optional[Callable[[int], object]] = None
-    # the number of vertices when the universe is finite
-    size: Optional[int] = None
 
     @property
     def type_left(self) -> CnfOrdinal:
@@ -231,12 +243,6 @@ class LazyPoset:
     @property
     def type_right(self) -> CnfOrdinal:
         return self.types[1]
-
-    def prefix(self, n: int) -> list:
-        if self.size is not None and n > self.size:
-            raise PosetError("a prefix of %d vertices was requested, but the "
-                             "poset has only %d" % (n, self.size))
-        return [self.vertex(i) for i in range(n)]
 
 
 def sierpinskisation(alpha) -> LazyPoset:
@@ -382,12 +388,8 @@ def _aligned_block(alpha: CnfOrdinal) -> LazyPoset:
         types=(alpha, alpha),
         certificate=alpha,
         note="aligned chain of type %s" % alpha,
-        size=_block_size(alpha),
+        size=enum.size,
     )
-
-
-def _block_size(alpha: CnfOrdinal) -> Optional[int]:
-    return alpha.as_int() if alpha.is_finite else None
 
 
 def _round_robin(sizes: list) -> Callable[[int], tuple[int, int]]:
@@ -395,25 +397,29 @@ def _round_robin(sizes: list) -> Callable[[int], tuple[int, int]]:
     sizes (None: infinite) merged in rounds: round d takes item d of each
     part in part order, skipping a finite part once it has run out.
 
-    Closed form: between two consecutive finite sizes the number of parts
-    in a round is constant, so i is placed by one pass over the sorted
-    sizes.  Past the last item of all-finite parts, locate raises
+    Closed form: between two consecutive finite sizes the parts in a round
+    stay the same, so each such phase is laid out once, as its first item,
+    its first round and its parts, and i is placed by one division in its
+    phase.  Past the last item of all-finite parts, locate raises
     PosetError."""
     total = None if None in sizes else sum(sizes)
-    ends = sorted(n for n in sizes if n is not None) + [None]
+    phases = []
+    first = start = 0
+    for end in sorted(set(sizes) - {None}) + [None]:
+        live = [k for k, n in enumerate(sizes) if n is None or start < n]
+        phases.append((first, start, live))
+        if end is not None:
+            first, start = first + (end - start) * len(live), end
+    phases.reverse()
 
     def locate(i: int) -> tuple[int, int]:
         if total is not None and i >= total:
             raise PosetError("vertex %d does not exist: the parts have %d "
                              "vertices in all" % (i, total))
-        start, width = 0, len(sizes)  # first round of the phase, parts per round
-        for end in ends:
-            if end is None or i < (end - start) * width:
-                d = start + i // width
-                live = [k for k, n in enumerate(sizes) if n is None or d < n]
-                return live[i % width], d
-            i -= (end - start) * width
-            start, width = end, width - 1
+        for first, start, live in phases:
+            if i >= first:
+                d, k = divmod(i - first, len(live))
+                return live[k], start + d
 
     return locate
 
@@ -448,15 +454,11 @@ def _diagonal_cell(sa, sb) -> Callable[[int], tuple[int, int]]:
     return cell
 
 
-def _realizer_sum(parts, sign: int, certificate: CnfOrdinal, note: str) -> LazyPoset:
-    """The sum of the realizers of parts, on vertices (k, v) with v a
-    vertex of parts[k], merged round robin.
-
-    The left order puts the parts one after another in part order, the
-    right order in part order for sign 1 and in reverse for sign -1.  Keys
-    of different parts never get past the part number, so for sign 1 each
-    part lies below every later one (a chunk on top extends both orders)
-    and for sign -1 the parts are incomparable (their disjoint sum)."""
+def _sum(parts, ordered: bool) -> LazyOrder:
+    """The sum of the orders parts, on vertices (k, v) with v a vertex of
+    parts[k], merged round robin: each part keeps its own order, and lies
+    below every later part iff ordered (otherwise parts are incomparable,
+    their disjoint sum)."""
     sizes = [p.size for p in parts]
     locate = _round_robin(sizes)
 
@@ -467,22 +469,35 @@ def _realizer_sum(parts, sign: int, certificate: CnfOrdinal, note: str) -> LazyP
     def lt(x, y):
         if x[0] == y[0]:
             return parts[x[0]].lt(x[1], y[1])
-        return sign == 1 and x[0] < y[0]
+        return ordered and x[0] < y[0]
 
+    return LazyOrder(
+        vertex=vertex,
+        lt=lt,
+        lt_matrix=lambda vs: _place(vs, [p.lt_matrix for p in parts], ordered),
+        size=None if None in sizes else sum(sizes),
+    )
+
+
+def _realizer_sum(parts, sign: int, certificate: CnfOrdinal, note: str) -> LazyPoset:
+    """The sum of the realizers of parts, on the vertices of their _sum.
+
+    The left order puts the parts one after another in part order, the
+    right order in part order for sign 1 and in reverse for sign -1.  Keys
+    of different parts never get past the part number, so for sign 1 each
+    part lies below every later one (a chunk on top extends both orders)
+    and for sign -1 the parts are incomparable (their disjoint sum)."""
     tl = tr = ZERO
     for p in parts:
         tl = add(tl, p.type_left)
         tr = add(tr, p.type_right) if sign == 1 else add(p.type_right, tr)
     return LazyPoset(
-        vertex=vertex,
-        lt=lt,
-        lt_matrix=lambda vs: _place(vs, [p.lt_matrix for p in parts], sign == 1),
+        **vars(_sum(parts, sign == 1)),
         keys=(lambda x: (x[0], parts[x[0]].keys[0](x[1])),
               lambda x: (sign * x[0], parts[x[0]].keys[1](x[1]))),
         types=(tl, tr),
         certificate=certificate,
         note=note,
-        size=None if None in sizes else sum(sizes),
     )
 
 

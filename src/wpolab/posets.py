@@ -21,7 +21,7 @@ from functools import lru_cache, cached_property
 
 import numpy as np
 
-from .ordinals import OrdinalError
+from .ordinals import OrdinalError, clip
 
 
 class PosetError(OrdinalError):
@@ -124,6 +124,15 @@ def _pack(m: np.ndarray) -> list:
             for row in np.packbits(m, axis=1, bitorder="little")]
 
 
+def _unpack(rows: list, n: int) -> np.ndarray:
+    """The bool matrix with m[i, j] iff bit j of rows[i] is set, for
+    j < n: the inverse of _pack, by one numpy call."""
+    width = (n + 7) // 8
+    packed = np.frombuffer(b"".join(row.to_bytes(width, "little") for row in rows),
+                           dtype=np.uint8).reshape(len(rows), width)
+    return np.unpackbits(packed, axis=1, count=n, bitorder="little").view(bool)
+
+
 def _close(n: int, rows: list) -> FinPoset:
     """The FinPoset of successor bitsets rows, closed transitively, or
     PosetError naming a cycle.
@@ -172,7 +181,9 @@ def _cycle_error(rows: list) -> PosetError:
     are those of the strongly connected components with two or more
     vertices or a loop, found by Kosaraju's two searches (the second over
     the transposed bitsets) in O(n) big-int operations and one numpy
-    transpose."""
+    transpose.  The message clips the witness like an echoed input, so a
+    long cycle still gives a one-line message; the error's `cycle` holds
+    all of it."""
     # (i, j) and (j, i) make a cycle of two, so this also reports
     # antisymmetry violations
     n = len(rows)
@@ -181,18 +192,17 @@ def _cycle_error(rows: list) -> PosetError:
         if not seen >> v & 1:
             tree, seen = _search(rows, v, seen)
             order += tree
-    width = (n + 7) // 8
-    m = np.unpackbits(np.frombuffer(b"".join(row.to_bytes(width, "little") for row in rows),
-                                    dtype=np.uint8).reshape(n, width),
-                      axis=1, count=n, bitorder="little")
-    below = _pack(m.T)
+    below = _pack(_unpack(rows, n).T)
     first, seen = n, 0
     for v in reversed(order):
         if not seen >> v & 1:
             component, seen = _search(below, v, seen)
             if len(component) > 1 or rows[v] >> v & 1:
                 first = min(first, *component)
-    return PosetError("le is not antisymmetric; cycle witness %s" % (_cycle(rows, first),))
+    cycle = _cycle(rows, first)
+    err = PosetError("le is not antisymmetric; cycle witness %s" % clip(str(cycle)))
+    err.cycle = cycle
+    return err
 
 
 def _search(rows: list, root: int, seen: int) -> tuple:

@@ -58,8 +58,9 @@ from .posets import (
     bad_tree_height,
     length_fin,
     length_recursive,
+    poset_of_matrix,
 )
-from .terms import DSum, Fin, Prod, denote_prefix
+from .terms import DSum, Fin, Prod, _denote
 
 
 @dataclass
@@ -249,14 +250,18 @@ def _suite_finite_poset_oracle(report, cases, rng):
                 if budget <= 0:
                     return
                 budget -= 1
-                ds = length_recursive(denote_prefix(DSum(Fin(p), Fin(q)), p.n + q.n))
-                if ds != p.n + q.n:
-                    report.failures.append(("dsum %r,%r" % (p, q),
-                                            str(p.n + q.n), str(ds)))
-                pr = length_recursive(denote_prefix(Prod(Fin(p), Fin(q)), p.n * q.n))
-                if pr != p.n * q.n:
-                    report.failures.append(("prod %r,%r" % (p, q),
-                                            str(p.n * q.n), str(pr)))
+                for name, node, size in (("dsum", DSum, p.n + q.n), ("prod", Prod, p.n * q.n)):
+                    d = _denote(node(Fin(p), Fin(q)))
+                    vs = d.prefix(size)
+                    # the batch order denote_prefix reads, against the pairwise oracle
+                    batch = d.lt_matrix(vs)
+                    diff = np.argwhere(batch != relation_matrix(vs, d.lt))
+                    if len(diff):
+                        report.failures.append(("%s %r,%r lt_matrix" % (name, p, q), "pass",
+                                                repr(tuple(map(int, diff[0])))))
+                    got = length_recursive(poset_of_matrix(batch))
+                    if got != size:
+                        report.failures.append(("%s %r,%r" % (name, p, q), str(size), str(got)))
 
 
 def _suite_constructions_prefix(report, cases, rng):

@@ -5,18 +5,23 @@ union, ordinal (lexicographic) sum, and cartesian product.  Lengths follow
 the de Jongh-Parikh rules: disjoint union takes the natural sum, cartesian
 product the natural product, ordinal sum the (ordinary) ordinal sum.
 
-Canonical enumeration of a denotation, used by denote_prefix and frozen
-for reproducibility: Ord leaves enumerate via enum_below, Fin leaves by
-vertex label; DSum and LexSum alternate factors (continuing with the
+A denotation is a constructions.LazyOrder, the same enumerated order that
+the witness constructions build on.  Its canonical enumeration, used by
+denote_prefix and frozen for reproducibility: an Ord leaf is the aligned
+chain of its type (vertex i stands for the i-th ordinal of enum_below), a
+Fin leaf enumerates its vertex labels; DSum and LexSum are the round-robin
+sum of constructions._sum (alternating factors, continuing with the
 survivor once a finite factor is exhausted); Prod walks anti-diagonals of
 the index grid, first index ascending, and places cell k in closed form.
 
 denote_prefix builds the order of a prefix in one batch: each node's
-lt_matrix(n) is composed from its children's as numpy bool matrices (an Ord
-leaf ranks its values with one sort, a Fin leaf unpacks its successor
-bitsets, sums place two blocks, a product indexes its factors' reflexive
-orders), and posets.poset_of_matrix packs the result.  The pairwise lt on
-elements stays as the oracle that tests compare lt_matrix against.
+lt_matrix(vs) on a vertex list is composed from its children's as numpy
+bool matrices (an Ord leaf ranks its ordinals with one sort, a Fin leaf
+unpacks its successor bitsets, sums place their parts as blocks, a product
+indexes each factor's reflexive order on its distinct coordinates), and
+posets.poset_of_matrix packs the result.  The pairwise lt stays as the
+oracle that tests and the finite_poset_oracle suite compare lt_matrix
+against.
 """
 
 from __future__ import annotations
@@ -27,14 +32,7 @@ from typing import Union
 
 import numpy as np
 
-from .constructions import (
-    _below,
-    _diagonal_cell,
-    _index_ranks,
-    _place,
-    _round_robin,
-    enum_below,
-)
+from .constructions import LazyOrder, _aligned_block, _diagonal_cell, _sum
 from .io import read_poset_file
 from .ordinals import (
     MAX_NESTING,
@@ -49,7 +47,7 @@ from .ordinals import (
     parse_ordinal,
     render_ordinal,
 )
-from .posets import FinPoset, PosetError, antichain, chain, length_fin, poset_of_matrix
+from .posets import FinPoset, PosetError, _unpack, antichain, chain, length_fin, poset_of_matrix
 
 
 @dataclass(frozen=True)
@@ -99,97 +97,49 @@ def length_term(t: PosetTerm) -> CnfOrdinal:
 
 def term_size(t: PosetTerm):
     """Number of elements of the denotation, or None when infinite."""
-    if isinstance(t, Ord):
-        return t.alpha.as_int() if t.alpha.is_finite else None
-    if isinstance(t, Fin):
-        return t.poset.n
-    a, b = term_size(t.left), term_size(t.right)
-    if isinstance(t, Prod):
-        if a == 0 or b == 0:
-            return 0
-        return a * b if a is not None and b is not None else None
-    if a == 0:
-        return b
-    if b == 0:
-        return a
-    return a + b if a is not None and b is not None else None
+    return _denote(t).size
 
 
 # -- canonical enumerations ----------------------------------------------------------
 
 
-class _Denotation:
-    """size (None = infinite), at(i) -> element, lt_matrix(n) -> the strict
-    order on elements 0..n-1 as a bool matrix, composed by structure, and
-    lt, the same order as a pairwise comparator on elements, kept as the
-    oracle that tests compare lt_matrix against."""
+def _fin(p: FinPoset) -> LazyOrder:
+    """A Fin leaf: its vertex labels in order."""
 
-    def __init__(self, size, at, lt, lt_matrix):
-        self.size, self.at, self.lt, self.lt_matrix = size, at, lt, lt_matrix
+    def lt_matrix(vs) -> np.ndarray:
+        m = _unpack([p.successors[v] for v in vs], p.n)
+        # the leading labels, which every prefix of a denotation gives a
+        # leaf, need no gather
+        return m[:, :len(vs)] if vs == list(range(len(vs))) else m[:, vs]
 
-
-_EMPTY = _Denotation(0, lambda i: None, lambda x, y: False,
-                     lambda n: np.zeros((0, 0), dtype=bool))
+    return LazyOrder(vertex=lambda i: i, lt=p.lt, lt_matrix=lt_matrix, size=p.n)
 
 
-def _denote(t: PosetTerm) -> _Denotation:
+_EMPTY = _fin(antichain(0))
+
+
+def _denote(t: PosetTerm) -> LazyOrder:
     if isinstance(t, Ord):
-        if t.alpha.is_zero:
-            return _EMPTY
-        e = enum_below(t.alpha)
-        return _Denotation(e.size, e.at, lambda x, y: x < y,
-                           lambda n: _below(_index_ranks(range(n), e.at)))
+        return _EMPTY if t.alpha.is_zero else _aligned_block(t.alpha)
     if isinstance(t, Fin):
-        p = t.poset
-        return _Denotation(p.n, lambda i: i, p.lt, lambda n: _unpack(p, n))
+        return _fin(t.poset)
     a, b = _denote(t.left), _denote(t.right)
     if isinstance(t, Prod):
         return _product(a, b)
-    return _interleave(a, b, lexicographic=isinstance(t, LexSum))
+    return _sum([a, b], ordered=isinstance(t, LexSum))
 
 
-def _unpack(p: FinPoset, n: int) -> np.ndarray:
-    """The strict order of p on its first n vertices: one numpy call
-    unpacks the bytes of their successor bitsets."""
-    width = (p.n + 7) // 8
-    packed = np.frombuffer(b"".join(row.to_bytes(width, "little") for row in p.successors[:n]),
-                           dtype=np.uint8).reshape(n, width)
-    return np.unpackbits(packed, axis=1, count=n, bitorder="little").astype(bool)
-
-
-def _interleave(a: _Denotation, b: _Denotation, lexicographic: bool) -> _Denotation:
-    both = None if a.size is None or b.size is None else a.size + b.size
-    locate = _round_robin([a.size, b.size])
-
-    def at(i: int):
-        side, k = locate(i)
-        return (side, (a if side == 0 else b).at(k))
-
-    def lt(x, y):
-        if x[0] == y[0]:
-            return (a if x[0] == 0 else b).lt(x[1], y[1])
-        return lexicographic and x[0] == 0
-
-    def lt_matrix(n: int) -> np.ndarray:
-        # a lexicographic sum puts every left element below every right one
-        return _place([locate(i) for i in range(n)],
-                      [lambda ks: a.lt_matrix(len(ks)), lambda ks: b.lt_matrix(len(ks))],
-                      lexicographic)
-
-    return _Denotation(both, at, lt, lt_matrix)
-
-
-def _product(a: _Denotation, b: _Denotation) -> _Denotation:
+def _product(a: LazyOrder, b: LazyOrder) -> LazyOrder:
     if a.size == 0 or b.size == 0:
         return _EMPTY
     total = None if a.size is None or b.size is None else a.size * b.size
     cell = _diagonal_cell(a.size, b.size)
 
-    def at(k: int):
+    def vertex(k: int):
         if k < 0 or (total is not None and k >= total):
             raise OrdinalError("enumeration index %d out of range" % k)
         i, j = cell(k)
-        return a.at(i), b.at(j)
+        return a.vertex(i), b.vertex(j)
 
     def lt(x, y):
         xa, xb = x
@@ -198,16 +148,19 @@ def _product(a: _Denotation, b: _Denotation) -> _Denotation:
         below_b = b.lt(xb, yb) or xb == yb
         return below_a and below_b and x != y
 
-    def lt_matrix(n: int) -> np.ndarray:
-        ia, ib = np.array([cell(k) for k in range(n)], dtype=np.int64).reshape(n, 2).T
-        na, nb = (int(ix.max(initial=-1)) + 1 for ix in (ia, ib))
-        ea = a.lt_matrix(na) | np.eye(na, dtype=bool)
-        eb = b.lt_matrix(nb) | np.eye(nb, dtype=bool)
-        m = ea[np.ix_(ia, ia)] & eb[np.ix_(ib, ib)]
+    def lt_matrix(vs) -> np.ndarray:
+        # each factor's reflexive order on its distinct coordinates, indexed
+        # by every vertex's coordinate
+        m = np.ones((len(vs), len(vs)), dtype=bool)
+        for factor, coords in ((a, [x for x, _ in vs]), (b, [y for _, y in vs])):
+            place: dict = {}  # distinct coordinate -> its place, in first-seen order
+            ix = np.array([place.setdefault(v, len(place)) for v in coords], dtype=np.int64)
+            le = factor.lt_matrix(list(place)) | np.eye(len(place), dtype=bool)
+            m &= le[np.ix_(ix, ix)]
         np.fill_diagonal(m, False)
         return m
 
-    return _Denotation(total, at, lt, lt_matrix)
+    return LazyOrder(vertex=vertex, lt=lt, lt_matrix=lt_matrix, size=total)
 
 
 def denote_prefix(t: PosetTerm, budget: int) -> FinPoset:
@@ -217,7 +170,7 @@ def denote_prefix(t: PosetTerm, budget: int) -> FinPoset:
     n = budget if d.size is None else min(budget, d.size)
     if n < 0:
         raise PosetError("vertex count %d is negative" % n)
-    return poset_of_matrix(d.lt_matrix(n))
+    return poset_of_matrix(d.lt_matrix(d.prefix(n)))
 
 
 # -- term grammar --------------------------------------------------------------------

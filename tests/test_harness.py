@@ -8,11 +8,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from wpolab import oracles, suites
+from wpolab import oracles, suites, terms
 from wpolab.bounds import theta_plus
 from wpolab.cardinals import KOrdinal
 from wpolab.cli import MAX_BADTREE_VERTICES, build_parser, main
@@ -95,6 +96,19 @@ def test_suites_catch_a_wrong_library_function(monkeypatch, name, target, wrong)
     # and the oracles never reach the natural operations they check
     for op in ("nat_add", "nat_mul", "ul_nat_add"):
         assert not hasattr(oracles, op)
+
+
+def test_finite_poset_oracle_reports_a_wrong_batch_order(monkeypatch):
+    # Fin leaves that unpack no order keep every length, so only the
+    # comparison with the pairwise order can catch them; the budget reaches
+    # the pairs of a point with the 2-chain
+    cases = 243 + 30
+    assert run_suite("finite_poset_oracle", cases, 0).passed
+    monkeypatch.setattr(terms, "_unpack", lambda rows, n: np.zeros((len(rows), n), dtype=bool))
+    failures = run_suite("finite_poset_oracle", cases, 0).failures
+    assert failures and all(label.endswith(" lt_matrix") for label, _, _ in failures)
+    assert any(label.startswith("dsum ") for label, _, _ in failures)
+    assert any(label.startswith("prod ") for label, _, _ in failures)
 
 
 def test_zero_cases_is_a_vacuous_pass():
@@ -350,6 +364,21 @@ def test_cli_unreadable_poset_files_fail_with_one_line(capsys, tmp_path):
             captured = capsys.readouterr()
             assert captured.out == ""
             assert captured.err.startswith("wpolab: ") and captured.err.count("\n") == 1
+
+
+def test_cli_a_long_cycle_fails_with_one_short_line(capsys, tmp_path):
+    # 0 -> 1999 -> 1998 -> ... -> 1 -> 0: the witness lists 2001 vertices
+    n = 2000
+    path = tmp_path / "cycle.json"
+    path.write_text(json.dumps({"n": n, "le": [[i + 1, i] for i in range(n - 1)] + [[0, n - 1]]}))
+    assert main(["poset", "len", "@%s" % path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("wpolab: le is not antisymmetric; cycle witness [0, 1999, ")
+    assert captured.err.count("\n") == 1 and len(captured.err) < 200
+    with pytest.raises(PosetError) as info:
+        load_poset(path.read_text())
+    assert info.value.cycle == [0, *range(n - 1, 0, -1), 0]
 
 
 # argv from the CLI grammar: each command with its own argument shapes,

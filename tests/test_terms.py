@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wpolab.constructions import relation_matrix
 from wpolab.ordinals import (
     OrdinalError,
     add,
@@ -130,18 +131,17 @@ def test_product_enumeration_walks_anti_diagonals():
         walk = [(i, s - i) for s in range(30) for i in range(s + 1)
                 if (sa == "w" or i < int(sa)) and (sb == "w" or s - i < int(sb))]
         n = len(walk) if d.size is None else d.size
-        assert [d.at(k) for k in range(n)] == [(from_int(i), from_int(j))
-                                                for i, j in walk[:n]]
+        assert [d.vertex(k) for k in range(n)] == walk[:n]
         if d.size is not None:
             with pytest.raises(OrdinalError):
-                d.at(d.size)
+                d.vertex(d.size)
 
 
 def _pairwise_prefix(t, budget):
-    """denote_prefix through the pairwise comparator _Denotation.lt."""
+    """denote_prefix through the pairwise comparator LazyOrder.lt."""
     d = terms._denote(t)
     n = budget if d.size is None else min(budget, d.size)
-    vs = [d.at(i) for i in range(n)]
+    vs = [d.vertex(i) for i in range(n)]
     return make_poset(n, [(i, j) for i in range(n) for j in range(n) if d.lt(vs[i], vs[j])])
 
 
@@ -172,6 +172,17 @@ def poset_terms(depth):
 @settings(max_examples=150, deadline=None)
 def test_batch_denotation_matches_the_pairwise_oracle(t, budget):
     assert denote_prefix(t, budget) == _pairwise_prefix(t, budget)
+
+
+@given(poset_terms(3), st.integers(0, 40), st.randoms(use_true_random=False))
+@settings(max_examples=150, deadline=None)
+def test_batch_order_matches_the_pairwise_order_on_any_vertex_list(t, budget, rng):
+    # a prefix gives every node its leading vertices; a shuffled sample of
+    # one does not, so this reaches the general lt_matrix(vs) of each node
+    d = terms._denote(t)
+    vs = d.prefix(budget if d.size is None else min(budget, d.size))
+    vs = rng.sample(vs, rng.randrange(len(vs) + 1))
+    assert (d.lt_matrix(vs) == relation_matrix(vs, d.lt)).all()
 
 
 def test_a_2000_vertex_product_prefix_stays_fast():
