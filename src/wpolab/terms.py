@@ -10,8 +10,8 @@ the witness constructions build on.  Its canonical enumeration, used by
 denote_prefix and frozen for reproducibility: an Ord leaf is the aligned
 chain of its type (vertex i stands for the i-th ordinal of enum_below), a
 Fin leaf enumerates its vertex labels; DSum and LexSum are the round-robin
-sum of constructions._sum (alternating factors, continuing with the
-survivor once a finite factor is exhausted); Prod walks anti-diagonals of
+sum constructions._sum (alternating factors, continuing with the survivor
+once a finite factor is exhausted); Prod walks anti-diagonals of
 the index grid, first index ascending, and places cell k in closed form.
 
 denote_prefix builds the order of a prefix in one batch: each node's

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from wpolab.cli import main
 from wpolab.io import export_poset
 from wpolab.oracles import length_by_extensions
+from wpolab.ordinals import clip
 from wpolab.posets import (
     PosetError,
     all_posets,
@@ -234,6 +235,7 @@ def test_a_cycle_is_reported_by_a_shortest_witness(graph):
     with pytest.raises(PosetError, match="le is not antisymmetric; cycle witness") as info:
         make_poset(n, edges)
     witness = info.value.cycle
+    assert str(info.value) == "le is not antisymmetric; cycle witness " + clip(str(witness))
     # a closed walk along generating pairs through the first vertex on a cycle
     start = cyclic[0]
     assert witness[0] == witness[-1] == start
