@@ -40,7 +40,7 @@ from .ordinals import (
 )
 from .posets import PosetError, bad_tree_height, embeds, intersect, length_fin, poset_of_matrix
 from .suites import SUITES, run_suite
-from .terms import denote_prefix, length_term, parse_term, term_size
+from .terms import _denote, length_term, parse_term
 
 
 def _parse_any(text: str):
@@ -92,12 +92,12 @@ def _load_poset_arg(text: str):
     """A poset argument: @file (JSON poset file) or a poset term."""
     if text.startswith("@"):
         return read_poset_file(text[1:])
-    t = parse_term(text)
-    size = term_size(t)
-    if size is None:
+    # one denotation gives both the size and the poset
+    d = _denote(parse_term(text))
+    if d.size is None:
         raise PosetError("poset commands need a finite denotation; "
                          "%r is infinite" % text)
-    return denote_prefix(t, size)
+    return poset_of_matrix(d.lt_matrix(d.prefix(d.size)))
 
 
 # The brute-force bad_tree_height lists every bad sequence, so its cost

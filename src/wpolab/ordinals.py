@@ -6,10 +6,11 @@ coefficients; the empty sum is 0.  Values are immutable and hashable.
 
 Values are interned (hash-consed, after Filliatre & Conchon, "Type-safe
 modular hash-consing", 2006): there is exactly one live `CnfOrdinal` per
-value, held in a weak table, so equality is identity, the hash is computed
-once, and comparison skips every shared exponent by an `is` test.
-Arithmetic builds its canonical results through the unchecked `_mk`; the
-public constructor validates first.
+value, so equality is identity, the hash is computed once, and comparison
+skips every shared exponent by an `is` test.  The intern table is a plain
+dict from terms to one keyed weak reference per live value; the value's
+death drops its entry.  Arithmetic builds its canonical results through the
+unchecked `_mk`; the public constructor validates first.
 
 Ordinal (non-commutative) and natural (Hessenberg) arithmetic both live
 here, together with the textual grammar used by the CLI:
@@ -30,6 +31,7 @@ import functools
 import itertools
 import re
 import weakref
+from _weakref import _remove_dead_weakref
 from typing import Iterator
 
 
@@ -168,23 +170,45 @@ class CnfOrdinal:
         return "CnfOrdinal(%s)" % render_ordinal(self)
 
 
-# The intern table: terms -> the one live instance with those terms.  It
-# holds its values weakly, so an ordinal nothing else refers to is freed.
-_TABLE: "weakref.WeakValueDictionary[tuple, CnfOrdinal]" = weakref.WeakValueDictionary()
+class _Ref(weakref.ref):
+    """A weak reference to an interned value that knows its table key."""
+
+    __slots__ = ("key",)
+
+
+# The intern table: terms -> a `_Ref` to the one live instance with those
+# terms, so an ordinal nothing else refers to is freed, and `len(_TABLE)`
+# counts the live values.  A freed value's `_drop` removes its entry only
+# while the entry still holds a dead ref: a value re-interned before the old
+# callback ran (say, within one gc pass) keeps its new entry.  These are the
+# stdlib weak-value dictionary's semantics, minus the Python-level `get`,
+# `__setitem__` and removal bookkeeping that dominated `_mk`.
+_TABLE: "dict[tuple, _Ref]" = {}
 _new = object.__new__
 _set_terms = CnfOrdinal.terms.__set__
 _set_hash = CnfOrdinal._hash.__set__
 
 
+def _drop(r: _Ref, table: dict = _TABLE, remove=_remove_dead_weakref) -> None:
+    # bound as defaults, so a callback late in interpreter shutdown, when
+    # module globals may be gone, still finds them
+    remove(table, r.key)
+
+
 def _mk(terms: tuple) -> CnfOrdinal:
     """The interned value of canonical `terms`, unchecked: for results
     that arithmetic builds in Cantor normal form from interned parts."""
-    v = _TABLE.get(terms)
-    if v is None:
-        v = _new(CnfOrdinal)
-        _set_terms(v, terms)
-        _set_hash(v, hash((terms,)))
-        _TABLE[terms] = v
+    r = _TABLE.get(terms)
+    if r is not None:
+        v = r()
+        if v is not None:
+            return v
+    v = _new(CnfOrdinal)
+    _set_terms(v, terms)
+    _set_hash(v, hash((terms,)))
+    r = _Ref(v, _drop)
+    r.key = terms
+    _TABLE[terms] = r
     return v
 
 
@@ -225,6 +249,8 @@ def as_ordinal(x) -> CnfOrdinal:
 
 
 def from_int(n: int) -> CnfOrdinal:
+    if type(n) is int and n > 0:
+        return _mk(((ZERO, n),))
     if n < 0:
         raise OrdinalError("ordinals are non-negative")
     return CnfOrdinal(((ZERO, n),)) if n else ZERO

@@ -119,9 +119,10 @@ def poset_of_matrix(m: np.ndarray) -> FinPoset:
 
 def _pack(m: np.ndarray) -> list:
     """The rows of a square bool matrix as successor bitsets, packed by one
-    numpy call."""
+    numpy call.  A column gather or a transpose is in Fortran order, which
+    packs several times slower than a C-ordered copy of it plus its pack."""
     return [int.from_bytes(row.tobytes(), "little")
-            for row in np.packbits(m, axis=1, bitorder="little")]
+            for row in np.packbits(np.ascontiguousarray(m), axis=1, bitorder="little")]
 
 
 def _unpack(rows: list, n: int) -> np.ndarray:

@@ -323,6 +323,22 @@ def test_cli_usage_and_parse_errors(capsys):
         assert captured.err.startswith("wpolab: ") and captured.err.count("\n") == 1
 
 
+def test_cli_denotes_a_poset_term_once(capsys, monkeypatch):
+    calls = []
+
+    def counted(t):
+        calls.append(t)
+        return terms._denote(t)
+
+    monkeypatch.setattr("wpolab.cli._denote", counted)
+    assert run_cli("poset", "badtree", "dsum(fin(chain3), lexsum(ord(2), fin(antichain2)))",
+                   capsys=capsys) == (0, "7")
+    assert len(calls) == 1
+    assert main(["poset", "badtree", "dsum(fin(chain3), ord(w))"]) == 2
+    assert capsys.readouterr().err == ("wpolab: poset commands need a finite denotation; "
+                                       "'dsum(fin(chain3), ord(w))' is infinite\n")
+
+
 def test_a_reused_parser_keeps_no_state(capsys):
     # main reuses one parser per process: a command's result must not
     # depend on the commands that ran before it

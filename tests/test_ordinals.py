@@ -405,6 +405,57 @@ def test_intern_table_does_not_keep_values_alive():
     assert len(ordinals_module._TABLE) <= start + 10
 
 
+def test_a_stale_callback_keeps_a_reinterned_value_in_the_table():
+    # the order within one gc pass: a value dies, the same terms are
+    # interned again, and only then does the old ref's callback run
+    table = ordinals_module._TABLE
+    terms = ((from_int(10**12 + 7), 3),)
+    a = CnfOrdinal(terms)
+    stale = table[terms]
+    drop = stale.__callback__
+    del a
+    assert stale() is None
+    b = CnfOrdinal(terms)
+    assert table[terms] is not stale
+    drop(stale)
+    assert table[terms]() is b
+    assert CnfOrdinal(terms) is b
+    # a dead entry is removed, and a missing one ignored
+    del b
+    assert terms not in table
+    table[terms] = stale
+    drop(stale)
+    assert terms not in table
+    drop(stale)
+
+
+def test_values_freed_in_a_cycle_leave_the_table():
+    gc.collect()
+    start = len(ordinals_module._TABLE)
+    gc.disable()
+    try:
+        cycle = [nat_add(omega_pow(from_int(10**7 + i), 5), from_int(10**8 + i))
+                 for i in range(200)]
+        cycle.append(cycle)
+        assert len(ordinals_module._TABLE) >= start + 200
+        del cycle
+        assert len(ordinals_module._TABLE) >= start + 200  # held by the cycle
+        gc.collect()
+    finally:
+        gc.enable()
+    assert len(ordinals_module._TABLE) == start
+
+
+def test_from_int():
+    assert from_int(0) is ZERO
+    for n in (1, 2, 7, 10**30):
+        assert from_int(n) is CnfOrdinal(((ZERO, n),))
+        assert from_int(n).as_int() == n
+    for bad in (True, -1, 2.0):
+        with pytest.raises(OrdinalError):
+            from_int(bad)
+
+
 @pytest.mark.parametrize("text", ["0", "1", "w", "w^(w^w*2+1)*3+w^2+7", "w*" + "9" * 40])
 def test_copy_and_pickle_return_the_interned_instance(text):
     a = o(text)

@@ -26,7 +26,7 @@ from wpolab.posets import (
     make_poset,
     poset_of_matrix,
 )
-from wpolab.posets import _cycle
+from wpolab.posets import _cycle, _pack
 from wpolab.terms import DSum, Fin, LexSum, Prod, denote_prefix
 
 
@@ -332,6 +332,17 @@ def test_closure_matches_a_matrix_fixpoint(graph):
         ends = (ends.astype(np.int64) @ m.astype(np.int64)) > 0
         steps += 1
     assert len(witness) - 1 == steps
+
+
+def test_pack_reads_rows_in_any_memory_layout():
+    rng = np.random.default_rng(7)
+    for n in (1, 8, 9, 70):
+        m = rng.random((n, n)) < 0.3
+        want = [sum(1 << int(j) for j in np.flatnonzero(row)) for row in m]
+        gathered = m[:, rng.permutation(n)]
+        assert _pack(m) == _pack(np.asfortranarray(m)) == want
+        assert _pack(gathered) == _pack(np.ascontiguousarray(gathered))
+        assert _pack(m.T) == _pack(np.ascontiguousarray(m.T))
 
 
 def test_closing_a_closed_2000_chain_visits_only_covers():
