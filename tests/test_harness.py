@@ -489,6 +489,17 @@ def test_cli_extend_refusals_are_frozen(capsys, targets, message):
     assert (captured.out, captured.err) == ("", "wpolab: %s\n" % message)
 
 
+@pytest.mark.parametrize("argv, want", [
+    ("add W1*(1)+(0) w", "W1*(1)+(w)"),
+    ("nadd W1*(1)+(w) W1*(2)+(3)", "W1*(3)+(w+3)"),
+    ("add w W1*(1)+(0)", "W1*(1)+(0)"),  # w + omega_1 absorbs the w
+])
+def test_cli_scaled_ord_add_and_nadd(capsys, argv, want):
+    assert main(["ord", *argv.split()]) == 0
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (want + "\n", "")
+
+
 @pytest.mark.parametrize("op", ["mul", "nmul", "div", "sub"])
 def test_cli_scaled_ord_takes_add_and_nadd_only(capsys, op):
     assert main(["ord", op, "W1*(1)+(0)", "w"]) == 2
