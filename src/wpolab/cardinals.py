@@ -37,6 +37,7 @@ from .ordinals import (
 )
 
 MAX_LEVEL = 9
+_NO_SCALES = (ZERO,) * MAX_LEVEL  # the coefficients above omega_0 of a countable value
 
 
 class LevelOverflowError(OrdinalError):
@@ -149,7 +150,8 @@ class KOrdinal:
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self.coeffs)
+        # a countable value equals its CnfOrdinal, so it hashes as one
+        return hash(self.coeffs[0] if self.coeffs[1:] == _NO_SCALES else self.coeffs)
 
     def __str__(self) -> str:
         return render_k(self)

@@ -16,7 +16,7 @@ import re
 import sys
 
 from .bounds import theta_plus
-from .cardinals import KOrdinal, hartog, k_add, k_nat_add, parse_k, render_k
+from .cardinals import hartog, k_add, k_nat_add, parse_k, render_k
 from .constructions import (
     decompinver_witness,
     extend_realizer,
@@ -35,7 +35,6 @@ from .ordinals import (
     mul,
     nat_add,
     nat_mul,
-    parse_ordinal,
     render_ordinal,
 )
 from .posets import PosetError, bad_tree_height, embeds, intersect, length_fin, poset_of_matrix
@@ -43,35 +42,26 @@ from .suites import SUITES, run_suite
 from .terms import _denote, length_term, parse_term
 
 
-def _parse_any(text: str):
-    """An ordinal in either plain CNF or scaled W<k> form."""
-    if text.lstrip().startswith("W"):
-        return parse_k(text)
-    return parse_ordinal(text)
-
-
 def _cmd_ord(args) -> int:
-    a = _parse_any(args.a)
+    a = parse_k(args.a)
     if args.op == "hartog":
         if args.b is not None:
             raise OrdinalError("ord hartog takes one argument")
-        print(render_k(hartog(KOrdinal.of(a))))
+        print(render_k(hartog(a)))
         return 0
     if args.b is None:
         raise OrdinalError("ord %s needs two arguments" % args.op)
-    b = _parse_any(args.b)
+    b = parse_k(args.b)
     if args.op == "cmp":
-        ka, kb = KOrdinal.of(a), KOrdinal.of(b)
-        print("<=>"[(ka > kb) - (ka < kb) + 1])
+        print("<=>"[(a > b) - (a < b) + 1])
         return 0
-    scaled = isinstance(a, KOrdinal) or isinstance(b, KOrdinal)
-    if scaled:
-        ka, kb = KOrdinal.of(a), KOrdinal.of(b)
+    if a.level or b.level:
         fns = {"add": k_add, "nadd": k_nat_add}
         if args.op not in fns:
             raise OrdinalError("ord %s supports countable arguments only" % args.op)
-        print(render_k(fns[args.op](ka, kb)))
+        print(render_k(fns[args.op](a, b)))
         return 0
+    a, b = a.countable(), b.countable()
     if args.op == "div":
         q, r = euclid_div(a, b)
         print(render_ordinal(q), render_ordinal(r))
@@ -83,8 +73,7 @@ def _cmd_ord(args) -> int:
 
 
 def _cmd_theta(args) -> int:
-    vals = [KOrdinal.of(_parse_any(t)) for t in args.ordinals]
-    print(render_k(theta_plus(*vals)))
+    print(render_k(theta_plus(*map(parse_k, args.ordinals))))
     return 0
 
 
@@ -139,30 +128,37 @@ def _cmd_poset(args) -> int:
     return 0 if found else 1
 
 
+def _decompinver(*ords):
+    if len(ords) % 2:
+        raise OrdinalError("decompinver takes ordinals in pairs QA QB ...")
+    return decompinver_witness(list(zip(ords[::2], ords[1::2])))
+
+
+# kind -> (number of ordinals, None for any; the builder of the construction)
+CONSTRUCTIONS = {
+    "sierp": (1, sierpinskisation),
+    "mixing": (2, mixing_poset),
+    "decompinver": (None, _decompinver),
+    "minoration": (2, minoration_witness),
+    # ALPHA TARGET_LEFT TARGET_RIGHT, over a sierpinskisation
+    "extend": (3, lambda alpha, ta, tb: extend_realizer(sierpinskisation(alpha), (ta, tb))),
+}
+
+
 def _cmd_construct(args) -> int:
     if args.prefix < 1:
         raise PosetError("--prefix must be at least 1, got %d" % args.prefix)
-    ords = [_parse_any(t) for t in args.ordinals]
-    for text, o in zip(args.ordinals, ords):
-        if isinstance(o, KOrdinal):
+    ks = [parse_k(t) for t in args.ordinals]
+    for text, k in zip(args.ordinals, ks):
+        if k.level:
             raise OrdinalError("constructions take countable ordinals; %s is scaled"
                                % clip(text))
-    arity = {"sierp": 1, "mixing": 2, "minoration": 2, "extend": 3}.get(args.kind)
+    ords = [k.countable() for k in ks]
+    arity, build = CONSTRUCTIONS[args.kind]
     if arity is not None and len(ords) != arity:
         raise OrdinalError("construct %s takes %d ordinals, got %d"
                            % (args.kind, arity, len(ords)))
-    if args.kind == "sierp":
-        lazy = sierpinskisation(*ords)
-    elif args.kind == "mixing":
-        lazy = mixing_poset(*ords)
-    elif args.kind == "minoration":
-        lazy = minoration_witness(*ords)
-    elif args.kind == "decompinver":
-        if len(ords) % 2:
-            raise OrdinalError("decompinver takes ordinals in pairs QA QB ...")
-        lazy = decompinver_witness(list(zip(ords[::2], ords[1::2])))
-    else:  # extend: ALPHA TARGET_LEFT TARGET_RIGHT, over a sierpinskisation
-        lazy = extend_realizer(sierpinskisation(ords[0]), (ords[1], ords[2]))
+    lazy = build(*ords)
     n = args.prefix
     p = poset_of_matrix(lazy.lt_matrix(lazy.prefix(n)))
     meta = {"construction": args.kind,
@@ -232,8 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_poset)
 
     p = sub.add_parser("construct", help="export a construction prefix")
-    p.add_argument("kind", choices=["sierp", "mixing", "decompinver",
-                                    "minoration", "extend"])
+    p.add_argument("kind", choices=list(CONSTRUCTIONS))
     p.add_argument("ordinals", nargs="+", metavar="ORDINAL")
     p.add_argument("--prefix", type=int, default=32, metavar="N")
     p.add_argument("--out", default="-", metavar="FILE")

@@ -219,15 +219,14 @@ class LazyPoset(LazyOrder):
     x before y iff left_key(x) < left_key(y), and likewise on the right.
     Vertices with equal keys are incomparable in that order, so a tie makes
     it non-linear.  On every prefix, lt must be the intersection of the two
-    orders, whose order types are `types`.  `certificate` is a recorded
-    length derivation (a claim about the infinite object), `note` its
-    justification chain.
+    orders, whose order types are `types`.  `certificate` is the length
+    the construction certifies: a claim about the infinite object, which
+    no prefix audit checks.
     """
 
     keys: tuple  # (left key, right key)
     types: tuple  # (left order type, right order type)
     certificate: CnfOrdinal
-    note: str = ""
     # checks of the construction's own invariants that prefix_audit adds:
     # extra_checks(vs, lt, window, laps) -> {name: (ok, witness)}, with lt
     # the prefix's order matrix and one laps.lap per check
@@ -259,7 +258,6 @@ def sierpinskisation(alpha) -> LazyPoset:
         keys=(lambda i: i, at),
         types=(OMEGA, alpha),
         certificate=alpha,
-        note="length of a sierpinskisation of %s is %s" % (alpha, alpha),
         nth_right=lambda i: i if alpha == OMEGA else None,
     )
 
@@ -279,7 +277,8 @@ def mixing_poset(a, b) -> LazyPoset:
     the relation element ((k1, a), (k2, b)) with k1 the rank of n inside
     K_a and k2 its rank inside K^b; bi-functionality is then structural.
     The audit checks it, with the window and projection invariants, from
-    the same row table (_mixing_checks).
+    the same row table (_mixing_checks).  The certificate
+    w*(alpha (x) beta) is only a lower bound: the length is at least that.
     """
     alpha, beta = as_ordinal(a), as_ordinal(b)
     if alpha.is_zero or beta.is_zero:
@@ -328,8 +327,6 @@ def mixing_poset(a, b) -> LazyPoset:
         keys=(lambda n: row(n)[2], lambda n: row(n)[3]),
         types=(mul(OMEGA, alpha), mul(OMEGA, beta)),
         certificate=mul(OMEGA, nat_mul(alpha, beta)),
-        note="mixing relation: length at least w*(%s (x) %s); certificate is "
-        "a lower bound" % (alpha, beta),
         extra_checks=extra_checks,
     )
 
@@ -387,7 +384,6 @@ def _aligned_block(alpha: CnfOrdinal) -> LazyPoset:
         keys=(key, key),
         types=(alpha, alpha),
         certificate=alpha,
-        note="aligned chain of type %s" % alpha,
         size=enum.size,
     )
 
@@ -479,7 +475,7 @@ def _sum(parts, ordered: bool) -> LazyOrder:
     )
 
 
-def _realizer_sum(parts, sign: int, certificate: CnfOrdinal, note: str) -> LazyPoset:
+def _realizer_sum(parts, sign: int, certificate: CnfOrdinal) -> LazyPoset:
     """The sum of the realizers of parts, on the vertices of their _sum.
 
     The left order puts the parts one after another in part order, the
@@ -497,7 +493,6 @@ def _realizer_sum(parts, sign: int, certificate: CnfOrdinal, note: str) -> LazyP
               lambda x: (sign * x[0], parts[x[0]].keys[1](x[1]))),
         types=(tl, tr),
         certificate=certificate,
-        note=note,
     )
 
 
@@ -532,9 +527,7 @@ def decompinver_witness(blocks) -> LazyPoset:
     cert = ZERO
     for p in parts:
         cert = nat_add(cert, p.certificate)
-    return _realizer_sum(parts, -1, cert,
-                         "disjoint sum of %d blocks; certificate is the natural "
-                         "sum of the block certificates" % len(parts))
+    return _realizer_sum(parts, -1, cert)
 
 
 def minoration_witness(alpha, beta) -> LazyPoset:
@@ -572,8 +565,8 @@ def extend_realizer(p: LazyPoset, targets) -> LazyPoset:
         return p
     ga, gb = left_subtract(a, ta), left_subtract(b, tb)
 
-    if ga == gb:
-        return _append_chunk_both(p, ga)
+    if ga == gb:  # a common chunk of type ga on top of both orders
+        return _realizer_sum([p, _aligned_block(ga)], 1, p.certificate)
     if tb == b:
         return _grow_left(p, ga)
     if ta == a:
@@ -583,22 +576,11 @@ def extend_realizer(p: LazyPoset, targets) -> LazyPoset:
     raise PosetError("unsupported extension (%s,%s) -> (%s,%s)" % (a, b, ta, tb))
 
 
-def _append_chunk_both(p: LazyPoset, g: CnfOrdinal) -> LazyPoset:
-    """Add a chunk of type g above everything in both linear orders."""
-    if g.is_zero:
-        return p
-    return _realizer_sum([p, _aligned_block(g)], 1, p.certificate,
-                         (p.note + "; realizer padded by a common chunk of type %s"
-                          % g).strip("; "))
-
-
 def _grow_left(p: LazyPoset, g: CnfOrdinal) -> LazyPoset:
     """Add type-g padding above everything on the left while keeping the
     right type unchanged, by inserting the i-th new vertex immediately
     below the right-rank-i original (doubling preserves the right type
     when it is a multiple of omega)."""
-    if g.is_zero:
-        return p
     if g.is_finite:
         raise PosetError("left growth alternates old and new vertices forever, "
                          "so the padding type must be infinite (got %s)" % g)
@@ -609,13 +591,12 @@ def _grow_left(p: LazyPoset, g: CnfOrdinal) -> LazyPoset:
     if p.nth_right is None or p.nth_right(0) is None:
         raise PosetError("left growth needs the nth_right rank hook")
     enum = enum_below(g)
-    rank_of = {}  # original vertex -> right rank, filled lazily
+    rank_of = {}  # original vertex -> right rank, filled lazily in rank order
 
     def right_rank(v):
-        i = 0
         while v not in rank_of:
+            i = len(rank_of)
             rank_of[p.nth_right(i)] = i
-            i += 1
         return rank_of[v]
 
     def vertex(i: int):
@@ -653,7 +634,6 @@ def _grow_left(p: LazyPoset, g: CnfOrdinal) -> LazyPoset:
         keys=(left_key, slot),
         types=(add(p.type_left, g), p.type_right),
         certificate=p.certificate,
-        note=(p.note + "; left type padded by %s via rank-doubling" % g).strip("; "),
     )
 
 

@@ -253,7 +253,8 @@ def from_int(n: int) -> CnfOrdinal:
         return _mk(((ZERO, n),))
     if n < 0:
         raise OrdinalError("ordinals are non-negative")
-    return CnfOrdinal(((ZERO, n),)) if n else ZERO
+    # a falsy non-natural such as False or 0.0 is refused, not read as 0
+    return ZERO if type(n) is int else CnfOrdinal(((ZERO, n),))
 
 
 ZERO = CnfOrdinal()
@@ -265,7 +266,7 @@ def omega_pow(e, coeff: int = 1) -> CnfOrdinal:
     e = as_ordinal(e)
     if type(coeff) is int and coeff > 0:
         return _mk(((e, coeff),))
-    return CnfOrdinal(((e, coeff),)) if coeff else ZERO
+    return ZERO if type(coeff) is int and coeff == 0 else CnfOrdinal(((e, coeff),))
 
 
 def cmp(a, b) -> int:

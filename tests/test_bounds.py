@@ -484,6 +484,34 @@ def test_bracket_tilde_on_natural_sum():
         assert tilded(a, b) == k_ul_nat_add(a, b), (a, b)
 
 
+def _sampled(f):
+    """A monotone operand given by its value at the natural n."""
+    return BoundOp("f", lambda a: K(f(a.countable().as_int())), monotone=True)
+
+
+# each refusal of bracket_tilde, with the input that reaches it
+@pytest.mark.parametrize("fn, bounds, message", [
+    (BoundOp("min5", lambda a: min(a, K(5)), monotone=True), ["w"],
+     "sampled values are not increasing"),
+    (_sampled(lambda n: add(OMEGA, n - 3)), ["w"], "sampled shapes did not stabilize"),
+    (_sampled(lambda n: o("w*%d+%d" % (n // 2, n))), ["w"],
+     "coefficient pattern did not stabilize"),
+    (_sampled(lambda n: o("w^%d+%d" % (n // 2, n))), ["w"],
+     "exponent pattern did not stabilize"),
+    (BoundOp("nat_add", k_nat_add, monotone=True), ["W1*(1)+(1)", "w"],
+     "cannot extrapolate uncountable sample values"),
+    (bracket_plus(k_nat_add), ["W1*(1)+(1)", "W1*(1)+(1)"],
+     "uncountable strata need declared stratum facts"),
+    (THETA_PLUS, ["W1*(1)+(1)", "W2*(1)+(1)"],
+     "non-equipotent uncountable corner at "
+     "[KOrdinal(W1*(1)+(1)), KOrdinal(W2*(1)+(1))]"),
+])
+def test_bracket_tilde_refusals(fn, bounds, message):
+    with pytest.raises(UnsupportedSupremum) as exc:
+        bracket_tilde(fn)(*map(parse_k, bounds))
+    assert str(exc.value) == message
+
+
 def test_bracket_tilde_refuses_uncountable_limits():
     generic = bracket_tilde(THETA_PLUS)
     with pytest.raises(UnsupportedSupremum):

@@ -53,6 +53,15 @@ def test_ordering_is_by_scale_then_tail():
     assert max(W2, KOrdinal.at_level(2, o("1"), W1)) == KOrdinal.at_level(2, o("1"), W1)
 
 
+def test_hash_agrees_with_equality():
+    # a countable KOrdinal equals its CnfOrdinal, so sets and dicts find it
+    for x in (ZERO, OMEGA, o("1"), o("w^w*3+7")):
+        assert KOrdinal.of(x) == x and hash(KOrdinal.of(x)) == hash(x)
+        assert x in {KOrdinal.of(x)} and KOrdinal.of(x) in {x}
+    assert W1 in {KOrdinal.at_level(1, o("1"))}
+    assert KOrdinal.at_level(1, o("1"), o("w")) not in {W1, OMEGA}
+
+
 def test_cardinality_and_hartog():
     assert cardinality(KOrdinal.of(5)) == KOrdinal.of(5)
     assert cardinality(KOrdinal.of(o("w^2+1"))) == KOrdinal.of(OMEGA)

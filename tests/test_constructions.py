@@ -1,5 +1,6 @@
 """Lazy countable posets: enumerations, sierpinskisations, mixing, and audits."""
 
+import dataclasses
 import itertools
 import random
 import time
@@ -531,6 +532,22 @@ def test_extend_realizer_grows_left_only():
     assert g.type_left == o("w*2") and g.type_right == o("w")
     report = prefix_audit(g, 100)
     assert report.passed, report.failures()
+
+
+def test_left_growth_reads_each_right_rank_once():
+    # the right ranks of the originals are read in one walk, not one walk
+    # per original: the 1000 originals of a 2000-vertex prefix read ranks
+    # 0 .. 999 once each, after the probe of rank 0 that checks the hook
+    s = sierpinskisation(o("w"))
+    calls = []
+
+    def nth_right(i):
+        calls.append(i)
+        return s.nth_right(i)
+
+    g = extend_realizer(dataclasses.replace(s, nth_right=nth_right), (o("w*2"), o("w")))
+    g.lt_matrix(g.prefix(2000))
+    assert calls == [0, *range(1000)]
 
 
 def test_extend_realizer_refuses_shrinking_or_gate_crossing():

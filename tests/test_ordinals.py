@@ -379,7 +379,7 @@ def test_constructor_rejects_corrupted_terms(a, data):
 
 
 def test_omega_pow_still_checks_its_coefficient():
-    for coeff in (-1, 1.5, True):
+    for coeff in (-1, 1.5, True, False, 0.0):
         with pytest.raises(OrdinalError):
             omega_pow(OMEGA, coeff)
     assert omega_pow(OMEGA, 0) is ZERO and omega_pow(OMEGA, 3) is o("w^w*3")
@@ -451,7 +451,7 @@ def test_from_int():
     for n in (1, 2, 7, 10**30):
         assert from_int(n) is CnfOrdinal(((ZERO, n),))
         assert from_int(n).as_int() == n
-    for bad in (True, -1, 2.0):
+    for bad in (True, False, -1, 2.0, 0.0):
         with pytest.raises(OrdinalError):
             from_int(bad)
 
