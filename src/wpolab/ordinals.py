@@ -6,11 +6,17 @@ coefficients; the empty sum is 0.  Values are immutable and hashable.
 
 Values are interned (hash-consed, after Filliatre & Conchon, "Type-safe
 modular hash-consing", 2006): there is exactly one live `CnfOrdinal` per
-value, so equality is identity, the hash is computed once, and comparison
-skips every shared exponent by an `is` test.  The intern table is a plain
-dict from terms to one keyed weak reference per live value; the value's
-death drops its entry.  Arithmetic builds its canonical results through the
-unchecked `_mk`; the public constructor validates first.
+value, so equality is identity and the hash is computed once.  Interning
+also builds each value's order key `_key`, the flat tuple
+(e1._key, c1, e2._key, c2, ...): Python's lexicographic tuple order on keys
+is the CNF order: exponents compare through their own keys, equal
+exponents are one interned value with one key object, which the tuple
+comparison passes by identity, and a proper prefix is smaller.  So a
+comparison runs in C, with no Python frame per exponent level.  The intern
+table is a plain dict from terms to one keyed weak reference per live
+value; the value's death drops its entry.  Arithmetic builds its canonical
+results through the unchecked `_mk`; the public constructor validates
+first.
 
 Ordinal (non-commutative) and natural (Hessenberg) arithmetic both live
 here, together with the textual grammar used by the CLI:
@@ -48,7 +54,7 @@ class CnfOrdinal:
     strictly decrease.
     """
 
-    __slots__ = ("terms", "_hash", "__weakref__")
+    __slots__ = ("terms", "_hash", "_key", "__weakref__")
     terms: tuple[tuple["CnfOrdinal", int], ...]
 
     def __new__(cls, terms: tuple = ()) -> "CnfOrdinal":
@@ -66,7 +72,7 @@ class CnfOrdinal:
                 raise OrdinalError("malformed term %r" % (terms,))
             if coeff <= 0:
                 raise OrdinalError("coefficients must be positive")
-            if prev is not None and not _lt(exp, prev):
+            if prev is not None and not exp._key < prev._key:
                 raise OrdinalError("exponents must strictly decrease")
             prev = exp
         return _mk(terms)
@@ -146,22 +152,22 @@ class CnfOrdinal:
     def __lt__(self, other: "CnfOrdinal") -> bool:
         if not isinstance(other, CnfOrdinal):
             return NotImplemented
-        return _lt(self, other)
+        return self._key < other._key
 
     def __gt__(self, other: "CnfOrdinal") -> bool:
         if not isinstance(other, CnfOrdinal):
             return NotImplemented
-        return _lt(other, self)
+        return self._key > other._key
 
     def __le__(self, other: "CnfOrdinal") -> bool:
         if not isinstance(other, CnfOrdinal):
             return NotImplemented
-        return not _lt(other, self)
+        return self._key <= other._key
 
     def __ge__(self, other: "CnfOrdinal") -> bool:
         if not isinstance(other, CnfOrdinal):
             return NotImplemented
-        return not _lt(self, other)
+        return self._key >= other._key
 
     def __str__(self) -> str:
         return render_ordinal(self)
@@ -187,6 +193,7 @@ _TABLE: "dict[tuple, _Ref]" = {}
 _new = object.__new__
 _set_terms = CnfOrdinal.terms.__set__
 _set_hash = CnfOrdinal._hash.__set__
+_set_key = CnfOrdinal._key.__set__
 
 
 def _drop(r: _Ref, table: dict = _TABLE, remove=_remove_dead_weakref) -> None:
@@ -206,21 +213,14 @@ def _mk(terms: tuple) -> CnfOrdinal:
     v = _new(CnfOrdinal)
     _set_terms(v, terms)
     _set_hash(v, hash((terms,)))
+    key = ()
+    for e, c in terms:
+        key += (e._key, c)
+    _set_key(v, key)
     r = _Ref(v, _drop)
     r.key = terms
     _TABLE[terms] = r
     return v
-
-
-def _lt(a: CnfOrdinal, b: CnfOrdinal) -> bool:
-    if a is b:
-        return False
-    for (ea, ca), (eb, cb) in zip(a.terms, b.terms):
-        if ea is not eb:
-            return _lt(ea, eb)
-        if ca != cb:
-            return ca < cb
-    return len(a.terms) < len(b.terms)
 
 
 def _minus_last(terms: tuple) -> tuple:
@@ -232,8 +232,9 @@ def _minus_last(terms: tuple) -> tuple:
 def _cut(terms: tuple, e: CnfOrdinal) -> int:
     """The number of leading terms with exponent >= e."""
     i = 0
+    k = e._key
     for exp, _ in terms:
-        if _lt(exp, e):
+        if exp._key < k:
             break
         i += 1
     return i
@@ -271,9 +272,7 @@ def omega_pow(e, coeff: int = 1) -> CnfOrdinal:
 
 def cmp(a, b) -> int:
     a, b = as_ordinal(a), as_ordinal(b)
-    if _lt(a, b):
-        return -1
-    return 1 if _lt(b, a) else 0
+    return (a._key > b._key) - (a._key < b._key)
 
 
 # -- ordinal arithmetic ------------------------------------------------------
@@ -329,7 +328,7 @@ def _left_sub(xs: tuple, ys: tuple) -> tuple:
 def left_subtract(a, b) -> CnfOrdinal:
     """The unique g with a + g = b (requires a <= b)."""
     a, b = as_ordinal(a), as_ordinal(b)
-    if _lt(b, a):
+    if b._key < a._key:
         raise OrdinalError("left_subtract needs a <= b")
     return _mk(_left_sub(a.terms, b.terms))
 
@@ -347,14 +346,15 @@ def euclid_div(a, d) -> tuple[CnfOrdinal, CnfOrdinal]:
     e, c = d.terms[0]
     ts = a.terms
     i = 0
-    while i < len(ts) and _lt(e, ts[i][0]):
+    k = e._key
+    while i < len(ts) and k < ts[i][0]._key:
         i += 1
     q = [(_mk(_left_sub(e.terms, f.terms)), g) for f, g in ts[:i]]
     r = ts[i:]
     if r and r[0][0] is e:
         # r0 = w^e*g + t and d = w^e*c + u: m = g // c, one less when
         # c*m == g and t < u.  Term tuples compare in CNF order, since
-        # tuples compare lexicographically and exponents by _lt.
+        # tuples compare lexicographically and exponents by their keys.
         g = r[0][1]
         m = g // c
         if c * m == g and r[1:] < d.terms[1:]:
@@ -385,7 +385,7 @@ def _merge(xs: tuple, ys: tuple) -> tuple:
             out.append((ex, cx + cy))
             i += 1
             j += 1
-        elif _lt(ey, ex):
+        elif ey._key < ex._key:
             out.append(xs[i])
             i += 1
         else:
@@ -587,7 +587,7 @@ class _Parser:
         terms: list[tuple[CnfOrdinal, int]] = []
         while True:
             exp, coeff, i = self.term(i, depth)
-            if terms and not _lt(exp, terms[-1][0]):
+            if terms and not exp._key < terms[-1][0]._key:
                 raise self.error(i, "non-canonical form: exponents must strictly decrease")
             terms.append((exp, coeff))
             if self.toks[i] != "+":

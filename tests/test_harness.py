@@ -18,7 +18,7 @@ from wpolab.bounds import theta_plus
 from wpolab.cardinals import KOrdinal
 from wpolab.cli import MAX_BADTREE_VERTICES, build_parser, main
 from wpolab.io import export_poset, load_poset
-from wpolab.ordinals import MAX_NUMERAL_DIGITS, ZERO, add
+from wpolab.ordinals import MAX_NUMERAL_DIGITS, ZERO, add, mul
 from wpolab.posets import PosetError, antichain, chain, make_poset
 from wpolab.suites import SUITES, run_suite
 from wpolab.terms import MAX_INLINE_FIN
@@ -87,8 +87,12 @@ def test_reports_are_deterministic():
     ("minoration_meets_theta", "theta_plus", lambda *a: theta_plus(*a).succ()),
     ("majoration_shadow", "theta_sharp", lambda *a, **kw: KOrdinal.of(ZERO)),
     ("finite_poset_oracle", "length_recursive", lambda p: p.n + 1),
+    ("ordinal_laws", "nat_mul", mul),  # the ordinal product, not commutative
+    ("theta_laws", "theta_plus", lambda *a: theta_plus(*a).succ()),
+    ("reduction_identities", "theta_tilde", theta_plus),
 ], ids=["oracle_agreement", "minoration_meets_theta", "majoration_shadow",
-        "finite_poset_oracle"])
+        "finite_poset_oracle", "ordinal_laws", "theta_laws",
+        "reduction_identities"])
 def test_suites_catch_a_wrong_library_function(monkeypatch, name, target, wrong):
     # the criteria that run these suites rest on them failing here
     monkeypatch.setattr(suites, target, wrong)

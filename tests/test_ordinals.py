@@ -1,8 +1,10 @@
 import copy
+import functools
 import gc
 import itertools
 import pickle
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -94,6 +96,104 @@ def test_cmp_agrees_with_enumeration_order():
     for i, a in enumerate(SMALL):
         for j, b in enumerate(SMALL):
             assert cmp(a, b) == (i > j) - (i < j)
+
+
+def _reference_lt(a: CnfOrdinal, b: CnfOrdinal) -> bool:
+    """The CNF order by its definition, independent of the order keys: the
+    first term where a and b differ decides, by its exponent (recursively)
+    and then its coefficient; a proper prefix is smaller."""
+    if a is b:
+        return False
+    for (ea, ca), (eb, cb) in zip(a.terms, b.terms):
+        if ea is not eb:
+            return _reference_lt(ea, eb)
+        if ca != cb:
+            return ca < cb
+    return len(a.terms) < len(b.terms)
+
+
+def _reference_cmp(a, b) -> int:
+    return _reference_lt(b, a) - _reference_lt(a, b)
+
+
+def assert_order_agrees(a, b):
+    lt, gt = _reference_lt(a, b), _reference_lt(b, a)
+    assert (a < b, a > b, a <= b, a >= b) == (lt, gt, not gt, not lt)
+    assert cmp(a, b) == gt - lt
+    assert max(a, b) is (b if lt else a)
+
+
+def assert_sort_agrees(values):
+    assert sorted(values) == sorted(values, key=functools.cmp_to_key(_reference_cmp))
+    assert max(values) is functools.reduce(lambda x, y: y if _reference_lt(x, y) else x, values)
+
+
+def test_order_agrees_with_the_reference_on_small_values():
+    for a in SMALL:
+        for b in SMALL:
+            assert_order_agrees(a, b)
+    shuffled = SMALL[:]
+    random.Random(0).shuffle(shuffled)
+    assert_sort_agrees(shuffled)
+
+
+def _tower(x: CnfOrdinal, rng: random.Random, height: int) -> CnfOrdinal:
+    """x under `height` levels of w^(.)*c + n, with c and n drawn from rng:
+    two towers with one rng seed differ only where x does."""
+    for _ in range(height):
+        x = add(omega_pow(x, rng.randint(1, 3)), from_int(rng.randint(0, 2)))
+    return x
+
+
+@given(ordinals(), ordinals(), st.integers(0, 2**32), st.integers(1, 8))
+def test_order_agrees_on_values_that_differ_deep_in_an_exponent(x, y, seed, height):
+    a, b = _tower(x, random.Random(seed), height), _tower(y, random.Random(seed), height)
+    assert_order_agrees(a, b)
+    assert_order_agrees(b, a)
+
+
+@given(ordinals().filter(lambda a: not a.is_zero), st.integers(1, 10**20))
+def test_order_agrees_on_values_that_differ_in_the_last_coefficient(a, coeff):
+    b = CnfOrdinal(a.terms[:-1] + ((a.last_exp, coeff),))
+    assert_order_agrees(a, b)
+    assert_order_agrees(b, a)
+
+
+@given(ordinals().filter(lambda a: not a.is_zero), st.data())
+def test_order_agrees_when_one_value_is_a_proper_prefix(a, data):
+    b = CnfOrdinal(a.terms[:data.draw(st.integers(0, len(a.terms) - 1))])
+    assert_order_agrees(a, b)
+    assert_order_agrees(b, a)
+
+
+def test_order_agrees_on_values_rebuilt_by_pickle_and_deepcopy():
+    rng = random.Random(3)
+    # coefficients no other test builds, so the rebuilt values are new
+    # instances made through the constructor, not the ones dumped
+    fresh = [nat_add(random_ordinal(rng), from_int(10**40 + i)) for i in range(60)]
+    fresh += [omega_pow(a, 10**40 + 1) for a in fresh[:20]]
+    texts = [render_ordinal(a) for a in fresh]
+    dumped = pickle.dumps(fresh)
+    probe = weakref.ref(fresh[0])
+    del fresh
+    gc.collect()
+    assert probe() is None
+    for rebuilt in (pickle.loads(dumped), copy.deepcopy(pickle.loads(dumped))):
+        assert [render_ordinal(a) for a in rebuilt] == texts
+        for a in rebuilt:
+            for b in rebuilt:
+                assert_order_agrees(a, b)
+        assert_sort_agrees(rebuilt)
+
+
+def test_order_agrees_on_a_tower_of_height_500():
+    low, high = (_tower(from_int(n), random.Random(5), 500) for n in (2, 3))
+    towers = [low, high, add(high, ONE), CnfOrdinal(low.terms[:1])]
+    for a in towers:
+        for b in towers:
+            assert_order_agrees(a, b)
+    assert_sort_agrees(towers)
+    assert low < high
 
 
 # -- ordinal add / mul ---------------------------------------------------------
