@@ -13,10 +13,13 @@ is the CNF order: exponents compare through their own keys, equal
 exponents are one interned value with one key object, which the tuple
 comparison passes by identity, and a proper prefix is smaller.  So a
 comparison runs in C, with no Python frame per exponent level.  The intern
-table is a plain dict from terms to one keyed weak reference per live
-value; the value's death drops its entry.  Arithmetic builds its canonical
-results through the unchecked `_mk`; the public constructor validates
-first.
+table is a plain dict from the structural hash hash((terms,)) to one keyed
+weak reference per live value, so a lookup hashes the terms once; a hit is
+confirmed by comparing terms, and a value whose hash slot another live
+value holds goes to a small spill dict keyed by its terms.  A value's death
+drops its entry.  Arithmetic builds its canonical results through the
+unchecked `_mk`; the public constructor validates first.  A value's text is
+cached in its `_text` slot by the first `render_ordinal` that succeeds.
 
 Ordinal (non-commutative) and natural (Hessenberg) arithmetic both live
 here, together with the textual grammar used by the CLI:
@@ -54,7 +57,7 @@ class CnfOrdinal:
     strictly decrease.
     """
 
-    __slots__ = ("terms", "_hash", "_key", "__weakref__")
+    __slots__ = ("terms", "_hash", "_key", "_text", "__weakref__")
     terms: tuple[tuple["CnfOrdinal", int], ...]
 
     def __new__(cls, terms: tuple = ()) -> "CnfOrdinal":
@@ -182,18 +185,26 @@ class _Ref(weakref.ref):
     __slots__ = ("key",)
 
 
-# The intern table: terms -> a `_Ref` to the one live instance with those
-# terms, so an ordinal nothing else refers to is freed, and `len(_TABLE)`
-# counts the live values.  A freed value's `_drop` removes its entry only
-# while the entry still holds a dead ref: a value re-interned before the old
-# callback ran (say, within one gc pass) keeps its new entry.  These are the
-# stdlib weak-value dictionary's semantics, minus the Python-level `get`,
-# `__setitem__` and removal bookkeeping that dominated `_mk`.
-_TABLE: "dict[tuple, _Ref]" = {}
+# The intern table: hash((terms,)) -> a `_Ref` to the live instance with
+# those terms, so an ordinal nothing else refers to is freed.  `_mk` hashes
+# the terms once; with an int key the lookup, the store and the removal call
+# no `__hash__` per term again.  A hit is confirmed by comparing terms.  A
+# value whose slot holds a live value with other terms (a hash collision)
+# goes to `_SPILL`, keyed by its terms, and a miss in `_TABLE` looks there
+# first, so the value stays unique after the slot's occupant dies.  The two
+# dicts together count the live values.  A freed value's callback removes
+# its entry only while the entry still holds a dead ref: a value re-interned
+# before the old callback ran (say, within one gc pass) keeps its new entry.
+# These are the stdlib weak-value dictionary's semantics, minus the
+# Python-level `get`, `__setitem__` and removal bookkeeping that dominated
+# `_mk`.
+_TABLE: "dict[int, _Ref]" = {}
+_SPILL: "dict[tuple, _Ref]" = {}
 _new = object.__new__
 _set_terms = CnfOrdinal.terms.__set__
 _set_hash = CnfOrdinal._hash.__set__
 _set_key = CnfOrdinal._key.__set__
+_set_text = CnfOrdinal._text.__set__
 
 
 def _drop(r: _Ref, table: dict = _TABLE, remove=_remove_dead_weakref) -> None:
@@ -202,24 +213,36 @@ def _drop(r: _Ref, table: dict = _TABLE, remove=_remove_dead_weakref) -> None:
     remove(table, r.key)
 
 
+_drop_spill = functools.partial(_drop, table=_SPILL)
+
+
 def _mk(terms: tuple) -> CnfOrdinal:
     """The interned value of canonical `terms`, unchecked: for results
     that arithmetic builds in Cantor normal form from interned parts."""
-    r = _TABLE.get(terms)
-    if r is not None:
-        v = r()
+    h = hash((terms,))
+    r = _TABLE.get(h)
+    v = r() if r is not None else None
+    if v is not None:
+        if v.terms == terms:
+            return v
+        table, drop, key = _SPILL, _drop_spill, terms
+    else:
+        table, drop, key = _TABLE, _drop, h
+    if _SPILL:
+        r = _SPILL.get(terms)
+        v = r() if r is not None else None
         if v is not None:
             return v
     v = _new(CnfOrdinal)
     _set_terms(v, terms)
-    _set_hash(v, hash((terms,)))
-    key = ()
+    _set_hash(v, h)
+    k = ()
     for e, c in terms:
-        key += (e._key, c)
-    _set_key(v, key)
-    r = _Ref(v, _drop)
-    r.key = terms
-    _TABLE[terms] = r
+        k += (e._key, c)
+    _set_key(v, k)
+    r = _Ref(v, drop)
+    r.key = key
+    table[key] = r
     return v
 
 
@@ -619,21 +642,24 @@ def parse_ordinal(text: str) -> CnfOrdinal:
 
 def render_ordinal(a: CnfOrdinal) -> str:
     a = as_ordinal(a)
-    if a.is_zero:
-        return "0"
+    text = getattr(a, "_text", None)
+    if text is not None:
+        return text
     parts = []
     for exp, coeff in a.terms:
-        if exp.is_zero:
+        if exp is ZERO:
             parts.append(_numeral(coeff))
             continue
-        if exp == ONE:
+        if exp is ONE:
             base = "w"
-        elif exp == OMEGA or exp.is_finite:
-            base = "w^%s" % render_ordinal(exp)
+        elif exp is OMEGA or exp.is_finite:
+            base = "w^" + render_ordinal(exp)
         else:
             base = "w^(%s)" % render_ordinal(exp)
         parts.append(base if coeff == 1 else "%s*%s" % (base, _numeral(coeff)))
-    return "+".join(parts)
+    text = "+".join(parts) or "0"
+    _set_text(a, text)
+    return text
 
 
 def _numeral(n: int) -> str:

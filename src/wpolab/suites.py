@@ -120,23 +120,24 @@ def random_countable_infinite(rng) -> CnfOrdinal:
 def _suite_ordinal_laws(report, cases, rng):
     small = list(iter_below(2, 2)) if cases else []
 
-    def check(label, lhs, rhs):
+    def check(lhs, rhs, label, *args):
+        # the label is formatted only on failure: it renders the arguments
         if lhs != rhs:
-            report.failures.append((label, render_ordinal(rhs), render_ordinal(lhs)))
+            report.failures.append((label % args, render_ordinal(rhs), render_ordinal(lhs)))
 
     def laws(a, b, c):
-        check("nat_add assoc %s,%s,%s" % (a, b, c),
-              nat_add(nat_add(a, b), c), nat_add(a, nat_add(b, c)))
-        check("nat_add comm %s,%s" % (a, b), nat_add(a, b), nat_add(b, a))
-        check("nat_mul assoc %s,%s,%s" % (a, b, c),
-              nat_mul(nat_mul(a, b), c), nat_mul(a, nat_mul(b, c)))
-        check("nat_mul comm %s,%s" % (a, b), nat_mul(a, b), nat_mul(b, a))
-        check("distrib %s,%s,%s" % (a, b, c),
-              nat_mul(a, nat_add(b, c)), nat_add(nat_mul(a, b), nat_mul(a, c)))
+        check(nat_add(nat_add(a, b), c), nat_add(a, nat_add(b, c)),
+              "nat_add assoc %s,%s,%s", a, b, c)
+        check(nat_add(a, b), nat_add(b, a), "nat_add comm %s,%s", a, b)
+        check(nat_mul(nat_mul(a, b), c), nat_mul(a, nat_mul(b, c)),
+              "nat_mul assoc %s,%s,%s", a, b, c)
+        check(nat_mul(a, b), nat_mul(b, a), "nat_mul comm %s,%s", a, b)
+        check(nat_mul(a, nat_add(b, c)), nat_add(nat_mul(a, b), nat_mul(a, c)),
+              "distrib %s,%s,%s", a, b, c)
         d = omega_pow(c)  # indecomposable: ordinal mul distributes over (+)
         assert ul_nat_add(d, d) == d
-        check("indec-distrib %s,%s,%s" % (d, a, b),
-              mul(d, nat_add(a, b)), nat_add(mul(d, a), mul(d, b)))
+        check(mul(d, nat_add(a, b)), nat_add(mul(d, a), mul(d, b)),
+              "indec-distrib %s,%s,%s", d, a, b)
         if not b.is_zero:
             q, r = euclid_div(a, b)
             if not (r < b and add(oracles.mul_oracle(b, q), r) == a):
@@ -144,8 +145,7 @@ def _suite_ordinal_laws(report, cases, rng):
                     ("euclid_div %s by %s" % (a, b), render_ordinal(a),
                      "%s*%s+%s" % (b, q, r)))
         lo, hi = (a, b) if a <= b else (b, a)
-        check("left_subtract %s,%s" % (lo, hi),
-              add(lo, left_subtract(lo, hi)), hi)
+        check(add(lo, left_subtract(lo, hi)), hi, "left_subtract %s,%s", lo, hi)
 
     for i in range(min(cases, len(small) // 3)):
         step = rng.randrange(1, len(small))

@@ -102,6 +102,29 @@ def test_suites_catch_a_wrong_library_function(monkeypatch, name, target, wrong)
         assert not hasattr(oracles, op)
 
 
+def test_ordinal_laws_reports_a_wrong_nat_mul_byte_for_byte(monkeypatch):
+    # ordinal_laws formats a label only when its check fails; the report,
+    # its first failure included, is the one the eager labels gave
+    monkeypatch.setattr(suites, "nat_mul", mul)
+    report = run_suite("ordinal_laws", 25, 7)
+    failures = report.failures
+    assert failures[0] == (
+        'distrib w^(w^(w^10*7+w^8*6)*2+w^(w^3*15)*3+4)+w^(w^(w^9*6+w^6*2)*9'
+        '+w^(w^6*8+w^2*3+8)+w^(w^5*5)*3+w^5*4+9)*3+w*7,w^(w^(w^9*8+w^7*7+2)'
+        '*2+w^(w^6*6)*2+w^(w^2*2+6)*9+9)*7+w^(w^(w^9*4+w^8*8+w^6*6+w^4*7)*3'
+        '+w^(w^8+w^5*2)*7+w^2*4+1)+3,1',
+        'w^(w^(w^10*7+w^8*6)*2+w^(w^9*8+w^7*7+2)*2+w^(w^6*6)*2+w^(w^2*2+6)*'
+        '9+9)*7+w^(w^(w^10*7+w^8*6)*2+w^(w^9*4+w^8*8+w^6*6+w^4*7)*3+w^(w^8+'
+        'w^5*2)*7+w^2*4+1)+w^(w^(w^10*7+w^8*6)*2+w^(w^3*15)*3+4)*4+w^(w^(w^'
+        '9*6+w^6*2)*9+w^(w^6*8+w^2*3+8)+w^(w^5*5)*3+w^5*4+9)*6+w*14',
+        'w^(w^(w^10*7+w^8*6)*2+w^(w^9*8+w^7*7+2)*2+w^(w^6*6)*2+w^(w^2*2+6)*'
+        '9+9)*7+w^(w^(w^10*7+w^8*6)*2+w^(w^9*4+w^8*8+w^6*6+w^4*7)*3+w^(w^8+'
+        'w^5*2)*7+w^2*4+1)+w^(w^(w^10*7+w^8*6)*2+w^(w^3*15)*3+4)*4+w^(w^(w^'
+        '9*6+w^6*2)*9+w^(w^6*8+w^2*3+8)+w^(w^5*5)*3+w^5*4+9)*3+w*7')
+    assert len(failures) == 31
+    assert hashlib.md5(report.to_json().encode()).hexdigest() == "9d666ea7978b9d74a4b92b947432573b"
+
+
 def test_finite_poset_oracle_reports_a_wrong_batch_order(monkeypatch):
     # Fin leaves that unpack no order keep every length, so only the
     # comparison with the pairwise order can catch them; the budget reaches

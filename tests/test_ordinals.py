@@ -12,7 +12,9 @@ from hypothesis import strategies as st
 
 from wpolab import ordinals as ordinals_module
 from wpolab.oracles import mul_oracle, nat_add_oracle, nat_mul_oracle
+from wpolab.cardinals import MAX_LEVEL, KOrdinal, render_k
 from wpolab.ordinals import (
+    MAX_NUMERAL_DIGITS,
     OMEGA,
     ONE,
     ZERO,
@@ -86,6 +88,95 @@ def test_parse_rejects_non_canonical(bad):
 @given(ordinals())
 def test_render_parse_roundtrip(a):
     assert parse_ordinal(render_ordinal(a)) == a
+
+
+def _reference_render(a: CnfOrdinal) -> str:
+    """The renderer without the text cache: every exponent is rendered anew
+    and compared through `==`."""
+    if a.is_zero:
+        return "0"
+    parts = []
+    for exp, coeff in a.terms:
+        if exp.is_zero:
+            parts.append(str(coeff))
+            continue
+        if exp == ONE:
+            base = "w"
+        elif exp == OMEGA or exp.is_finite:
+            base = "w^%s" % _reference_render(exp)
+        else:
+            base = "w^(%s)" % _reference_render(exp)
+        parts.append(base if coeff == 1 else "%s*%s" % (base, coeff))
+    return "+".join(parts)
+
+
+def _reference_render_k(a: KOrdinal) -> str:
+    k = a.level
+    if k == 0:
+        return _reference_render(a.coeffs[0])
+    rest = KOrdinal(a.coeffs[:k] + (ZERO,) * (MAX_LEVEL + 1 - k))
+    return "W%d*(%s)+(%s)" % (k, _reference_render(a.coeffs[k]), _reference_render_k(rest))
+
+
+def assert_render_agrees(values):
+    # twice: the first call fills the cache, the second reads it
+    for _ in range(2):
+        for a in values:
+            assert render_ordinal(a) == _reference_render(a) == str(a)
+
+
+def test_render_agrees_with_the_reference_on_small_values():
+    assert_render_agrees(SMALL)
+    scaled = [KOrdinal.of(a) for a in SMALL]
+    scaled += [KOrdinal((b, ZERO, a) + (ZERO,) * (MAX_LEVEL - 2))
+               for a in SMALL[1:] for b in SMALL[::5]]
+    for a in scaled:
+        assert render_k(a) == _reference_render_k(a)
+
+
+@given(ordinals(), st.integers(0, 2**32), st.integers(1, 8))
+def test_render_agrees_with_the_reference_on_towers(x, seed, height):
+    a = _tower(x, random.Random(seed), height)
+    # the tower's exponents, outermost first, share the text cache with it
+    exps = []
+    e = a
+    while not e.is_zero:
+        exps.append(e)
+        e = e.leading_exp
+    assert_render_agrees([a] + exps)
+    assert_render_agrees(exps[::-1])
+
+
+def test_render_agrees_on_values_rebuilt_by_pickle_and_deepcopy():
+    rng = random.Random(4)
+    # coefficients no other test builds, so the rebuilt values are new
+    # instances with an empty cache
+    fresh = [nat_add(random_ordinal(rng), from_int(10**41 + i)) for i in range(40)]
+    fresh += [omega_pow(a, 10**41 + 1) for a in fresh[:20]]
+    assert_render_agrees(fresh)
+    dumped = pickle.dumps(fresh)
+    probe = weakref.ref(fresh[0])
+    del fresh
+    gc.collect()
+    assert probe() is None
+    for rebuild in (pickle.loads, lambda d: copy.deepcopy(pickle.loads(d))):
+        rebuilt = rebuild(dumped)
+        assert all(getattr(a, "_text", None) is None for a in rebuilt)
+        assert_render_agrees(rebuilt)
+        del rebuilt
+        gc.collect()
+
+
+def test_a_coefficient_too_long_to_render_is_refused_every_time():
+    long = from_int(10 ** (MAX_NUMERAL_DIGITS + 5))
+    inner = add(OMEGA, long)  # w+<long>
+    values = [omega_pow(OMEGA, long.as_int()), long, inner,
+              add(omega_pow(omega_pow(inner), 2), ONE)]  # w^(w^(w+<long>))*2+1
+    for a in values:
+        for _ in range(2):
+            with pytest.raises(OrdinalError, match="too long to render"):
+                render_ordinal(a)
+    assert all(getattr(a, "_text", None) is None for a in values)
 
 
 # -- comparison ---------------------------------------------------------------
@@ -510,23 +601,53 @@ def test_a_stale_callback_keeps_a_reinterned_value_in_the_table():
     # interned again, and only then does the old ref's callback run
     table = ordinals_module._TABLE
     terms = ((from_int(10**12 + 7), 3),)
+    key = hash((terms,))
     a = CnfOrdinal(terms)
-    stale = table[terms]
+    stale = table[key]
     drop = stale.__callback__
     del a
     assert stale() is None
     b = CnfOrdinal(terms)
-    assert table[terms] is not stale
+    assert table[key] is not stale
     drop(stale)
-    assert table[terms]() is b
+    assert table[key]() is b
     assert CnfOrdinal(terms) is b
     # a dead entry is removed, and a missing one ignored
     del b
-    assert terms not in table
-    table[terms] = stale
+    assert key not in table
+    table[key] = stale
     drop(stale)
-    assert terms not in table
+    assert key not in table
     drop(stale)
+
+
+def test_a_value_in_the_spill_stays_unique_when_its_slot_is_freed():
+    # a live decoy planted under b's hash slot stands in for a hash
+    # collision, so b goes to the spill
+    table, spill = ordinals_module._TABLE, ordinals_module._SPILL
+    gc.collect()
+    start = len(table) + len(spill)
+    decoy = CnfOrdinal(((from_int(10**14 + 3), 5),))  # and its exponent
+    terms = ((from_int(10**14 + 1), 2),)
+    key = hash((terms,))
+    planted = ordinals_module._Ref(decoy, table[hash(decoy)].__callback__)
+    planted.key = key
+    table[key] = planted
+    b = CnfOrdinal(terms)
+    assert b.terms == terms and hash(b) == key
+    assert table[key] is planted and spill[terms]() is b
+    assert CnfOrdinal(terms) is b and CnfOrdinal(decoy.terms) is decoy
+    # the planted entry, b, its exponent, the decoy and its exponent
+    assert len(table) + len(spill) == start + 5
+    # the slot's occupant dies first: b must still be the one instance
+    del decoy
+    gc.collect()
+    assert key not in table
+    assert CnfOrdinal(terms) is b and CnfOrdinal(tuple(list(terms))) is b
+    assert key not in table and len(table) + len(spill) == start + 2
+    del b, terms
+    gc.collect()
+    assert not spill and len(table) == start
 
 
 def test_values_freed_in_a_cycle_leave_the_table():
