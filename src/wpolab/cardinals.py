@@ -9,13 +9,20 @@ tail).  This is closed under everything the theta calculus produces: the
 canonical euclidean decomposition a = omega_level*q + r is recovered as
 level = highest nonzero scale, q = c_level and r = the tower below it.
 
+A `KOrdinal` is a slotted value that cannot be changed.  Its `level` and
+its order key `_k` are stored when it is built: `_k` is the flat tuple of
+the coefficients' own CNF order keys `_key`, from omega_9 down to omega_0,
+so Python's lexicographic tuple order on `_k` is the order of towers and
+every comparison is one tuple comparison in C.  A countable value equals
+its `CnfOrdinal` and hashes as it; other operands are not comparable.  The
+public constructor checks its coefficients and finds the level; the scale
+arithmetic builds its results through the unchecked `_kmk`, which is given
+the level (and, where it is known from the parts, the key).
+
 MAX_LEVEL is 9; hartog past omega_9 raises LevelOverflowError.
 """
 
 from __future__ import annotations
-
-import functools
-from dataclasses import dataclass, field
 
 from .ordinals import (
     MAX_NESTING,
@@ -37,28 +44,53 @@ from .ordinals import (
 )
 
 MAX_LEVEL = 9
-_NO_SCALES = (ZERO,) * MAX_LEVEL  # the coefficients above omega_0 of a countable value
+_ZEROS = (ZERO,) * (MAX_LEVEL + 1)
+_NO_SCALES = _ZEROS[1:]  # the coefficients above omega_0 of a countable value
+_NO_SCALE_KEYS = (ZERO._key,) * MAX_LEVEL  # their part of the order key
 
 
 class LevelOverflowError(OrdinalError):
     pass
 
 
-@functools.total_ordering
-@dataclass(frozen=True)
 class KOrdinal:
-    # coeffs[k] is the coefficient of omega_k; coeffs[0] is the countable tail
-    coeffs: tuple[CnfOrdinal, ...] = field(default=(ZERO,) * (MAX_LEVEL + 1))
+    """omega_9*c9 + ... + omega_1*c1 + c0, with coeffs[k] = c_k.
 
-    def __post_init__(self) -> None:
-        if len(self.coeffs) != MAX_LEVEL + 1:
+    `KOrdinal(coeffs)` checks its argument: MAX_LEVEL + 1 coefficients,
+    each a `CnfOrdinal`; it raises OrdinalError otherwise.
+    """
+
+    # coeffs[k] is the coefficient of omega_k; coeffs[0] is the countable tail.
+    # level is the cardinality level, the highest k >= 1 with a nonzero
+    # coefficient (0 if none); _k is the order key of the module docstring.
+    __slots__ = ("coeffs", "level", "_k")
+    coeffs: tuple[CnfOrdinal, ...]
+    level: int
+
+    def __new__(cls, coeffs: tuple = _ZEROS) -> "KOrdinal":
+        if len(coeffs) != MAX_LEVEL + 1:
             raise OrdinalError("expected %d scale coefficients" % (MAX_LEVEL + 1))
+        coeffs = tuple(coeffs)
+        for c in coeffs:
+            if not isinstance(c, CnfOrdinal):
+                raise OrdinalError("scale coefficient %r is not a CNF ordinal" % (c,))
+        return _kmk(coeffs, _top(coeffs, MAX_LEVEL))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("KOrdinal values are immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("KOrdinal values are immutable")
+
+    def __reduce__(self):
+        # copy and pickle rebuild through the checking constructor
+        return KOrdinal, (self.coeffs,)
 
     @staticmethod
     def of(x) -> "KOrdinal":
         if isinstance(x, KOrdinal):
             return x
-        return KOrdinal((as_ordinal(x),) + (ZERO,) * MAX_LEVEL)
+        return _countable(as_ordinal(x))
 
     @staticmethod
     def at_level(level: int, q, r: "KOrdinal | CnfOrdinal | int" = 0) -> "KOrdinal":
@@ -68,41 +100,34 @@ class KOrdinal:
             r = as_ordinal(r if not isinstance(r, KOrdinal) else r.countable())
             if not r.is_finite:
                 raise OrdinalError("level-0 remainder must be finite")
-            return KOrdinal.of(add(mul(OMEGA, q), r))
+            return _countable(add(mul(OMEGA, q), r))
         r = KOrdinal.of(r)
         if r.level >= level and not r.is_zero:
             raise OrdinalError("remainder %s is not below omega_%d" % (r, level))
-        coeffs = list(r.coeffs)
-        if not q.is_zero:
-            coeffs[level] = q
-        return KOrdinal(tuple(coeffs))
+        if q is ZERO:
+            return r
+        i = MAX_LEVEL - level
+        return _kmk(r.coeffs[:level] + (q,) + r.coeffs[level + 1:], level,
+                    r._k[:i] + (q._key,) + r._k[i + 1:])
 
     # -- structure ----------------------------------------------------------
 
     @property
     def is_zero(self) -> bool:
-        return all(c.is_zero for c in self.coeffs)
+        return self.level == 0 and self.coeffs[0] is ZERO
 
     @property
     def is_finite(self) -> bool:
-        return self.coeffs[0].is_finite and all(c.is_zero for c in self.coeffs[1:])
-
-    @property
-    def level(self) -> int:
-        """Cardinality level: highest k with a nonzero omega_k coefficient."""
-        for k in range(MAX_LEVEL, 0, -1):
-            if not self.coeffs[k].is_zero:
-                return k
-        return 0
+        return self.level == 0 and self.coeffs[0].is_finite
 
     def euclid(self) -> tuple[CnfOrdinal, "KOrdinal"]:
         """(q, r) with self = omega_level*q + r and r below omega_level
         (omega itself at level 0)."""
         k = self.level
         if k:
-            return self.coeffs[k], KOrdinal(self.coeffs[:k] + (ZERO,) * (MAX_LEVEL + 1 - k))
+            return self.coeffs[k], _below(self, k)
         q, r = euclid_div(self.coeffs[0], OMEGA)
-        return q, KOrdinal.of(r)
+        return q, _countable(r)
 
     @property
     def q(self) -> CnfOrdinal:
@@ -128,36 +153,104 @@ class KOrdinal:
         return not self.is_zero and not self.coeffs[0].is_successor
 
     def succ(self) -> "KOrdinal":
-        return KOrdinal((add(self.coeffs[0], ONE),) + self.coeffs[1:])
+        return _with_tail(self, add(self.coeffs[0], ONE))
 
     def pred(self) -> "KOrdinal":
         if not self.is_successor:
             raise OrdinalError("%s is not a successor" % self)
-        return KOrdinal((self.coeffs[0].pred(),) + self.coeffs[1:])
+        return _with_tail(self, self.coeffs[0].pred())
 
-    # -- comparison / display -------------------------------------------------
-
-    def _key(self):
-        return tuple(reversed(self.coeffs))
-
-    def __lt__(self, other) -> bool:
-        other = KOrdinal.of(other)
-        return self._key() < other._key()
+    # -- equality, hashing, comparison, display ------------------------------
+    #
+    # A countable value is also compared with a `CnfOrdinal`, through the key
+    # of its lift; any other operand gets NotImplemented, as from CnfOrdinal.
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (KOrdinal, CnfOrdinal, int)):
-            return self.coeffs == KOrdinal.of(other).coeffs
+        if isinstance(other, KOrdinal):
+            return self._k == other._k
+        if isinstance(other, CnfOrdinal):
+            return self.level == 0 and self.coeffs[0] is other
         return NotImplemented
 
     def __hash__(self) -> int:
         # a countable value equals its CnfOrdinal, so it hashes as one
-        return hash(self.coeffs[0] if self.coeffs[1:] == _NO_SCALES else self.coeffs)
+        return hash(self.coeffs if self.level else self.coeffs[0])
+
+    # all four orders spelled out: total_ordering's derived ones cost a
+    # second call per comparison
+    def __lt__(self, other) -> bool:
+        if isinstance(other, KOrdinal):
+            return self._k < other._k
+        if isinstance(other, CnfOrdinal):
+            return self._k < _NO_SCALE_KEYS + (other._key,)
+        return NotImplemented
+
+    def __gt__(self, other) -> bool:
+        if isinstance(other, KOrdinal):
+            return self._k > other._k
+        if isinstance(other, CnfOrdinal):
+            return self._k > _NO_SCALE_KEYS + (other._key,)
+        return NotImplemented
+
+    def __le__(self, other) -> bool:
+        if isinstance(other, KOrdinal):
+            return self._k <= other._k
+        if isinstance(other, CnfOrdinal):
+            return self._k <= _NO_SCALE_KEYS + (other._key,)
+        return NotImplemented
+
+    def __ge__(self, other) -> bool:
+        if isinstance(other, KOrdinal):
+            return self._k >= other._k
+        if isinstance(other, CnfOrdinal):
+            return self._k >= _NO_SCALE_KEYS + (other._key,)
+        return NotImplemented
 
     def __str__(self) -> str:
         return render_k(self)
 
     def __repr__(self) -> str:
         return "KOrdinal(%s)" % render_k(self)
+
+
+_knew = object.__new__
+_set_coeffs = KOrdinal.coeffs.__set__
+_set_level = KOrdinal.level.__set__
+_set_k = KOrdinal._k.__set__
+
+
+def _kmk(coeffs: tuple, level: int, k: tuple | None = None) -> KOrdinal:
+    """The tower of `coeffs`, unchecked: for results that the scale
+    arithmetic builds from known parts.  `level` must be the tower's level
+    and `k`, when given, its order key."""
+    v = _knew(KOrdinal)
+    _set_coeffs(v, coeffs)
+    _set_level(v, level)
+    _set_k(v, k if k is not None else tuple([c._key for c in reversed(coeffs)]))
+    return v
+
+
+def _top(coeffs: tuple, k: int) -> int:
+    """The highest scale j in 1..k with a nonzero coefficient, else 0."""
+    while k and coeffs[k] is ZERO:
+        k -= 1
+    return k
+
+
+def _countable(c: CnfOrdinal) -> KOrdinal:
+    """The countable c as a tower: no level to find."""
+    return _kmk((c,) + _NO_SCALES, 0, _NO_SCALE_KEYS + (c._key,))
+
+
+def _with_tail(a: KOrdinal, c: CnfOrdinal) -> KOrdinal:
+    """a with its countable tail replaced by c: a's level, a's key above omega_0."""
+    return _kmk((c,) + a.coeffs[1:], a.level, a._k[:MAX_LEVEL] + (c._key,))
+
+
+def _below(a: KOrdinal, k: int) -> KOrdinal:
+    """The tower of a's coefficients below scale k >= 1."""
+    coeffs = a.coeffs[:k] + _ZEROS[k:]
+    return _kmk(coeffs, _top(coeffs, k - 1), _NO_SCALE_KEYS[k - 1:] + a._k[MAX_LEVEL + 1 - k:])
 
 
 # omega_0 = omega, omega_1, ..., omega_MAX_LEVEL
@@ -174,11 +267,7 @@ def omega_level(k: int) -> KOrdinal:
 def cardinality(a) -> KOrdinal:
     """|a|: a itself when finite, otherwise the omega_k of its level."""
     a = KOrdinal.of(a)
-    if a.is_finite:
-        return a
-    if a.level == 0:
-        return KOrdinal.of(OMEGA)
-    return omega_level(a.level)
+    return a if a.is_finite else _OMEGA_LEVELS[a.level]
 
 
 def hartog(a) -> KOrdinal:
@@ -200,17 +289,16 @@ def k_add(a, b) -> KOrdinal:
     if b.is_zero:
         return a
     k = b.level
-    coeffs = list(a.coeffs)
-    coeffs[k] = add(a.coeffs[k], b.coeffs[k])
-    for j in range(k):
-        coeffs[j] = b.coeffs[j]
-    return KOrdinal(tuple(coeffs))
+    c = add(a.coeffs[k], b.coeffs[k])
+    i = MAX_LEVEL - k
+    return _kmk(b.coeffs[:k] + (c,) + a.coeffs[k + 1:], max(a.level, k),
+                a._k[:i] + (c._key,) + b._k[i + 1:])
 
 
 def k_nat_add(a, b) -> KOrdinal:
     """Hessenberg sum of towers is scale-wise Hessenberg."""
     a, b = KOrdinal.of(a), KOrdinal.of(b)
-    return KOrdinal(tuple(nat_add(x, y) for x, y in zip(a.coeffs, b.coeffs)))
+    return _kmk(tuple(map(nat_add, a.coeffs, b.coeffs)), max(a.level, b.level))
 
 
 def k_ul_nat_add(a, b) -> KOrdinal:
@@ -226,12 +314,12 @@ def k_ul_nat_add(a, b) -> KOrdinal:
     """
     a, b = KOrdinal.of(a), KOrdinal.of(b)
     if a.is_zero or b.is_zero:
-        return KOrdinal.of(0)
+        return _countable(ZERO)
     lows = [min(j for j, c in enumerate(x.coeffs) if not c.is_zero) for x in (a, b)]
     k = max(lows)
     at_k = [add(x.coeffs[k], ONE) if low < k else x.coeffs[k] for x, low in zip((a, b), lows)]
-    return KOrdinal((ZERO,) * k + (ul_nat_add(*at_k),)
-                    + tuple(map(nat_add, a.coeffs[k + 1:], b.coeffs[k + 1:])))
+    return _kmk(_ZEROS[:k] + (ul_nat_add(*at_k),)
+                + tuple(map(nat_add, a.coeffs[k + 1:], b.coeffs[k + 1:])), max(a.level, b.level))
 
 
 # -- textual form -------------------------------------------------------------
@@ -247,8 +335,7 @@ def render_k(a: KOrdinal) -> str:
     k = a.level
     if k == 0:
         return render_ordinal(a.coeffs[0])
-    rest = KOrdinal(a.coeffs[:k] + (ZERO,) * (MAX_LEVEL + 1 - k))
-    return "W%d*(%s)+(%s)" % (k, render_ordinal(a.coeffs[k]), render_k(rest))
+    return "W%d*(%s)+(%s)" % (k, render_ordinal(a.coeffs[k]), render_k(_below(a, k)))
 
 
 def parse_k(text: str) -> KOrdinal:

@@ -330,7 +330,7 @@ def mul(a, b) -> CnfOrdinal:
     if a.is_zero or b.is_zero:
         return ZERO
     e1, c1 = a.terms[0]
-    out = tuple((add(e1, f), d) for f, d in b.terms if f is not ZERO)
+    out = tuple((_mk(_add(e1.terms, f.terms)), d) for f, d in b.terms if f is not ZERO)
     if b.is_successor:
         out += ((e1, c1 * b.terms[-1][1]),) + a.terms[1:]
     return _mk(out)
@@ -436,7 +436,8 @@ def nat_mul(a, b) -> CnfOrdinal:
     a, b = as_ordinal(a), as_ordinal(b)
     out: tuple = ()
     for ea, ca in a.terms:
-        out = _merge(out, tuple((nat_add(ea, eb), ca * cb) for eb, cb in b.terms))
+        row = tuple((_mk(_merge(ea.terms, eb.terms)), ca * cb) for eb, cb in b.terms)
+        out = _merge(out, row)
     return _mk(out)
 
 
@@ -484,12 +485,14 @@ def fund_seq(a, n: int) -> CnfOrdinal:
     if n < 0:
         raise OrdinalError("index must be non-negative")
     exp = a.terms[-1][0]
-    prefix = _mk(_minus_last(a.terms))
+    prefix = _minus_last(a.terms)
     if exp.is_successor:
-        step = omega_pow(exp.pred(), n) if n else ZERO
+        if not n:
+            return _mk(prefix)
+        step = ((exp.pred(), n),)
     else:
-        step = omega_pow(fund_seq(exp, n))
-    return add(prefix, step)
+        step = ((fund_seq(exp, n), 1),)
+    return _mk(_add(prefix, step))
 
 
 # -- small ordinals: exhaustive cases for the suites and the criteria --------

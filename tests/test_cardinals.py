@@ -1,4 +1,9 @@
+import copy
+import functools
+import gc
+import pickle
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,10 +21,12 @@ from wpolab.cardinals import (
     parse_k,
     render_k,
 )
-from wpolab.ordinals import OMEGA, ZERO, OrdinalError, parse_ordinal
+from wpolab.ordinals import (OMEGA, ONE, ZERO, CnfOrdinal, OrdinalError, from_int, nat_add,
+                             parse_ordinal)
 
 from test_bounds import random_below, random_kordinal
-from test_ordinals import random_ordinal
+from test_grammars import K_ORDINALS, ORDINALS
+from test_ordinals import _reference_lt, random_ordinal
 
 o = parse_ordinal
 W1 = omega_level(1)
@@ -169,3 +176,181 @@ def test_parse_k_reads_the_scale_by_its_digits():
     assert parse_k("W%s1*(1)+(0)" % ("0" * 5000)) == W1
     with pytest.raises(LevelOverflowError):
         parse_k("W%s*(1)+(0)" % ("9" * 5000))
+
+
+# -- the order key and the value contract -------------------------------------
+
+
+def _reference_coeffs(x) -> tuple:
+    """x's scale coefficients, a CnfOrdinal lifted by hand."""
+    return x.coeffs if isinstance(x, KOrdinal) else (x,) + (ZERO,) * MAX_LEVEL
+
+
+def _reference_k_lt(a, b) -> bool:
+    """The order of towers by its definition, independent of the keys `_k`:
+    tuple(reversed(coeffs)) compared lexicographically, the coefficients
+    by test_ordinals._reference_lt."""
+    for x, y in zip(reversed(_reference_coeffs(a)), reversed(_reference_coeffs(b))):
+        if x is not y:
+            return _reference_lt(x, y)
+    return False
+
+
+def _reference_k_cmp(a, b) -> int:
+    return _reference_k_lt(b, a) - _reference_k_lt(a, b)
+
+
+def assert_k_order_agrees(a, b):
+    lt, gt = _reference_k_lt(a, b), _reference_k_lt(b, a)
+    assert (a < b, a > b, a <= b, a >= b) == (lt, gt, not gt, not lt)
+    assert (a == b, a != b) == (not lt and not gt, lt or gt)
+    assert max(a, b) is (b if lt else a)
+    assert min(a, b) is (b if gt else a)
+
+
+def assert_k_sort_agrees(values):
+    # both sorts are stable, so equal values keep their places in both
+    got = sorted(values)
+    want = sorted(values, key=functools.cmp_to_key(_reference_k_cmp))
+    assert all(x is y for x, y in zip(got, want))
+    assert max(values) is functools.reduce(lambda x, y: y if _reference_k_lt(x, y) else x, values)
+    assert min(values) is functools.reduce(lambda x, y: y if _reference_k_lt(y, x) else x, values)
+
+
+def _replaced(a: KOrdinal, j: int, c: CnfOrdinal) -> KOrdinal:
+    return KOrdinal(a.coeffs[:j] + (c,) + a.coeffs[j + 1:])
+
+
+@given(K_ORDINALS, K_ORDINALS)
+def test_k_order_agrees_with_the_reference(a, b):
+    assert_k_order_agrees(a, b)
+    assert_k_order_agrees(b, a)
+    assert_k_order_agrees(a, KOrdinal(a.coeffs))  # equal, not the same object
+
+
+@given(K_ORDINALS, st.integers(0, MAX_LEVEL), ORDINALS, ORDINALS)
+def test_k_order_agrees_on_towers_that_differ_at_one_scale(a, j, x, y):
+    b, c = _replaced(a, j, x), _replaced(a, j, y)
+    assert_k_order_agrees(b, c)
+    assert_k_order_agrees(c, b)
+    # the lifts and the scale arithmetic build their keys and levels from
+    # known parts; the checking constructor finds both again
+    for v in (b.succ(), k_add(b, c), k_nat_add(b, c), k_ul_nat_add(b, c), b.r, c.r):
+        assert v.level == KOrdinal(v.coeffs).level
+        assert_k_order_agrees(v, KOrdinal(v.coeffs))
+        assert_k_order_agrees(v, b)
+
+
+@given(K_ORDINALS, ORDINALS, ORDINALS)
+def test_k_order_agrees_with_cnf_operands(a, x, y):
+    for k in (a, KOrdinal.of(x), KOrdinal.at_level(0, x, 3)):
+        for c in (x, y):
+            assert_k_order_agrees(k, c)
+            assert_k_order_agrees(c, k)
+
+
+@given(st.lists(st.one_of(K_ORDINALS, ORDINALS, ORDINALS.map(KOrdinal.of)),
+                min_size=1, max_size=12))
+def test_k_sort_agrees_with_the_reference(values):
+    assert_k_sort_agrees(values)
+    assert_k_sort_agrees(values + [copy.copy(v) for v in values])
+
+
+def test_k_sort_agrees_on_a_scale_ladder():
+    # omega_0 .. omega_9 with and without tails, shuffled
+    values = [omega_level(k) for k in range(MAX_LEVEL + 1)]
+    values += [k_add(v, t) for v in values for t in (ONE, OMEGA, W1)]
+    values += [KOrdinal.of(n) for n in range(3)]
+    random.Random(2).shuffle(values)
+    assert_k_sort_agrees(values)
+
+
+def test_level_is_the_highest_nonzero_scale():
+    assert KOrdinal().level == 0 and KOrdinal().is_zero
+    for j in range(MAX_LEVEL + 1):
+        for tail in (ZERO, OMEGA):
+            coeffs = [tail] + [ZERO] * MAX_LEVEL
+            coeffs[j] = nat_add(coeffs[j], ONE)
+            a = KOrdinal(tuple(coeffs))
+            assert a.level == j and a.succ().level == j and a.r.level == 0
+            assert parse_k(render_k(a)).level == j
+            if j and tail is ZERO:
+                assert a == omega_level(j)
+
+
+def test_towers_rebuilt_by_pickle_and_deepcopy():
+    rng = random.Random(6)
+    # coefficients no other test builds, so the rebuilt towers hold new
+    # instances made through the constructors, not the ones dumped
+    scales = [rng.randint(1, MAX_LEVEL) for _ in range(30)]
+    fresh = [k_nat_add(random_kordinal(rng, max_level=MAX_LEVEL),
+                       KOrdinal.at_level(j, from_int(10**40 + i)))
+             for i, j in enumerate(scales)]
+    fresh += [KOrdinal.of(from_int(10**40 + 100 + i)) for i in range(5)]
+    texts = [render_k(a) for a in fresh]
+    levels = [a.level for a in fresh]
+    hashes = [hash(a) for a in fresh]
+    dumped = pickle.dumps(fresh)
+    probe = weakref.ref(fresh[0].coeffs[scales[0]])
+    del fresh
+    gc.collect()
+    assert probe() is None
+    for rebuilt in (pickle.loads(dumped), copy.deepcopy(pickle.loads(dumped))):
+        assert [render_k(a) for a in rebuilt] == texts
+        assert [a.level for a in rebuilt] == levels
+        assert [hash(a) for a in rebuilt] == hashes
+        assert all(a == parse_k(t) and a._k == parse_k(t)._k for a, t in zip(rebuilt, texts))
+        for a in rebuilt[::3]:
+            for b in rebuilt[::2]:
+                assert_k_order_agrees(a, b)
+        assert_k_sort_agrees(rebuilt)
+
+
+def test_towers_are_immutable():
+    a = KOrdinal.at_level(2, o("w+1"), W1)
+    for name, value in (("coeffs", W2.coeffs), ("level", 5), ("_k", W2._k), ("other", 1)):
+        with pytest.raises(AttributeError):
+            setattr(a, name, value)
+    for name in ("coeffs", "level", "_k"):
+        with pytest.raises(AttributeError):
+            delattr(a, name)
+    assert a == KOrdinal.at_level(2, o("w+1"), W1) and a.level == 2
+
+
+@pytest.mark.parametrize("coeffs, message", [
+    ((ZERO,) * MAX_LEVEL, "expected 10 scale coefficients"),
+    ((ZERO,) * (MAX_LEVEL + 2), "expected 10 scale coefficients"),
+    ((3,) + (ZERO,) * MAX_LEVEL, "scale coefficient 3 is not a CNF ordinal"),
+    ((ZERO,) * MAX_LEVEL + (True,), "scale coefficient True is not a CNF ordinal"),
+    ((ZERO, W1) + (ZERO,) * (MAX_LEVEL - 1),
+     r"scale coefficient KOrdinal\(W1\*\(1\)\+\(0\)\) is not a CNF ordinal"),
+])
+def test_constructor_refuses_bad_coefficients(coeffs, message):
+    with pytest.raises(OrdinalError, match="^%s$" % message):
+        KOrdinal(coeffs)
+
+
+def test_a_countable_tower_is_not_an_int():
+    # == and hash agree: a tower equals no int, as a CnfOrdinal equals none
+    assert not KOrdinal.of(3) == 3 and KOrdinal.of(3) != 3 and 3 != KOrdinal.of(3)
+    assert not from_int(3) == 3
+    assert len({3, KOrdinal.of(3)}) == 2
+    assert KOrdinal.of(3) == from_int(3) and len({from_int(3), KOrdinal.of(3)}) == 1
+
+
+def test_a_tower_compared_with_a_bool_is_unequal():
+    assert (KOrdinal.of(1) == True) is False  # noqa: E712
+    assert (KOrdinal.of(0) != False) is True  # noqa: E712
+
+
+@pytest.mark.parametrize("other", ["a", 3, 2.5, None, (ZERO,)])
+def test_a_tower_has_no_order_with_other_types(other):
+    a = KOrdinal.of(1)
+    for op in ("__lt__", "__le__", "__gt__", "__ge__"):
+        assert getattr(a, op)(other) is NotImplemented
+    with pytest.raises(TypeError):
+        a < other
+    with pytest.raises(TypeError):
+        other >= a
+    with pytest.raises(TypeError):
+        max(a, other)
