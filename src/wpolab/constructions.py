@@ -13,9 +13,9 @@ with equal keys are incomparable, so a tie is how a non-linear order shows
 up.  Certificates are claims about the infinite object; prefix_audit
 verifies the finite structure (order axioms, realizer linearity, exact
 intersection, and any checks the construction adds, such as the mixing
-invariants) on enumerated prefixes: it reads the order from `lt_matrix`
-and ranks each realizer order with one sort of the prefix keys, so the
-intersection check compares two separate code paths.
+invariants) on enumerated prefixes, with the order from `lt_matrix`, its
+transitivity from `posets._close` and each realizer order ranked by one
+sort of its keys, so the intersection check compares separate code paths.
 
 Everything is built at the countable scale: uncountable cardinals exist
 only symbolically in the theta calculus, since only countable structures
@@ -28,7 +28,8 @@ import bisect
 import math
 import time
 from dataclasses import dataclass, field
-from functools import lru_cache
+from contextlib import suppress
+from functools import lru_cache, reduce
 from itertools import accumulate
 from typing import Callable, NamedTuple, Optional
 
@@ -50,7 +51,7 @@ from .ordinals import (
     nat_mul,
     omega_pow,
 )
-from .posets import PosetError
+from .posets import PosetError, _bits, _close, _pack
 
 
 # -- canonical enumerations of countable ordinals --------------------------------
@@ -641,10 +642,9 @@ def _grow_left(p: LazyPoset, g: CnfOrdinal) -> LazyPoset:
 
 
 def _index_ranks(indices, at) -> np.ndarray:
-    """The rank of each index by the value at() gives it, from one sort of
-    the distinct indices; at is injective, so distinct indices never tie.
-    The audit ranks realizer keys with _ranks instead, so the two sides of
-    its intersection check share no ranking code."""
+    """Each index's rank by at(), from one sort of the distinct indices (at
+    is injective, so they never tie).  The audit ranks realizer keys with
+    _ranks, so the two sides of its intersection check share no code."""
     rank = {ix: r for r, ix in enumerate(sorted(set(indices), key=at))}
     return np.array([rank[ix] for ix in indices], dtype=np.int64)
 
@@ -730,37 +730,44 @@ def _ranks(keys: list) -> np.ndarray:
     return np.array(rank, dtype=np.int64)
 
 
-def _key_matrix(vs, key) -> np.ndarray:
-    """The order of a realizer key on vs: m[i, j] iff key(vs[i]) < key(vs[j])."""
-    r = _ranks([key(v) for v in vs])
-    return r[:, None] < r[None, :]
+def _transitivity_witness(lt: np.ndarray):
+    """None if lt is transitive, that is if posets._close gives its packed
+    rows back unchanged; else (i, k, j) with lt[i, k], lt[k, j], not lt[i, j],
+    (i, j) first in row-major order and k lowest, read off every successor's row."""
+    rows = _pack(lt)
+    with suppress(PosetError):  # a cycle: the walk decides
+        if _close(len(rows), rows).successors == tuple(rows):
+            return None
+    for i, row in enumerate(rows):
+        gap = reduce(int.__or__, [rows[k] for k in _bits(row)], 0) & ~row & ~(1 << i)
+        if gap:
+            j = (gap & -gap).bit_length() - 1
+            return (i, next(k for k in _bits(row) if rows[k] >> j & 1), j)
+    return None
 
 
-def _transitivity_witness(m: np.ndarray):
-    # a float32 BLAS product counts the paths i -> k -> j, exactly while
-    # n < 2**24
-    f = m.astype(np.float32)
-    gap = (f @ f > 0) & ~m
-    np.fill_diagonal(gap, False)
-    if not gap.any():
-        return None
-    i, j = map(int, np.argwhere(gap)[0])
-    k = int(np.nonzero(m[i] & m[:, j])[0][0])
-    return (i, k, j)
+def _linear_witness(keys: list, r: np.ndarray):
+    """None if keys, ranked r, are linear under their own <; else the first
+    tie (i, j) row-major, or two keys n//2 apart in rank order that < misorders."""
+    if r.max(initial=-1) + 1 < len(r):  # dense ranks: fewer distinct keys than keys
+        return tuple(np.flatnonzero(r == r[np.argmax(np.bincount(r)[r] > 1)])[:2].tolist())
+    order = np.argsort(r).tolist()
+    ks = [keys[i] for i in order]
+    h = len(r) // 2 or 1
+    t = next((t for t, (x, y) in enumerate(zip(ks, ks[h:])) if not x < y), None)
+    return None if t is None else (order[t], order[t + h])
 
 
 def prefix_audit(p: LazyPoset, n: int, window=None) -> AuditReport:
     """Check the structural invariants of p on its first n vertices.
 
-    The order is read from p.lt_matrix in one batch; each realizer order
-    is ranked from one sort of its keys, and the intersection check
-    compares the two."""
+    The order is read from p.lt_matrix in one batch, each realizer order is
+    ranked by one sort of its keys, and the intersection check compares them."""
     laps = _Laps()
     pairs = n * (n - 1)
     vs = p.prefix(n)
     laps.lap("vertices", n)
     checks: dict = {}
-    eye = np.eye(n, dtype=bool)
     lt = p.lt_matrix(vs)
     laps.lap("lt", pairs)
 
@@ -771,21 +778,17 @@ def prefix_audit(p: LazyPoset, n: int, window=None) -> AuditReport:
     checks["transitivity"] = (w is None, w)
     laps.lap("transitivity", pairs)
 
-    orders = []
+    ranks = []
     for name, key in zip(("left", "right"), p.keys, strict=True):
-        m = _key_matrix(vs, key)
-        orders.append(m)
+        keys = [key(v) for v in vs]
+        ranks.append(_ranks(keys))
         laps.lap("%s_key" % name, n)
-        incomparable = ~(m | m.T | eye)
-        wit = (
-            _transitivity_witness(m)
-            or _first_pair(incomparable)
-            or _first_pair(m & m.T)
-        )
+        wit = _linear_witness(keys, ranks[-1])
         checks["%s_linear" % name] = (wit is None, wit)
         laps.lap("%s_linear" % name, pairs)
-    agree = (orders[0] & orders[1]) == lt
-    checks["intersection"] = (bool(agree.all()), _first_pair(~agree))
+    left, right = ranks
+    w = _first_pair(((left[:, None] < left) & (right[:, None] < right)) != lt)
+    checks["intersection"] = (w is None, w)
     laps.lap("intersection", pairs)
 
     if p.extra_checks is not None:
@@ -794,7 +797,4 @@ def prefix_audit(p: LazyPoset, n: int, window=None) -> AuditReport:
 
 
 def _first_pair(mask):
-    if mask is None or not mask.any():
-        return None
-    i, j = map(int, np.argwhere(mask)[0])
-    return (i, j)
+    return divmod(int(mask.argmax()), mask.shape[1]) if mask.any() else None  # row-major

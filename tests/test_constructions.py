@@ -16,7 +16,9 @@ from wpolab.cardinals import KOrdinal
 from wpolab.constructions import (
     Enumeration,
     LazyPoset,
-    _key_matrix,
+    _linear_witness,
+    _ranks,
+    _transitivity_witness,
     decompinver_witness,
     enum_below,
     extend_realizer,
@@ -308,8 +310,8 @@ def test_audit_catches_an_injected_transitivity_fault():
         certificate=s.certificate,
     )
     report = prefix_audit(broken, 8)
-    ok, witness = report.checks["transitivity"]
-    assert not ok and len(witness) == 3
+    # 0 < 1 < 5 with the pair (0, 5) dropped
+    assert report.checks["transitivity"] == (False, (0, 1, 5))
 
 
 # -- mixing ------------------------------------------------------------------------
@@ -579,8 +581,113 @@ def test_audit_flags_a_non_linear_comparator():
         certificate=s.certificate,
     )
     report = prefix_audit(broken, 8)
-    ok, witness = report.checks["left_linear"]
-    assert not ok and witness is not None
+    assert report.checks["left_linear"] == (False, (1, 2))
+
+
+class _Cyclic:
+    """A key whose < has no ties but is not transitive: of two values d
+    apart, the lower comes first unless 3 divides d."""
+
+    def __init__(self, v):
+        self.v = v
+
+    def __lt__(self, other):
+        d = other.v - self.v
+        return d != 0 and (d > 0) != (d % 3 == 0)
+
+
+def test_audit_flags_a_key_whose_order_is_not_transitive():
+    # the keys sort and rank as 0 < 1 < ... < 11 with no tie, but key 0
+    # does not come before key 6, six ranks (n//2) above it
+    s = sierpinskisation(o("w"))
+    broken = LazyPoset(
+        vertex=s.vertex,
+        lt=s.lt,
+        lt_matrix=s.lt_matrix,
+        keys=(_Cyclic, s.keys[1]),
+        types=s.types,
+        certificate=s.certificate,
+    )
+    report = prefix_audit(broken, 12)
+    assert report.failures() == {"left_linear": (0, 6)}
+
+
+def _reference_transitivity(m):
+    """The float32 path count that prefix_audit used before it read
+    transitivity off posets._close: exact while n < 2**24."""
+    f = m.astype(np.float32)
+    gap = (f @ f > 0) & ~m
+    np.fill_diagonal(gap, False)
+    if not gap.any():
+        return None
+    i, j = map(int, np.argwhere(gap)[0])
+    k = int(np.nonzero(m[i] & m[:, j])[0][0])
+    return (i, k, j)
+
+
+@st.composite
+def _relations(draw):
+    """Bool matrices on up to 40 vertices: sparse and dense (diagonal
+    included), a closed order with one pair dropped, a DAG with a 2-cycle,
+    and one with a cycle of 3 or more vertices and no 2-cycle.  The entries
+    come from a seeded generator."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(0, 40))
+    shape = draw(st.sampled_from(["sparse", "dense", "dropped", "2-cycle", "long cycle"]))
+    density = {"sparse": 2.0 / max(n, 1), "dense": 0.7, "dropped": 0.2}.get(shape, 0.1)
+    m = np.array([[rng.random() < density for _ in range(n)] for _ in range(n)],
+                 dtype=bool).reshape(n, n)
+    if shape in ("sparse", "dense"):
+        return m
+    perm = np.array(rng.sample(range(n), n), dtype=np.int64)
+    m = np.triu(m, 1)  # a DAG, then relabelled
+    if shape == "dropped":
+        while True:  # close it
+            grown = m | (m.astype(np.int64) @ m.astype(np.int64) > 0)
+            if (grown == m).all():
+                break
+            m = grown
+        pairs = np.argwhere(m)
+        if len(pairs):
+            i, j = pairs[rng.randrange(len(pairs))]
+            m[i, j] = False
+    elif shape == "2-cycle" and n >= 2:
+        i, j = rng.sample(range(n), 2)
+        m[i, j] = m[j, i] = True
+    elif shape == "long cycle" and n >= 3:
+        on = rng.sample(range(n), rng.randint(3, n))
+        for x, y in zip(on, on[1:] + on[:1]):
+            m[x, y], m[y, x] = True, False
+        assert not (m & m.T).any()
+    return m[np.ix_(perm, perm)]
+
+
+@given(_relations())
+@settings(max_examples=300, deadline=None)
+def test_transitivity_witness_matches_the_float32_reference(m):
+    assert _transitivity_witness(m) == _reference_transitivity(m)
+
+
+def test_transitivity_witness_pins_a_gap_behind_a_cycle():
+    # 0 < 1 < 0 makes _close refuse a cycle; the walk must still see
+    # 0 < 2 < 3, which a walk skipping successors already reached (as
+    # FinPoset.hasse does) passes over: 1 reaches 2 before 2's row is read
+    m = np.zeros((4, 4), dtype=bool)
+    for i, js in {0: [1, 2], 1: [0, 2], 2: [3]}.items():
+        m[i, js] = True
+    assert _reference_transitivity(m) == (0, 2, 3)
+    assert _transitivity_witness(m) == (0, 2, 3)
+
+
+@given(st.lists(st.integers(0, 12), max_size=30))
+@settings(max_examples=200, deadline=None)
+def test_linear_witness_reports_the_first_tie_row_major(keys):
+    # integer keys are linear under <, so only a tie can fail; the witness
+    # is the first off-diagonal pair with equal keys in row-major order
+    n = len(keys)
+    tie = next(((i, j) for i in range(n) for j in range(n) if i != j and keys[i] == keys[j]),
+               None)
+    assert _linear_witness(keys, _ranks(keys)) == tie
 
 
 # -- key-ranked realizers ----------------------------------------------------------
@@ -633,7 +740,8 @@ def test_key_ranks_match_pairwise_key_comparisons(kind, seed):
     for key in p.keys:
         keys = [key(v) for v in vs]
         want = np.array([[kx < ky for ky in keys] for kx in keys])
-        assert (_key_matrix(vs, key) == want).all()
+        r = _ranks(keys)
+        assert ((r[:, None] < r[None, :]) == want).all()
 
 
 @pytest.mark.parametrize("kind", sorted(KEYED))
