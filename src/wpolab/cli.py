@@ -24,7 +24,7 @@ from .constructions import (
     mixing_poset,
     sierpinskisation,
 )
-from .io import export_poset, read_poset_file
+from .io import MAX_VERTICES, export_poset, read_poset_file
 from .ordinals import (
     MAX_ECHO,
     OrdinalError,
@@ -86,6 +86,9 @@ def _load_poset_arg(text: str):
     if d.size is None:
         raise PosetError("poset commands need a finite denotation; "
                          "%r is infinite" % text)
+    if d.size > MAX_VERTICES:
+        raise PosetError("poset commands take at most %d vertices; %s has %s"
+                         % (MAX_VERTICES, clip(text), clip(str(d.size))))
     return poset_of_matrix(d.lt_matrix(d.prefix(d.size)))
 
 
@@ -118,8 +121,6 @@ def _cmd_poset(args) -> int:
         raise OrdinalError("poset %s takes two poset arguments" % args.op)
     p, q = map(_load_poset_arg, args.args)
     if args.op == "intersect":
-        if p.n != q.n:
-            raise PosetError("intersect needs posets on the same vertex set")
         print(export_poset(intersect(p, q), args.format))
         return 0
     # embeds: an order-embedding of p into q exists?
@@ -146,8 +147,9 @@ CONSTRUCTIONS = {
 
 
 def _cmd_construct(args) -> int:
-    if args.prefix < 1:
-        raise PosetError("--prefix must be at least 1, got %d" % args.prefix)
+    if not 1 <= args.prefix <= MAX_VERTICES:
+        raise PosetError("--prefix must be from 1 to %d, got %s"
+                         % (MAX_VERTICES, clip(str(args.prefix))))
     ks = [parse_k(t) for t in args.ordinals]
     for text, k in zip(args.ordinals, ks):
         if k.level:

@@ -3,15 +3,24 @@
 A poset file is a single JSON object {"n": int, "le": [[i, j], ...]}.  It
 may carry other fields, such as the "meta" that `wpolab construct` writes;
 the loader ignores them, so a loaded poset does not keep them.  The loader
-closes `le` transitively and rejects antisymmetry violations with a cycle
-witness (make_poset names one).
+refuses more than MAX_VERTICES vertices before it builds anything, closes
+`le` transitively and rejects antisymmetry violations with a cycle witness
+(make_poset names one).
 """
 
 from __future__ import annotations
 
 import json
 
+from .ordinals import clip
 from .posets import FinPoset, PosetError, make_poset
+
+# A poset file, a denoted term and a construct prefix have at most this
+# many vertices, counted before anything is built.  A poset on n vertices
+# lists up to n(n-1)/2 pairs: `construct sierp w --prefix 2000` takes 1.2 s
+# of CPU and 280 MB and prints 26 MB, while 4000 takes 4.5 s and 1 GB, and a
+# file with "n": 10**10 would ask make_poset for 80 GB of rows (2-vCPU x86)
+MAX_VERTICES = 2000
 
 
 def load_poset(source) -> FinPoset:
@@ -30,6 +39,9 @@ def load_poset(source) -> FinPoset:
             and all(type(v) is int for v in p) for p in le)):
         raise PosetError('poset file needs a vertex count "n" >= 0 and "le" '
                          'as a list of [i, j] integer pairs')
+    if n > MAX_VERTICES:
+        raise PosetError("a poset file takes at most %d vertices; got %s"
+                         % (MAX_VERTICES, clip(str(n))))
     return make_poset(n, le)
 
 

@@ -613,8 +613,8 @@ def test_audit_flags_a_key_whose_order_is_not_transitive():
 
 
 def _reference_transitivity(m):
-    """The float32 path count that prefix_audit used before it read
-    transitivity off posets._close: exact while n < 2**24."""
+    """The float32 path count, independent of the audit's row walk: exact
+    while n < 2**24."""
     f = m.astype(np.float32)
     gap = (f @ f > 0) & ~m
     np.fill_diagonal(gap, False)
@@ -669,14 +669,42 @@ def test_transitivity_witness_matches_the_float32_reference(m):
 
 
 def test_transitivity_witness_pins_a_gap_behind_a_cycle():
-    # 0 < 1 < 0 makes _close refuse a cycle; the walk must still see
-    # 0 < 2 < 3, which a walk skipping successors already reached (as
-    # FinPoset.hasse does) passes over: 1 reaches 2 before 2's row is read
+    # a relation with a cycle, 0 < 1 < 0, is walked like any other: the
+    # walk must still see 0 < 2 < 3, which a walk skipping successors
+    # already reached (as FinPoset.hasse does) passes over: 1 reaches 2
+    # before 2's row is read
     m = np.zeros((4, 4), dtype=bool)
     for i, js in {0: [1, 2], 1: [0, 2], 2: [3]}.items():
         m[i, js] = True
     assert _reference_transitivity(m) == (0, 2, 3)
     assert _transitivity_witness(m) == (0, 2, 3)
+
+
+@given(st.sampled_from(["sierpinskisation", "mixing", "minoration", "decompinver"]),
+       st.integers(0, 2**48))
+@settings(max_examples=200, deadline=None)
+def test_audit_transitivity_matches_the_reference_under_faults(kind, seed):
+    # the audit walks the rows only when the intersection check fails, so
+    # flipped lt_matrix entries (self-loops included) and a key tie must
+    # still give the reference verdict and witness
+    rng = random.Random(seed)
+    p = KEYED[kind](rng)
+    vs = p.prefix(rng.randrange(41) if p.size is None else rng.randrange(min(40, p.size) + 1))
+    n = len(vs)
+    lt = p.lt_matrix(vs).copy()
+    for _ in range(rng.randrange(4) if n else 0):
+        i, j = rng.randrange(n), rng.randrange(n)
+        lt[i, j] = not lt[i, j]
+    keys = list(p.keys)
+    if n >= 2 and rng.randrange(2):
+        a, b = rng.sample(vs, 2)
+        side = rng.randrange(2)
+        key = keys[side]
+        keys[side] = lambda v: key(a) if v == b else key(v)
+    faulty = dataclasses.replace(
+        p, keys=tuple(keys), lt_matrix=lambda us: lt.copy() if us == vs else p.lt_matrix(us))
+    w = _reference_transitivity(lt)
+    assert prefix_audit(faulty, n).checks["transitivity"] == (w is None, w)
 
 
 @given(st.lists(st.integers(0, 12), max_size=30))

@@ -17,7 +17,7 @@ from wpolab import oracles, suites, terms
 from wpolab.bounds import theta_plus
 from wpolab.cardinals import KOrdinal
 from wpolab.cli import MAX_BADTREE_VERTICES, build_parser, main
-from wpolab.io import export_poset, load_poset
+from wpolab.io import MAX_VERTICES, export_poset, load_poset
 from wpolab.ordinals import MAX_NUMERAL_DIGITS, ZERO, add, mul
 from wpolab.posets import PosetError, antichain, chain, make_poset
 from wpolab.suites import SUITES, run_suite
@@ -50,6 +50,14 @@ def test_loader_rejects_malformed_documents():
                 '{"n": 2, "le": [[0, 1, 1]]}', '{"n": 2, "le": 7}'):
         with pytest.raises((PosetError, ValueError)):
             load_poset(bad)
+
+
+def test_loader_bounds_the_vertex_count_before_building():
+    assert load_poset('{"n": %d, "le": []}' % MAX_VERTICES) == antichain(MAX_VERTICES)
+    with pytest.raises(PosetError) as info:
+        load_poset('{"n": %d, "le": []}' % 10**10)
+    assert str(info.value) == "a poset file takes at most %d vertices; got %d" % (
+        MAX_VERTICES, 10**10)
 
 
 def test_json_examples():
@@ -194,6 +202,13 @@ def test_cli_poset_commands(capsys, tmp_path):
     code, out = run_cli("poset", "intersect", "@%s" % path, "fin(antichain3)",
                         capsys=capsys)
     assert code == 0 and json.loads(out) == {"n": 3, "le": []}
+
+
+def test_cli_intersect_refuses_unequal_vertex_counts(capsys):
+    assert main(["poset", "intersect", "fin(chain2)", "fin(chain3)"]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (
+        "", "wpolab: intersect needs equal vertex counts (2 vs 3)\n")
 
 
 def test_cli_construct_matches_frozen_prefix(capsys):
@@ -581,6 +596,40 @@ def test_cli_inline_finite_poset_over_the_bound_fails_fast():
     assert done.returncode == 2 and done.stdout == ""
     assert done.stderr.startswith("wpolab: ") and done.stderr.count("\n") == 1
     assert str(MAX_INLINE_FIN) in done.stderr
+
+
+@pytest.mark.parametrize("argv, err", [
+    # a 100000-vertex prefix would need a 9.3 GiB order matrix
+    (["construct", "sierp", "w", "--prefix", "100000"],
+     "--prefix must be from 1 to %d, got 100000" % MAX_VERTICES),
+    # four million vertices, a 14.6 TiB order matrix
+    (["poset", "badtree", "prod(fin(chain2000),fin(chain2000))"],
+     "poset commands take at most %d vertices; prod(fin(chain2000),fin(chain2000)) "
+     "has 4000000" % MAX_VERTICES),
+    # ten billion vertices, whose rows alone take 80 GB
+    (["poset", "len", "@FILE"],
+     "a poset file takes at most %d vertices; got 10000000000" % MAX_VERTICES),
+])
+def test_cli_short_input_for_a_huge_poset_fails_fast(tmp_path, argv, err):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"n": 10**10, "le": []}))
+    argv = [a.replace("FILE", str(path)) for a in argv]
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run([sys.executable, "-m", "wpolab.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=20)
+    assert (done.returncode, done.stdout, done.stderr) == (2, "", "wpolab: %s\n" % err)
+
+
+def test_cli_posets_at_the_vertex_bound_answer(capsys):
+    # --format dot lists the covers only: 0.2 s of CPU each (2-vCPU x86)
+    n = MAX_VERTICES
+    for argv in (["construct", "sierp", "w", "--prefix", str(n)],
+                 ["poset", "intersect", "fin(chain%d)" % n,
+                  "lexsum(fin(chain%d), fin(chain%d))" % (n // 2, n - n // 2)]):
+        assert main([*argv, "--format", "dot"]) == 0, argv
+        out = capsys.readouterr().out
+        assert out.startswith("digraph poset {\n") and "  %d;\n" % (n - 1) in out
 
 
 @pytest.mark.parametrize("source", ["inline", "file"])
