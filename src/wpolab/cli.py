@@ -37,9 +37,9 @@ from .ordinals import (
     nat_mul,
     render_ordinal,
 )
-from .posets import PosetError, bad_tree_height, embeds, intersect, length_fin, poset_of_matrix
+from .posets import PosetError, bad_tree_height, embeds, intersect, poset_of_matrix
 from .suites import SUITES, run_suite
-from .terms import _denote, length_term, parse_term
+from .terms import Fin, _denote, length_term, parse_term
 
 
 def _cmd_ord(args) -> int:
@@ -77,15 +77,23 @@ def _cmd_theta(args) -> int:
     return 0
 
 
-def _load_poset_arg(text: str):
-    """A poset argument: @file (JSON poset file) or a poset term."""
+def _poset_term(text: str):
+    """A poset argument as a term; @path is the leaf fin(@path)."""
     if text.startswith("@"):
-        return read_poset_file(text[1:])
-    # one denotation gives both the size and the poset
-    d = _denote(parse_term(text))
+        return Fin(read_poset_file(text[1:]))
+    return parse_term(text)
+
+
+def _load_poset_arg(text: str):
+    """A Fin leaf holds its poset closed and bounded; any other term is
+    denoted once, which gives both its size and its poset."""
+    t = _poset_term(text)
+    if isinstance(t, Fin):
+        return t.poset
+    d = _denote(t)
     if d.size is None:
         raise PosetError("poset commands need a finite denotation; "
-                         "%r is infinite" % text)
+                         "%r is infinite" % clip(text))
     if d.size > MAX_VERTICES:
         raise PosetError("poset commands take at most %d vertices; %s has %s"
                          % (MAX_VERTICES, clip(text), clip(str(d.size))))
@@ -105,10 +113,7 @@ def _cmd_poset(args) -> int:
     if args.op in ("len", "badtree") and len(args.args) != 1:
         raise OrdinalError("poset %s takes one poset argument" % args.op)
     if args.op == "len":
-        if args.args[0].startswith("@"):
-            print(length_fin(_load_poset_arg(args.args[0])))
-        else:
-            print(render_ordinal(length_term(parse_term(args.args[0]))))
+        print(render_ordinal(length_term(_poset_term(args.args[0]))))
         return 0
     if args.op == "badtree":
         p = _load_poset_arg(args.args[0])
@@ -257,7 +262,7 @@ def main(argv=None) -> int:
         return 2
     try:
         return args.fn(args)
-    except (OrdinalError, PosetError, OSError, KeyError) as exc:
+    except (OrdinalError, OSError) as exc:  # a PosetError is an OrdinalError
         print("wpolab: %s" % exc, file=sys.stderr)
         return 2
 

@@ -15,11 +15,11 @@ import json
 from .ordinals import clip
 from .posets import FinPoset, PosetError, make_poset
 
-# A poset file, a denoted term and a construct prefix have at most this
-# many vertices, counted before anything is built.  A poset on n vertices
-# lists up to n(n-1)/2 pairs: `construct sierp w --prefix 2000` takes 1.2 s
-# of CPU and 280 MB and prints 26 MB, while 4000 takes 4.5 s and 1 GB, and a
-# file with "n": 10**10 would ask make_poset for 80 GB of rows (2-vCPU x86)
+# A poset file, an inline fin leaf, a denoted term and a construct prefix
+# have at most this many vertices, counted before anything is built: a
+# poset on n vertices lists up to n(n-1)/2 pairs, `construct sierp w
+# --prefix 2000` takes 1.2 s of CPU, 280 MB and prints 26 MB (4000: 4.5 s,
+# 1 GB), and "n": 10**10 would ask make_poset for 80 GB of rows (2-vCPU x86)
 MAX_VERTICES = 2000
 
 

@@ -135,7 +135,7 @@ def _suite_ordinal_laws(report, cases, rng):
         check(nat_mul(a, nat_add(b, c)), nat_add(nat_mul(a, b), nat_mul(a, c)),
               "distrib %s,%s,%s", a, b, c)
         d = omega_pow(c)  # indecomposable: ordinal mul distributes over (+)
-        assert ul_nat_add(d, d) == d
+        check(ul_nat_add(d, d), d, "ul_nat_add idem %s", d)
         check(mul(d, nat_add(a, b)), nat_add(mul(d, a), mul(d, b)),
               "indec-distrib %s,%s,%s", d, a, b)
         if not b.is_zero:

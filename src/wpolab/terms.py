@@ -33,7 +33,7 @@ from typing import Union
 import numpy as np
 
 from .constructions import LazyOrder, _aligned_block, _diagonal_cell, _sum
-from .io import read_poset_file
+from .io import MAX_VERTICES, read_poset_file
 from .ordinals import (
     MAX_NESTING,
     CnfOrdinal,
@@ -180,12 +180,6 @@ def denote_prefix(t: PosetTerm, budget: int) -> FinPoset:
 
 _HEAD = re.compile(r"(ord|fin|dsum|lexsum|prod)\(")
 _INLINE_FIN = re.compile(r"(chain|antichain)([0-9]+)$")
-# inline fin(chainN) and fin(antichainN) leaves have at most this many
-# vertices: chain(2000) is built closed in 0.5 ms of CPU and its denoted
-# prefix closes in poset_of_matrix in 0.02 s, but its JSON document lists
-# two million pairs (26 MB, 1.6 s to export), and fin(chain4000)'s four
-# times as many (108 MB, 4.8 s) (2-vCPU x86)
-MAX_INLINE_FIN = 2000
 
 
 def parse_term(text: str) -> PosetTerm:
@@ -245,10 +239,10 @@ def _parse_fin(body: str):
             "fin(...) takes chainN, antichainN, or @file, got %r" % clip(body)
         )
     digits = m.group(2).lstrip("0") or "0"
-    if len(digits) > len(str(MAX_INLINE_FIN)) or int(digits) > MAX_INLINE_FIN:
+    if len(digits) > len(str(MAX_VERTICES)) or int(digits) > MAX_VERTICES:
         raise PosetError("inline fin(%s...) takes at most %d vertices; put a "
                          "larger poset in a file and use fin(@file)"
-                         % (m.group(1), MAX_INLINE_FIN))
+                         % (m.group(1), MAX_VERTICES))
     make = chain if m.group(1) == "chain" else antichain
     return lambda: Fin(make(int(digits)))
 

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -13,15 +14,15 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from wpolab import oracles, suites, terms
+from wpolab import cli, oracles, suites, terms
 from wpolab.bounds import theta_plus
 from wpolab.cardinals import KOrdinal
 from wpolab.cli import MAX_BADTREE_VERTICES, build_parser, main
 from wpolab.io import MAX_VERTICES, export_poset, load_poset
-from wpolab.ordinals import MAX_NUMERAL_DIGITS, ZERO, add, mul
-from wpolab.posets import PosetError, antichain, chain, make_poset
+from wpolab.ordinals import MAX_NUMERAL_DIGITS, ZERO, add, mul, nat_add
+from wpolab.posets import PosetError, antichain, chain, make_poset, poset_of_matrix
 from wpolab.suites import SUITES, run_suite
-from wpolab.terms import MAX_INLINE_FIN
+from wpolab.terms import denote_prefix, parse_term
 
 
 # -- poset files -------------------------------------------------------------------
@@ -98,9 +99,10 @@ def test_reports_are_deterministic():
     ("ordinal_laws", "nat_mul", mul),  # the ordinal product, not commutative
     ("theta_laws", "theta_plus", lambda *a: theta_plus(*a).succ()),
     ("reduction_identities", "theta_tilde", theta_plus),
+    ("ordinal_laws", "ul_nat_add", nat_add),  # w^c (+) w^c is w^c*2, not w^c
 ], ids=["oracle_agreement", "minoration_meets_theta", "majoration_shadow",
         "finite_poset_oracle", "ordinal_laws", "theta_laws",
-        "reduction_identities"])
+        "reduction_identities", "ordinal_laws_ul_nat_add"])
 def test_suites_catch_a_wrong_library_function(monkeypatch, name, target, wrong):
     # the criteria that run these suites rest on them failing here
     monkeypatch.setattr(suites, target, wrong)
@@ -381,6 +383,88 @@ def test_cli_denotes_a_poset_term_once(capsys, monkeypatch):
                                        "'dsum(fin(chain3), ord(w))' is infinite\n")
 
 
+def test_cli_clips_an_infinite_term_it_echoes(capsys):
+    # 597 characters, which the message once echoed in full (661 in all)
+    term = "lexsum(ord(w), %s)" % ("dsum(fin(chain1), " * 30 + "fin(chain1)" + ")" * 30)
+    assert main(["poset", "badtree", term]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("wpolab: poset commands need a finite denotation; "
+                            "%r is infinite\n" % (term[:60] + "..."))
+    assert captured.err.count("\n") == 1 and len(captured.err) < 200
+
+
+def _random_poset_file(path, n: int, density: float):
+    rng = random.Random(n)
+    p = make_poset(n, [(i, j) for i in range(n) for j in range(i + 1, n)
+                       if rng.random() < density])
+    path.write_text(export_poset(p))
+    return p
+
+
+def test_cli_uses_a_leaf_argument_as_its_poset(monkeypatch, tmp_path):
+    # a Fin leaf holds its poset closed and bounded, so nothing denotes or
+    # closes it again
+    calls = []
+
+    def counted(name, fn):
+        def call(*args):
+            calls.append(name)
+            return fn(*args)
+        return call
+
+    monkeypatch.setattr(cli, "_denote", counted("_denote", terms._denote))
+    monkeypatch.setattr(cli, "poset_of_matrix", counted("poset_of_matrix", poset_of_matrix))
+    path = tmp_path / "p.json"
+    p = _random_poset_file(path, 6, 0.4)
+    for arg in ("@%s" % path, "fin(@%s)" % path, " fin(@%s) " % path):
+        assert cli._load_poset_arg(arg) == p
+    assert cli._load_poset_arg("fin(chain5)") == chain(5)
+    assert cli._load_poset_arg("fin(antichain3)") == antichain(3)
+    assert calls == []
+    assert cli._load_poset_arg("dsum(fin(chain1), fin(chain1))") == antichain(2)
+    assert calls == ["_denote", "poset_of_matrix"]
+
+
+@pytest.mark.parametrize("n, density", [(0, 0.0), (1, 0.0), (4, 0.5), (6, 0.3), (7, 0.6),
+                                        (8, 0.2)])
+def test_cli_a_file_leaf_is_its_denotation(capsys, tmp_path, n, density):
+    path = tmp_path / "p.json"
+    _random_poset_file(path, n, density)
+    leaf = "fin(@%s)" % path
+    denoted = denote_prefix(parse_term(leaf), n + 1)
+    assert cli._load_poset_arg("@%s" % path) == cli._load_poset_arg(leaf) == denoted
+
+    def run(argv, arg):
+        code = main(["poset", *(arg if a == "X" else a for a in argv)])
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    for argv in (["len", "X"], ["badtree", "X"], ["intersect", "X", "X"],
+                 ["intersect", "X", "X", "--format", "dot"], ["embeds", "X", "X"]):
+        got = run(argv, "@%s" % path)
+        assert got == run(argv, leaf) and got[0] == 0 and got[2] == "", argv
+    assert run(["len", "X"], leaf)[1] == "%d\n" % n
+
+
+@pytest.mark.parametrize("n", [0, 1, 5, 40, MAX_VERTICES])
+def test_cli_an_inline_leaf_is_its_denotation(n):
+    for body in ("chain%d" % n, "antichain%d" % n):
+        leaf = "fin(%s)" % body
+        assert cli._load_poset_arg(leaf) == denote_prefix(parse_term(leaf), n + 1)
+
+
+def test_cli_lets_a_key_error_escape(monkeypatch):
+    # argparse choices guard every table the commands look up, so a
+    # KeyError is a bug, and main does not turn it into an input error
+    def broken(*ordinals):
+        raise KeyError("x")
+
+    monkeypatch.setattr(cli, "theta_plus", broken)
+    with pytest.raises(KeyError):
+        main(["theta", "w", "w"])
+
+
 def test_a_reused_parser_keeps_no_state(capsys):
     # main reuses one parser per process: a command's result must not
     # depend on the commands that ran before it
@@ -595,7 +679,7 @@ def test_cli_inline_finite_poset_over_the_bound_fails_fast():
         capture_output=True, text=True, env=env, timeout=20)
     assert done.returncode == 2 and done.stdout == ""
     assert done.stderr.startswith("wpolab: ") and done.stderr.count("\n") == 1
-    assert str(MAX_INLINE_FIN) in done.stderr
+    assert str(MAX_VERTICES) in done.stderr
 
 
 @pytest.mark.parametrize("argv, err", [

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wpolab.constructions import relation_matrix
+from wpolab.io import MAX_VERTICES
 from wpolab.ordinals import (
     OrdinalError,
     add,
@@ -19,7 +20,6 @@ from wpolab.ordinals import (
 from wpolab.posets import PosetError, antichain, chain, length_fin, make_poset
 from wpolab import terms
 from wpolab.terms import (
-    MAX_INLINE_FIN,
     DSum,
     Fin,
     LexSum,
@@ -226,7 +226,7 @@ def test_parse_term_from_poset_file(tmp_path):
 
 
 def test_inline_finite_posets_are_bounded():
-    big = MAX_INLINE_FIN
+    big = MAX_VERTICES
     assert parse_term("fin(antichain%d)" % big) == Fin(antichain(big))
     assert parse_term("fin(chain007)") == Fin(chain(7))
     for body in ("chain%d" % (big + 1), "antichain%d" % (big + 1), "chain" + "9" * 5000):
