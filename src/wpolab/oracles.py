@@ -1,18 +1,20 @@
-"""Independent brute-force oracles, shared by the tests and `wpolab verify`.
+"""Brute-force oracles and case generators for the tests and `wpolab verify`.
 
 Everything here deliberately avoids the library's own mul, nat_add and
-nat_mul code paths: from `ordinals` it takes only `CnfOrdinal`, `ZERO`,
+nat_mul code paths: from `ordinals` the oracles take only `CnfOrdinal`, `ZERO`,
 `add` and `omega_pow`.  Sums of term sequences are evaluated by ordinal
 addition of single terms, the ordinal product by distributing over the
 right factor's terms, and the natural operations are recovered from
-their order-theoretic maximization characterizations.
+their order-theoretic maximization characterizations.  The case
+generators call no arithmetic: they build values from (exponent,
+coefficient) pairs with only `CnfOrdinal`, `ZERO`, `ONE` and `from_int`.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from .ordinals import ZERO, CnfOrdinal, add, omega_pow
+from .ordinals import ONE, ZERO, CnfOrdinal, add, from_int, omega_pow
 
 
 def mul_oracle(a: CnfOrdinal, b: CnfOrdinal) -> CnfOrdinal:
@@ -111,3 +113,36 @@ def length_by_extensions(n: int, relation: frozenset) -> int:
             if all(not le(u, v) for u in seq):
                 stack.append((seq + (v,), left - {v}))
     return best
+
+
+# -- case generators ------------------------------------------------------------
+
+
+def normal_form(pairs) -> CnfOrdinal:
+    """The CNF value of (exponent, coefficient) pairs in any order, equal
+    exponents' coefficients summed; the public constructor checks it."""
+    coeffs: dict = {}
+    for e, c in pairs:
+        coeffs[e] = coeffs.get(e, 0) + c
+    return CnfOrdinal(tuple(sorted(coeffs.items(), key=lambda t: t[0]._key, reverse=True)))
+
+
+def random_ordinal(rng, depth: int = 3) -> CnfOrdinal:
+    """Random CNF ordinal: exponent depth <= 3, coefficients <= 9, at most
+    4 terms, biased toward boundary shapes (pure powers, successors,
+    multiples of omega)."""
+    shape = rng.randrange(6)
+    if depth == 0 or shape == 0:
+        return from_int(rng.randrange(10))
+    pairs = [(random_ordinal(rng, depth - 1), rng.randrange(1, 10))
+             for _ in range(1 if shape == 1 else rng.randrange(1, 5))]  # shape 1: a pure power
+    if shape == 2:  # multiple of omega: w * w^e*c = w^(1+e)*c, and 1+n = n+1
+        pairs = [(from_int(e.as_int() + 1) if e.is_finite else e, c) for e, c in pairs]
+    elif shape == 3:  # successor: add to the finite last term
+        pairs.append((ZERO, rng.randrange(1, 10)))
+    return normal_form(pairs)
+
+
+def random_countable_infinite(rng) -> CnfOrdinal:
+    a = random_ordinal(rng)
+    return a if not a.is_finite else normal_form(((ONE, 1),) + a.terms)  # w+n

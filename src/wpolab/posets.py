@@ -325,6 +325,8 @@ def bad_tree_height(p: FinPoset) -> int:
 def embeds(p: FinPoset, q: FinPoset) -> bool:
     """True iff an order-embedding p -> q exists (<= and incomparability
     both preserved); exhaustive backtracking."""
+    if p.n > q.n:
+        return False
 
     def extend(mapping):
         v = len(mapping)

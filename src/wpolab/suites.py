@@ -3,9 +3,10 @@
 Each suite replays the algebraic and structural invariants of one part of
 the library against independent checks (the brute-force oracles of
 `oracles`, exhaustive small cases from `ordinals.iter_below`, prefix
-audits).  Reports are reproducible: a fixed (suite,
-cases, seed) triple always produces the same failures in the same order,
-and the canonical serialization omits wall-clock time.
+audits), on random cases from the arithmetic-free generators of `oracles`.
+Reports are reproducible: a fixed (suite, cases, seed) triple always
+produces the same failures in the same order, and the canonical
+serialization omits wall-clock time.
 """
 
 from __future__ import annotations
@@ -35,11 +36,10 @@ from .constructions import (
     relation_matrix,
     sierpinskisation,
 )
+from .oracles import random_countable_infinite, random_ordinal
 from .ordinals import (
     OMEGA,
     ONE,
-    ZERO,
-    CnfOrdinal,
     add,
     euclid_div,
     from_int,
@@ -84,34 +84,6 @@ class SuiteReport:
             "failures": [list(f) for f in sorted(self.failures)],
         }
         return json.dumps(doc, sort_keys=True)
-
-
-# -- seeded generators ---------------------------------------------------------------
-
-
-def random_ordinal(rng, depth: int = 3) -> CnfOrdinal:
-    """Random CNF ordinal: exponent depth <= 3, coefficients <= 9, at most
-    4 terms, biased toward boundary shapes (pure powers, successors,
-    multiples of omega)."""
-    shape = rng.randrange(6)
-    if depth == 0 or shape == 0:
-        return from_int(rng.randrange(10))
-    if shape == 1:  # pure power
-        return omega_pow(random_ordinal(rng, depth - 1), rng.randrange(1, 10))
-    out = ZERO
-    for _ in range(rng.randrange(1, 5)):
-        term = omega_pow(random_ordinal(rng, depth - 1), rng.randrange(1, 10))
-        out = nat_add(out, term)
-    if shape == 2:  # multiple of omega
-        return mul(OMEGA, out)
-    if shape == 3:  # successor
-        return add(out, from_int(rng.randrange(1, 10)))
-    return out
-
-
-def random_countable_infinite(rng) -> CnfOrdinal:
-    a = random_ordinal(rng)
-    return a if not a.is_finite else add(OMEGA, a)
 
 
 # -- suites ---------------------------------------------------------------------------

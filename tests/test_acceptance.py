@@ -30,7 +30,8 @@ from wpolab.ordinals import (
     ul_nat_add,
 )
 from wpolab.posets import intersect, length_recursive, make_poset
-from wpolab.suites import random_countable_infinite, random_ordinal, run_suite
+from wpolab.oracles import random_countable_infinite, random_ordinal
+from wpolab.suites import run_suite
 
 
 def o(text):

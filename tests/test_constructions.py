@@ -28,11 +28,11 @@ from wpolab.constructions import (
     relation_matrix,
     sierpinskisation,
 )
+from wpolab.oracles import normal_form
 from wpolab.ordinals import (
     OMEGA,
     ONE,
     ZERO,
-    CnfOrdinal,
     OrdinalError,
     add,
     from_int,
@@ -221,8 +221,7 @@ def _shallow_ordinals(draw):
     """An infinite ordinal of up to 3 terms with coefficients up to 4, whose
     exponents are naturals up to 4, w*k+m (k <= 2, m <= 3), w^2 or w^w."""
     exps = draw(st.sets(_EXPONENTS, min_size=1, max_size=3))
-    terms = tuple((e, draw(st.integers(1, 4))) for e in sorted(exps, reverse=True))
-    alpha = CnfOrdinal(terms)
+    alpha = normal_form([(e, draw(st.integers(1, 4))) for e in exps])
     return alpha if not alpha.is_finite else add(OMEGA, alpha)
 
 

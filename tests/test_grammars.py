@@ -13,7 +13,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from wpolab.cardinals import MAX_LEVEL, KOrdinal, LevelOverflowError, parse_k, render_k
-from wpolab.ordinals import (MAX_NUMERAL_DIGITS, ZERO, CnfOrdinal, OrdinalError, from_int,
+from wpolab.oracles import normal_form
+from wpolab.ordinals import (MAX_NUMERAL_DIGITS, ZERO, OrdinalError, from_int,
                              parse_ordinal, render_ordinal)
 from wpolab.posets import PosetError, antichain, chain
 from wpolab.terms import DSum, Fin, LexSum, Ord, Prod, parse_term, render_term
@@ -37,19 +38,10 @@ def token_texts(tokens, head=st.just(""), tail=st.just("")):
         lambda parts: parts[0] + "".join(parts[1]) + parts[2])
 
 
-def _normal_form(terms) -> CnfOrdinal:
-    """The CNF value of (exponent, coefficient) pairs, keeping the first
-    coefficient drawn for each exponent."""
-    coeffs = {}
-    for exp, coeff in terms:
-        coeffs.setdefault(exp, coeff)
-    return CnfOrdinal(tuple(sorted(coeffs.items(), key=lambda t: t[0], reverse=True)))
-
-
 ORDINALS = st.recursive(
     st.integers(0, 20).map(from_int),
     lambda inner: st.lists(st.tuples(inner, st.integers(1, 20)),
-                           min_size=1, max_size=4).map(_normal_form),
+                           min_size=1, max_size=4).map(normal_form),
     max_leaves=10,
 )
 

@@ -14,11 +14,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from wpolab import cli, oracles, suites, terms
+from wpolab import cli, oracles, ordinals, suites, terms
 from wpolab.bounds import theta_plus
 from wpolab.cardinals import KOrdinal
 from wpolab.cli import MAX_BADTREE_VERTICES, build_parser, main
 from wpolab.io import MAX_VERTICES, export_poset, load_poset
+from wpolab.oracles import normal_form, random_countable_infinite, random_ordinal
 from wpolab.ordinals import MAX_NUMERAL_DIGITS, ZERO, add, mul, nat_add
 from wpolab.posets import PosetError, antichain, chain, make_poset, poset_of_matrix
 from wpolab.suites import SUITES, run_suite
@@ -133,6 +134,74 @@ def test_ordinal_laws_reports_a_wrong_nat_mul_byte_for_byte(monkeypatch):
         '9*6+w^6*2)*9+w^(w^6*8+w^2*3+8)+w^(w^5*5)*3+w^5*4+9)*3+w*7')
     assert len(failures) == 31
     assert hashlib.md5(report.to_json().encode()).hexdigest() == "9d666ea7978b9d74a4b92b947432573b"
+
+
+# md5 of the str() of the draws for random.Random(s), s in 0..1999, joined
+# by newlines: the suites' cases, and so their reports, stay those of the
+# generator that drew them through the library's own arithmetic
+DRAW_DIGESTS = {
+    "random_ordinal": "b9454d47dea5605b1260b56be138ad99",
+    "random_ordinal(depth=2)": "b532cff7eba1ed56d68e9ee34d28e909",
+    "random_countable_infinite": "abd85fd1ba93339b1491fe3ff2c75d9e",
+}
+GENERATORS = {
+    "random_ordinal": random_ordinal,
+    "random_ordinal(depth=2)": lambda rng: random_ordinal(rng, depth=2),
+    "random_countable_infinite": random_countable_infinite,
+}
+
+
+def _draw_digests():
+    return {name: hashlib.md5("\n".join(str(gen(random.Random(s))) for s in range(2000))
+                              .encode()).hexdigest()
+            for name, gen in GENERATORS.items()}
+
+
+def test_generators_make_the_pinned_draws():
+    assert _draw_digests() == DRAW_DIGESTS
+
+
+def test_normal_form_sums_equal_exponents_in_any_order():
+    w = ordinals.OMEGA
+    assert normal_form([(ZERO, 2), (w, 1), (ZERO, 3), (w, 4)]) is ordinals.parse_ordinal("w^w*5+5")
+    assert normal_form([]) is ZERO
+    with pytest.raises(ordinals.OrdinalError):
+        normal_form([(w, 0)])
+
+
+def test_a_wrong_merge_changes_the_results_but_not_the_cases(monkeypatch):
+    merge = ordinals._merge
+
+    def keep_first(xs, ys):
+        # an equal exponent keeps xs's coefficient instead of the sum
+        exps = {e for e, _ in xs}
+        return merge(xs, tuple(t for t in ys if t[0] not in exps))
+
+    monkeypatch.setattr(ordinals, "_merge", keep_first)
+    assert _draw_digests() == DRAW_DIGESTS
+    assert not run_suite("ordinal_laws", 25, 7).passed
+    assert not run_suite("oracle_agreement", 25, 7).passed
+
+
+def test_generators_run_no_arithmetic():
+    watched = {f.__code__: f.__name__ for f in (
+        ordinals.add, ordinals.mul, ordinals.nat_add, ordinals.nat_mul, ordinals.omega_pow,
+        ordinals.fund_seq, ordinals._merge, ordinals._add)}
+    gens = list(GENERATORS.values())
+    entered = set()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in watched:
+            entered.add(watched[frame.f_code])
+
+    old = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        for s in range(2000):
+            gens[s % 3](random.Random(s))
+    finally:
+        sys.setprofile(old)
+    assert not entered
 
 
 def test_finite_poset_oracle_reports_a_wrong_batch_order(monkeypatch):

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wpolab import ordinals as ordinals_module
-from wpolab.oracles import mul_oracle, nat_add_oracle, nat_mul_oracle
+from wpolab.oracles import mul_oracle, nat_add_oracle, nat_mul_oracle, normal_form
 from wpolab.cardinals import MAX_LEVEL, KOrdinal, render_k
 from wpolab.ordinals import (
     MAX_NUMERAL_DIGITS,
@@ -55,8 +55,7 @@ def random_ordinal(rng: random.Random, depth: int = 3) -> CnfOrdinal:
             exps.add(from_int(rng.randint(0, 9)))
         else:
             exps.add(random_ordinal(rng, depth - 1))
-    terms = tuple((e, rng.randint(1, 9)) for e in sorted(exps, reverse=True))
-    return CnfOrdinal(terms)
+    return normal_form([(e, rng.randint(1, 9)) for e in sorted(exps, reverse=True)])
 
 
 def ordinals():
@@ -501,13 +500,10 @@ def test_indecomposable():
 
 @st.composite
 def term_tuples(draw):
-    """A freshly built, valid terms tuple: distinct exponents in decreasing
-    order and positive coefficients, some too large to be cached ints."""
+    """A valid terms tuple: up to 4 drawn terms in normal form, equal
+    exponents' coefficients summed, some too large to be cached ints."""
     pairs = draw(st.lists(st.tuples(ordinals(), st.integers(1, 10**30)), max_size=4))
-    coeffs = {}
-    for exp, coeff in pairs:
-        coeffs.setdefault(exp, coeff)
-    return tuple(sorted(coeffs.items(), key=lambda t: t[0], reverse=True))
+    return normal_form(pairs).terms
 
 
 @given(term_tuples())

@@ -12,6 +12,7 @@ from wpolab.io import export_poset
 from wpolab.oracles import length_by_extensions
 from wpolab.ordinals import clip
 from wpolab.posets import (
+    FinPoset,
     PosetError,
     all_posets,
     antichain,
@@ -117,6 +118,14 @@ def test_embeds():
     diamond = denote_prefix(Prod(Fin(chain(2)), Fin(chain(2))), 4)
     assert embeds(v, diamond)
     assert not embeds(diamond, v)
+
+
+def test_embeds_refuses_a_larger_poset_before_searching(monkeypatch):
+    calls = []
+    lt = FinPoset.lt
+    monkeypatch.setattr(FinPoset, "lt", lambda self, i, j: calls.append(1) or lt(self, i, j))
+    assert not embeds(antichain(9), antichain(8))
+    assert calls == []
 
 
 def test_longcut():
