@@ -134,6 +134,12 @@ def _unpack(rows: list, n: int) -> np.ndarray:
     return np.unpackbits(packed, axis=1, count=n, bitorder="little").view(bool)
 
 
+def _transpose(rows, n: int) -> list:
+    """The bitsets of the transposed relation: bit i of row j iff bit j of
+    rows[i], by one numpy transpose."""
+    return _pack(_unpack(rows, n).T)
+
+
 def _close(n: int, rows: list) -> FinPoset:
     """The FinPoset of successor bitsets rows, closed transitively, or
     PosetError naming a cycle.
@@ -193,7 +199,7 @@ def _cycle_error(rows: list) -> PosetError:
         if not seen >> v & 1:
             tree, seen = _search(rows, v, seen)
             order += tree
-    below = _pack(_unpack(rows, n).T)
+    below = _transpose(rows, n)
     first, seen = n, 0
     for v in reversed(order):
         if not seen >> v & 1:
@@ -324,30 +330,43 @@ def bad_tree_height(p: FinPoset) -> int:
 
 def embeds(p: FinPoset, q: FinPoset) -> bool:
     """True iff an order-embedding p -> q exists (<= and incomparability
-    both preserved); exhaustive backtracking."""
+    both preserved); exhaustive backtracking without recursion.  Vertex v
+    of p may go to any unused w of q whose relation to every image so far
+    matches v's in p, an AND of q's successor or predecessor bitsets."""
     if p.n > q.n:
         return False
-
-    def extend(mapping):
-        v = len(mapping)
+    if not p.n:
+        return True
+    rows, above = p.successors, q.successors
+    below = _transpose(above, q.n)
+    full = (1 << q.n) - 1
+    image, todo, used = [], [full], 0  # todo[v]: the untried images of vertex v
+    while todo:
+        rest = todo[-1]
+        if not rest:
+            todo.pop()
+            if image:
+                used ^= 1 << image.pop()
+            continue
+        low = rest & -rest
+        todo[-1] = rest ^ low
+        used |= low
+        image.append(low.bit_length() - 1)
+        v = len(image)
         if v == p.n:
             return True
-        for w in range(q.n):
-            if w in mapping.values():
-                continue
-            ok = True
-            for u, x in mapping.items():
-                if p.lt(u, v) != q.lt(x, w) or p.lt(v, u) != q.lt(w, x):
-                    ok = False
-                    break
-            if ok:
-                mapping[v] = w
-                if extend(mapping):
-                    return True
-                del mapping[v]
-        return False
-
-    return extend({})
+        up, allowed = rows[v], full & ~used
+        for u, x in enumerate(image):
+            if rows[u] >> v & 1:
+                allowed &= above[x]
+            elif up >> u & 1:
+                allowed &= below[x]
+            else:
+                allowed &= ~(above[x] | below[x])
+            if not allowed:
+                break
+        todo.append(allowed)
+    return False
 
 
 def longcut_fin(p: FinPoset, a1: int, a2: int):

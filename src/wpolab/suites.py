@@ -206,6 +206,16 @@ def _suite_majoration_shadow(report, cases, rng):
                                     "<= %s" % render_k(rhs), render_k(lhs)))
 
 
+def _checked_lt_matrix(report, label, p, vs):
+    """p's batch order on vs, checked against the pairwise oracle: a
+    mismatch adds a "<label> lt_matrix" failure naming its first cell."""
+    batch = p.lt_matrix(vs)
+    diff = np.argwhere(batch != relation_matrix(vs, p.lt))
+    if len(diff):
+        report.failures.append(("%s lt_matrix" % label, "pass", repr(tuple(map(int, diff[0])))))
+    return batch
+
+
 def _suite_finite_poset_oracle(report, cases, rng):
     budget = cases
     for n in range(5):
@@ -223,17 +233,13 @@ def _suite_finite_poset_oracle(report, cases, rng):
                     return
                 budget -= 1
                 for name, node, size in (("dsum", DSum, p.n + q.n), ("prod", Prod, p.n * q.n)):
+                    label = "%s %r,%r" % (name, p, q)
                     d = _denote(node(Fin(p), Fin(q)))
-                    vs = d.prefix(size)
-                    # the batch order denote_prefix reads, against the pairwise oracle
-                    batch = d.lt_matrix(vs)
-                    diff = np.argwhere(batch != relation_matrix(vs, d.lt))
-                    if len(diff):
-                        report.failures.append(("%s %r,%r lt_matrix" % (name, p, q), "pass",
-                                                repr(tuple(map(int, diff[0])))))
+                    # the batch order denote_prefix reads
+                    batch = _checked_lt_matrix(report, label, d, d.prefix(size))
                     got = length_recursive(poset_of_matrix(batch))
                     if got != size:
-                        report.failures.append(("%s %r,%r" % (name, p, q), str(size), str(got)))
+                        report.failures.append((label, str(size), str(got)))
 
 
 def _suite_constructions_prefix(report, cases, rng):
@@ -245,12 +251,8 @@ def _suite_constructions_prefix(report, cases, rng):
         rep = prefix_audit(p, prefix, window=window)
         for name, witness in rep.failures().items():
             report.failures.append(("%s %s" % (label, name), "pass", repr(witness)))
-        # the batch order the audit reads, against the pairwise oracle
-        vs = p.prefix(prefix)
-        diff = np.argwhere(p.lt_matrix(vs) != relation_matrix(vs, p.lt))
-        if len(diff):
-            report.failures.append(("%s lt_matrix" % label, "pass",
-                                    repr(tuple(map(int, diff[0])))))
+        # the batch order the audit reads
+        _checked_lt_matrix(report, label, p, p.prefix(prefix))
 
     for text in ("w", "w*2", "w^2+w*3+5"):
         alpha = parse_ordinal(text)

@@ -1,0 +1,133 @@
+"""Case generators and Hypothesis strategies shared by the test modules,
+and `reference_lt`, the CNF order by its definition.
+
+Values are built by `oracles.normal_form` and the value constructors,
+never by the arithmetic they check; random ordinals come from
+`oracles.random_ordinal`, as in `wpolab verify`.
+"""
+
+import random
+
+from hypothesis import strategies as st
+
+from wpolab.cardinals import MAX_LEVEL, KOrdinal
+from wpolab.oracles import normal_form, random_ordinal
+from wpolab.ordinals import ONE, ZERO, CnfOrdinal, from_int, parse_ordinal
+
+
+def _normal_form(pairs) -> CnfOrdinal:
+    """`normal_form` of the pairs whose coefficient is not 0."""
+    return normal_form([(e, c) for e, c in pairs if c])
+
+
+def ordinals():
+    """`oracles.random_ordinal` of a drawn seed."""
+    return st.integers(0, 2**48).map(lambda s: random_ordinal(random.Random(s)))
+
+
+# ordinals that shrink term by term: up to 4 terms, coefficients up to 20
+ORDINALS = st.recursive(
+    st.integers(0, 20).map(from_int),
+    lambda inner: st.lists(st.tuples(inner, st.integers(1, 20)),
+                           min_size=1, max_size=4).map(normal_form),
+    max_leaves=10,
+)
+
+K_ORDINALS = st.dictionaries(st.integers(0, MAX_LEVEL), ORDINALS, max_size=3).map(
+    lambda cs: KOrdinal(tuple(cs.get(k, ZERO) for k in range(MAX_LEVEL + 1))))
+
+
+def random_below(rng, b: CnfOrdinal) -> CnfOrdinal:
+    """A random ordinal below b > 0, from b's terms: it keeps a prefix of
+    them, lowers the next one's coefficient (maybe to 0) and adds a tail
+    below that term's power of w."""
+    k = rng.randrange(len(b.terms))
+    e, c = b.terms[k]
+    pairs = list(b.terms[:k]) + [(e, rng.randrange(c))]
+    # the tail: each exponent drawn below the one before, coefficients 1..5;
+    # its first term is likely, so that a power of w rarely gives 0
+    more = 0.9
+    while not e.is_zero and rng.random() < more:
+        e = random_below(rng, e)
+        pairs.append((e, rng.randint(1, 5)))
+        more = 0.5
+    return _normal_form(pairs)
+
+
+def random_kordinal(rng, max_level=2) -> KOrdinal:
+    """A tower whose top scale is at most max_level, level 0 three times as
+    likely as each other, and each scale below it nonzero 40% of the time."""
+    lv = rng.choice([0] * 3 + list(range(1, max_level + 1)))
+    coeffs = [ZERO] * (MAX_LEVEL + 1)
+    coeffs[lv] = random_ordinal(rng, depth=2)
+    while coeffs[lv].is_zero:
+        coeffs[lv] = random_ordinal(rng, depth=2)
+    for j in range(lv):
+        if rng.random() < 0.4:
+            coeffs[j] = random_ordinal(rng, depth=2)
+    return KOrdinal(tuple(coeffs))
+
+
+def kordinals(max_level=2):
+    return st.integers(0, 2**48).map(lambda s: random_kordinal(random.Random(s), max_level))
+
+
+_W3, _W3_TIMES_2 = parse_ordinal("w^3"), parse_ordinal("w^3*2")
+
+
+def _omega_plus(x: CnfOrdinal) -> CnfOrdinal:
+    """w + x: x itself when its leading exponent is above 1, which absorbs
+    the w, and otherwise w added to x's terms."""
+    return x if x.terms and x.terms[0][0] > ONE else normal_form(((ONE, 1),) + x.terms)
+
+
+def random_small_ordinal(rng) -> CnfOrdinal:
+    """A random nonzero ordinal below w^3*2."""
+    alpha = random_below(rng, _W3_TIMES_2)
+    while alpha.is_zero:
+        alpha = random_below(rng, _W3_TIMES_2)
+    return alpha
+
+
+def random_infinite(rng) -> CnfOrdinal:
+    """w + x for a random x below w^3."""
+    return _omega_plus(random_below(rng, _W3))
+
+
+# exponents: naturals up to 4, w*k+m (k <= 2, m <= 3), w^2 and w^w
+EXPONENTS = st.one_of(
+    st.integers(0, 4).map(from_int),
+    st.tuples(st.integers(1, 2), st.integers(0, 3)).map(
+        lambda km: _normal_form([(ONE, km[0]), (ZERO, km[1])])),
+    st.sampled_from(["w^2", "w^w"]).map(parse_ordinal))
+
+
+@st.composite
+def shallow_ordinals(draw):
+    """An infinite ordinal of up to 3 terms with coefficients up to 4 and
+    exponents from EXPONENTS; w is added in front of a finite one."""
+    exps = draw(st.sets(EXPONENTS, min_size=1, max_size=3))
+    alpha = normal_form([(e, draw(st.integers(1, 4))) for e in exps])
+    return alpha if not alpha.is_finite else _omega_plus(alpha)
+
+
+def tower(x: CnfOrdinal, rng, height: int) -> CnfOrdinal:
+    """x under `height` levels of w^(.)*c + n, with c and n drawn from rng:
+    two towers with one rng seed differ only where x does."""
+    for _ in range(height):
+        x = _normal_form([(x, rng.randint(1, 3)), (ZERO, rng.randint(0, 2))])
+    return x
+
+
+def reference_lt(a: CnfOrdinal, b: CnfOrdinal) -> bool:
+    """The CNF order by its definition, independent of the order keys: the
+    first term where a and b differ decides, by its exponent (recursively)
+    and then its coefficient; a proper prefix is smaller."""
+    if a is b:
+        return False
+    for (ea, ca), (eb, cb) in zip(a.terms, b.terms):
+        if ea is not eb:
+            return reference_lt(ea, eb)
+        if ca != cb:
+            return ca < cb
+    return len(a.terms) < len(b.terms)

@@ -17,7 +17,6 @@ from wpolab.ordinals import (
     ONE,
     ZERO,
     add,
-    fund_seq,
     nat_add,
     parse_ordinal as o,
     ul_nat_add,
@@ -47,36 +46,15 @@ from wpolab.bounds import (
     theta_sharp,
     theta_tilde,
 )
+from wpolab.oracles import random_ordinal
 
-from test_ordinals import random_ordinal
+from cases import kordinals, random_below, random_kordinal
 
 K = KOrdinal.of
 W1 = omega_level(1)
 W2 = omega_level(2)
 
-
-def random_below(rng, b):
-    """A random ordinal strictly below countable b, via fund_seq descent."""
-    x = b
-    while True:
-        x = x.pred() if x.is_successor else fund_seq(x, rng.randint(1, 5))
-        if x.is_zero or rng.random() < 0.6:
-            return x
-
-
-def random_kordinal(rng, max_level=2):
-    lv = rng.choice([0] * 3 + list(range(1, max_level + 1)))
-    coeffs = [ZERO] * 10
-    coeffs[lv] = random_ordinal(rng, depth=2)
-    while coeffs[lv].is_zero:
-        coeffs[lv] = random_ordinal(rng, depth=2)
-    for j in range(lv):
-        if rng.random() < 0.4:
-            coeffs[j] = random_ordinal(rng, depth=2)
-    return KOrdinal(tuple(coeffs))
-
-
-kords = st.integers(0, 2**48).map(lambda s: random_kordinal(random.Random(s)))
+kords = kordinals()
 
 
 # -- theta_plus ---------------------------------------------------------------

@@ -23,10 +23,9 @@ from wpolab.cardinals import (
 )
 from wpolab.ordinals import (OMEGA, ONE, ZERO, CnfOrdinal, OrdinalError, from_int, nat_add,
                              parse_ordinal)
+from wpolab.oracles import random_ordinal
 
-from test_bounds import random_below, random_kordinal
-from test_grammars import K_ORDINALS, ORDINALS
-from test_ordinals import _reference_lt, random_ordinal
+from cases import K_ORDINALS, ORDINALS, kordinals, random_below, random_kordinal, reference_lt
 
 o = parse_ordinal
 W1 = omega_level(1)
@@ -138,8 +137,7 @@ def _lowered(rng, a):
     return KOrdinal(tuple(coeffs))
 
 
-towers = st.integers(0, 2**48).map(
-    lambda s: random_kordinal(random.Random(s), max_level=MAX_LEVEL))
+towers = kordinals(MAX_LEVEL)
 
 
 @given(towers, towers, st.integers(0, 2**48))
@@ -189,10 +187,10 @@ def _reference_coeffs(x) -> tuple:
 def _reference_k_lt(a, b) -> bool:
     """The order of towers by its definition, independent of the keys `_k`:
     tuple(reversed(coeffs)) compared lexicographically, the coefficients
-    by test_ordinals._reference_lt."""
+    by cases.reference_lt."""
     for x, y in zip(reversed(_reference_coeffs(a)), reversed(_reference_coeffs(b))):
         if x is not y:
-            return _reference_lt(x, y)
+            return reference_lt(x, y)
     return False
 
 

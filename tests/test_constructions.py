@@ -28,7 +28,6 @@ from wpolab.constructions import (
     relation_matrix,
     sierpinskisation,
 )
-from wpolab.oracles import normal_form
 from wpolab.ordinals import (
     OMEGA,
     ONE,
@@ -40,7 +39,6 @@ from wpolab.ordinals import (
     iter_below,
     left_subtract,
     mul,
-    nat_add,
     nat_mul,
     omega_pow,
     parse_ordinal,
@@ -49,7 +47,7 @@ from wpolab.ordinals import (
 from wpolab.posets import PosetError
 from wpolab.suites import run_suite
 
-from test_bounds import random_below
+from cases import random_below, random_infinite, random_small_ordinal, shallow_ordinals
 
 
 def o(text):
@@ -82,18 +80,11 @@ def test_enum_hits_every_block_of_a_mixed_ordinal():
     assert all(b < o("w^2+w*3+5") for b in seen)
 
 
-def _random_small_ordinal(rng):
-    alpha = random_below(rng, o("w^3*2"))
-    while alpha.is_zero:
-        alpha = random_below(rng, o("w^3*2"))
-    return alpha
-
-
 @given(st.integers(0, 2**48))
 @settings(max_examples=60)
 def test_enum_index_inverts_at(seed):
     rng = random.Random(seed)
-    alpha = _random_small_ordinal(rng)
+    alpha = random_small_ordinal(rng)
     e = enum_below(alpha)
     top = 120 if e.size is None else min(120, e.size)
     i = rng.randrange(top)
@@ -104,7 +95,7 @@ def test_enum_index_inverts_at(seed):
 @settings(max_examples=40)
 def test_enum_values_are_distinct_and_below(seed):
     rng = random.Random(seed)
-    alpha = _random_small_ordinal(rng)
+    alpha = random_small_ordinal(rng)
     e = enum_below(alpha)
     top = 60 if e.size is None else min(60, e.size)
     vals = [e.at(i) for i in range(top)]
@@ -209,23 +200,7 @@ def _unit_blocks(alpha):
                 lo = hi
 
 
-_EXPONENTS = st.one_of(
-    st.integers(0, 4).map(from_int),
-    st.tuples(st.integers(1, 2), st.integers(0, 3)).map(
-        lambda km: add(mul(OMEGA, from_int(km[0])), from_int(km[1]))),
-    st.sampled_from(["w^2", "w^w"]).map(o))
-
-
-@st.composite
-def _shallow_ordinals(draw):
-    """An infinite ordinal of up to 3 terms with coefficients up to 4, whose
-    exponents are naturals up to 4, w*k+m (k <= 2, m <= 3), w^2 or w^w."""
-    exps = draw(st.sets(_EXPONENTS, min_size=1, max_size=3))
-    alpha = normal_form([(e, draw(st.integers(1, 4))) for e in exps])
-    return alpha if not alpha.is_finite else add(OMEGA, alpha)
-
-
-@given(_shallow_ordinals())
+@given(shallow_ordinals())
 @example(o("w^w*2+3"))
 @example(o("w^(w*2+1)+w^3*4+7"))
 @example(o("w^(w^w)"))
@@ -720,10 +695,6 @@ def test_linear_witness_reports_the_first_tie_row_major(keys):
 # -- key-ranked realizers ----------------------------------------------------------
 
 
-def _random_infinite(rng):
-    return add(OMEGA, random_below(rng, o("w^3")))
-
-
 def _random_index(rng):
     return rng.choice([from_int(1), from_int(2), o("w"), o("w*2"), o("w+1")])
 
@@ -734,26 +705,26 @@ def _random_blocks(rng):
         if rng.randrange(2):
             blocks.append((mul(OMEGA, _random_index(rng)), mul(OMEGA, _random_index(rng))))
         else:
-            x = rng.choice([from_int(rng.randrange(1, 5)), _random_infinite(rng)])
+            x = rng.choice([from_int(rng.randrange(1, 5)), random_infinite(rng)])
             blocks.append((x, x))
     return blocks
 
 
 def _extend_both(rng):
-    alpha = _random_infinite(rng)
-    g = rng.choice([from_int(rng.randrange(1, 6)), _random_infinite(rng)])
+    alpha = random_infinite(rng)
+    g = rng.choice([from_int(rng.randrange(1, 6)), random_infinite(rng)])
     return extend_realizer(sierpinskisation(alpha), (add(o("w"), g), add(alpha, g)))
 
 
 KEYED = {
-    "sierpinskisation": lambda rng: sierpinskisation(_random_infinite(rng)),
+    "sierpinskisation": lambda rng: sierpinskisation(random_infinite(rng)),
     "mixing": lambda rng: mixing_poset(_random_index(rng), _random_index(rng)),
     "decompinver": lambda rng: decompinver_witness(_random_blocks(rng)),
-    "minoration": lambda rng: minoration_witness(_random_infinite(rng), _random_infinite(rng)),
+    "minoration": lambda rng: minoration_witness(random_infinite(rng), random_infinite(rng)),
     # a common chunk on both sides, then left growth alone
     "extend_both": _extend_both,
     "extend_left": lambda rng: extend_realizer(
-        sierpinskisation(o("w")), (add(o("w"), _random_infinite(rng)), o("w"))),
+        sierpinskisation(o("w")), (add(o("w"), random_infinite(rng)), o("w"))),
 }
 
 

@@ -12,12 +12,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from wpolab.cardinals import MAX_LEVEL, KOrdinal, LevelOverflowError, parse_k, render_k
-from wpolab.oracles import normal_form
-from wpolab.ordinals import (MAX_NUMERAL_DIGITS, ZERO, OrdinalError, from_int,
-                             parse_ordinal, render_ordinal)
+from wpolab.cardinals import LevelOverflowError, parse_k, render_k
+from wpolab.ordinals import MAX_NUMERAL_DIGITS, OrdinalError, parse_ordinal, render_ordinal
 from wpolab.posets import PosetError, antichain, chain
 from wpolab.terms import DSum, Fin, LexSum, Ord, Prod, parse_term, render_term
+
+from cases import K_ORDINALS, ORDINALS
 
 ORD_ALPHABET = "0123456789w^*+() "
 K_ALPHABET = ORD_ALPHABET + "W"
@@ -37,16 +37,6 @@ def token_texts(tokens, head=st.just(""), tail=st.just("")):
     return st.tuples(head, st.lists(st.sampled_from(tokens), max_size=12), tail).map(
         lambda parts: parts[0] + "".join(parts[1]) + parts[2])
 
-
-ORDINALS = st.recursive(
-    st.integers(0, 20).map(from_int),
-    lambda inner: st.lists(st.tuples(inner, st.integers(1, 20)),
-                           min_size=1, max_size=4).map(normal_form),
-    max_leaves=10,
-)
-
-K_ORDINALS = st.dictionaries(st.integers(0, MAX_LEVEL), ORDINALS, max_size=3).map(
-    lambda cs: KOrdinal(tuple(cs.get(k, ZERO) for k in range(MAX_LEVEL + 1))))
 
 # inline finite posets have at most 9 vertices, so one edit of a rendered
 # term (below) names at most 99, and the fuzzed terms stay small to build

@@ -1,5 +1,6 @@
 """Verification harness: file formats, suites, and the CLI surface."""
 
+import ast
 import hashlib
 import json
 import os
@@ -24,6 +25,8 @@ from wpolab.ordinals import MAX_NUMERAL_DIGITS, ZERO, add, mul, nat_add
 from wpolab.posets import PosetError, antichain, chain, make_poset, poset_of_matrix
 from wpolab.suites import SUITES, run_suite
 from wpolab.terms import denote_prefix, parse_term
+
+import cases
 
 
 # -- poset files -------------------------------------------------------------------
@@ -184,24 +187,56 @@ def test_a_wrong_merge_changes_the_results_but_not_the_cases(monkeypatch):
 
 
 def test_generators_run_no_arithmetic():
+    # the suites' generators and every generator and strategy of cases.py
     watched = {f.__code__: f.__name__ for f in (
         ordinals.add, ordinals.mul, ordinals.nat_add, ordinals.nat_mul, ordinals.omega_pow,
-        ordinals.fund_seq, ordinals._merge, ordinals._add)}
+        ordinals.fund_seq, ordinals.left_subtract, ordinals._merge, ordinals._add)}
     gens = list(GENERATORS.values())
+    bounds = [b for b in (random_ordinal(random.Random(s)) for s in range(300)) if not b.is_zero]
     entered = set()
 
     def profile(frame, event, arg):
         if event == "call" and frame.f_code in watched:
             entered.add(watched[frame.f_code])
 
+    @given(cases.ordinals(), cases.ORDINALS, cases.K_ORDINALS, cases.kordinals(),
+           cases.shallow_ordinals())
+    @settings(max_examples=100, database=None)
+    def draw_strategies(a, b, c, d, e):
+        pass
+
     old = sys.getprofile()
     sys.setprofile(profile)
     try:
         for s in range(2000):
             gens[s % 3](random.Random(s))
+        for s, b in enumerate(bounds):
+            rng = random.Random(s)
+            cases.random_below(rng, b)
+            cases.random_kordinal(rng, max_level=s % 10)
+            cases.random_small_ordinal(rng)
+            cases.random_infinite(rng)
+            cases.tower(b, rng, s % 8 + 1)
+        draw_strategies()
     finally:
         sys.setprofile(old)
     assert not entered
+
+
+def test_no_test_module_imports_another():
+    # shared generators live in tests/cases.py, not in a test module
+    found = []
+    for path in sorted(Path(__file__).parent.glob("test_*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module] if node.module else [a.name for a in node.names]
+            else:
+                continue
+            found += ["%s:%d %s" % (path.name, node.lineno, n) for n in names
+                      if n.split(".")[0].startswith("test_")]
+    assert not found
 
 
 def test_finite_poset_oracle_reports_a_wrong_batch_order(monkeypatch):

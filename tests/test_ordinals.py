@@ -11,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wpolab import ordinals as ordinals_module
-from wpolab.oracles import mul_oracle, nat_add_oracle, nat_mul_oracle, normal_form
+from wpolab.oracles import (mul_oracle, nat_add_oracle, nat_mul_oracle, normal_form,
+                            random_ordinal)
 from wpolab.cardinals import MAX_LEVEL, KOrdinal, render_k
 from wpolab.ordinals import (
     MAX_NUMERAL_DIGITS,
@@ -38,28 +39,9 @@ from wpolab.ordinals import (
     ul_nat_add,
 )
 
+from cases import ordinals, reference_lt, tower
+
 o = parse_ordinal
-
-
-def random_ordinal(rng: random.Random, depth: int = 3) -> CnfOrdinal:
-    """Random CNF value, biased toward boundary shapes (0, finite, w^e)."""
-    roll = rng.random()
-    if roll < 0.1:
-        return ZERO
-    if roll < 0.25:
-        return from_int(rng.randint(1, 9))
-    nterms = rng.randint(1, 4)
-    exps = set()
-    while len(exps) < nterms:
-        if depth <= 1 or rng.random() < 0.6:
-            exps.add(from_int(rng.randint(0, 9)))
-        else:
-            exps.add(random_ordinal(rng, depth - 1))
-    return normal_form([(e, rng.randint(1, 9)) for e in sorted(exps, reverse=True)])
-
-
-def ordinals():
-    return st.integers(0, 2**48).map(lambda s: random_ordinal(random.Random(s)))
 
 
 SMALL = list(iter_below(2, 2))  # everything below w^3 with coefficients <= 2
@@ -135,7 +117,7 @@ def test_render_agrees_with_the_reference_on_small_values():
 
 @given(ordinals(), st.integers(0, 2**32), st.integers(1, 8))
 def test_render_agrees_with_the_reference_on_towers(x, seed, height):
-    a = _tower(x, random.Random(seed), height)
+    a = tower(x, random.Random(seed), height)
     # the tower's exponents, outermost first, share the text cache with it
     exps = []
     e = a
@@ -188,26 +170,12 @@ def test_cmp_agrees_with_enumeration_order():
             assert cmp(a, b) == (i > j) - (i < j)
 
 
-def _reference_lt(a: CnfOrdinal, b: CnfOrdinal) -> bool:
-    """The CNF order by its definition, independent of the order keys: the
-    first term where a and b differ decides, by its exponent (recursively)
-    and then its coefficient; a proper prefix is smaller."""
-    if a is b:
-        return False
-    for (ea, ca), (eb, cb) in zip(a.terms, b.terms):
-        if ea is not eb:
-            return _reference_lt(ea, eb)
-        if ca != cb:
-            return ca < cb
-    return len(a.terms) < len(b.terms)
-
-
 def _reference_cmp(a, b) -> int:
-    return _reference_lt(b, a) - _reference_lt(a, b)
+    return reference_lt(b, a) - reference_lt(a, b)
 
 
 def assert_order_agrees(a, b):
-    lt, gt = _reference_lt(a, b), _reference_lt(b, a)
+    lt, gt = reference_lt(a, b), reference_lt(b, a)
     assert (a < b, a > b, a <= b, a >= b) == (lt, gt, not gt, not lt)
     assert cmp(a, b) == gt - lt
     assert max(a, b) is (b if lt else a)
@@ -215,7 +183,7 @@ def assert_order_agrees(a, b):
 
 def assert_sort_agrees(values):
     assert sorted(values) == sorted(values, key=functools.cmp_to_key(_reference_cmp))
-    assert max(values) is functools.reduce(lambda x, y: y if _reference_lt(x, y) else x, values)
+    assert max(values) is functools.reduce(lambda x, y: y if reference_lt(x, y) else x, values)
 
 
 def test_order_agrees_with_the_reference_on_small_values():
@@ -227,17 +195,9 @@ def test_order_agrees_with_the_reference_on_small_values():
     assert_sort_agrees(shuffled)
 
 
-def _tower(x: CnfOrdinal, rng: random.Random, height: int) -> CnfOrdinal:
-    """x under `height` levels of w^(.)*c + n, with c and n drawn from rng:
-    two towers with one rng seed differ only where x does."""
-    for _ in range(height):
-        x = add(omega_pow(x, rng.randint(1, 3)), from_int(rng.randint(0, 2)))
-    return x
-
-
 @given(ordinals(), ordinals(), st.integers(0, 2**32), st.integers(1, 8))
 def test_order_agrees_on_values_that_differ_deep_in_an_exponent(x, y, seed, height):
-    a, b = _tower(x, random.Random(seed), height), _tower(y, random.Random(seed), height)
+    a, b = tower(x, random.Random(seed), height), tower(y, random.Random(seed), height)
     assert_order_agrees(a, b)
     assert_order_agrees(b, a)
 
@@ -277,7 +237,7 @@ def test_order_agrees_on_values_rebuilt_by_pickle_and_deepcopy():
 
 
 def test_order_agrees_on_a_tower_of_height_500():
-    low, high = (_tower(from_int(n), random.Random(5), 500) for n in (2, 3))
+    low, high = (tower(from_int(n), random.Random(5), 500) for n in (2, 3))
     towers = [low, high, add(high, ONE), CnfOrdinal(low.terms[:1])]
     for a in towers:
         for b in towers:

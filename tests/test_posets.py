@@ -27,6 +27,7 @@ from wpolab.posets import (
     make_poset,
     poset_of_matrix,
 )
+from wpolab import posets
 from wpolab.posets import _cycle, _pack
 from wpolab.terms import DSum, Fin, LexSum, Prod, denote_prefix
 
@@ -121,11 +122,74 @@ def test_embeds():
 
 
 def test_embeds_refuses_a_larger_poset_before_searching(monkeypatch):
+    # the search starts by transposing q's bitsets
     calls = []
-    lt = FinPoset.lt
-    monkeypatch.setattr(FinPoset, "lt", lambda self, i, j: calls.append(1) or lt(self, i, j))
+    transpose = posets._transpose
+    monkeypatch.setattr(posets, "_transpose", lambda *a: calls.append(1) or transpose(*a))
     assert not embeds(antichain(9), antichain(8))
     assert calls == []
+    assert embeds(antichain(8), antichain(8)) and calls == [1]
+
+
+def _reference_embeds(p: FinPoset, q: FinPoset) -> bool:
+    """The order-embedding search by its definition: every injective map,
+    tried recursively one vertex of p at a time, with both p.lt directions
+    compared pairwise against q.lt."""
+    if p.n > q.n:
+        return False
+
+    def extend(mapping):
+        v = len(mapping)
+        if v == p.n:
+            return True
+        for w in range(q.n):
+            if w in mapping.values():
+                continue
+            ok = True
+            for u, x in mapping.items():
+                if p.lt(u, v) != q.lt(x, w) or p.lt(v, u) != q.lt(w, x):
+                    ok = False
+                    break
+            if ok:
+                mapping[v] = w
+                if extend(mapping):
+                    return True
+                del mapping[v]
+        return False
+
+    return extend({})
+
+
+def test_embeds_agrees_with_the_reference_on_every_small_pair():
+    small = [p for n in range(4) for p in all_posets(n)]
+    for p in small:
+        for q in small:
+            assert embeds(p, q) == _reference_embeds(p, q), (p, q)
+
+
+@st.composite
+def posets_up_to(draw, n_max):
+    """A poset on at most n_max vertices: forward pairs i < j, relabelled
+    by a random permutation, then closed."""
+    n = draw(st.integers(0, n_max))
+    perm = draw(st.permutations(range(n)))
+    forward = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    pairs = draw(st.sets(st.sampled_from(forward))) if forward else set()
+    return make_poset(n, [(perm[i], perm[j]) for i, j in pairs])
+
+
+@given(posets_up_to(7), posets_up_to(7))
+@settings(max_examples=300)
+def test_embeds_agrees_with_the_reference_on_random_pairs(p, q):
+    assert embeds(p, q) == _reference_embeds(p, q)
+
+
+def test_embeds_a_2000_chain_without_recursion():
+    # 0.5 s of CPU on a 2-vCPU x86 machine, where the recursive search hit
+    # the recursion limit above about 1000 vertices; the budget leaves 10x
+    start = time.process_time()
+    assert embeds(chain(2000), chain(2000))
+    assert time.process_time() - start < 5.0
 
 
 def test_longcut():

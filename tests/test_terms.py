@@ -13,8 +13,6 @@ from wpolab.ordinals import (
     OrdinalError,
     add,
     from_int,
-    nat_add,
-    nat_mul,
     parse_ordinal,
 )
 from wpolab.posets import PosetError, antichain, chain, length_fin, make_poset
@@ -32,7 +30,7 @@ from wpolab.terms import (
     term_size,
 )
 
-from test_bounds import random_below
+from cases import random_below
 
 
 def o(text):
