@@ -4,6 +4,12 @@ construction export, and the seeded verification suites.
 Exit codes: 0 all requested checks pass, 1 a check failed, 2 usage or
 parse error.
 
+Only the pure-Python layers (`ordinals`, `cardinals`, `bounds`) are
+imported at the top, so `ord` and `theta` start without numpy.  The poset,
+construct and verify commands import `posets`, `constructions`, `terms`,
+`io` and `suites` inside the functions that use them, and the parser takes
+its choices from tables here (`CONSTRUCTIONS`, `SUITE_NAMES`).
+
 The argument parser is built once per process (`build_parser` is cached):
 parse_args leaves it unchanged, so every `main` call reuses it.
 """
@@ -17,17 +23,10 @@ import sys
 
 from .bounds import theta_plus
 from .cardinals import hartog, k_add, k_nat_add, parse_k, render_k
-from .constructions import (
-    decompinver_witness,
-    extend_realizer,
-    minoration_witness,
-    mixing_poset,
-    sierpinskisation,
-)
-from .io import MAX_VERTICES, export_poset, read_poset_file
 from .ordinals import (
     MAX_ECHO,
     OrdinalError,
+    PosetError,
     add,
     clip,
     euclid_div,
@@ -37,9 +36,19 @@ from .ordinals import (
     nat_mul,
     render_ordinal,
 )
-from .posets import PosetError, bad_tree_height, embeds, intersect, poset_of_matrix
-from .suites import SUITES, run_suite
-from .terms import Fin, _denote, length_term, parse_term
+
+# the keys of suites.SUITES, which a test checks; verify imports suites
+# only when it runs one
+SUITE_NAMES = (
+    "constructions_prefix",
+    "finite_poset_oracle",
+    "majoration_shadow",
+    "minoration_meets_theta",
+    "oracle_agreement",
+    "ordinal_laws",
+    "reduction_identities",
+    "theta_laws",
+)
 
 
 def _cmd_ord(args) -> int:
@@ -79,6 +88,9 @@ def _cmd_theta(args) -> int:
 
 def _poset_term(text: str):
     """A poset argument as a term; @path is the leaf fin(@path)."""
+    from .io import read_poset_file
+    from .terms import Fin, parse_term
+
     if text.startswith("@"):
         return Fin(read_poset_file(text[1:]))
     return parse_term(text)
@@ -87,6 +99,10 @@ def _poset_term(text: str):
 def _load_poset_arg(text: str):
     """A Fin leaf holds its poset closed and bounded; any other term is
     denoted once, which gives both its size and its poset."""
+    from .io import MAX_VERTICES
+    from .posets import poset_of_matrix
+    from .terms import Fin, _denote
+
     t = _poset_term(text)
     if isinstance(t, Fin):
         return t.poset
@@ -110,6 +126,10 @@ MAX_BADTREE_VERTICES = 8
 
 
 def _cmd_poset(args) -> int:
+    from .io import export_poset
+    from .posets import bad_tree_height, embeds, intersect
+    from .terms import length_term
+
     if args.op in ("len", "badtree") and len(args.args) != 1:
         raise OrdinalError("poset %s takes one poset argument" % args.op)
     if args.op == "len":
@@ -134,24 +154,44 @@ def _cmd_poset(args) -> int:
     return 0 if found else 1
 
 
+def _built_by(name: str):
+    """The builder constructions.<name>, imported when it is first called."""
+    def build(*ords):
+        from . import constructions
+
+        return getattr(constructions, name)(*ords)
+    return build
+
+
 def _decompinver(*ords):
+    from .constructions import decompinver_witness
+
     if len(ords) % 2:
         raise OrdinalError("decompinver takes ordinals in pairs QA QB ...")
     return decompinver_witness(list(zip(ords[::2], ords[1::2])))
 
 
+def _extend(alpha, ta, tb):
+    from .constructions import extend_realizer, sierpinskisation
+
+    return extend_realizer(sierpinskisation(alpha), (ta, tb))
+
+
 # kind -> (number of ordinals, None for any; the builder of the construction)
 CONSTRUCTIONS = {
-    "sierp": (1, sierpinskisation),
-    "mixing": (2, mixing_poset),
+    "sierp": (1, _built_by("sierpinskisation")),
+    "mixing": (2, _built_by("mixing_poset")),
     "decompinver": (None, _decompinver),
-    "minoration": (2, minoration_witness),
+    "minoration": (2, _built_by("minoration_witness")),
     # ALPHA TARGET_LEFT TARGET_RIGHT, over a sierpinskisation
-    "extend": (3, lambda alpha, ta, tb: extend_realizer(sierpinskisation(alpha), (ta, tb))),
+    "extend": (3, _extend),
 }
 
 
 def _cmd_construct(args) -> int:
+    from .io import MAX_VERTICES, export_poset
+    from .posets import poset_of_matrix
+
     if not 1 <= args.prefix <= MAX_VERTICES:
         raise PosetError("--prefix must be from 1 to %d, got %s"
                          % (MAX_VERTICES, clip(str(args.prefix))))
@@ -184,6 +224,8 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .suites import run_suite
+
     if args.cases < 0:
         raise OrdinalError("--cases must be at least 0, got %d" % args.cases)
     report = run_suite(args.suite, args.cases, args.seed)
@@ -243,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_construct)
 
     p = sub.add_parser("verify", help="run a seeded verification suite")
-    p.add_argument("--suite", required=True, choices=sorted(SUITES))
+    p.add_argument("--suite", required=True, choices=SUITE_NAMES)
     p.add_argument("--cases", type=int, default=200, metavar="N")
     p.add_argument("--seed", type=int, default=0, metavar="S")
     p.add_argument("--timing", action="store_true",

@@ -48,6 +48,12 @@ class OrdinalError(ValueError):
     pass
 
 
+class PosetError(OrdinalError):
+    """A poset, poset file or construction request that cannot be built.
+    It lives here, beside OrdinalError, so that code can catch it without
+    importing the numpy layers; `posets` re-exports it."""
+
+
 class CnfOrdinal:
     """((exponent, coefficient), ...) with exponents strictly decreasing.
 

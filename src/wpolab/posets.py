@@ -21,11 +21,7 @@ from functools import lru_cache, cached_property
 
 import numpy as np
 
-from .ordinals import OrdinalError, clip
-
-
-class PosetError(OrdinalError):
-    pass
+from .ordinals import PosetError, clip
 
 
 @dataclass(frozen=True)

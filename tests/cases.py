@@ -94,6 +94,35 @@ def random_infinite(rng) -> CnfOrdinal:
     return _omega_plus(random_below(rng, _W3))
 
 
+def omega_times(x: CnfOrdinal) -> CnfOrdinal:
+    """w*x from x's terms: w * w^e*c = w^(1+e)*c, where 1+e is e+1 for a
+    finite e and e itself otherwise."""
+    return normal_form([(from_int(e.as_int() + 1) if e.is_finite else e, c)
+                        for e, c in x.terms])
+
+
+INDICES = tuple(map(parse_ordinal, ("1", "2", "w", "w*2", "w+1")))
+
+
+def random_index(rng) -> CnfOrdinal:
+    """One of INDICES: the small ordinals that mixing and the block sums
+    take as parameters."""
+    return rng.choice(INDICES)
+
+
+def random_blocks(rng) -> list:
+    """1 to 3 (left, right) block types for `decompinver_witness`: a pair
+    w*i, w*j of random indices, or one type x twice, x finite or w + x."""
+    blocks = []
+    for _ in range(rng.randrange(1, 4)):
+        if rng.randrange(2):
+            blocks.append((omega_times(random_index(rng)), omega_times(random_index(rng))))
+        else:
+            x = rng.choice([from_int(rng.randrange(1, 5)), random_infinite(rng)])
+            blocks.append((x, x))
+    return blocks
+
+
 # exponents: naturals up to 4, w*k+m (k <= 2, m <= 3), w^2 and w^w
 EXPONENTS = st.one_of(
     st.integers(0, 4).map(from_int),

@@ -44,10 +44,20 @@ from wpolab.ordinals import (
     parse_ordinal,
     render_ordinal,
 )
+from wpolab.oracles import random_ordinal
 from wpolab.posets import PosetError
 from wpolab.suites import run_suite
 
-from cases import random_below, random_infinite, random_small_ordinal, shallow_ordinals
+from cases import (
+    INDICES,
+    omega_times,
+    random_below,
+    random_blocks,
+    random_index,
+    random_infinite,
+    random_small_ordinal,
+    shallow_ordinals,
+)
 
 
 def o(text):
@@ -695,19 +705,12 @@ def test_linear_witness_reports_the_first_tie_row_major(keys):
 # -- key-ranked realizers ----------------------------------------------------------
 
 
-def _random_index(rng):
-    return rng.choice([from_int(1), from_int(2), o("w"), o("w*2"), o("w+1")])
-
-
-def _random_blocks(rng):
-    blocks = []
-    for _ in range(rng.randrange(1, 4)):
-        if rng.randrange(2):
-            blocks.append((mul(OMEGA, _random_index(rng)), mul(OMEGA, _random_index(rng))))
-        else:
-            x = rng.choice([from_int(rng.randrange(1, 5)), random_infinite(rng)])
-            blocks.append((x, x))
-    return blocks
+def test_omega_times_is_the_product_it_stands_for():
+    # random_blocks draws w*i as omega_times(i) where it once drew
+    # mul(OMEGA, i), with the same rng calls, so its draws are the old ones
+    # value for value
+    for x in (*INDICES, *(random_ordinal(random.Random(s)) for s in range(300))):
+        assert omega_times(x) == mul(OMEGA, x), x
 
 
 def _extend_both(rng):
@@ -718,8 +721,8 @@ def _extend_both(rng):
 
 KEYED = {
     "sierpinskisation": lambda rng: sierpinskisation(random_infinite(rng)),
-    "mixing": lambda rng: mixing_poset(_random_index(rng), _random_index(rng)),
-    "decompinver": lambda rng: decompinver_witness(_random_blocks(rng)),
+    "mixing": lambda rng: mixing_poset(random_index(rng), random_index(rng)),
+    "decompinver": lambda rng: decompinver_witness(random_blocks(rng)),
     "minoration": lambda rng: minoration_witness(random_infinite(rng), random_infinite(rng)),
     # a common chunk on both sides, then left growth alone
     "extend_both": _extend_both,

@@ -2,6 +2,7 @@
 
 import ast
 import hashlib
+import importlib
 import json
 import os
 import random
@@ -15,14 +16,15 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from wpolab import cli, oracles, ordinals, suites, terms
+import wpolab
+from wpolab import cli, oracles, ordinals, posets, suites, terms
 from wpolab.bounds import theta_plus
 from wpolab.cardinals import KOrdinal
 from wpolab.cli import MAX_BADTREE_VERTICES, build_parser, main
 from wpolab.io import MAX_VERTICES, export_poset, load_poset
 from wpolab.oracles import normal_form, random_countable_infinite, random_ordinal
 from wpolab.ordinals import MAX_NUMERAL_DIGITS, ZERO, add, mul, nat_add
-from wpolab.posets import PosetError, antichain, chain, make_poset, poset_of_matrix
+from wpolab.posets import PosetError, antichain, chain, make_poset
 from wpolab.suites import SUITES, run_suite
 from wpolab.terms import denote_prefix, parse_term
 
@@ -217,6 +219,7 @@ def test_generators_run_no_arithmetic():
             cases.random_small_ordinal(rng)
             cases.random_infinite(rng)
             cases.tower(b, rng, s % 8 + 1)
+            cases.random_blocks(rng)
         draw_strategies()
     finally:
         sys.setprofile(old)
@@ -471,17 +474,36 @@ def test_cli_usage_and_parse_errors(capsys):
         assert captured.err.startswith("wpolab: ") and captured.err.count("\n") == 1
 
 
+def _count_outer_calls(monkeypatch, module, name: str, calls: list) -> list:
+    """Patch module.<name> to append `name` to calls on each call that no
+    other call of it encloses, and return the list of every call's first
+    argument.  The CLI imports the function from its module when it runs,
+    so the patch is what it calls; and `terms._denote` recurses through its
+    module global, so the patch sees every node and counts the outermost."""
+    fn = getattr(module, name)
+    every, depth = [], [0]
+
+    def call(*args):
+        every.append(args[0])
+        if not depth[0]:
+            calls.append(name)
+        depth[0] += 1
+        try:
+            return fn(*args)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(module, name, call)
+    return every
+
+
 def test_cli_denotes_a_poset_term_once(capsys, monkeypatch):
     calls = []
-
-    def counted(t):
-        calls.append(t)
-        return terms._denote(t)
-
-    monkeypatch.setattr("wpolab.cli._denote", counted)
+    every = _count_outer_calls(monkeypatch, terms, "_denote", calls)
     assert run_cli("poset", "badtree", "dsum(fin(chain3), lexsum(ord(2), fin(antichain2)))",
                    capsys=capsys) == (0, "7")
-    assert len(calls) == 1
+    # one denotation of the whole term, which visited its five nodes
+    assert calls == ["_denote"] and len(every) == 5
     assert main(["poset", "badtree", "dsum(fin(chain3), ord(w))"]) == 2
     assert capsys.readouterr().err == ("wpolab: poset commands need a finite denotation; "
                                        "'dsum(fin(chain3), ord(w))' is infinite\n")
@@ -510,15 +532,8 @@ def test_cli_uses_a_leaf_argument_as_its_poset(monkeypatch, tmp_path):
     # a Fin leaf holds its poset closed and bounded, so nothing denotes or
     # closes it again
     calls = []
-
-    def counted(name, fn):
-        def call(*args):
-            calls.append(name)
-            return fn(*args)
-        return call
-
-    monkeypatch.setattr(cli, "_denote", counted("_denote", terms._denote))
-    monkeypatch.setattr(cli, "poset_of_matrix", counted("poset_of_matrix", poset_of_matrix))
+    _count_outer_calls(monkeypatch, terms, "_denote", calls)
+    _count_outer_calls(monkeypatch, posets, "poset_of_matrix", calls)
     path = tmp_path / "p.json"
     p = _random_poset_file(path, 6, 0.4)
     for arg in ("@%s" % path, "fin(@%s)" % path, " fin(@%s) " % path):
@@ -858,3 +873,121 @@ def test_cli_deep_nesting_fails_with_one_line(argv):
     assert done.returncode == 2 and done.stdout == ""
     assert done.stderr.startswith("wpolab: ") and done.stderr.count("\n") == 1
     assert "nested deeper than" in done.stderr
+
+
+# -- the package namespace and what each command imports ---------------------------
+
+# the names the package bound when its __init__ imported every submodule, by
+# the submodule each came from
+PUBLIC_NAMES = {
+    "bounds": "BoundOp THETA_PLUS UnsupportedSupremum bracket_plus bracket_tilde "
+              "reduction_identity_check reduction_identity_sides theta_box_sup theta_len "
+              "theta_plus theta_sharp theta_tilde",
+    "cardinals": "MAX_LEVEL KOrdinal LevelOverflowError cardinality hartog k_add k_nat_add "
+                 "k_ul_nat_add omega_level parse_k render_k",
+    "constructions": "AuditReport Enumeration LazyOrder LazyPoset decompinver_witness "
+                     "enum_below extend_realizer minoration_witness mixing_poset prefix_audit "
+                     "relation_matrix sierpinskisation",
+    "io": "export_poset load_poset",
+    "ordinals": "OMEGA ONE ZERO CnfOrdinal OrdinalError add cmp euclid_div from_int fund_seq "
+                "is_indecomposable iter_below left_subtract mul nat_add nat_mul omega_pow "
+                "parse_ordinal render_ordinal sup_plus ul_nat_add",
+    "posets": "FinPoset PosetError all_posets antichain bad_sequences bad_tree_height chain "
+              "embeds intersect length_fin length_recursive linear_extensions longcut_fin "
+              "make_poset poset_of_matrix",
+    "suites": "SUITES SuiteReport run_suite",
+    "terms": "DSum Fin LexSum Ord PosetTerm Prod denote_prefix length_term parse_term "
+             "render_term term_size",
+}
+SUBMODULES = ("bounds", "cardinals", "constructions", "io", "oracles", "ordinals", "posets",
+              "suites", "terms")
+
+
+def test_the_package_gives_each_public_name_from_its_submodule():
+    for module, names in PUBLIC_NAMES.items():
+        home = importlib.import_module("wpolab." + module)
+        for name in names.split():
+            assert getattr(wpolab, name) is getattr(home, name), name
+    for module in SUBMODULES:
+        assert getattr(wpolab, module) is sys.modules["wpolab." + module]
+    # one PosetError, at home beside OrdinalError
+    assert wpolab.PosetError is ordinals.PosetError is posets.PosetError
+    assert issubclass(wpolab.PosetError, wpolab.OrdinalError)
+
+    everything = set(SUBMODULES).union(*(names.split() for names in PUBLIC_NAMES.values()))
+    star = {}
+    exec("from wpolab import *", star)
+    del star["__builtins__"]
+    assert set(star) == set(wpolab.__all__) == everything
+    assert everything <= set(dir(wpolab))
+    with pytest.raises(AttributeError, match="'no_such_name'"):
+        wpolab.no_such_name
+    with pytest.raises(ImportError, match="'no_such_name'"):
+        from wpolab import no_such_name  # noqa: F401
+
+
+NUMPY_LAYERS = ("numpy", "wpolab.constructions", "wpolab.posets", "wpolab.terms",
+                "wpolab.io", "wpolab.suites")
+
+
+@pytest.mark.parametrize("code, out", [
+    ("main(['ord', 'add', 'w^2+w', 'w*3+1'])", "w^2+w*4+1\n"),
+    ("main(['ord', 'cmp', 'W1*(1)+(0)', 'w^(w^w)'])", ">\n"),
+    ("main(['ord', 'hartog', 'w^2'])", "W1*(1)+(0)\n"),
+    ("main(['theta', 'W1*(w)+(3)', 'W1*(2)+(w)'])", "W1*(w*2+1)+(0)\n"),
+    ("print(wpolab.render_k(wpolab.theta_plus(wpolab.parse_k('w*2+3'), "
+     "wpolab.parse_k('w*2+4'))))", "w*4+8\n"),
+], ids=["ord_add", "ord_cmp", "ord_hartog", "theta", "package_theta_plus"])
+def test_the_algebra_commands_load_no_numpy(code, out):
+    # a fresh process: this one has loaded every layer already
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    prog = ("import json, sys\nimport wpolab\nfrom wpolab.cli import main\n%s\n"
+            "print(json.dumps(sorted(sys.modules)), file=sys.stderr)" % code)
+    done = subprocess.run([sys.executable, "-c", prog],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0 and done.stdout == out
+    loaded = set(json.loads(done.stderr))
+    assert {"wpolab.ordinals", "wpolab.cardinals", "wpolab.bounds"} <= loaded
+    assert not {m for m in loaded if m.split(".")[0] == "numpy" or m in NUMPY_LAYERS}
+
+
+def test_the_parser_names_every_suite():
+    assert cli.SUITE_NAMES == tuple(sorted(SUITES))
+
+
+HELP = {"verify": """\
+usage: wpolab verify [-h] --suite
+                     {constructions_prefix,finite_poset_oracle,majoration_shadow,minoration_meets_theta,oracle_agreement,ordinal_laws,reduction_identities,theta_laws}
+                     [--cases N] [--seed S] [--timing]
+
+options:
+  -h, --help            show this help message and exit
+  --suite {constructions_prefix,finite_poset_oracle,majoration_shadow,minoration_meets_theta,oracle_agreement,ordinal_laws,reduction_identities,theta_laws}
+  --cases N
+  --seed S
+  --timing              write the suite's wall time to stderr
+""", "construct": """\
+usage: wpolab construct [-h] [--prefix N] [--out FILE] [--format {json,dot}]
+                        {sierp,mixing,decompinver,minoration,extend} ORDINAL
+                        [ORDINAL ...]
+
+positional arguments:
+  {sierp,mixing,decompinver,minoration,extend}
+  ORDINAL
+
+options:
+  -h, --help            show this help message and exit
+  --prefix N
+  --out FILE
+  --format {json,dot}
+"""}
+
+
+@pytest.mark.parametrize("command", sorted(HELP))
+def test_cli_help_lists_the_same_choices(capsys, monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert main([command, "-h"]) == 0
+    # word for word: where argparse breaks the usage line differs between
+    # Python versions
+    assert capsys.readouterr().out.split() == HELP[command].split()
