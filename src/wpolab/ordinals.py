@@ -18,8 +18,11 @@ weak reference per live value, so a lookup hashes the terms once; a hit is
 confirmed by comparing terms, and a value whose hash slot another live
 value holds goes to a small spill dict keyed by its terms.  A value's death
 drops its entry.  Arithmetic builds its canonical results through the
-unchecked `_mk`; the public constructor validates first.  A value's text is
-cached in its `_text` slot by the first `render_ordinal` that succeeds.
+unchecked `_mk`; the public constructor validates first.  When a term
+helper hands back an operand's own terms tuple (a + b absorbed into b, an
+exponent sum with 0), the operation returns that operand through `_mk_or`
+instead of hashing and looking it up again.  A value's text is cached in
+its `_text` slot by the first `render_ordinal` that succeeds.
 
 Ordinal (non-commutative) and natural (Hessenberg) arithmetic both live
 here, together with the textual grammar used by the CLI:
@@ -32,6 +35,8 @@ here, together with the textual grammar used by the CLI:
 A bare natural base may only appear as the final term and exponents must
 be strictly decreasing; anything else is rejected with a hint.  Spaces are
 dropped, other whitespace is an error; all three grammars read `_Scan`.
+`_Parser` reads an ordinal in one loop over its terms, with the four rules
+folded into it, and calls itself only for a parenthesized exponent.
 """
 
 from __future__ import annotations
@@ -252,6 +257,12 @@ def _mk(terms: tuple) -> CnfOrdinal:
     return v
 
 
+def _mk_or(terms: tuple, v: CnfOrdinal) -> CnfOrdinal:
+    """_mk(terms), or v itself when terms is v's own terms tuple, which a
+    term helper hands back when the other operand adds nothing."""
+    return v if terms is v.terms else _mk(terms)
+
+
 def _minus_last(terms: tuple) -> tuple:
     """The terms of a nonzero value less one unit of its last term."""
     exp, coeff = terms[-1]
@@ -311,7 +322,9 @@ def _add(xs: tuple, ys: tuple) -> tuple:
     """The terms of the ordinal sum of the term tuples xs and ys (ys nonempty)."""
     e, c = ys[0]
     i = _cut(xs, e)
-    if i and xs[i - 1][0] is e:
+    if not i:
+        return ys
+    if xs[i - 1][0] is e:
         return xs[: i - 1] + ((e, xs[i - 1][1] + c),) + ys[1:]
     return xs[:i] + ys
 
@@ -321,7 +334,7 @@ def add(a, b) -> CnfOrdinal:
     a, b = as_ordinal(a), as_ordinal(b)
     if not b.terms:
         return a
-    return _mk(_add(a.terms, b.terms))
+    return _mk_or(_add(a.terms, b.terms), b)
 
 
 def mul(a, b) -> CnfOrdinal:
@@ -336,7 +349,7 @@ def mul(a, b) -> CnfOrdinal:
     if a.is_zero or b.is_zero:
         return ZERO
     e1, c1 = a.terms[0]
-    out = tuple((_mk(_add(e1.terms, f.terms)), d) for f, d in b.terms if f is not ZERO)
+    out = tuple((_mk_or(_add(e1.terms, f.terms), f), d) for f, d in b.terms if f is not ZERO)
     if b.is_successor:
         out += ((e1, c1 * b.terms[-1][1]),) + a.terms[1:]
     return _mk(out)
@@ -359,7 +372,7 @@ def left_subtract(a, b) -> CnfOrdinal:
     a, b = as_ordinal(a), as_ordinal(b)
     if b._key < a._key:
         raise OrdinalError("left_subtract needs a <= b")
-    return _mk(_left_sub(a.terms, b.terms))
+    return _mk_or(_left_sub(a.terms, b.terms), b)
 
 
 def euclid_div(a, d) -> tuple[CnfOrdinal, CnfOrdinal]:
@@ -378,7 +391,7 @@ def euclid_div(a, d) -> tuple[CnfOrdinal, CnfOrdinal]:
     k = e._key
     while i < len(ts) and k < ts[i][0]._key:
         i += 1
-    q = [(_mk(_left_sub(e.terms, f.terms)), g) for f, g in ts[:i]]
+    q = [(_mk_or(_left_sub(e.terms, f.terms), f), g) for f, g in ts[:i]]
     r = ts[i:]
     if r and r[0][0] is e:
         # r0 = w^e*g + t and d = w^e*c + u: m = g // c, one less when
@@ -391,7 +404,7 @@ def euclid_div(a, d) -> tuple[CnfOrdinal, CnfOrdinal]:
         if m:
             r = _left_sub(((e, c * m),) + d.terms[1:], r)
             q.append((ZERO, m))
-    return _mk(tuple(q)), _mk(r)
+    return _mk(tuple(q)), _mk_or(r, a)
 
 
 # -- natural (Hessenberg) arithmetic ----------------------------------------
@@ -438,11 +451,18 @@ def nat_mul(a, b) -> CnfOrdinal:
 
     Each row  w^ea*ca (x) b  is already in normal form, because the
     natural sum is strictly increasing in each argument; the rows' terms
-    are merged as raw tuples and only the product is interned."""
+    are merged as raw tuples and only the product is interned.  ONE is
+    the unit, so a product with it returns the other operand, and an
+    exponent sum with 0 returns the other exponent."""
     a, b = as_ordinal(a), as_ordinal(b)
+    if a is ONE:
+        return b
+    if b is ONE:
+        return a
     out: tuple = ()
     for ea, ca in a.terms:
-        row = tuple((_mk(_merge(ea.terms, eb.terms)), ca * cb) for eb, cb in b.terms)
+        row = tuple((_mk_or(_merge(ea.terms, eb.terms), ea if eb is ZERO else eb), ca * cb)
+                    for eb, cb in b.terms)
         out = _merge(out, row)
     return _mk(out)
 
@@ -521,9 +541,12 @@ def iter_below(max_exp: int, max_coeff: int) -> Iterator[CnfOrdinal]:
 
 
 # The deepest nesting the ordinal, scaled W<k> and term grammars accept.
-# Comparison and arithmetic recurse once per level of a value's exponent
-# tower, and at about 200 levels they exceed Python's default recursion
-# limit; every parsed value stays well below that.
+# What recurses once per level of a value's exponent tower: the nested
+# order-key tuples, which comparison and every operation that compares
+# exponents walk in C; render_ordinal; fund_seq; and the ordinal parser,
+# once per "(".  With Python 3.11's default recursion limit of 1000 they
+# first raise RecursionError at 994-997 levels of omega_pow nesting, far
+# above any parsed value.
 MAX_NESTING = 64
 
 # The longest numeral the grammars accept: Python's default limit for
@@ -548,12 +571,16 @@ _TOKEN = re.compile(r"[0-9]+|.", re.DOTALL)
 class _Scan:
     """The tokens of a text, read by index: each ASCII digit run (a token
     that starts with an ASCII digit) and each other character, then the
-    sentinel "".  offs[k] is the offset of token k."""
+    sentinel "".  offs[k] is the offset of token k; only error messages
+    and `window` read it, so it is built on first use."""
 
     def __init__(self, text: str):
         self.text = text
         self.toks = _TOKEN.findall(text) + [""]
-        self.offs = list(itertools.accumulate(map(len, self.toks), initial=0))
+
+    @functools.cached_property
+    def offs(self) -> list:
+        return list(itertools.accumulate(map(len, self.toks), initial=0))
 
     @functools.cached_property
     def close(self) -> dict:
@@ -571,8 +598,7 @@ class _Scan:
 
 
 class _Parser:
-    """The ordinal descent over tokens k0 .. k1 - 1 of a space-free scan:
-    each rule reads from token i and returns its value and the next i."""
+    """The ordinal grammar over tokens k0 .. k1 - 1 of a space-free scan."""
 
     def __init__(self, scan: _Scan, k0: int, k1: int):
         self.scan, self.k0, self.k1 = scan, k0, k1
@@ -585,63 +611,79 @@ class _Parser:
             "decreasing, a bare natural last)"
             % (msg, s.offs[k0 + i] - s.offs[k0], clip(s.window(k0, self.k1))))
 
+    def bad_numeral(self, i: int) -> OrdinalError:
+        """The error for token i where a natural number must stand."""
+        if "0" <= self.toks[i] < ":":
+            return self.error(i + 1, "numeral longer than %d digits" % MAX_NUMERAL_DIGITS)
+        return self.error(i, "expected a natural number")
+
     def parse(self) -> CnfOrdinal:
         v, i = self.ordinal(0, 0)
         if self.toks[i]:
             raise self.error(i, "trailing input")
         return v
 
-    def nat(self, i: int) -> tuple[int, int]:
-        tok = self.toks[i]
-        if not "0" <= tok[:1] <= "9":
-            raise self.error(i, "expected a natural number")
-        if len(tok) > MAX_NUMERAL_DIGITS:
-            raise self.error(i + 1, "numeral longer than %d digits" % MAX_NUMERAL_DIGITS)
-        return int(tok), i + 1
-
-    def atom(self, i: int, depth: int) -> tuple[CnfOrdinal, int]:
-        tok = self.toks[i]
-        if tok == "w":
-            return OMEGA, i + 1
-        if tok != "(":
-            n, i = self.nat(i)
-            return from_int(n), i
-        if depth == MAX_NESTING:
-            raise self.error(i, "parentheses nested deeper than %d" % MAX_NESTING)
-        v, i = self.ordinal(i + 1, depth + 1)
-        if self.toks[i] != ")":
-            raise self.error(i, "expected ')'")
-        return v, i + 1
-
     def ordinal(self, i: int, depth: int) -> tuple[CnfOrdinal, int]:
-        if self.toks[i] == "0":
+        """The ordinal at token i, inside `depth` parentheses, and the next
+        i: one loop over its terms, and one call deeper per parenthesized
+        exponent.  A token is a numeral when "0" <= tok < ":", that is when
+        it starts with an ASCII digit."""
+        toks = self.toks
+        tok = toks[i]
+        if tok == "0":
             return ZERO, i + 1
-        terms: list[tuple[CnfOrdinal, int]] = []
+        terms = []
+        last = None  # the order key of the previous term's exponent
         while True:
-            exp, coeff, i = self.term(i, depth)
-            if terms and not exp._key < terms[-1][0]._key:
+            if tok != "w":
+                # a bare natural: the last term
+                if not "0" <= tok < ":" or len(tok) > MAX_NUMERAL_DIGITS:
+                    raise self.bad_numeral(i)
+                exp, coeff = ZERO, int(tok)
+                i += 1
+                if not coeff:
+                    raise self.error(i, "'0' may only stand alone")
+                if toks[i] == "+":
+                    raise self.error(i, "a bare natural must be the final term")
+            else:
+                if toks[i + 1] != "^":
+                    exp = ONE
+                    i += 1
+                else:
+                    i += 2
+                    tok = toks[i]
+                    if tok == "w":
+                        exp = OMEGA
+                    elif tok == "(":
+                        if depth == MAX_NESTING:
+                            raise self.error(i, "parentheses nested deeper than %d" % MAX_NESTING)
+                        exp, i = self.ordinal(i + 1, depth + 1)
+                        if toks[i] != ")":
+                            raise self.error(i, "expected ')'")
+                    elif "0" <= tok < ":" and len(tok) <= MAX_NUMERAL_DIGITS:
+                        exp = from_int(int(tok))
+                    else:
+                        raise self.bad_numeral(i)
+                    i += 1
+                if toks[i] != "*":
+                    coeff = 1
+                else:
+                    i += 1
+                    tok = toks[i]
+                    if not "0" <= tok < ":" or len(tok) > MAX_NUMERAL_DIGITS:
+                        raise self.bad_numeral(i)
+                    coeff = int(tok)
+                    i += 1
+                    if not coeff:
+                        raise self.error(i, "zero coefficient is not canonical")
+            if last is not None and not exp._key < last:
                 raise self.error(i, "non-canonical form: exponents must strictly decrease")
+            last = exp._key
             terms.append((exp, coeff))
-            if self.toks[i] != "+":
+            if toks[i] != "+":
                 return _mk(tuple(terms)), i
             i += 1
-
-    def term(self, i: int, depth: int) -> tuple[CnfOrdinal, int, int]:
-        toks = self.toks
-        if toks[i] != "w":
-            n, i = self.nat(i)
-            if n == 0:
-                raise self.error(i, "'0' may only stand alone")
-            if toks[i] == "+":
-                raise self.error(i, "a bare natural must be the final term")
-            return ZERO, n, i
-        exp, i = self.atom(i + 2, depth) if toks[i + 1] == "^" else (ONE, i + 1)
-        if toks[i] != "*":
-            return exp, 1, i
-        coeff, i = self.nat(i + 1)
-        if coeff == 0:
-            raise self.error(i, "zero coefficient is not canonical")
-        return exp, coeff, i
+            tok = toks[i]
 
 
 def parse_ordinal(text: str) -> CnfOrdinal:

@@ -3,17 +3,24 @@
 Valid values must render, parse back to the same value and render to the
 same text.  Arbitrary strings over a grammar's alphabet must either parse
 or raise OrdinalError/PosetError (exit code 2 in the CLI), never anything
-else.
+else, and the ordinal and scaled grammars must agree with the reference
+descent `_ReferenceParser` on every text.
 """
 
+import itertools
+import operator
 import re
+from unittest import mock
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from wpolab.cardinals import LevelOverflowError, parse_k, render_k
-from wpolab.ordinals import MAX_NUMERAL_DIGITS, OrdinalError, parse_ordinal, render_ordinal
+from wpolab import cardinals
+from wpolab.cardinals import KOrdinal, LevelOverflowError, parse_k, render_k
+from wpolab.ordinals import (MAX_NESTING, MAX_NUMERAL_DIGITS, OMEGA, ONE, ZERO, CnfOrdinal,
+                             OrdinalError, _Scan, clip, cmp, from_int, parse_ordinal,
+                             render_ordinal)
 from wpolab.posets import PosetError, antichain, chain
 from wpolab.terms import DSum, Fin, LexSum, Ord, Prod, parse_term, render_term
 
@@ -51,11 +58,12 @@ TERMS = st.recursive(
 
 
 @st.composite
-def edited_terms(draw):
-    """A rendered term with one character deleted, replaced or inserted."""
-    text = render_term(draw(TERMS))
+def edited(draw, values, render, pieces):
+    """A rendered value with one character deleted, replaced by a piece,
+    or with a piece inserted."""
+    text = render(draw(values))
     i = draw(st.integers(0, len(text)))
-    c = draw(st.sampled_from(TERM_ALPHABET))
+    c = draw(st.sampled_from(pieces))
     return draw(st.sampled_from([text[:i] + text[i + 1:], text[:i] + c + text[i + 1:],
                                  text[:i] + c + text[i:]]))
 
@@ -103,6 +111,16 @@ def test_scaled_grammar_parses_or_rejects(text):
     assert parse_k(render_k(a)) == a
 
 
+def test_the_deepest_nesting_parses_and_renders_back():
+    # w^(w+1) renders with its parentheses, so every level keeps its own
+    text = "w^(" * MAX_NESTING + "w+1" + ")" * MAX_NESTING
+    a = parse_ordinal(text)
+    assert render_ordinal(a) == text
+    assert parse_ordinal(text) is a and a == a and cmp(a, a) == 0
+    with pytest.raises(OrdinalError, match="nested deeper than %d" % MAX_NESTING):
+        parse_ordinal("w^(" + text + ")")
+
+
 # fin(chainN) closes an N-vertex chain at parse time, so N stays below 100:
 # random text has at most 12 characters, and token texts no run of three
 # digits short of the numeral bound (a longer run is past every bound)
@@ -111,7 +129,7 @@ def test_scaled_grammar_parses_or_rejects(text):
     token_texts(TERM_TOKENS, st.sampled_from(TERM_HEADS), st.sampled_from(["", ")", "))"]))
     .filter(lambda text: not re.search(
         r"(?<![0-9])[0-9]{3,%d}(?![0-9])" % MAX_NUMERAL_DIGITS, text)),
-    edited_terms()))
+    edited(TERMS, render_term, TERM_ALPHABET)))
 @settings(max_examples=500, suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_term_grammar_parses_or_rejects(monkeypatch, tmp_path, text):
     monkeypatch.chdir(tmp_path)  # fin(@file) names resolve in an empty directory
@@ -211,3 +229,140 @@ def test_grammar_error_messages_are_frozen(parse, text, kind, message):
         parse(text)
     assert type(info.value) is kind
     assert str(info.value) == message
+
+
+# -- the reference descent ---------------------------------------------------------------
+#
+# The recursive descent that `ordinals._Parser` folded into one loop per
+# nesting level, one method per rule, kept as an oracle: it reads the
+# tokens of the same scan, builds values through the checked constructor
+# and counts error positions from offsets of its own.  The texts of the
+# frozen tables above reach every raise site.
+
+class _ReferenceParser:
+    """ordinal := "0" | term ("+" term)*,  term := base ("*" nat)?,
+    base := "w" | "w^" atom | nat>=1,  atom := nat | "w" | "(" ordinal ")"
+    over tokens k0 .. k1 - 1 of a space-free scan."""
+
+    def __init__(self, scan: _Scan, k0: int, k1: int):
+        self.toks = scan.toks[k0:k1] + [""]
+        self.offs = list(itertools.accumulate(map(len, self.toks), initial=0))
+
+    def error(self, i, msg):
+        return OrdinalError("%s at position %d in %r%s"
+                            % (msg, self.offs[i], clip("".join(self.toks)), _HINT))
+
+    def parse(self):
+        v, i = self.ordinal(0, 0)
+        if self.toks[i]:
+            raise self.error(i, "trailing input")
+        return v
+
+    def nat(self, i):
+        tok = self.toks[i]
+        if not "0" <= tok[:1] <= "9":
+            raise self.error(i, "expected a natural number")
+        if len(tok) > MAX_NUMERAL_DIGITS:
+            raise self.error(i + 1, "numeral longer than %d digits" % MAX_NUMERAL_DIGITS)
+        return int(tok), i + 1
+
+    def atom(self, i, depth):
+        tok = self.toks[i]
+        if tok == "w":
+            return OMEGA, i + 1
+        if tok != "(":
+            n, i = self.nat(i)
+            return from_int(n), i
+        if depth == MAX_NESTING:
+            raise self.error(i, "parentheses nested deeper than %d" % MAX_NESTING)
+        v, i = self.ordinal(i + 1, depth + 1)
+        if self.toks[i] != ")":
+            raise self.error(i, "expected ')'")
+        return v, i + 1
+
+    def ordinal(self, i, depth):
+        if self.toks[i] == "0":
+            return ZERO, i + 1
+        terms = []
+        while True:
+            exp, coeff, i = self.term(i, depth)
+            if terms and not exp < terms[-1][0]:
+                raise self.error(i, "non-canonical form: exponents must strictly decrease")
+            terms.append((exp, coeff))
+            if self.toks[i] != "+":
+                return CnfOrdinal(tuple(terms)), i
+            i += 1
+
+    def term(self, i, depth):
+        toks = self.toks
+        if toks[i] != "w":
+            n, i = self.nat(i)
+            if n == 0:
+                raise self.error(i, "'0' may only stand alone")
+            if toks[i] == "+":
+                raise self.error(i, "a bare natural must be the final term")
+            return ZERO, n, i
+        exp, i = self.atom(i + 2, depth) if toks[i + 1] == "^" else (ONE, i + 1)
+        if toks[i] != "*":
+            return exp, 1, i
+        coeff, i = self.nat(i + 1)
+        if coeff == 0:
+            raise self.error(i, "zero coefficient is not canonical")
+        return exp, coeff, i
+
+
+def _reference_parse(text):
+    """parse_ordinal by the reference descent."""
+    scan = _Scan(text.replace(" ", ""))
+    return _ReferenceParser(scan, 0, len(scan.toks) - 1).parse()
+
+
+def _reference_parse_k(text):
+    """parse_k with every plain ordinal read by the reference descent."""
+    with mock.patch.object(cardinals, "_Parser", _ReferenceParser):
+        return parse_k(text)
+
+
+def _outcome(parse, text):
+    """What parse makes of text: its value, or its error's type and message."""
+    try:
+        return parse(text)
+    except OrdinalError as exc:
+        return type(exc), str(exc)
+
+
+def _same(got, want) -> bool:
+    """One interned value (a tower of them), or one error type and message."""
+    if isinstance(want, KOrdinal):
+        return type(got) is KOrdinal and all(map(operator.is_, got.coeffs, want.coeffs))
+    return got is want if isinstance(want, CnfOrdinal) else got == want
+
+
+# rendered values joined by "+", in normal form or not
+SUMS = st.lists(ORDINALS.map(render_ordinal), min_size=2, max_size=4).map("+".join)
+# towers of parentheses around the nesting bound, closed or not
+DEEP_TEXTS = st.tuples(st.integers(MAX_NESTING - 2, MAX_NESTING + 2), st.booleans()).map(
+    lambda nb: "w^(" * nb[0] + "w+1" + ")" * (nb[0] - nb[1]))
+
+
+@given(st.one_of(st.text(ORD_ALPHABET, max_size=24), token_texts(ORD_TOKENS),
+                 ORDINALS.map(render_ordinal), edited(ORDINALS, render_ordinal, ORD_TOKENS),
+                 SUMS, DEEP_TEXTS, st.sampled_from([row[0] for row in ORDINAL_ERRORS])))
+# zero exponents, which no value renders to: w^0 is 1
+@example("w^0")
+@example("w^0*2")
+@example("w^(0)+1")
+@example("w^00*3")
+@settings(max_examples=500)
+def test_the_ordinal_parser_agrees_with_the_reference_descent(text):
+    got, want = _outcome(parse_ordinal, text), _outcome(_reference_parse, text)
+    assert _same(got, want), (text, got, want)
+
+
+@given(st.one_of(st.text(K_ALPHABET, max_size=24), token_texts(K_TOKENS),
+                 K_ORDINALS.map(render_k), edited(K_ORDINALS, render_k, K_TOKENS),
+                 st.sampled_from([row[0] for row in SCALED_ERRORS])))
+@settings(max_examples=500)
+def test_the_scaled_parser_agrees_with_the_reference_descent(text):
+    got, want = _outcome(parse_k, text), _outcome(_reference_parse_k, text)
+    assert _same(got, want), (text, got, want)

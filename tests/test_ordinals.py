@@ -1,3 +1,4 @@
+import contextlib
 import copy
 import functools
 import gc
@@ -5,6 +6,7 @@ import itertools
 import pickle
 import random
 import weakref
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -39,7 +41,7 @@ from wpolab.ordinals import (
     ul_nat_add,
 )
 
-from cases import ordinals, reference_lt, tower
+from cases import omega_times, ordinals, random_below, reference_lt, tower
 
 o = parse_ordinal
 
@@ -474,7 +476,10 @@ def test_equal_terms_give_one_instance(terms):
     assert hash(a) == hash((terms,))
 
 
-@given(ordinals(), ordinals(), st.integers(0, 6))
+OPERANDS = st.sampled_from([ZERO, ONE]) | ordinals()
+
+
+@given(OPERANDS, OPERANDS, st.integers(0, 6))
 @settings(max_examples=200)
 def test_arithmetic_results_are_canonical_and_interned(a, b, n):
     # the public constructor re-checks the terms that arithmetic built
@@ -488,6 +493,58 @@ def test_arithmetic_results_are_canonical_and_interned(a, b, n):
         results += [a.minus_last(), *euclid_div(b, a)]
     for x in results:
         assert x is CnfOrdinal(x.terms)
+
+
+@contextlib.contextmanager
+def _counting_mk():
+    """The terms of every `_mk` call made inside the block."""
+    calls = []
+    real = ordinals_module._mk
+
+    def counted(terms):
+        calls.append(terms)
+        return real(terms)
+
+    with mock.patch.object(ordinals_module, "_mk", counted):
+        yield calls
+
+
+@st.composite
+def infinite_exponents(draw):
+    """A nonzero ordinal whose exponents are all infinite: w^(w*e)*c terms."""
+    pairs = draw(st.lists(st.tuples(ordinals(), st.integers(1, 9)), min_size=1, max_size=4))
+    return normal_form([(omega_times(e), c) for e, c in pairs if not e.is_zero]
+                       or [(OMEGA, 1)])
+
+
+@given(ordinals(), st.integers(0, 2**32))
+def test_an_absorbed_sum_returns_the_right_operand(b, seed):
+    # every term of a lies below b's leading term, so a + b is b
+    if b.is_zero:
+        b = ONE
+    a = random_below(random.Random(seed), omega_pow(b.leading_exp))
+    with _counting_mk() as calls:
+        assert add(a, b) is b
+    assert calls == []
+
+
+@given(ordinals())
+def test_a_natural_product_with_one_returns_the_other_operand(x):
+    with _counting_mk() as calls:
+        assert nat_mul(ONE, x) is x and nat_mul(x, ONE) is x
+    assert calls == []
+
+
+@given(infinite_exponents())
+def test_exponents_that_absorb_the_operation_are_not_reinterned(x):
+    # w * w^f*d = w^(1+f)*d and w^f*d = w * w^((-1)+f)*d, with 1+f = (-1)+f = f
+    # for an infinite f: each exponent is x's own, and only the product,
+    # the quotient and the remainder are interned
+    with _counting_mk() as calls:
+        p = mul(OMEGA, x)
+        q, r = euclid_div(x, OMEGA)
+    assert p is x and q is x and r is ZERO
+    assert calls == [x.terms, x.terms, ()]
 
 
 @pytest.mark.parametrize("terms", [
