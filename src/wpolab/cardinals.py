@@ -56,8 +56,8 @@ class LevelOverflowError(OrdinalError):
 class KOrdinal:
     """omega_9*c9 + ... + omega_1*c1 + c0, with coeffs[k] = c_k.
 
-    `KOrdinal(coeffs)` checks its argument: MAX_LEVEL + 1 coefficients,
-    each a `CnfOrdinal`; it raises OrdinalError otherwise.
+    `KOrdinal(coeffs)` checks its argument: a tuple or list of MAX_LEVEL + 1
+    coefficients, each a `CnfOrdinal`; it raises OrdinalError otherwise.
     """
 
     # coeffs[k] is the coefficient of omega_k; coeffs[0] is the countable tail.
@@ -68,7 +68,7 @@ class KOrdinal:
     level: int
 
     def __new__(cls, coeffs: tuple = _ZEROS) -> "KOrdinal":
-        if len(coeffs) != MAX_LEVEL + 1:
+        if not isinstance(coeffs, (tuple, list)) or len(coeffs) != MAX_LEVEL + 1:
             raise OrdinalError("expected %d scale coefficients" % (MAX_LEVEL + 1))
         coeffs = tuple(coeffs)
         for c in coeffs:
@@ -101,6 +101,8 @@ class KOrdinal:
             if not r.is_finite:
                 raise OrdinalError("level-0 remainder must be finite")
             return _countable(add(mul(OMEGA, q), r))
+        if not 0 < level <= MAX_LEVEL:
+            raise LevelOverflowError("omega_%d is outside the modelled scale" % level)
         r = KOrdinal.of(r)
         if r.level >= level and not r.is_zero:
             raise OrdinalError("remainder %s is not below omega_%d" % (r, level))

@@ -204,6 +204,8 @@ class LazyOrder:
     size: Optional[int] = None
 
     def prefix(self, n: int) -> list:
+        if n < 0:
+            raise PosetError("vertex count %d is negative" % n)
         if self.size is not None and n > self.size:
             raise PosetError("a prefix of %d vertices was requested, but the "
                              "poset has only %d" % (n, self.size))

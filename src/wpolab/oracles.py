@@ -97,10 +97,11 @@ def nat_mul_oracle(a: CnfOrdinal, b: CnfOrdinal) -> CnfOrdinal:
 
 
 @lru_cache(maxsize=None)
-def length_by_extensions(n: int, relation: frozenset) -> int:
-    """Longest bad-sequence length of a finite poset = n, but computed the
-    slow way: the longest sequence of distinct vertices x_0.. with no
-    i < j and x_i <= x_j.  Used to cross-check the finite length engines."""
+def length_by_bad_sequences(n: int, relation: frozenset) -> int:
+    """The longest bad sequence of a finite poset, which is n, found the
+    slow way: a depth-first search over every sequence of distinct vertices
+    x_0.. with no i < j and x_i <= x_j; it builds no linear extension.
+    Used to cross-check the finite length engines."""
 
     def le(i, j):
         return i == j or (i, j) in relation

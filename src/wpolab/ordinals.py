@@ -290,12 +290,15 @@ def as_ordinal(x) -> CnfOrdinal:
 
 
 def from_int(n: int) -> CnfOrdinal:
-    if type(n) is int and n > 0:
-        return _mk(((ZERO, n),))
-    if n < 0:
-        raise OrdinalError("ordinals are non-negative")
-    # a falsy non-natural such as False or 0.0 is refused, not read as 0
-    return ZERO if type(n) is int else CnfOrdinal(((ZERO, n),))
+    if type(n) is int:
+        if n > 0:
+            return _mk(((ZERO, n),))
+        if n < 0:
+            raise OrdinalError("ordinals are non-negative")
+        return ZERO
+    # the checking constructor refuses a non-natural such as False, 0.0 or
+    # "3", and takes an int subclass
+    return CnfOrdinal(((ZERO, n),))
 
 
 ZERO = CnfOrdinal()
@@ -508,8 +511,8 @@ def fund_seq(a, n: int) -> CnfOrdinal:
     a = as_ordinal(a)
     if not a.is_limit:
         raise OrdinalError("%s is not a limit ordinal" % a)
-    if n < 0:
-        raise OrdinalError("index must be non-negative")
+    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
+        raise OrdinalError("index must be a natural number")
     exp = a.terms[-1][0]
     prefix = _minus_last(a.terms)
     if exp.is_successor:

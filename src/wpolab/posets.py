@@ -8,9 +8,10 @@ depth-first closure that skips what it has already reached, so a chain
 that comes in closed costs O(n) big-int operations) and transitive
 reduction (`FinPoset.hasse`) work on the same bitsets; `FinPoset.pairs`
 lists the pairs for callers that need them.  The length engines and
-queries (`length_recursive`, `bad_tree_height`, `all_posets`, `embeds`,
+enumerators (`length_recursive`, `bad_tree_height`, `all_posets`,
 `linear_extensions`) stay brute force on purpose: they are the oracles the
-symbolic layers are checked against.
+symbolic layers are checked against.  `embeds` is a query of the CLI, not
+an oracle; the tests check it against a search by its definition.
 """
 
 from __future__ import annotations

@@ -160,7 +160,7 @@ def _suite_theta_laws(report, cases, rng):
         if not (t > ka and t > kb):
             report.failures.append(("theta_plus(%s,%s) > max" % (a, b),
                                     "> both", render_k(t)))
-        if theta_plus(ka, kb) != theta_plus(kb, ka):
+        if t != theta_plus(kb, ka):
             report.failures.append(("theta_plus symmetry %s,%s" % (a, b),
                                     render_k(t), render_k(theta_plus(kb, ka))))
         fin = KOrdinal.of(from_int(rng.randrange(1, 9)))

@@ -168,8 +168,6 @@ def denote_prefix(t: PosetTerm, budget: int) -> FinPoset:
     canonical enumeration of t's denotation."""
     d = _denote(t)
     n = budget if d.size is None else min(budget, d.size)
-    if n < 0:
-        raise PosetError("vertex count %d is negative" % n)
     return poset_of_matrix(d.lt_matrix(d.prefix(n)))
 
 

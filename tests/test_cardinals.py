@@ -54,6 +54,14 @@ def test_remainder_must_sit_below_level():
         KOrdinal.at_level(0, o("1"), o("w"))
 
 
+@pytest.mark.parametrize("level", [-1, MAX_LEVEL + 1])
+def test_at_level_refuses_a_level_outside_the_scale(level):
+    # as omega_level does: omega_10 would render as a W10 that parse_k refuses
+    with pytest.raises(LevelOverflowError, match="^omega_%d is outside the modelled scale$"
+                       % level):
+        KOrdinal.at_level(level, 1)
+
+
 def test_ordering_is_by_scale_then_tail():
     assert KOrdinal.of(o("w^w")) < W1 < k_add(W1, 1) < KOrdinal.at_level(1, o("2")) < W2
     assert max(W2, KOrdinal.at_level(2, o("1"), W1)) == KOrdinal.at_level(2, o("1"), W1)
@@ -322,6 +330,8 @@ def test_towers_are_immutable():
     ((ZERO,) * MAX_LEVEL + (True,), "scale coefficient True is not a CNF ordinal"),
     ((ZERO, W1) + (ZERO,) * (MAX_LEVEL - 1),
      r"scale coefficient KOrdinal\(W1\*\(1\)\+\(0\)\) is not a CNF ordinal"),
+    (None, "expected 10 scale coefficients"),
+    (5, "expected 10 scale coefficients"),
 ])
 def test_constructor_refuses_bad_coefficients(coeffs, message):
     with pytest.raises(OrdinalError, match="^%s$" % message):

@@ -270,6 +270,15 @@ def test_sierpinskisation_prefixes_audit_clean(alpha):
     assert report.passed, report.failures()
 
 
+def test_a_negative_prefix_is_refused():
+    # an empty prefix would pass the audit, and its timings would count 2 pairs
+    finite = decompinver_witness([(from_int(2), from_int(2))])
+    for p in (sierpinskisation(OMEGA), finite):
+        for call in (lambda: p.prefix(-1), lambda: prefix_audit(p, -1)):
+            with pytest.raises(PosetError, match="^vertex count -1 is negative$"):
+                call()
+
+
 def test_sierpinskisation_of_omega_is_a_chain():
     s = sierpinskisation(o("w"))
     vs = s.prefix(10)

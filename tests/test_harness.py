@@ -81,10 +81,18 @@ def test_dot_uses_the_hasse_diagram():
 # -- suites ------------------------------------------------------------------------
 
 
+# the theta_sharp and theta_tilde suites, the prefix audits and the two
+# suites that check the CNF arithmetic on generated cases also run at 40
+# cases and the CLI's default seed
+WIDER_BUDGET = {"constructions_prefix", "majoration_shadow", "oracle_agreement",
+                "ordinal_laws", "reduction_identities"}
+
+
 @pytest.mark.parametrize("name", sorted(SUITES))
 def test_every_suite_passes_a_small_budget(name):
-    report = run_suite(name, 25, 7)
-    assert report.passed, report.failures
+    for cases, seed in [(25, 7)] + [(40, 0)] * (name in WIDER_BUDGET):
+        report = run_suite(name, cases, seed)
+        assert report.passed, (cases, seed, report.failures)
 
 
 def test_reports_are_deterministic():
@@ -281,6 +289,26 @@ def run_cli(*argv, capsys=None):
     return code, out
 
 
+def one_error_line(out: str, err: str) -> bool:
+    """A refused command: nothing on stdout, one `wpolab:` line on stderr."""
+    return out == "" and err.startswith("wpolab: ") and err.count("\n") == 1
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+CLI = ("-m", "wpolab.cli")
+
+
+def spawn(*args, timeout=60):
+    """`python ARGS` in a fresh process with src/ on its module path;
+    `spawn(*CLI, ...)` runs a `wpolab` command line."""
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(SRC)), timeout=timeout)
+
+
+# a tower of exactly MAX_NESTING = 64 parenthesized exponents
+DEEPEST = "w^(" * 64 + "1" + ")" * 64
+
+
 def test_cli_ord_arithmetic(capsys):
     assert run_cli("ord", "nadd", "w^2+1", "w*3", capsys=capsys) == (0, "w^2+w*3+1")
     assert run_cli("ord", "nmul", "w+1", "w+1", capsys=capsys) == (0, "w^2+w*2+1")
@@ -290,6 +318,21 @@ def test_cli_ord_arithmetic(capsys):
     assert run_cli("ord", "hartog", "w^2", capsys=capsys) == (0, "W1*(1)+(0)")
     assert run_cli("ord", "cmp", "w", "W1*(1)+(0)", capsys=capsys) == (0, "<")
     assert run_cli("ord", "cmp", "w*2", "w*2", capsys=capsys) == (0, "=")
+    # the CNF order: a last coefficient, and one value nested three exponents
+    # deep; the tower order: a countable tail under one scale, a higher
+    # scale against a large lower one, and an equal pair
+    for a, b, want in (("w^(w^w*2+1)*3", "w^(w^w*2+1)*3+1", "<"),
+                       ("w^(w^(w^3))", "w^(w^(w^3))", "="),
+                       (DEEPEST, DEEPEST, "="),
+                       ("W1*(w)+(5)", "W1*(w)+(w)", "<"),
+                       ("W2*(1)+(0)", "W1*(w^w)+(3)", ">"),
+                       ("W1*(1)+(0)", "W1*(1)+(0)", "=")):
+        assert run_cli("ord", "cmp", a, b, capsys=capsys) == (0, want), (a, b)
+    # a natural product whose terms share exponents, which each value
+    # renders once
+    assert run_cli("ord", "nmul", "w^(w^w+1)*3+w^w*2+1", "w^(w^w+1)+w^w+5",
+                   capsys=capsys) == (0, "w^(w^w*2+2)*3+w^(w^w+w+1)*5+w^(w^w+1)*16"
+                                         "+w^(w*2)*2+w^w*11+5")
 
 
 def test_cli_theta(capsys):
@@ -301,13 +344,18 @@ def test_cli_poset_commands(capsys, tmp_path):
     assert run_cli("poset", "len", "prod(ord(w+1), ord(w+1))",
                    capsys=capsys) == (0, "w^2+w*2+1")
     assert run_cli("poset", "badtree", "fin(chain3)", capsys=capsys) == (0, "3")
-    code, out = run_cli("poset", "embeds", "fin(chain2)", "fin(chain3)", capsys=capsys)
-    assert (code, out) == (0, "yes")
-    code, out = run_cli("poset", "embeds", "fin(chain2)", "fin(antichain3)",
-                        capsys=capsys)
-    assert (code, out) == (1, "no")
+    # the embedding search holds no stack frame per vertex
+    for p, q, want in (("fin(chain2)", "fin(chain3)", (0, "yes")),
+                       ("fin(chain2000)", "fin(chain2000)", (0, "yes")),
+                       ("fin(chain2)", "fin(antichain3)", (1, "no")),
+                       ("fin(antichain2)", "fin(chain2)", (1, "no"))):
+        assert run_cli("poset", "embeds", p, q, capsys=capsys) == want, (p, q)
     path = tmp_path / "c3.json"
     path.write_text('{"n": 3, "le": [[0, 1], [1, 2]]}')
+    # a poset file argument is the leaf fin(@file), used closed
+    assert run_cli("poset", "len", "@%s" % path, capsys=capsys) == (0, "3")
+    assert run_cli("poset", "intersect", "@%s" % path, "fin(@%s)" % path, capsys=capsys) == (
+        0, '{"le": [[0, 1], [0, 2], [1, 2]], "n": 3}')
     code, out = run_cli("poset", "intersect", "@%s" % path, "fin(antichain3)",
                         capsys=capsys)
     assert code == 0 and json.loads(out) == {"n": 3, "le": []}
@@ -315,17 +363,8 @@ def test_cli_poset_commands(capsys, tmp_path):
 
 def test_cli_intersect_refuses_unequal_vertex_counts(capsys):
     assert main(["poset", "intersect", "fin(chain2)", "fin(chain3)"]) == 2
-    captured = capsys.readouterr()
-    assert (captured.out, captured.err) == (
+    assert capsys.readouterr() == (
         "", "wpolab: intersect needs equal vertex counts (2 vs 3)\n")
-
-
-def test_cli_construct_matches_frozen_prefix(capsys):
-    code, out = run_cli("construct", "sierp", "w*2", "--prefix", "6", capsys=capsys)
-    doc = json.loads(out)
-    assert code == 0
-    assert doc["le"] == [[0, 1], [0, 2], [0, 3], [0, 4], [0, 5], [1, 3], [1, 5],
-                         [2, 3], [2, 4], [2, 5], [3, 5], [4, 5]]
 
 
 # md5 of the printed document of `wpolab construct ARGS --prefix N --format F`
@@ -374,6 +413,23 @@ FROZEN_INTERSECT = {
     ("prod(fin(antichain3), prod(ord(2), fin(chain4)))",
      "prod(fin(chain4), dsum(ord(3), lexsum(fin(chain2), fin(antichain1))))"): (
         "3269e16722dbf4fda1632e8ab9fe852d", "eda86de4e4f7db66ba6fe37f115877db"),
+    # the closure on 300 vertices, and a product of an ordinal and a sum
+    ("fin(chain300)", "lexsum(fin(chain150),fin(chain150))"): (
+        "36f45c4b5d2e96e5fdc04ec1282fc11e", "74347baf906a4c71d43ba6333fdbc8c6"),
+    ("prod(ord(20), lexsum(fin(chain7), ord(8)))", "fin(chain300)"): (
+        "f3a296dc62cba4ebf0732a3089e59a8b", "cec2772341a815bdd10e80649c7c45b7"),
+}
+# md5 of the printed `wpolab construct ARGS --prefix N`: a sierpinskisation,
+# both signs of the realizer sum (a common chunk on top, blocks that descend
+# on the right), a tower, an exponent tower deeper than the recursion limit,
+# and left growth over a sierpinskisation
+FROZEN_PREFIX = {
+    ("sierp w*2", 6): "ef8aead794c6ad683ec03ee23d0b8948",
+    ("extend w w+3 w+3", 6): "2000aaff7719818d6909bda70d470b9e",
+    ("decompinver w w 3 3", 6): "3338a8077cf0859419cab0bc50e55c74",
+    ("sierp w^(w^w)", 300): "e49bb21550aa320ba726d480ace1fc3d",
+    ("sierp w^(w^(w^8*9+w^4*7)*9)*8", 10): "7cf64d467271c7285328f14c5bcf5777",
+    ("extend w w*2 w", 300): "a2f8e7f2d09e01c495c24a91dca82452",
 }
 
 
@@ -388,6 +444,12 @@ def test_cli_construct_documents_are_frozen(args, capsys):
                               "--format", f], capsys)
                 for n, f in PREFIX_FORMATS)
     assert got == FROZEN_CONSTRUCT[args]
+
+
+def test_cli_construct_matches_frozen_prefix(capsys):
+    for (args, n), want in FROZEN_PREFIX.items():
+        got = _printed_md5(["construct", *args.split(), "--prefix", str(n)], capsys)
+        assert got == want, (args, n)
 
 
 @pytest.mark.parametrize("terms", sorted(FROZEN_INTERSECT))
@@ -440,8 +502,7 @@ def test_cli_verify_timing_goes_to_stderr(capsys):
 def test_cli_long_numerals_fail_with_one_line(capsys, argv):
     assert main(argv) == 2
     captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("wpolab: ") and captured.err.count("\n") == 1
+    assert one_error_line(*captured)
     assert len(captured.err) < 200
 
 
@@ -453,8 +514,7 @@ def test_cli_long_numerals_fail_with_one_line(capsys, argv):
 def test_cli_usage_errors_clip_long_arguments(capsys, argv):
     assert main(argv) == 2
     captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("wpolab: ") and captured.err.count("\n") == 1
+    assert one_error_line(*captured)
     assert len(captured.err) < 300 and "x" * 61 not in captured.err
 
 
@@ -469,9 +529,7 @@ def test_cli_usage_and_parse_errors(capsys):
                  ["poset", "badtree", "fin(chain2)", "fin(chain2)"],
                  ["ord", "hartog", "w", "w"]):
         assert main(argv) == 2, argv
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("wpolab: ") and captured.err.count("\n") == 1
+        assert one_error_line(*capsys.readouterr())
 
 
 def _count_outer_calls(monkeypatch, module, name: str, calls: list) -> list:
@@ -622,15 +680,17 @@ def test_cli_unreadable_poset_files_fail_with_one_line(capsys, tmp_path):
         path = tmp_path / name
         for arg in ("@%s" % path, "fin(@%s)" % path):
             assert main(["poset", "len", arg]) == 2, arg
-            captured = capsys.readouterr()
-            assert captured.out == ""
-            assert captured.err.startswith("wpolab: ") and captured.err.count("\n") == 1
+            assert one_error_line(*capsys.readouterr())
 
 
 def test_cli_a_long_cycle_fails_with_one_short_line(capsys, tmp_path):
+    path = tmp_path / "cycle.json"
+    path.write_text('{"n": 3, "le": [[0, 1], [1, 2], [2, 0]]}')
+    assert main(["poset", "len", "@%s" % path]) == 2
+    assert capsys.readouterr() == (
+        "", "wpolab: le is not antisymmetric; cycle witness [0, 1, 2, 0]\n")
     # 0 -> 1999 -> 1998 -> ... -> 1 -> 0: the witness lists 2001 vertices
     n = 2000
-    path = tmp_path / "cycle.json"
     path.write_text(json.dumps({"n": n, "le": [[i + 1, i] for i in range(n - 1)] + [[0, n - 1]]}))
     assert main(["poset", "len", "@%s" % path]) == 2
     captured = capsys.readouterr()
@@ -703,9 +763,7 @@ def test_cli_fuzz_exits_cleanly(monkeypatch, tmp_path, capsys, argv):
     assert code in (0, 1, 2), argv
     assert "Traceback" not in captured.err
     if code == 2:
-        assert captured.out == ""
-        assert captured.err.startswith("wpolab: ") and captured.err.count("\n") == 1, (
-            argv, captured.err)
+        assert one_error_line(*captured), argv
 
 
 def test_cli_rejects_bad_counts(capsys):
@@ -713,9 +771,7 @@ def test_cli_rejects_bad_counts(capsys):
                  ["construct", "sierp", "w", "--prefix", "-3"],
                  ["verify", "--suite", "theta_laws", "--cases", "-1"]):
         assert main(argv) == 2, argv
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("wpolab: ") and captured.err.count("\n") == 1
+        assert one_error_line(*capsys.readouterr())
 
 
 @pytest.mark.parametrize("targets, message", [
@@ -730,8 +786,7 @@ def test_cli_rejects_bad_counts(capsys):
 ])
 def test_cli_extend_refusals_are_frozen(capsys, targets, message):
     assert main(["construct", "extend", *targets.split()]) == 2
-    captured = capsys.readouterr()
-    assert (captured.out, captured.err) == ("", "wpolab: %s\n" % message)
+    assert capsys.readouterr() == ("", "wpolab: %s\n" % message)
 
 
 @pytest.mark.parametrize("argv, want", [
@@ -741,36 +796,26 @@ def test_cli_extend_refusals_are_frozen(capsys, targets, message):
 ])
 def test_cli_scaled_ord_add_and_nadd(capsys, argv, want):
     assert main(["ord", *argv.split()]) == 0
-    captured = capsys.readouterr()
-    assert (captured.out, captured.err) == (want + "\n", "")
+    assert capsys.readouterr() == (want + "\n", "")
 
 
 @pytest.mark.parametrize("op", ["mul", "nmul", "div", "sub"])
 def test_cli_scaled_ord_takes_add_and_nadd_only(capsys, op):
     assert main(["ord", op, "W1*(1)+(0)", "w"]) == 2
-    captured = capsys.readouterr()
-    assert (captured.out, captured.err) == (
+    assert capsys.readouterr() == (
         "", "wpolab: ord %s supports countable arguments only\n" % op)
 
 
 def test_cli_construct_rejects_scaled_ordinals(capsys):
     assert main(["construct", "sierp", "W1*(1)+(0)"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == ("wpolab: constructions take countable ordinals; "
-                            "W1*(1)+(0) is scaled\n")
+    assert capsys.readouterr() == ("", "wpolab: constructions take countable ordinals; "
+                                       "W1*(1)+(0) is scaled\n")
 
 
 def test_cli_finite_decompinver_prefix_past_its_end_fails_fast():
     # all blocks finite: 5 vertices, so a 10-vertex prefix does not exist
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = dict(os.environ, PYTHONPATH=str(src))
-    done = subprocess.run(
-        [sys.executable, "-m", "wpolab.cli", "construct", "decompinver", "5", "5",
-         "--prefix", "10"],
-        capture_output=True, text=True, env=env, timeout=60)
-    assert done.returncode == 2 and done.stdout == ""
-    assert done.stderr.startswith("wpolab: ") and done.stderr.count("\n") == 1
+    done = spawn(*CLI, "construct", "decompinver", "5", "5", "--prefix", "10")
+    assert done.returncode == 2 and one_error_line(done.stdout, done.stderr)
     assert "10" in done.stderr and "5" in done.stderr
 
 
@@ -781,23 +826,15 @@ def test_cli_finite_decompinver_prefix_past_its_end_fails_fast():
 def test_cli_construct_over_a_large_coefficient_returns(argv, n):
     # the enumeration builds its blocks when first visited, not one per
     # unit of the coefficient; about 0.4 s of wall time on a 2-vCPU machine
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = dict(os.environ, PYTHONPATH=str(src))
-    done = subprocess.run([sys.executable, "-m", "wpolab.cli", *argv],
-                          capture_output=True, text=True, env=env, timeout=15)
+    done = spawn(*CLI, *argv, timeout=15)
     assert done.returncode == 0 and done.stderr == ""
     assert json.loads(done.stdout)["n"] == n
 
 
 def test_cli_inline_finite_poset_over_the_bound_fails_fast():
     # 16 characters that would ask for a 100000-vertex chain
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = dict(os.environ, PYTHONPATH=str(src))
-    done = subprocess.run(
-        [sys.executable, "-m", "wpolab.cli", "poset", "len", "fin(chain100000)"],
-        capture_output=True, text=True, env=env, timeout=20)
-    assert done.returncode == 2 and done.stdout == ""
-    assert done.stderr.startswith("wpolab: ") and done.stderr.count("\n") == 1
+    done = spawn(*CLI, "poset", "len", "fin(chain100000)", timeout=20)
+    assert done.returncode == 2 and one_error_line(done.stdout, done.stderr)
     assert str(MAX_VERTICES) in done.stderr
 
 
@@ -817,10 +854,7 @@ def test_cli_short_input_for_a_huge_poset_fails_fast(tmp_path, argv, err):
     path = tmp_path / "huge.json"
     path.write_text(json.dumps({"n": 10**10, "le": []}))
     argv = [a.replace("FILE", str(path)) for a in argv]
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = dict(os.environ, PYTHONPATH=str(src))
-    done = subprocess.run([sys.executable, "-m", "wpolab.cli", *argv],
-                          capture_output=True, text=True, env=env, timeout=20)
+    done = spawn(*CLI, *argv, timeout=20)
     assert (done.returncode, done.stdout, done.stderr) == (2, "", "wpolab: %s\n" % err)
 
 
@@ -843,10 +877,7 @@ def test_cli_badtree_over_its_vertex_cap_fails_fast(tmp_path, source):
     if source == "file":
         (tmp_path / "a.json").write_text(json.dumps({"n": n, "le": []}))
         arg = "@%s" % (tmp_path / "a.json")
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = dict(os.environ, PYTHONPATH=str(src))
-    done = subprocess.run([sys.executable, "-m", "wpolab.cli", "poset", "badtree", arg],
-                          capture_output=True, text=True, env=env, timeout=20)
+    done = spawn(*CLI, "poset", "badtree", arg, timeout=20)
     assert done.returncode == 2 and done.stdout == ""
     assert done.stderr == ("wpolab: poset badtree lists every bad sequence, so it "
                            "takes at most %d vertices; got %d\n" % (MAX_BADTREE_VERTICES, n))
@@ -862,16 +893,14 @@ def test_cli_badtree_at_its_vertex_cap_answers(capsys):
     ["construct", "sierp", "w^(" * 400 + "w" + ")" * 400, "--prefix", "3"],
     ["theta", "W1*(1)+(" * 400 + "5" + ")" * 400, "w"],
     ["poset", "len", "dsum(" * 400 + "ord(1)" + ", ord(2))" * 400],
+    # one level past the deepest tower that parses
+    ["ord", "cmp", "w^(%s)" % DEEPEST, "w^(%s)" % DEEPEST],
 ])
 def test_cli_deep_nesting_fails_with_one_line(argv):
     # a 400-deep input would exceed the recursion limit; the grammars
     # stop at a fixed nesting depth instead
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = dict(os.environ, PYTHONPATH=str(src))
-    done = subprocess.run([sys.executable, "-m", "wpolab.cli", *argv],
-                          capture_output=True, text=True, env=env, timeout=60)
-    assert done.returncode == 2 and done.stdout == ""
-    assert done.stderr.startswith("wpolab: ") and done.stderr.count("\n") == 1
+    done = spawn(*CLI, *argv)
+    assert done.returncode == 2 and one_error_line(done.stdout, done.stderr)
     assert "nested deeper than" in done.stderr
 
 
@@ -940,12 +969,8 @@ NUMPY_LAYERS = ("numpy", "wpolab.constructions", "wpolab.posets", "wpolab.terms"
 ], ids=["ord_add", "ord_cmp", "ord_hartog", "theta", "package_theta_plus"])
 def test_the_algebra_commands_load_no_numpy(code, out):
     # a fresh process: this one has loaded every layer already
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = dict(os.environ, PYTHONPATH=str(src))
-    prog = ("import json, sys\nimport wpolab\nfrom wpolab.cli import main\n%s\n"
-            "print(json.dumps(sorted(sys.modules)), file=sys.stderr)" % code)
-    done = subprocess.run([sys.executable, "-c", prog],
-                          capture_output=True, text=True, env=env, timeout=60)
+    done = spawn("-c", "import json, sys\nimport wpolab\nfrom wpolab.cli import main\n%s\n"
+                 "print(json.dumps(sorted(sys.modules)), file=sys.stderr)" % code)
     assert done.returncode == 0 and done.stdout == out
     loaded = set(json.loads(done.stderr))
     assert {"wpolab.ordinals", "wpolab.cardinals", "wpolab.bounds"} <= loaded

@@ -432,6 +432,15 @@ def test_fund_seq_examples():
     assert fund_seq(o("w*2"), 5) == o("w+5")
 
 
+@pytest.mark.parametrize("n", [-1, 1.5, 2.0, True, "3", None])
+def test_fund_seq_refuses_what_from_int_refuses(n):
+    with pytest.raises(OrdinalError):
+        from_int(n)
+    for a in (OMEGA, o("w^w"), o("w^2")):
+        with pytest.raises(OrdinalError, match="^index must be a natural number$"):
+            fund_seq(a, n)
+
+
 @given(ordinals(), st.integers(0, 6))
 @settings(max_examples=200)
 def test_fund_seq_increasing_and_below(a, n):
@@ -685,7 +694,7 @@ def test_from_int():
     for n in (1, 2, 7, 10**30):
         assert from_int(n) is CnfOrdinal(((ZERO, n),))
         assert from_int(n).as_int() == n
-    for bad in (True, False, -1, 2.0, 0.0):
+    for bad in (True, False, -1, 2.0, 0.0, "3", None):
         with pytest.raises(OrdinalError):
             from_int(bad)
 

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from wpolab.cli import main
 from wpolab.io import export_poset
-from wpolab.oracles import length_by_extensions
+from wpolab.oracles import length_by_bad_sequences
 from wpolab.ordinals import clip
 from wpolab.posets import (
     FinPoset,
@@ -88,7 +88,7 @@ def test_length_trio_small():
 def test_length_trio_exhaustive_n3():
     for p in all_posets(3):
         assert length_fin(p) == length_recursive(p) == bad_tree_height(p) == 3
-        assert length_by_extensions(p.n, p.le) == 3
+        assert length_by_bad_sequences(p.n, p.le) == 3
 
 
 def test_all_posets_counts():

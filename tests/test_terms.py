@@ -67,6 +67,12 @@ def test_denote_prefix_of_finite_terms_is_full():
     assert denote_prefix(Fin(antichain(2)), 10) == antichain(2)
 
 
+def test_denote_prefix_refuses_a_negative_budget():
+    for t in (Fin(chain(3)), Ord(o("w"))):
+        with pytest.raises(PosetError, match="^vertex count -1 is negative$"):
+            denote_prefix(t, -1)
+
+
 def test_dsum_prefix_alternates_factors():
     p = denote_prefix(DSum(Ord(o("w")), Ord(o("w"))), 4)
     assert p.le == frozenset({(0, 2), (1, 3)})
