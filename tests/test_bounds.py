@@ -22,6 +22,7 @@ from wpolab.ordinals import (
     ul_nat_add,
 )
 from wpolab.cardinals import (
+    MAX_LEVEL,
     KOrdinal,
     LevelOverflowError,
     cardinality,
@@ -45,10 +46,11 @@ from wpolab.bounds import (
     theta_plus,
     theta_sharp,
     theta_tilde,
+    _top_stratum,
 )
 from wpolab.oracles import random_ordinal
 
-from cases import kordinals, random_below, random_kordinal
+from cases import K_ORDINALS, kordinals, random_below, random_kordinal
 
 K = KOrdinal.of
 W1 = omega_level(1)
@@ -518,6 +520,25 @@ def test_theta_at_top_of_scale():
         from wpolab.cardinals import hartog
 
         hartog(a)
+
+
+def _top_stratum_by_scan(lo):
+    return max(k for k in range(MAX_LEVEL + 1) if omega_level(k) < lo)
+
+
+@given(K_ORDINALS)
+def test_top_stratum_matches_the_scan(lo):
+    if omega_level(0) < lo:
+        assert _top_stratum(lo) == _top_stratum_by_scan(lo)
+
+
+def test_top_stratum_at_the_scale_boundaries():
+    for k in range(MAX_LEVEL + 1):
+        w_k = omega_level(k)
+        for lo in (w_k, w_k.succ(), KOrdinal.at_level(k, o("2"))):
+            if omega_level(0) < lo:  # all but omega_0 itself
+                assert _top_stratum(lo) == _top_stratum_by_scan(lo)
+    assert [_top_stratum(omega_level(k)) for k in range(1, MAX_LEVEL + 1)] == list(range(MAX_LEVEL))
 
 
 def test_cardinality_facts_declared_by_theta():

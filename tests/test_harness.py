@@ -174,6 +174,35 @@ def test_generators_make_the_pinned_draws():
     assert _draw_digests() == DRAW_DIGESTS
 
 
+@pytest.mark.parametrize("n", [4, 6, 9, 10])
+def test_below_draws_what_randrange_draws(n):
+    for s in range(50):
+        mine, theirs = random.Random(s), random.Random(s)
+        assert ([oracles._below(mine.getrandbits, n) for _ in range(20)]
+                == [theirs.randrange(n) for _ in range(20)])
+
+
+@pytest.mark.parametrize("off", [-1, 1])
+def test_a_bit_width_one_off_changes_the_draws(monkeypatch, off):
+    def below(bits, n):
+        k = n.bit_length() + off
+        r = bits(k)
+        while r >= n:
+            r = bits(k)
+        return r
+
+    def stream(draw, s):
+        rng = random.Random(s)
+        return [draw(rng) for _ in range(20)]
+
+    for n in (4, 6, 9, 10):  # the stream check sees it
+        assert any(stream(lambda rng: below(rng.getrandbits, n), s)
+                   != stream(lambda rng: rng.randrange(n), s) for s in range(50))
+    monkeypatch.setattr(oracles, "_below", below)
+    got = _draw_digests()
+    assert all(got[name] != DRAW_DIGESTS[name] for name in DRAW_DIGESTS)
+
+
 def test_normal_form_sums_equal_exponents_in_any_order():
     w = ordinals.OMEGA
     assert normal_form([(ZERO, 2), (w, 1), (ZERO, 3), (w, 4)]) is ordinals.parse_ordinal("w^w*5+5")

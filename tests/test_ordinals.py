@@ -691,12 +691,25 @@ def test_values_freed_in_a_cycle_leave_the_table():
 
 def test_from_int():
     assert from_int(0) is ZERO
-    for n in (1, 2, 7, 10**30):
+    bound = ordinals_module._NAT_BOUND  # the naturals below it are built once
+    for n in (1, 2, 7, bound - 1, bound, bound + 1, 10**30):
         assert from_int(n) is CnfOrdinal(((ZERO, n),))
         assert from_int(n).as_int() == n
+    assert [v.as_int() for v in ordinals_module._NATS] == list(range(bound))
     for bad in (True, False, -1, 2.0, 0.0, "3", None):
         with pytest.raises(OrdinalError):
             from_int(bad)
+
+
+def test_equality_is_identity_in_both_operand_orders():
+    a, b = parse_ordinal("w^2+3"), parse_ordinal("w+3")
+    countable = KOrdinal.of(a)
+    scaled = KOrdinal.at_level(1, ONE, a)  # omega_1 + a
+    for x, y, equal in ((a, a, True), (a, parse_ordinal("w^2+3"), True), (a, b, False),
+                        (a, 3, False), (from_int(3), 3, False), (a, None, False),
+                        (a, countable, True), (b, countable, False), (a, scaled, False)):
+        assert (x == y) is equal and (y == x) is equal, (x, y)
+        assert (x != y) is not equal and (y != x) is not equal, (x, y)
 
 
 @pytest.mark.parametrize("text", ["0", "1", "w", "w^(w^w*2+1)*3+w^2+7", "w*" + "9" * 40])
