@@ -379,27 +379,27 @@ def _gated_sup(fn: BoundOp, bounds: list[KOrdinal]) -> KOrdinal:
 def bracket_tilde(f) -> BoundOp:
     """[f]~ : the strict-box supremum of an operator.
 
-    The operand must be monotone, either outright or on each equipotence
-    stratum (`equipotence_gated`).  Exact on successor corners and, via
-    fund_seq cofinal sampling with CNF limit extrapolation, on countable
-    limit bounds.  Uncountable strata of gated operators are handled only
-    under declared `at_least_cardinality` and `stratum_bounded` facts
-    (which make every lower stratum dominated by the attained top corner);
-    anything else raises UnsupportedSupremum.
+    The operand must be a `BoundOp` that declares itself monotone, either
+    outright or on each equipotence stratum (`equipotence_gated`); a plain
+    callable declares nothing, so it is refused.  Exact on successor
+    corners and, via fund_seq cofinal sampling with CNF limit
+    extrapolation, on countable limit bounds.  Uncountable strata of gated
+    operators are handled only under declared `at_least_cardinality` and
+    `stratum_bounded` facts (which make every lower stratum dominated by the
+    attained top corner); anything else raises UnsupportedSupremum.
     """
-    fn = f if isinstance(f, BoundOp) else BoundOp("f", f, monotone=True)
-    if not (fn.monotone or fn.equipotence_gated):
+    if not (isinstance(f, BoundOp) and (f.monotone or f.equipotence_gated)):
         raise UnsupportedSupremum("bracket_tilde needs a monotone operand")
 
     def g(*args) -> KOrdinal:
         bounds = [_k(a) for a in args]
         if any(b.is_zero for b in bounds):
             return K_ZERO
-        if fn.equipotence_gated and len(bounds) > 1:
-            return _gated_sup(fn, bounds)
-        return _corner_sup(fn, bounds)
+        if f.equipotence_gated and len(bounds) > 1:
+            return _gated_sup(f, bounds)
+        return _corner_sup(f, bounds)
 
-    return BoundOp("[%s]~" % fn.name, g, monotone=fn.monotone)
+    return BoundOp("[%s]~" % f.name, g, monotone=f.monotone)
 
 
 def reduction_identity_sides(args) -> tuple[KOrdinal, KOrdinal]:

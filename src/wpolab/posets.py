@@ -369,6 +369,9 @@ def embeds(p: FinPoset, q: FinPoset) -> bool:
 def longcut_fin(p: FinPoset, a1: int, a2: int):
     """The lexicographically least downward-closed vertex set of size a1,
     with its complement; the two restrictions have lengths a1 and a2."""
+    for size in (a1, a2):
+        if size < 0:
+            raise PosetError("cut size %d is negative" % size)
     if a1 + a2 != p.n:
         raise PosetError("cut sizes %d+%d do not partition %d vertices" % (a1, a2, p.n))
     for initial in itertools.combinations(range(p.n), a1):
@@ -378,7 +381,8 @@ def longcut_fin(p: FinPoset, a1: int, a2: int):
         if down_closed:
             final = tuple(v for v in range(p.n) if v not in initial)
             return initial, final
-    raise PosetError("no downward-closed cut of size %d" % a1)  # unreachable
+    # unreachable: the first a1 vertices of a linear extension are a cut
+    raise PosetError("no downward-closed cut of size %d" % a1)
 
 
 def all_posets(n: int):

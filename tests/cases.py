@@ -1,18 +1,22 @@
 """Case generators and Hypothesis strategies shared by the test modules,
-and `reference_lt`, the CNF order by its definition.
+`reference_lt`, the CNF order by its definition, and the finite orders.
 
 Values are built by `oracles.normal_form` and the value constructors,
 never by the arithmetic they check; random ordinals come from
-`oracles.random_ordinal`, as in `wpolab verify`.
+`oracles.random_ordinal`, as in `wpolab verify`.  The finite-order
+section holds the tests' one reachability model, `reach`, and builds its
+posets from it, so no poset generator runs `posets._close`.
 """
 
 import random
 
+import numpy as np
 from hypothesis import strategies as st
 
 from wpolab.cardinals import MAX_LEVEL, KOrdinal
 from wpolab.oracles import normal_form, random_ordinal
-from wpolab.ordinals import ONE, ZERO, CnfOrdinal, from_int, parse_ordinal
+from wpolab.ordinals import OMEGA, ONE, ZERO, CnfOrdinal, from_int, parse_ordinal
+from wpolab.posets import FinPoset
 
 
 def _normal_form(pairs) -> CnfOrdinal:
@@ -75,10 +79,13 @@ def kordinals(max_level=2):
 _W3, _W3_TIMES_2 = parse_ordinal("w^3"), parse_ordinal("w^3*2")
 
 
-def _omega_plus(x: CnfOrdinal) -> CnfOrdinal:
-    """w + x: x itself when its leading exponent is above 1, which absorbs
-    the w, and otherwise w added to x's terms."""
-    return x if x.terms and x.terms[0][0] > ONE else normal_form(((ONE, 1),) + x.terms)
+def ordinal_sum(a: CnfOrdinal, b: CnfOrdinal) -> CnfOrdinal:
+    """a + b from terms: b absorbs a's terms below its leading exponent, and
+    a term of a at that exponent adds its coefficient to b's first."""
+    if b.is_zero:
+        return a
+    lead = b.terms[0][0]
+    return normal_form([t for t in a.terms if t[0] >= lead] + list(b.terms))
 
 
 def random_small_ordinal(rng) -> CnfOrdinal:
@@ -91,7 +98,7 @@ def random_small_ordinal(rng) -> CnfOrdinal:
 
 def random_infinite(rng) -> CnfOrdinal:
     """w + x for a random x below w^3."""
-    return _omega_plus(random_below(rng, _W3))
+    return ordinal_sum(OMEGA, random_below(rng, _W3))
 
 
 def omega_times(x: CnfOrdinal) -> CnfOrdinal:
@@ -123,6 +130,14 @@ def random_blocks(rng) -> list:
     return blocks
 
 
+def random_common_chunk(rng) -> tuple:
+    """alpha = w + x and the target (w + g, alpha + g) that extends
+    sierpinskisation(alpha) by a common chunk g, g in 1..5 or w + x."""
+    alpha = random_infinite(rng)
+    g = rng.choice([from_int(rng.randrange(1, 6)), random_infinite(rng)])
+    return alpha, (ordinal_sum(OMEGA, g), ordinal_sum(alpha, g))
+
+
 # exponents: naturals up to 4, w*k+m (k <= 2, m <= 3), w^2 and w^w
 EXPONENTS = st.one_of(
     st.integers(0, 4).map(from_int),
@@ -137,7 +152,7 @@ def shallow_ordinals(draw):
     exponents from EXPONENTS; w is added in front of a finite one."""
     exps = draw(st.sets(EXPONENTS, min_size=1, max_size=3))
     alpha = normal_form([(e, draw(st.integers(1, 4))) for e in exps])
-    return alpha if not alpha.is_finite else _omega_plus(alpha)
+    return alpha if not alpha.is_finite else ordinal_sum(OMEGA, alpha)
 
 
 def tower(x: CnfOrdinal, rng, height: int) -> CnfOrdinal:
@@ -160,3 +175,66 @@ def reference_lt(a: CnfOrdinal, b: CnfOrdinal) -> bool:
         if ca != cb:
             return ca < cb
     return len(a.terms) < len(b.terms)
+
+
+# -- finite orders -----------------------------------------------------------------
+
+
+def relation(n: int, pairs) -> np.ndarray:
+    """The n x n bool matrix with m[i, j] iff (i, j) is in pairs."""
+    m = np.zeros((n, n), dtype=bool)
+    for i, j in pairs:
+        m[i, j] = True
+    return m
+
+
+def reach(m: np.ndarray) -> np.ndarray:
+    """Strict reachability along m: R <- R or R.R, by int64 products, until
+    it stops growing.  A vertex on a cycle reaches itself."""
+    r = np.asarray(m, dtype=bool)
+    while True:
+        grown = r | (r.astype(np.int64) @ r.astype(np.int64) > 0)
+        if (grown == r).all():
+            return grown
+        r = grown
+
+
+def cycle_steps(m: np.ndarray, v: int) -> int | None:
+    """The fewest steps of a closed walk through v along m, the first power
+    of m with v on its diagonal, or None when v lies on no cycle."""
+    step = np.asarray(m, dtype=np.int64)
+    ends = step[v]
+    for steps in range(1, len(step) + 1):
+        if ends[v]:
+            return steps
+        ends = (ends @ step > 0).astype(np.int64)
+    return None
+
+
+def closed_poset(m: np.ndarray) -> FinPoset:
+    """The FinPoset of `reach(m)`, its bitsets packed here: the order that
+    make_poset builds from m's pairs, without posets._close."""
+    r = reach(m)
+    if r.diagonal().any():
+        raise ValueError("closed_poset needs an acyclic relation")
+    return FinPoset(len(r), tuple(int.from_bytes(np.packbits(row, bitorder="little").tobytes(),
+                                                 "little") for row in r))
+
+
+def random_dag(rng, n: int, density: float) -> list:
+    """Generating pairs of a random order on n vertices: each forward pair
+    i < j with probability density, under a random relabelling."""
+    perm = rng.sample(range(n), n)
+    return [(perm[i], perm[j]) for i in range(n) for j in range(i + 1, n)
+            if rng.random() < density]
+
+
+@st.composite
+def posets(draw, n_max: int):
+    """A poset on at most n_max vertices: forward pairs i < j under a random
+    permutation, closed by `closed_poset`."""
+    n = draw(st.integers(0, n_max))
+    perm = draw(st.permutations(range(n)))
+    forward = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    pairs = draw(st.sets(st.sampled_from(forward))) if forward else set()
+    return closed_poset(relation(n, [(perm[i], perm[j]) for i, j in pairs]))

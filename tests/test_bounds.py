@@ -485,6 +485,9 @@ def _sampled(f):
     (THETA_PLUS, ["W1*(1)+(1)", "W2*(1)+(1)"],
      "non-equipotent uncountable corner at "
      "[KOrdinal(W1*(1)+(1)), KOrdinal(W2*(1)+(1))]"),
+    # a plain callable declares nothing: this one falls at 3 and would give
+    # 0 at w, below its value 5 at 0
+    (lambda a: K(5) if a < K(3) else K(0), ["w"], "bracket_tilde needs a monotone operand"),
 ])
 def test_bracket_tilde_refusals(fn, bounds, message):
     with pytest.raises(UnsupportedSupremum) as exc:

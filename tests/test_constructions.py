@@ -51,11 +51,16 @@ from wpolab.suites import run_suite
 from cases import (
     INDICES,
     omega_times,
+    ordinal_sum,
     random_below,
     random_blocks,
+    random_common_chunk,
+    random_dag,
     random_index,
     random_infinite,
     random_small_ordinal,
+    reach,
+    relation,
     shallow_ordinals,
 )
 
@@ -621,25 +626,19 @@ def _reference_transitivity(m):
 @st.composite
 def _relations(draw):
     """Bool matrices on up to 40 vertices: sparse and dense (diagonal
-    included), a closed order with one pair dropped, a DAG with a 2-cycle,
-    and one with a cycle of 3 or more vertices and no 2-cycle.  The entries
-    come from a seeded generator."""
+    included), and on a `random_dag`: its closed order with one pair
+    dropped, a 2-cycle added, or a cycle of 3 or more vertices and no
+    2-cycle.  The entries come from a seeded generator."""
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
     n = draw(st.integers(0, 40))
     shape = draw(st.sampled_from(["sparse", "dense", "dropped", "2-cycle", "long cycle"]))
     density = {"sparse": 2.0 / max(n, 1), "dense": 0.7, "dropped": 0.2}.get(shape, 0.1)
-    m = np.array([[rng.random() < density for _ in range(n)] for _ in range(n)],
-                 dtype=bool).reshape(n, n)
     if shape in ("sparse", "dense"):
-        return m
-    perm = np.array(rng.sample(range(n), n), dtype=np.int64)
-    m = np.triu(m, 1)  # a DAG, then relabelled
+        return np.array([[rng.random() < density for _ in range(n)] for _ in range(n)],
+                        dtype=bool).reshape(n, n)
+    m = relation(n, random_dag(rng, n, density))
     if shape == "dropped":
-        while True:  # close it
-            grown = m | (m.astype(np.int64) @ m.astype(np.int64) > 0)
-            if (grown == m).all():
-                break
-            m = grown
+        m = reach(m)
         pairs = np.argwhere(m)
         if len(pairs):
             i, j = pairs[rng.randrange(len(pairs))]
@@ -652,7 +651,7 @@ def _relations(draw):
         for x, y in zip(on, on[1:] + on[:1]):
             m[x, y], m[y, x] = True, False
         assert not (m & m.T).any()
-    return m[np.ix_(perm, perm)]
+    return m
 
 
 @given(_relations())
@@ -666,9 +665,7 @@ def test_transitivity_witness_pins_a_gap_behind_a_cycle():
     # walk must still see 0 < 2 < 3, which a walk skipping successors
     # already reached (as FinPoset.hasse does) passes over: 1 reaches 2
     # before 2's row is read
-    m = np.zeros((4, 4), dtype=bool)
-    for i, js in {0: [1, 2], 1: [0, 2], 2: [3]}.items():
-        m[i, js] = True
+    m = relation(4, [(0, 1), (0, 2), (1, 0), (1, 2), (2, 3)])
     assert _reference_transitivity(m) == (0, 2, 3)
     assert _transitivity_witness(m) == (0, 2, 3)
 
@@ -722,10 +719,22 @@ def test_omega_times_is_the_product_it_stands_for():
         assert omega_times(x) == mul(OMEGA, x), x
 
 
+def test_ordinal_sum_is_the_sum_it_stands_for():
+    # random_common_chunk draws w + g and alpha + g with ordinal_sum where
+    # it once drew them with add, with the same rng calls, so its draws are
+    # the old ones value for value
+    for s in range(500):
+        rng = random.Random(s)
+        alpha = random_infinite(rng)
+        g = rng.choice([from_int(rng.randrange(1, 6)), random_infinite(rng)])
+        assert random_common_chunk(random.Random(s)) == (alpha, (add(OMEGA, g), add(alpha, g)))
+        a, b = random_ordinal(rng), random_ordinal(rng)
+        assert ordinal_sum(a, b) == add(a, b), (a, b)
+
+
 def _extend_both(rng):
-    alpha = random_infinite(rng)
-    g = rng.choice([from_int(rng.randrange(1, 6)), random_infinite(rng)])
-    return extend_realizer(sierpinskisation(alpha), (add(o("w"), g), add(alpha, g)))
+    alpha, target = random_common_chunk(rng)
+    return extend_realizer(sierpinskisation(alpha), target)
 
 
 KEYED = {

@@ -226,10 +226,12 @@ def test_a_wrong_merge_changes_the_results_but_not_the_cases(monkeypatch):
 
 
 def test_generators_run_no_arithmetic():
-    # the suites' generators and every generator and strategy of cases.py
+    # the suites' generators and every generator and strategy of cases.py;
+    # the finite orders, built from cases.reach, run no closure either
     watched = {f.__code__: f.__name__ for f in (
         ordinals.add, ordinals.mul, ordinals.nat_add, ordinals.nat_mul, ordinals.omega_pow,
-        ordinals.fund_seq, ordinals.left_subtract, ordinals._merge, ordinals._add)}
+        ordinals.fund_seq, ordinals.left_subtract, ordinals._merge, ordinals._add,
+        posets._close, posets.make_poset, posets.poset_of_matrix)}
     gens = list(GENERATORS.values())
     bounds = [b for b in (random_ordinal(random.Random(s)) for s in range(300)) if not b.is_zero]
     entered = set()
@@ -239,9 +241,9 @@ def test_generators_run_no_arithmetic():
             entered.add(watched[frame.f_code])
 
     @given(cases.ordinals(), cases.ORDINALS, cases.K_ORDINALS, cases.kordinals(),
-           cases.shallow_ordinals())
+           cases.shallow_ordinals(), cases.posets(8))
     @settings(max_examples=100, database=None)
-    def draw_strategies(a, b, c, d, e):
+    def draw_strategies(a, b, c, d, e, f):
         pass
 
     old = sys.getprofile()
@@ -257,17 +259,38 @@ def test_generators_run_no_arithmetic():
             cases.random_infinite(rng)
             cases.tower(b, rng, s % 8 + 1)
             cases.random_blocks(rng)
+            cases.random_common_chunk(rng)
+            cases.ordinal_sum(b, bounds[s - 1])
+            m = cases.relation(s % 12 + 1, cases.random_dag(rng, s % 12 + 1, rng.random()))
+            cases.closed_poset(m)
+            cases.cycle_steps(m | m.T, 0)
         draw_strategies()
     finally:
         sys.setprofile(old)
     assert not entered
 
 
+def _top_level_names(tree) -> set:
+    """The names a module binds at top level by def, class or assignment."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Assign):
+            names |= {n.id for t in node.targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+    return names
+
+
 def test_no_test_module_imports_another():
-    # shared generators live in tests/cases.py, not in a test module
+    # shared generators live in tests/cases.py, not in a test module, and
+    # no test module defines a copy of one of its names
+    here = Path(__file__).parent
+    shared = _top_level_names(ast.parse((here / "cases.py").read_text()))
     found = []
-    for path in sorted(Path(__file__).parent.glob("test_*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
+    for path in sorted(here.glob("test_*.py")):
+        tree = ast.parse(path.read_text())
+        found += ["%s defines %s" % (path.name, n) for n in _top_level_names(tree) & shared]
+        for node in ast.walk(tree):
             if isinstance(node, ast.Import):
                 names = [a.name for a in node.names]
             elif isinstance(node, ast.ImportFrom):
@@ -608,9 +631,7 @@ def test_cli_clips_an_infinite_term_it_echoes(capsys):
 
 
 def _random_poset_file(path, n: int, density: float):
-    rng = random.Random(n)
-    p = make_poset(n, [(i, j) for i in range(n) for j in range(i + 1, n)
-                       if rng.random() < density])
+    p = cases.closed_poset(cases.relation(n, cases.random_dag(random.Random(n), n, density)))
     path.write_text(export_poset(p))
     return p
 

@@ -27,9 +27,10 @@ from wpolab.posets import (
     make_poset,
     poset_of_matrix,
 )
-from wpolab import posets
-from wpolab.posets import _cycle, _pack
+from wpolab.posets import _cycle, _pack, _transpose
 from wpolab.terms import DSum, Fin, LexSum, Prod, denote_prefix
+
+from cases import closed_poset, cycle_steps, posets, random_dag, reach, relation
 
 
 def test_make_poset():
@@ -124,40 +125,18 @@ def test_embeds():
 def test_embeds_refuses_a_larger_poset_before_searching(monkeypatch):
     # the search starts by transposing q's bitsets
     calls = []
-    transpose = posets._transpose
-    monkeypatch.setattr(posets, "_transpose", lambda *a: calls.append(1) or transpose(*a))
+    monkeypatch.setattr("wpolab.posets._transpose", lambda *a: calls.append(1) or _transpose(*a))
     assert not embeds(antichain(9), antichain(8))
     assert calls == []
     assert embeds(antichain(8), antichain(8)) and calls == [1]
 
 
 def _reference_embeds(p: FinPoset, q: FinPoset) -> bool:
-    """The order-embedding search by its definition: every injective map,
-    tried recursively one vertex of p at a time, with both p.lt directions
-    compared pairwise against q.lt."""
-    if p.n > q.n:
-        return False
-
-    def extend(mapping):
-        v = len(mapping)
-        if v == p.n:
-            return True
-        for w in range(q.n):
-            if w in mapping.values():
-                continue
-            ok = True
-            for u, x in mapping.items():
-                if p.lt(u, v) != q.lt(x, w) or p.lt(v, u) != q.lt(w, x):
-                    ok = False
-                    break
-            if ok:
-                mapping[v] = w
-                if extend(mapping):
-                    return True
-                del mapping[v]
-        return False
-
-    return extend({})
+    """The order-embedding test by its definition: some injective map f of
+    p's vertices into q's has p.lt(u, v) == q.lt(f(u), f(v)) on every
+    ordered pair."""
+    return any(all(p.lt(u, v) == q.lt(f[u], f[v]) for u in range(p.n) for v in range(p.n))
+               for f in itertools.permutations(range(q.n), p.n))
 
 
 def test_embeds_agrees_with_the_reference_on_every_small_pair():
@@ -167,18 +146,7 @@ def test_embeds_agrees_with_the_reference_on_every_small_pair():
             assert embeds(p, q) == _reference_embeds(p, q), (p, q)
 
 
-@st.composite
-def posets_up_to(draw, n_max):
-    """A poset on at most n_max vertices: forward pairs i < j, relabelled
-    by a random permutation, then closed."""
-    n = draw(st.integers(0, n_max))
-    perm = draw(st.permutations(range(n)))
-    forward = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    pairs = draw(st.sets(st.sampled_from(forward))) if forward else set()
-    return make_poset(n, [(perm[i], perm[j]) for i, j in pairs])
-
-
-@given(posets_up_to(7), posets_up_to(7))
+@given(posets(7), posets(7))
 @settings(max_examples=300)
 def test_embeds_agrees_with_the_reference_on_random_pairs(p, q):
     assert embeds(p, q) == _reference_embeds(p, q)
@@ -197,6 +165,9 @@ def test_longcut():
     assert longcut_fin(antichain(3), 2, 1) == ((0, 1), (2,))
     with pytest.raises(PosetError):
         longcut_fin(chain(2), 2, 1)
+    for a1, a2 in ((-1, 3), (3, -1)):  # the sum is right, a size is not
+        with pytest.raises(PosetError, match="cut size -1 is negative"):
+            longcut_fin(chain(2), a1, a2)
     # initial part is downward closed
     p = make_poset(4, [(2, 0), (3, 1)])
     lo, hi = longcut_fin(p, 2, 2)
@@ -232,21 +203,6 @@ def test_hasse_reduction():
 # -- bitset engine against an independent model ------------------------------------
 
 
-def _reachability(n, edges):
-    """Strict reachability of the digraph, by breadth-first search."""
-    adj = {v: [] for v in range(n)}
-    for i, j in edges:
-        adj[i].append(j)
-    reach = set()
-    for start in range(n):
-        seen, frontier = set(), [start]
-        while frontier:
-            frontier = [w for v in frontier for w in adj[v] if w not in seen]
-            seen.update(frontier)
-        reach |= {(start, v) for v in seen}
-    return reach
-
-
 @st.composite
 def edge_sets(draw, n):
     """Random edges on n vertices; half of them forced acyclic (edges
@@ -272,53 +228,26 @@ def digraphs(draw):
 @given(digraphs(), st.data())
 def test_make_poset_matches_reachability(graph, data):
     n, edges = graph
-    reach = _reachability(n, edges)
-    if any((v, v) in reach for v in range(n)):  # a cycle or a self-loop
+    if reach(relation(n, edges)).diagonal().any():  # a cycle or a self-loop
         with pytest.raises(PosetError):
             make_poset(n, edges)
         return
     p = make_poset(n, edges)
-    assert p.le == frozenset(reach)
-    assert p.hasse == frozenset(
-        (i, j) for (i, j) in reach
-        if not any((i, k) in reach and (k, j) in reach for k in range(n))
-    )
-    assert p.minimal() == [v for v in range(n) if not any((u, v) in reach for u in range(n))]
+    assert p == closed_poset(relation(n, edges))
+    pairs = p.le
+    assert p.hasse == {(i, j) for i, j in pairs
+                       if not any(p.lt(i, k) and p.lt(k, j) for k in range(n))}
+    assert p.minimal() == [v for v in range(n) if not any((u, v) in pairs for u in range(n))]
     q = make_poset(n, [(j, i) for (i, j) in edges])  # the dual order
     assert intersect(p, q).le == frozenset()
     assert intersect(p, p) == p
     # a second digraph on the same vertices: the intersection is the
     # common part of the two reachability relations
     other = data.draw(edge_sets(n))
-    other_reach = _reachability(n, other)
-    if not any((v, v) in other_reach for v in range(n)):
+    if not reach(relation(n, other)).diagonal().any():
         both = intersect(p, make_poset(n, other))
-        assert both.le == frozenset(reach & other_reach)
-        assert both == make_poset(n, reach & other_reach)
-
-
-@settings(max_examples=200)
-@given(digraphs())
-def test_a_cycle_is_reported_by_a_shortest_witness(graph):
-    n, edges = graph
-    reach = _reachability(n, edges)
-    cyclic = [v for v in range(n) if (v, v) in reach]
-    if not cyclic:
-        return
-    with pytest.raises(PosetError, match="le is not antisymmetric; cycle witness") as info:
-        make_poset(n, edges)
-    witness = info.value.cycle
-    assert str(info.value) == "le is not antisymmetric; cycle witness " + clip(str(witness))
-    # a closed walk along generating pairs through the first vertex on a cycle
-    start = cyclic[0]
-    assert witness[0] == witness[-1] == start
-    assert all((u, v) in edges for u, v in zip(witness, witness[1:]))
-    # with as few steps as any closed walk through it
-    ends, steps = {start}, 0
-    while steps == 0 or start not in ends:
-        ends = {v for (u, v) in edges if u in ends}
-        steps += 1
-    assert len(witness) - 1 == steps
+        assert both.le == pairs & closed_poset(relation(n, other)).le
+        assert both == make_poset(n, both.le)
 
 
 def test_cycle_search_returns_none_off_every_cycle():
@@ -330,81 +259,54 @@ def test_cycle_search_returns_none_off_every_cycle():
     assert _cycle([0b1], 0) == [0, 0]  # a self-loop
 
 
-# -- closure at larger n, against a numpy fixpoint --------------------------------
-
-
-def _matrix_reach(n, edges):
-    """Strict reachability as a bool matrix: R <- R or R.R until it stops
-    growing."""
-    r = np.zeros((n, n), dtype=bool)
-    for i, j in edges:
-        r[i, j] = True
-    while True:
-        grown = r | (r.astype(np.int64) @ r.astype(np.int64) > 0)
-        if (grown == r).all():
-            return r
-        r = grown
+# -- closure at larger n ---------------------------------------------------------
 
 
 @st.composite
 def wide_digraphs(draw):
-    """Digraphs on up to 64 vertices, in four shapes: a sparse DAG, an
-    order already closed, a dense order (each with permuted labels), and a
-    DAG with a cycle placed among its high-numbered vertices.  The edges
-    come from a seeded generator: one hypothesis draw per edge is slow at
-    this size."""
+    """Digraphs on up to 64 vertices, in four shapes on a `random_dag`: a
+    sparse DAG, an order already closed, a dense order, and a DAG with a
+    cycle placed among its high-numbered vertices.  The edges come from a
+    seeded generator: one hypothesis draw per edge is slow at this size."""
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
     n = draw(st.integers(1, 64))
     shape = draw(st.sampled_from(["sparse", "closed", "dense", "cycle"]))
     density = {"sparse": 2.0 / n, "closed": 0.2, "dense": 0.9, "cycle": 0.1}[shape]
-    edges = {(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < density}
+    edges = set(random_dag(rng, n, density))
     if shape == "closed":
-        r = _matrix_reach(n, edges)
-        edges = {(int(i), int(j)) for i, j in zip(*np.nonzero(r))}
-    perm = list(range(n))
-    if shape == "cycle":
+        edges = set(closed_poset(relation(n, edges)).le)
+    elif shape == "cycle":
         # a closed walk through k of the top vertices; k = 1 is a self-loop
         top = list(range(n // 2, n))
         on = rng.sample(top, rng.randint(1, len(top)))
         edges |= set(zip(on, on[1:] + on[:1]))
-    else:
-        rng.shuffle(perm)
-    return n, {(perm[i], perm[j]) for i, j in edges}
+    return n, edges
 
 
-@settings(max_examples=300)
-@given(wide_digraphs())
+@settings(max_examples=500)
+@given(st.one_of(digraphs(), wide_digraphs()))
 def test_closure_matches_a_matrix_fixpoint(graph):
     n, edges = graph
-    reach = _matrix_reach(n, edges)
-    m = np.zeros((n, n), dtype=bool)
-    for i, j in edges:
-        m[i, j] = True
-    cyclic = [v for v in range(n) if reach[v, v]]
+    m = relation(n, edges)
+    cyclic = list(np.flatnonzero(reach(m).diagonal()))
     if not cyclic:
-        want = tuple(sum(1 << int(j) for j in np.nonzero(row)[0]) for row in reach)
-        assert make_poset(n, edges).successors == want
-        assert poset_of_matrix(m).successors == want
+        assert make_poset(n, edges) == poset_of_matrix(m) == closed_poset(m)
         return
     errors = []
     for build in (lambda: make_poset(n, edges), lambda: poset_of_matrix(m)):
-        with pytest.raises(PosetError, match="le is not antisymmetric; cycle witness") as info:
+        with pytest.raises(PosetError) as info:
             build()
         errors.append(info.value)
-    assert str(errors[0]) == str(errors[1])
     witness = errors[0].cycle
     assert errors[1].cycle == witness
-    # a closed walk along generating pairs through the lowest cyclic vertex
+    for error in errors:
+        assert str(error) == "le is not antisymmetric; cycle witness " + clip(str(witness))
+    # a closed walk along generating pairs through the lowest cyclic vertex,
+    # as short as any closed walk through it
     start = cyclic[0]
     assert witness[0] == witness[-1] == start
     assert all((u, v) in edges for u, v in zip(witness, witness[1:]))
-    # as short as any: the first power of the edge matrix with start on
-    # its diagonal
-    ends, steps = m[start], 1
-    while not ends[start]:
-        ends = (ends.astype(np.int64) @ m.astype(np.int64)) > 0
-        steps += 1
-    assert len(witness) - 1 == steps
+    assert len(witness) - 1 == cycle_steps(m, start)
 
 
 def test_pack_reads_rows_in_any_memory_layout():
@@ -433,13 +335,9 @@ def test_closing_a_closed_2000_chain_visits_only_covers():
         assert cpu < 0.1, "%s took %.3fs of CPU (budget 0.1s)" % (name, cpu)
 
 
-@given(digraphs())
-def test_json_export_lists_pairs_in_sorted_order(graph):
-    n, edges = graph
-    if any((v, v) in _reachability(n, edges) for v in range(n)):
-        return
-    p = make_poset(n, edges)
-    want = json.dumps({"n": n, "le": sorted(map(list, p.le))}, sort_keys=True)
+@given(posets(8))
+def test_json_export_lists_pairs_in_sorted_order(p):
+    want = json.dumps({"n": p.n, "le": sorted(map(list, p.le))}, sort_keys=True)
     assert export_poset(p, "json") == want
 
 

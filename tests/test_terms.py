@@ -30,7 +30,7 @@ from wpolab.terms import (
     term_size,
 )
 
-from cases import random_below
+from cases import closed_poset, posets, random_below
 
 
 def o(text):
@@ -142,29 +142,24 @@ def test_product_enumeration_walks_anti_diagonals():
 
 
 def _pairwise_prefix(t, budget):
-    """denote_prefix through the pairwise comparator LazyOrder.lt."""
+    """denote_prefix through the pairwise comparator LazyOrder.lt, closed by
+    `cases.closed_poset`, not by the closure denote_prefix runs."""
     d = terms._denote(t)
     n = budget if d.size is None else min(budget, d.size)
     vs = [d.vertex(i) for i in range(n)]
-    return make_poset(n, [(i, j) for i in range(n) for j in range(n) if d.lt(vs[i], vs[j])])
+    return closed_poset(relation_matrix(vs, d.lt))
 
 
 ORD_LEAVES = st.sampled_from(["0", "1", "3", "w", "w+2", "w*2", "w^2", "w^2*3+w+1",
                               "w^4+w^2"]).map(lambda text: Ord(o(text)))
 
 
-@st.composite
-def fin_leaves(draw):
-    n = draw(st.integers(0, 6))
-    kind = draw(st.sampled_from(["chain", "antichain", "dag"]))
-    if kind != "dag":
-        return Fin(chain(n) if kind == "chain" else antichain(n))
-    forward = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    return Fin(make_poset(n, draw(st.sets(st.sampled_from(forward))) if forward else []))
+FIN_LEAVES = st.one_of(st.integers(0, 6).map(chain), st.integers(0, 6).map(antichain),
+                       posets(6)).map(Fin)
 
 
 def poset_terms(depth):
-    leaves = st.one_of(ORD_LEAVES, fin_leaves())
+    leaves = st.one_of(ORD_LEAVES, FIN_LEAVES)
     if depth == 0:
         return leaves
     sub = poset_terms(depth - 1)
