@@ -68,6 +68,11 @@ def test_parse_rejects_non_canonical(bad):
         o(bad)
 
 
+@given(ordinals())
+def test_render_parse_roundtrip(a):
+    assert parse_ordinal(render_ordinal(a)) == a
+
+
 def _reference_render(a: CnfOrdinal) -> str:
     """The renderer without the text cache: every exponent is rendered anew
     and compared through `==`."""
