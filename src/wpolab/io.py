@@ -13,13 +13,14 @@ from __future__ import annotations
 import json
 
 from .ordinals import clip
-from .posets import FinPoset, PosetError, make_poset
+from .posets import FinPoset, PosetError, _bits, make_poset
 
 # A poset file, an inline fin leaf, a denoted term and a construct prefix
 # have at most this many vertices, counted before anything is built: a
 # poset on n vertices lists up to n(n-1)/2 pairs, `construct sierp w
-# --prefix 2000` takes 1.2 s of CPU, 280 MB and prints 26 MB (4000: 4.5 s,
-# 1 GB), and "n": 10**10 would ask make_poset for 80 GB of rows (2-vCPU x86)
+# --prefix 2000` takes 0.4-0.6 s of CPU, 130-155 MB and prints 26 MB (4000:
+# 1.1 s, 440 MB), and "n": 10**10 would ask make_poset for 80 GB of rows
+# (2-vCPU x86)
 MAX_VERTICES = 2000
 
 
@@ -57,18 +58,33 @@ def read_poset_file(path: str) -> FinPoset:
 
 
 def export_poset(p: FinPoset, fmt: str = "json", meta=None) -> str:
+    """The JSON document {"le", "meta", "n"}, byte for byte as
+    json.dumps(doc, sort_keys=True) writes it, or the DOT Hasse diagram;
+    both are written row by row from the bitsets (successors for JSON,
+    covers for DOT), with no list of pairs."""
+    names = [str(v) for v in range(p.n)]
     if fmt == "json":
-        # pairs() comes sorted; json writes each (i, j) tuple as [i, j]
-        doc = {"n": p.n, "le": list(p.pairs())}
+        text = '{"le": [' + _pair_text(p.successors, names, "[", ", ", "]", ", ") + "]"
         if meta is not None:
-            doc["meta"] = meta
-        return json.dumps(doc, sort_keys=True)
+            text += ', "meta": ' + json.dumps(meta, sort_keys=True)
+        return text + ', "n": %d}' % p.n
     if fmt == "dot":
-        lines = ["digraph poset {"]
-        for v in range(p.n):
-            lines.append("  %d;" % v)
-        for i, j in sorted(p.hasse):
-            lines.append("  %d -> %d;" % (i, j))
+        lines = ["digraph poset {", *("  %s;" % v for v in names)]
+        edges = _pair_text(p.covers, names, "  ", " -> ", ";", "\n")
+        if edges:
+            lines.append(edges)
         lines.append("}")
         return "\n".join(lines) + "\n"
     raise ValueError("unknown format %r (expected json or dot)" % fmt)
+
+
+def _pair_text(rows, names, left: str, mid: str, right: str, sep: str) -> str:
+    """Each pair (i, j) with bit j of rows[i] set, written left + i + mid +
+    j + right, in sorted order and joined by sep.  A row is one str.join
+    over the names of its bits, so no pair is formatted in Python."""
+    texts = []
+    for i, row in enumerate(rows):
+        if row:
+            head = left + names[i] + mid
+            texts.append(head + (right + sep + head).join(_bits(row, names)) + right)
+    return sep.join(texts)

@@ -6,8 +6,9 @@ the intersection of two orders ANDs their rows.  Closure (`make_poset`
 from pairs, `poset_of_matrix` from a bool matrix, both through one checked
 depth-first closure that skips what it has already reached, so a chain
 that comes in closed costs O(n) big-int operations) and transitive
-reduction (`FinPoset.hasse`) work on the same bitsets; `FinPoset.pairs`
-lists the pairs for callers that need them.  The length engines and
+reduction (`FinPoset.covers`, one cover bitset per vertex) work on the
+same bitsets; `FinPoset.pairs` and `FinPoset.hasse` list the pairs for
+callers that need them.  The length engines and
 enumerators (`length_recursive`, `bad_tree_height`, `all_posets`,
 `linear_extensions`) stay brute force on purpose: they are the oracles the
 symbolic layers are checked against.  `embeds` is a query of the CLI, not
@@ -43,8 +44,7 @@ class FinPoset:
 
     def pairs(self):
         """The strict pairs (i, j), row by row, so in sorted order."""
-        return itertools.chain.from_iterable(
-            zip(itertools.repeat(i), _bits(row)) for i, row in enumerate(self.successors))
+        return _pairs(self.successors)
 
     @cached_property
     def le(self) -> frozenset:
@@ -52,20 +52,26 @@ class FinPoset:
         return frozenset(self.pairs())
 
     @cached_property
-    def hasse(self) -> frozenset:
-        """Transitive reduction: the covering pairs.  The covers of i are
-        its successors minus everything above a successor."""
+    def covers(self) -> tuple:
+        """Transitive reduction, one bitset per vertex: bit j of covers[i]
+        is set iff j covers i.  The covers of i are its successors minus
+        everything above a successor."""
         rows = self.successors
         covers = []
-        for i, row in enumerate(rows):
+        for row in rows:
             above = 0
             rest = row
             while rest:
                 low = rest & -rest
                 above |= rows[low.bit_length() - 1]
                 rest &= ~(above | low)
-            covers.extend((i, j) for j in _bits(row & ~above))
-        return frozenset(covers)
+            covers.append(row & ~above)
+        return tuple(covers)
+
+    @cached_property
+    def hasse(self) -> frozenset:
+        """The covering pairs, read from `covers`."""
+        return frozenset(_pairs(self.covers))
 
     def restrict(self, vertices) -> "FinPoset":
         """Induced subposet, relabelled order-preservingly to 0..k-1."""
@@ -87,9 +93,17 @@ class FinPoset:
 _BIT_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
 
 
-def _bits(x: int):
-    """The positions of the set bits of x >= 0, ascending."""
-    return itertools.compress(itertools.count(), bin(x)[:1:-1].encode().translate(_BIT_DIGITS))
+def _bits(x: int, labels=None):
+    """The positions of the set bits of x >= 0, ascending, or the items of
+    labels at those positions."""
+    return itertools.compress(itertools.count() if labels is None else labels,
+                              bin(x)[:1:-1].encode().translate(_BIT_DIGITS))
+
+
+def _pairs(rows):
+    """The pairs (i, j) with bit j of rows[i] set, row by row, so sorted."""
+    return itertools.chain.from_iterable(
+        zip(itertools.repeat(i), _bits(row)) for i, row in enumerate(rows))
 
 
 def make_poset(n: int, pairs) -> FinPoset:
@@ -145,7 +159,7 @@ def _close(n: int, rows: list) -> FinPoset:
     1979), iterative so that no n reaches the recursion limit: a vertex is
     closed once all its successors are, as the union of their closures, and
     a successor already inside that union is skipped, like a non-cover in
-    `FinPoset.hasse`.  On an order that is already closed a vertex visits
+    `FinPoset.covers`.  On an order that is already closed a vertex visits
     only successors that no earlier visit reached (its covers, when the
     labels follow the order), so a chain costs O(n) big-int operations.
     Reaching a vertex still on the depth-first path means a cycle."""
@@ -368,21 +382,39 @@ def embeds(p: FinPoset, q: FinPoset) -> bool:
 
 def longcut_fin(p: FinPoset, a1: int, a2: int):
     """The lexicographically least downward-closed vertex set of size a1,
-    with its complement; the two restrictions have lengths a1 and a2."""
+    with its complement; the two restrictions have lengths a1 and a2.
+
+    The cut is built vertex by vertex.  A prefix x1 < ... < xk extends to
+    a cut exactly when its down-closure D adds no vertex below xk and
+    |D| <= a1 <= |M|, where M is the largest down-set inside the prefix
+    and the vertices above xk.  M only shrinks as the candidate xk grows,
+    and at the vertex that the least cut takes next it still holds that
+    cut, so the third check holds for every candidate up to that one and
+    the search takes the first that passes the other two.  Candidates
+    only grow, so each vertex is tried once: O(n) big-int operations
+    after one numpy transpose."""
     for size in (a1, a2):
         if size < 0:
             raise PosetError("cut size %d is negative" % size)
     if a1 + a2 != p.n:
         raise PosetError("cut sizes %d+%d do not partition %d vertices" % (a1, a2, p.n))
-    for initial in itertools.combinations(range(p.n), a1):
-        down_closed = all(
-            i in initial for j in initial for i in range(p.n) if p.lt(i, j)
-        )
-        if down_closed:
-            final = tuple(v for v in range(p.n) if v not in initial)
-            return initial, final
-    # unreachable: the first a1 vertices of a linear extension are a cut
-    raise PosetError("no downward-closed cut of size %d" % a1)
+    below = _transpose(p.successors, p.n)  # bit i of below[j] iff i < j
+    cut = down = 0
+    x = 0
+    for _ in range(a1):
+        while x < p.n:
+            bit = 1 << x
+            closure = down | below[x] | bit
+            if closure & (2 * bit - 1) == cut | bit and closure.bit_count() <= a1:
+                break
+            x += 1
+        else:
+            # unreachable: the first a1 vertices of a linear extension are a cut
+            raise PosetError("no downward-closed cut of size %d" % a1)
+        cut |= bit
+        down = closure
+        x += 1
+    return tuple(_bits(cut)), tuple(_bits(cut ^ ((1 << p.n) - 1)))
 
 
 def all_posets(n: int):

@@ -919,6 +919,35 @@ def test_cli_posets_at_the_vertex_bound_answer(capsys):
         assert out.startswith("digraph poset {\n") and "  %d;\n" % (n - 1) in out
 
 
+# `python -c RUSAGE_CLI ARGV...` runs `wpolab ARGV...` and then writes its
+# own CPU seconds and peak RSS (ru_maxrss, KiB on Linux) to stderr
+RUSAGE_CLI = ("import resource, sys\n"
+              "from wpolab.cli import main\n"
+              "code = main(sys.argv[1:])\n"
+              "r = resource.getrusage(resource.RUSAGE_SELF)\n"
+              "sys.stderr.write('%f %d' % (r.ru_utime + r.ru_stime, r.ru_maxrss))\n"
+              "sys.exit(code)\n")
+
+
+@pytest.mark.parametrize("argv, md5", [
+    (["construct", "sierp", "w", "--prefix", "2000"], "ec7b3a88faaf4f2d1c78cb82c38c5eaa"),
+    (["poset", "intersect", "fin(chain2000)", "fin(chain2000)"],
+     "d25eb7e6dd925469ccab890344455c99"),
+])
+def test_cli_documents_at_the_vertex_bound_stay_small(argv, md5):
+    # 26 MB of JSON, written row by row from the bitsets: 0.4-0.6 s of CPU
+    # and 105-135 MB at peak in the child (2-vCPU x86), where a pair list
+    # and json.dumps took 1.1-1.9 s and 280 MB.  The budgets leave 2x on CPU
+    # and hold the peak under 200 MB
+    done = spawn("-c", RUSAGE_CLI, *argv, timeout=60)
+    assert done.returncode == 0
+    assert hashlib.md5(done.stdout.encode()).hexdigest() == md5
+    cpu, peak_kib = done.stderr.split()
+    assert float(cpu) < 1.2, "%s took %ss of CPU (budget 1.2s)" % (" ".join(argv), cpu)
+    assert int(peak_kib) < 200 * 1024, "%s peaked at %d MiB (budget 200)" % (
+        " ".join(argv), int(peak_kib) // 1024)
+
+
 @pytest.mark.parametrize("source", ["inline", "file"])
 def test_cli_badtree_over_its_vertex_cap_fails_fast(tmp_path, source):
     # antichain11 did not finish in a minute through the brute force

@@ -5,7 +5,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from wpolab.cli import main
 from wpolab.io import export_poset
@@ -172,6 +172,42 @@ def test_longcut():
     p = make_poset(4, [(2, 0), (3, 1)])
     lo, hi = longcut_fin(p, 2, 2)
     assert all(i in lo for j in lo for i in range(p.n) if p.lt(i, j))
+
+
+def _reference_longcut(p: FinPoset, a1: int) -> tuple:
+    """The first size-a1 vertex set, in itertools.combinations' lexicographic
+    order, that is downward closed, with its complement."""
+    for initial in itertools.combinations(range(p.n), a1):
+        if all(i in initial for j in initial for i in range(p.n) if p.lt(i, j)):
+            return initial, tuple(v for v in range(p.n) if v not in initial)
+    raise AssertionError("no downward-closed set of size %d" % a1)
+
+
+def test_longcut_matches_the_search_on_every_small_poset():
+    for n in range(5):
+        for p in all_posets(n):
+            for a1 in range(n + 1):
+                assert longcut_fin(p, a1, n - a1) == _reference_longcut(p, a1), (p, a1)
+
+
+@settings(max_examples=300)
+@given(posets(8), st.data())
+def test_longcut_matches_the_search_on_random_posets(p, data):
+    a1 = data.draw(st.integers(0, p.n))
+    assert longcut_fin(p, a1, p.n - a1) == _reference_longcut(p, a1)
+
+
+def test_longcut_of_a_long_reversed_chain_is_fast():
+    # the only cut of 100 vertices is {100..199}, the last of C(200, 100)
+    # combinations; about 0.4 ms of CPU on a 2-vCPU x86 machine (the
+    # combinations search took 0.9 s at n = 22), so the budget leaves 100x
+    n = 200
+    p = closed_poset(relation(n, [(i + 1, i) for i in range(n - 1)]))
+    start = time.process_time()
+    cut = longcut_fin(p, n // 2, n - n // 2)
+    cpu = time.process_time() - start
+    assert cut == (tuple(range(n // 2, n)), tuple(range(n // 2)))
+    assert cpu < 0.05, "longcut_fin took %.3fs of CPU (budget 0.05s)" % cpu
 
 
 def test_dejongh_parikh_small_pairs():
@@ -355,10 +391,49 @@ def test_closing_a_closed_2000_chain_visits_only_covers():
         assert cpu < 0.1, "%s took %.3fs of CPU (budget 0.1s)" % (name, cpu)
 
 
+# the meta `wpolab construct` writes, and strings json.dumps must escape
+CONSTRUCT_META = {"construction": "sierp", "parameters": ["w^2"], "prefix": 8,
+                  "type_left": "w^2", "type_right": "w^2", "certificate": "w^2*2"}
+ESCAPED_META = {"q\"uote": 'say "hi"', "back\\slash": ["a\\b", "\\"],
+                "non-ascii": "\u03c9\u2080 \u00e9", "ctrl": "\t\n\x00"}
+METAS = st.one_of(st.none(), st.just(CONSTRUCT_META), st.just(ESCAPED_META),
+                  st.dictionaries(st.text(max_size=6), st.text(max_size=6), max_size=3))
+
+
+@settings(max_examples=300)
+@given(posets(8), METAS)
+@example(chain(0), None)
+@example(chain(1), CONSTRUCT_META)
+@example(antichain(1), ESCAPED_META)
+def test_json_export_lists_pairs_in_sorted_order(p, meta):
+    # the document as json.dumps writes it from the pairs
+    extra = {} if meta is None else {"meta": meta}
+    want = json.dumps({"n": p.n, "le": sorted(map(list, p.le)), **extra}, sort_keys=True)
+    assert export_poset(p, "json", meta=meta) == want
+
+
+def _reference_covers(p: FinPoset) -> list:
+    """The covering pairs by their definition, on `reach` of the order:
+    (i, j) with i < j and no k with i < k < j; sorted."""
+    r = reach(relation(p.n, p.le))
+    return [(i, j) for i in range(p.n) for j in range(p.n)
+            if r[i, j] and not (r[i] & r[:, j]).any()]
+
+
+@settings(max_examples=300)
 @given(posets(8))
-def test_json_export_lists_pairs_in_sorted_order(p):
-    want = json.dumps({"n": p.n, "le": sorted(map(list, p.le))}, sort_keys=True)
-    assert export_poset(p, "json") == want
+@example(chain(0))
+@example(chain(1))
+def test_dot_export_lists_the_covers_in_sorted_order(p):
+    want = ["digraph poset {", *("  %d;" % v for v in range(p.n)),
+            *("  %d -> %d;" % e for e in _reference_covers(p)), "}"]
+    assert export_poset(p, "dot") == "\n".join(want) + "\n"
+
+
+@given(posets(8))
+def test_hasse_is_the_pairs_of_covers(p):
+    assert p.hasse == {(i, j) for i in range(p.n) for j in range(p.n) if p.covers[i] >> j & 1}
+    assert sorted(p.hasse) == _reference_covers(p)
 
 
 @pytest.mark.parametrize("argv", [
