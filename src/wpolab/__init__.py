@@ -7,13 +7,14 @@ lazy countable realizer constructions with prefix audits, a symbolic WPO
 term algebra, and a seeded verification harness with a CLI (`wpolab`).
 
 The package is layered.  `ordinals`, `cardinals`, `bounds` and `oracles`
-are pure Python; `posets`, `constructions`, `terms`, `io` and `suites`
-use numpy.  Importing `wpolab` imports none of them: `_EXPORTS` maps each
-public name to its submodule, and the module `__getattr__` (PEP 562)
-imports that submodule the first time the name is read and keeps the
-value in this module's globals.  So `from wpolab import theta_plus` loads
-the algebra layers and no numpy, and every name is the same object as in
-its submodule.
+are the algebra; `posets`, `constructions`, `terms`, `io` and `suites`
+build on it.  Only `constructions.prefix_audit` uses numpy, which it
+imports on first use.  Importing `wpolab` imports none of the submodules:
+`_EXPORTS` maps each public name to its submodule, and the module
+`__getattr__` (PEP 562) imports that submodule the first time the name is
+read and keeps the value in this module's globals.  So `from wpolab import
+theta_plus` loads the algebra layers only, and every name is the same
+object as in its submodule.
 """
 
 import importlib
@@ -34,7 +35,7 @@ _EXPORTS = {
     "constructions": (
         "AuditReport", "Enumeration", "LazyOrder", "LazyPoset", "decompinver_witness",
         "enum_below", "extend_realizer", "minoration_witness", "mixing_poset",
-        "prefix_audit", "relation_matrix", "sierpinskisation",
+        "prefix_audit", "relation_rows", "sierpinskisation",
     ),
     "io": ("export_poset", "load_poset"),
     "oracles": (),

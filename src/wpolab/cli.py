@@ -4,11 +4,13 @@ construction export, and the seeded verification suites.
 Exit codes: 0 all requested checks pass, 1 a check failed, 2 usage or
 parse error.
 
-Only the pure-Python layers (`ordinals`, `cardinals`, `bounds`) are
-imported at the top, so `ord` and `theta` start without numpy.  The poset,
-construct and verify commands import `posets`, `constructions`, `terms`,
-`io` and `suites` inside the functions that use them, and the parser takes
-its choices from tables here (`CONSTRUCTIONS`, `SUITE_NAMES`).
+Only the algebra layers (`ordinals`, `cardinals`, `bounds`) are imported
+at the top, so `ord` and `theta` start quickly.  The poset, construct and
+verify commands import `posets`, `constructions`, `terms`, `io` and
+`suites` inside the functions that use them, and the parser takes its
+choices from tables here (`CONSTRUCTIONS`, `SUITE_NAMES`).  No command
+loads numpy except `verify --suite constructions_prefix`, whose prefix
+audits do.
 
 The argument parser is built once per process (`build_parser` is cached):
 parse_args leaves it unchanged, so every `main` call reuses it.
@@ -100,8 +102,7 @@ def _load_poset_arg(text: str):
     """A Fin leaf holds its poset closed and bounded; any other term is
     denoted once, which gives both its size and its poset."""
     from .io import MAX_VERTICES
-    from .posets import poset_of_matrix
-    from .terms import Fin, _denote
+    from .terms import Fin, _denote, _prefix_poset
 
     t = _poset_term(text)
     if isinstance(t, Fin):
@@ -113,7 +114,7 @@ def _load_poset_arg(text: str):
     if d.size > MAX_VERTICES:
         raise PosetError("poset commands take at most %d vertices; %s has %s"
                          % (MAX_VERTICES, clip(text), clip(str(d.size))))
-    return poset_of_matrix(d.lt_matrix(d.prefix(d.size)))
+    return _prefix_poset(d, d.size)
 
 
 # The brute-force bad_tree_height lists every bad sequence, so its cost
@@ -190,7 +191,7 @@ CONSTRUCTIONS = {
 
 def _cmd_construct(args) -> int:
     from .io import MAX_VERTICES, export_poset
-    from .posets import poset_of_matrix
+    from .posets import _of_closed_rows
 
     if not 1 <= args.prefix <= MAX_VERTICES:
         raise PosetError("--prefix must be from 1 to %d, got %s"
@@ -207,7 +208,9 @@ def _cmd_construct(args) -> int:
                            % (args.kind, arity, len(ords)))
     lazy = build(*ords)
     n = args.prefix
-    p = poset_of_matrix(lazy.lt_matrix(lazy.prefix(n)))
+    # every construction is an intersection of rank orders placed in
+    # blocks, so its rows are closed and acyclic: no closure pass
+    p = _of_closed_rows(lazy.lt_rows(lazy.prefix(n)))
     meta = {"construction": args.kind,
             "parameters": [render_ordinal(o) for o in ords],
             "prefix": n,
@@ -216,8 +219,11 @@ def _cmd_construct(args) -> int:
             "certificate": render_ordinal(lazy.certificate)}
     text = export_poset(p, args.format, meta=meta if args.format == "json" else None)
     if args.out and args.out != "-":
+        # text, then its line end: text + "\n" would copy the whole document
         with open(args.out, "w") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
+            fh.write(text)
+            if not text.endswith("\n"):
+                fh.write("\n")
     else:
         print(text)
     return 0

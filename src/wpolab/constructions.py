@@ -4,19 +4,25 @@ Each construction returns a LazyPoset: a LazyOrder (an enumerated vertex
 universe with a decidable strict order, which is also what a term of
 `terms` denotes) with a two-order realizer, the order types of its two
 orders, and a length certificate recorded as an arithmetic derivation.
-The order comes twice: `lt_matrix` builds it on a vertex list in one numpy
-batch from the construction's defining data (ranks, indices, blocks), and
-the pairwise comparator `lt` is its oracle.  A realizer is two linear
+The order comes twice: `lt_rows` builds it on a vertex list as one
+successor bitset per vertex, from the construction's defining data (ranks,
+indices, blocks), and the pairwise comparator `lt` is its oracle.  Every
+order here is a rank order or an intersection of rank orders, placed in
+blocks, so its rows come out closed and acyclic with no closure pass: a
+rank leaf sorts once by rank and keeps a running OR, and a sum hands each
+part the bits of that part's own vertices.  A realizer is two linear
 orders whose intersection is the order (Dushnik & Miller), each given by a
 per-vertex key: x comes before y when key(x) < key(y), and two vertices
 with equal keys are incomparable, so a tie is how a non-linear order shows
 up.  Certificates are claims about the infinite object; prefix_audit
 verifies the finite structure (order axioms, realizer linearity, exact
 intersection, and any checks the construction adds, such as the mixing
-invariants) on enumerated prefixes, with the order from `lt_matrix` and
-each realizer order ranked by one sort of its keys, so the intersection
-check compares separate code paths; an order equal to that intersection is
-transitive, so only a mismatch walks the rows for a transitivity witness.
+invariants) on enumerated prefixes, with the order from `lt_rows`,
+unpacked once into the bool matrix its n^2 checks use (the one place in
+the package that imports numpy), and each realizer order ranked by one
+sort of its keys, so the intersection check compares separate code paths;
+an order equal to that intersection is transitive, so only a mismatch
+walks the rows for a transitivity witness.
 
 Everything is built at the countable scale: uncountable cardinals exist
 only symbolically in the theta calculus, since only countable structures
@@ -30,10 +36,9 @@ import math
 import time
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
-from itertools import accumulate
+from itertools import accumulate, repeat
+from operator import or_
 from typing import Callable, NamedTuple, Optional
-
-import numpy as np
 
 from .ordinals import (
     OMEGA,
@@ -51,7 +56,7 @@ from .ordinals import (
     nat_mul,
     omega_pow,
 )
-from .posets import PosetError, _bits, _pack
+from .posets import PosetError, _bits
 
 
 # -- canonical enumerations of countable ordinals --------------------------------
@@ -191,16 +196,21 @@ def enum_below(alpha) -> Enumeration:
 @dataclass
 class LazyOrder:
     """An enumerated strict order: `vertex(i)` is the i-th vertex, and
-    `size` the number of vertices, None when infinite.  `lt_matrix(vs)` is
-    the order on a vertex list as a bool matrix, m[i, j] iff vs[i] < vs[j],
-    built in one batch from the defining data (ranks, indices, blocks); it
-    is what prefix_audit, `wpolab construct` and denote_prefix read.  `lt`
-    is the same order as a pairwise comparator, the oracle that tests and
-    the suites compare `lt_matrix` against."""
+    `size` the number of vertices, None when infinite.  `lt_rows(vs,
+    bits=None)` is the order on a list of distinct vertices as one
+    successor bitset per vertex, written in target coordinates: bits[t] is
+    the mask that stands for vs[t] (default 1 << t), and rows[s] is the OR
+    of bits[t] over every t with vs[s] < vs[t].  It is built in one batch
+    from the defining data (ranks, indices, blocks), comes out closed, and
+    is what prefix_audit, `wpolab construct` and denote_prefix read; a sum
+    hands each part its own vertices' bits, so a part writes straight into
+    the sum's coordinates.  `lt` is the same order as a pairwise
+    comparator, the oracle that tests and the suites compare `lt_rows`
+    against."""
 
     vertex: Callable[[int], object]
     lt: Callable[[object, object], bool]
-    lt_matrix: Callable[[list], np.ndarray]
+    lt_rows: Callable[..., list]
     size: Optional[int] = None
 
     def prefix(self, n: int) -> list:
@@ -216,7 +226,7 @@ class LazyOrder:
 class LazyPoset(LazyOrder):
     """An enumerated order with a two-order realizer.
 
-    `lt_matrix` never reads the realizer keys or the audit's key ranking.
+    `lt_rows` never reads the realizer keys or the audit's key ranking.
     The realizer is `keys`, the pair (left key, right key) of per-vertex
     keys, each valued in a set totally ordered by `<`: the left order puts
     x before y iff left_key(x) < left_key(y), and likewise on the right.
@@ -232,7 +242,7 @@ class LazyPoset(LazyOrder):
     certificate: CnfOrdinal
     # checks of the construction's own invariants that prefix_audit adds:
     # extra_checks(vs, lt, window, laps) -> {name: (ok, witness)}, with lt
-    # the prefix's order matrix and one laps.lap per check
+    # the prefix's order as a bool matrix and one laps.lap per check
     extra_checks: Optional[Callable[..., dict]] = None
     # the vertex at a given rank of the right linear order, when that rank
     # is computable; used by extend_realizer
@@ -257,7 +267,8 @@ def sierpinskisation(alpha) -> LazyPoset:
     return LazyPoset(
         vertex=lambda i: i,
         lt=lambda x, y: x < y and at(x) < at(y),
-        lt_matrix=lambda vs: _below(np.array(vs, dtype=np.int64), _index_ranks(vs, at)),
+        # the index order is the vertices' own order, so it ranks them as they are
+        lt_rows=lambda vs, bits=None: _rank_rows(bits, vs, _index_ranks(vs, at)),
         keys=(lambda i: i, at),
         types=(OMEGA, alpha),
         certificate=alpha,
@@ -310,15 +321,16 @@ def mixing_poset(a, b) -> LazyPoset:
         rx, ry = row(x), row(y)
         return rx[2] < ry[2] and rx[3] < ry[3]
 
-    def lt_matrix(vs):
+    def lt_rows(vs, bits=None):
         rs = [row(v) for v in vs]
-        k1 = np.array([r[2][1] for r in rs], dtype=np.int64)
-        k2 = np.array([r[3][1] for r in rs], dtype=np.int64)
-        ra = _index_ranks([r[0] for r in rs], ea.at)
-        rb = _index_ranks([r[1] for r in rs], eb.at)
-        # (a-rank, k1) and (b-rank, k2) lexicographically, each as one integer
-        return _below(ra * (k1.max(initial=0) + 1) + k1,
-                      rb * (k2.max(initial=0) + 1) + k2)
+        ranks = []
+        for side, at in ((0, ea.at), (1, eb.at)):
+            # (index rank, k) lexicographically, as one integer
+            ks = [r[2 + side][1] for r in rs]
+            width = max(ks, default=0) + 1
+            ranks.append([x * width + k for x, k in
+                          zip(_index_ranks([r[side] for r in rs], at), ks)])
+        return _rank_rows(bits, *ranks)
 
     def extra_checks(vs, lt, window, laps):
         return _mixing_checks([row(v) for v in vs], vs, lt, window, laps)
@@ -326,7 +338,7 @@ def mixing_poset(a, b) -> LazyPoset:
     return LazyPoset(
         vertex=lambda i: i,
         lt=lt,
-        lt_matrix=lt_matrix,
+        lt_rows=lt_rows,
         keys=(lambda n: row(n)[2], lambda n: row(n)[3]),
         types=(mul(OMEGA, alpha), mul(OMEGA, beta)),
         certificate=mul(OMEGA, nat_mul(alpha, beta)),
@@ -340,6 +352,8 @@ def _mixing_checks(rows, vs, lt, window, laps) -> dict:
     two vertices share (k1, a) or (k2, b)), window_sections (every cell
     (ai, bi) inside the window holds a vertex) and projection_monotone (lt
     lies inside the order of type w*(alpha x beta) on (k1, (a, b)))."""
+    import numpy as np
+
     n = len(vs)
     checks = {}
     firsts, seconds = set(), set()
@@ -383,7 +397,7 @@ def _aligned_block(alpha: CnfOrdinal) -> LazyPoset:
     return LazyPoset(
         vertex=lambda i: i,
         lt=lambda x, y: key(x) < key(y),
-        lt_matrix=lambda vs: _below(_index_ranks(vs, key)),
+        lt_rows=lambda vs, bits=None: _rank_rows(bits, _index_ranks(vs, key)),
         keys=(key, key),
         types=(alpha, alpha),
         certificate=alpha,
@@ -473,7 +487,7 @@ def _sum(parts, ordered: bool) -> LazyOrder:
     return LazyOrder(
         vertex=vertex,
         lt=lt,
-        lt_matrix=lambda vs: _place(vs, [p.lt_matrix for p in parts], ordered),
+        lt_rows=lambda vs, bits=None: _place(vs, [p.lt_rows for p in parts], ordered, bits),
         size=None if None in sizes else sum(sizes),
     )
 
@@ -617,59 +631,86 @@ def _grow_left(p: LazyPoset, g: CnfOrdinal) -> LazyPoset:
     def lt(x, y):
         return left_key(x) < left_key(y) and slot(x) < slot(y)
 
-    def new_new(new):
-        return _below(_index_ranks(new, enum.at), np.array(new, dtype=np.int64))
+    def new_new(new, bits):
+        return _rank_rows(bits, _index_ranks(new, enum.at), new)
 
-    def lt_matrix(vs):
-        m = _place(vs, [p.lt_matrix, new_new], False)
-        # an original lies below new_i iff its right rank is below i
-        new = np.array([k for k, _ in vs], dtype=bool)
-        old_i, new_i = np.flatnonzero(~new), np.flatnonzero(new)
-        rank = np.array([right_rank(vs[i][1]) for i in old_i], dtype=np.int64)
-        ids = np.array([vs[i][1] for i in new_i], dtype=np.int64)
-        m[np.ix_(old_i, new_i)] = rank[:, None] < ids[None, :]
-        return m
+    def lt_rows(vs, bits=None):
+        bits = _units(len(vs)) if bits is None else bits
+        rows = _place(vs, [p.lt_rows, new_new], False, bits)
+        # an original lies below new_i iff its right rank is below i: the
+        # new vertices by index, each with the OR of the bits from it up
+        new = sorted((i, bit) for (k, i), bit in zip(vs, bits) if k)
+        ids = [i for i, _ in new]
+        tails = list(accumulate([bit for _, bit in reversed(new)], or_, initial=0))[::-1]
+        for s, (k, v) in enumerate(vs):
+            if not k:
+                rows[s] |= tails[bisect.bisect_right(ids, right_rank(v))]
+        return rows
 
     return LazyPoset(
         vertex=vertex,
         lt=lt,
-        lt_matrix=lt_matrix,
+        lt_rows=lt_rows,
         keys=(left_key, slot),
         types=(add(p.type_left, g), p.type_right),
         certificate=p.certificate,
     )
 
 
-# -- batch relation matrices -------------------------------------------------------------
+# -- batch successor rows ----------------------------------------------------------------
 
 
-def _index_ranks(indices, at) -> np.ndarray:
+def _units(n: int) -> list:
+    """The default target bits: vertex t stands for 1 << t."""
+    return [1 << t for t in range(n)]
+
+
+def _index_ranks(indices, at) -> list:
     """Each index's rank by at(), from one sort of the distinct indices (at
     is injective, so they never tie).  The audit ranks realizer keys with
     _ranks, so the two sides of its intersection check share no code."""
     rank = {ix: r for r, ix in enumerate(sorted(set(indices), key=at))}
-    return np.array([rank[ix] for ix in indices], dtype=np.int64)
+    return list(map(rank.__getitem__, indices))
 
 
-def _below(*ranks: np.ndarray) -> np.ndarray:
-    """m[i, j] iff every rank array puts i strictly below j."""
-    m = ranks[0][:, None] < ranks[0][None, :]
-    for r in ranks[1:]:
-        m &= r[:, None] < r[None, :]
-    return m
+def _rank_rows(bits, *ranks) -> list:
+    """rows[t]: the OR of bits[u] over every u that each rank vector puts
+    strictly above t (bits None: the units), the intersection of the rank
+    orders.  Each vector holds distinct ranks, so it is sorted once, from
+    the top down, and a running OR gives every vertex the bits above it;
+    the vectors' rows are ANDed."""
+    n = len(ranks[0])
+    bits = _units(n) if bits is None else bits
+    rows = [-1] * n  # every bit, for the first AND
+    for rank in ranks:
+        above = 0
+        for t in sorted(range(n), key=rank.__getitem__, reverse=True):
+            rows[t] &= above
+            above |= bits[t]
+    return rows
 
 
-def _place(part, orders, ordered: bool) -> np.ndarray:
-    """The order of a sum of blocks on vertices given as (block, label)
+def _place(part, orders, ordered: bool, bits=None) -> list:
+    """The rows of a sum of blocks on vertices given as (block, label)
     pairs: the vertices of block k are ordered among themselves by
-    orders[k](their labels, in list order), and each lies below every
-    vertex of a later block iff ordered (otherwise blocks are incomparable)."""
-    block = np.array([k for k, _ in part], dtype=np.int64)
-    m = block[:, None] < block[None, :] if ordered else np.zeros((len(part),) * 2, dtype=bool)
-    for k, order in enumerate(orders):
-        idx = np.flatnonzero(block == k)
-        m[np.ix_(idx, idx)] = order([part[i][1] for i in idx])
-    return m
+    orders[k](their labels, their bits), each in list order, and each lies
+    below every vertex of a later block iff ordered (otherwise blocks are
+    incomparable).  A block writes its rows straight into the sum's
+    coordinates, so no bit is moved afterwards."""
+    bits = _units(len(part)) if bits is None else bits
+    members: list = [[] for _ in orders]
+    for s, (k, _) in enumerate(part):
+        members[k].append(s)
+    rows = [0] * len(part)
+    above = 0  # the bits of the later blocks, when ordered
+    for k in reversed(range(len(orders))):
+        mine = [bits[s] for s in members[k]]
+        block = orders[k]([part[s][1] for s in members[k]], mine)
+        for s, row in zip(members[k], block):
+            rows[s] = row | above
+        if ordered:
+            above |= sum(mine)  # the vertices' bits are disjoint
+    return rows
 
 
 # -- prefix audits -----------------------------------------------------------------------
@@ -684,7 +725,7 @@ class CheckTiming(NamedTuple):
 class AuditReport:
     checks: dict  # name -> (passed, witness-or-None)
     # step name -> CheckTiming: every check, plus the shared steps it reads,
-    # "vertices" (enumerating the prefix), "lt" (the lt_matrix batch) and
+    # "vertices" (enumerating the prefix), "lt" (the lt_rows batch, unpacked) and
     # "left_key"/"right_key" (ranking the realizer keys); the steps run one
     # after another, so their times add up to the audit's
     timings: dict = field(default_factory=dict)
@@ -710,18 +751,30 @@ class _Laps:
         self._last = now
 
 
-def relation_matrix(vs, pred) -> np.ndarray:
-    """pred on every ordered pair of distinct vertices of vs: the pairwise
-    oracle for LazyPoset.lt_matrix, as relation_matrix(vs, p.lt)."""
-    m = np.zeros((len(vs), len(vs)), dtype=bool)
-    for i, x in enumerate(vs):
-        m[i, :i] = [pred(x, y) for y in vs[:i]]
-        m[i, i + 1:] = [pred(x, y) for y in vs[i + 1:]]
-    return m
+def relation_rows(vs, pred) -> list:
+    """pred on every ordered pair of distinct vertices of vs, packed as one
+    successor bitset per vertex: the pairwise oracle for LazyOrder.lt_rows,
+    as relation_rows(vs, p.lt)."""
+    return [sum(1 << j for j, y in enumerate(vs) if j != i and pred(x, y))
+            for i, x in enumerate(vs)]
 
 
-def _ranks(keys: list) -> np.ndarray:
-    """Dense ranks of keys under <, from one sort: equal keys share a rank."""
+def _unpack(rows: list, n: int):
+    """The bool matrix with m[i, j] iff bit j of rows[i] is set, for j < n,
+    by one numpy call; numpy is imported here, on the audit's first use."""
+    import numpy as np
+
+    width = (n + 7) // 8
+    packed = np.frombuffer(b"".join(map(int.to_bytes, rows, repeat(width), repeat("little"))),
+                           dtype=np.uint8).reshape(len(rows), width)
+    return np.unpackbits(packed, axis=1, count=n, bitorder="little").view(bool)
+
+
+def _ranks(keys: list):
+    """Dense ranks of keys under <, from one sort: equal keys share a rank,
+    as an int64 array."""
+    import numpy as np
+
     order = sorted(range(len(keys)), key=keys.__getitem__)
     rank = [0] * len(keys)
     r = 0
@@ -732,22 +785,24 @@ def _ranks(keys: list) -> np.ndarray:
     return np.array(rank, dtype=np.int64)
 
 
-def _transitivity_witness(lt: np.ndarray):
-    """None if lt is transitive; else (i, k, j) with lt[i, k], lt[k, j], not
-    lt[i, j], (i, j) first in row-major order and k lowest, read off every
-    successor's row in one walk over the packed rows."""
-    rows = _pack(lt)
+def _transitivity_witness(rows: list):
+    """None if the successor bitsets rows are transitive; else (i, k, j)
+    with bit k of rows[i], bit j of rows[k] and not bit j of rows[i], (i, j)
+    first in row-major order and k lowest, read off every successor's row
+    in one walk."""
     for i, row in enumerate(rows):
-        gap = reduce(int.__or__, [rows[k] for k in _bits(row)], 0) & ~row & ~(1 << i)
+        gap = reduce(or_, [rows[k] for k in _bits(row)], 0) & ~row & ~(1 << i)
         if gap:
             j = (gap & -gap).bit_length() - 1
             return (i, next(k for k in _bits(row) if rows[k] >> j & 1), j)
     return None
 
 
-def _linear_witness(keys: list, r: np.ndarray):
+def _linear_witness(keys: list, r):
     """None if keys, ranked r, are linear under their own <; else the first
     tie (i, j) row-major, or two keys n//2 apart in rank order that < misorders."""
+    import numpy as np
+
     if r.max(initial=-1) + 1 < len(r):  # dense ranks: fewer distinct keys than keys
         return tuple(np.flatnonzero(r == r[np.argmax(np.bincount(r)[r] > 1)])[:2].tolist())
     order = np.argsort(r).tolist()
@@ -760,16 +815,18 @@ def _linear_witness(keys: list, r: np.ndarray):
 def prefix_audit(p: LazyPoset, n: int, window=None) -> AuditReport:
     """Check the structural invariants of p on its first n vertices.
 
-    The order is read from p.lt_matrix in one batch, each realizer order is
-    ranked by one sort of its keys, and the intersection check compares them.
-    Two rank orders are transitive, so an order equal to their intersection
-    is too: transitivity walks the rows only when the intersection fails."""
+    The order is read from p.lt_rows in one batch and unpacked once into
+    the bool matrix of the n^2 checks, each realizer order is ranked by one
+    sort of its keys, and the intersection check compares them.  Two rank
+    orders are transitive, so an order equal to their intersection is too:
+    transitivity walks the rows only when the intersection fails."""
     laps = _Laps()
     pairs = n * (n - 1)
     vs = p.prefix(n)
     laps.lap("vertices", n)
     checks: dict = {}
-    lt = p.lt_matrix(vs)
+    rows = p.lt_rows(vs)
+    lt = _unpack(rows, n)
     laps.lap("lt", pairs)
 
     sym = lt & lt.T
@@ -788,7 +845,7 @@ def prefix_audit(p: LazyPoset, n: int, window=None) -> AuditReport:
     w = _first_pair(((left[:, None] < left) & (right[:, None] < right)) != lt)
     checks["intersection"] = (w is None, w)
     laps.lap("intersection", pairs)
-    w = None if w is None else _transitivity_witness(lt)
+    w = None if w is None else _transitivity_witness(rows)
     checks["transitivity"] = (w is None, w)
     laps.lap("transitivity", pairs)
 

@@ -18,9 +18,9 @@ from .posets import FinPoset, PosetError, _bits, make_poset
 # A poset file, an inline fin leaf, a denoted term and a construct prefix
 # have at most this many vertices, counted before anything is built: a
 # poset on n vertices lists up to n(n-1)/2 pairs, `construct sierp w
-# --prefix 2000` takes 0.4-0.6 s of CPU, 130-155 MB and prints 26 MB (4000:
-# 1.1 s, 440 MB), and "n": 10**10 would ask make_poset for 80 GB of rows
-# (2-vCPU x86)
+# --prefix 2000` takes 0.24-0.27 s of CPU, 115 MB (also with --out) and
+# prints 26 MB (4000: 0.77 s, 327 MB), and "n": 10**10 would ask make_poset
+# for 80 GB of rows (2-vCPU x86, Python 3.11.7)
 MAX_VERTICES = 2000
 
 

@@ -58,7 +58,7 @@ class OrdinalError(ValueError):
 class PosetError(OrdinalError):
     """A poset, poset file or construction request that cannot be built.
     It lives here, beside OrdinalError, so that code can catch it without
-    importing the numpy layers; `posets` re-exports it."""
+    importing the poset layers; `posets` re-exports it."""
 
 
 class CnfOrdinal:

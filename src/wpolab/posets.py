@@ -3,16 +3,21 @@
 A poset stores its strict order once, transitively closed, as one
 Python-int successor bitset per vertex, so order queries test a bit and
 the intersection of two orders ANDs their rows.  Closure (`make_poset`
-from pairs, `poset_of_matrix` from a bool matrix, both through one checked
+from pairs, `poset_of_matrix` from rows of bools, both through one checked
 depth-first closure that skips what it has already reached, so a chain
 that comes in closed costs O(n) big-int operations) and transitive
 reduction (`FinPoset.covers`, one cover bitset per vertex) work on the
 same bitsets; `FinPoset.pairs` and `FinPoset.hasse` list the pairs for
-callers that need them.  The length engines and
-enumerators (`length_recursive`, `bad_tree_height`, `all_posets`,
-`linear_extensions`) stay brute force on purpose: they are the oracles the
-symbolic layers are checked against.  `embeds` is a query of the CLI, not
-an oracle; the tests check it against a search by its definition.
+callers that need them.  Rows that are closed by construction skip the
+closure: `intersect` ANDs two closed orders, and `wpolab construct` builds
+its prefixes from rank orders (`_of_closed_rows`).  Predecessor rows come
+from the covers in a topological order (`_predecessors`); only the error
+path `_cycle_error` transposes pair by pair.  The module imports no numpy.
+The length engines and enumerators (`length_recursive`, `bad_tree_height`,
+`all_posets`, `linear_extensions`) stay brute force on purpose: they are
+the oracles the symbolic layers are checked against.  `embeds` is a query
+of the CLI, not an oracle; the tests check it against a search by its
+definition.
 """
 
 from __future__ import annotations
@@ -20,8 +25,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache, cached_property
-
-import numpy as np
 
 from .ordinals import PosetError, clip
 
@@ -67,6 +70,14 @@ class FinPoset:
                 rest &= ~(above | low)
             covers.append(row & ~above)
         return tuple(covers)
+
+    @cached_property
+    def topological(self) -> tuple:
+        """The vertices in a linear extension of the order: a vertex has
+        more successors than any vertex above it, so by descending
+        successor count, ties by label."""
+        counts = [row.bit_count() for row in self.successors]
+        return tuple(sorted(range(self.n), key=counts.__getitem__, reverse=True))
 
     @cached_property
     def hasse(self) -> frozenset:
@@ -119,36 +130,49 @@ def make_poset(n: int, pairs) -> FinPoset:
     return _close(n, rows)
 
 
-def poset_of_matrix(m: np.ndarray) -> FinPoset:
-    """Build a FinPoset from a square bool matrix of generating strict
-    pairs (m[i, j] iff i < j); closes and rejects cycles like make_poset."""
-    m = np.asarray(m, dtype=bool)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise PosetError("a relation matrix must be square, got shape %s" % (m.shape,))
-    return _close(len(m), _pack(m))
+_ROW_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 
 
-def _pack(m: np.ndarray) -> list:
-    """The rows of a square bool matrix as successor bitsets, packed by one
-    numpy call.  A column gather or a transpose is in Fortran order, which
-    packs several times slower than a C-ordered copy of it plus its pack."""
-    return [int.from_bytes(row.tobytes(), "little")
-            for row in np.packbits(np.ascontiguousarray(m), axis=1, bitorder="little")]
+def poset_of_matrix(m) -> FinPoset:
+    """Build a FinPoset from a square sequence of bool rows of generating
+    strict pairs (m[i][j] iff i < j), such as lists of bools or a 2-D
+    numpy bool array; closes and rejects cycles like make_poset."""
+    n = len(m)
+    rows = []
+    for row in m:
+        try:
+            view = memoryview(row)  # a buffer of bools: its bytes are 0 and 1
+        except TypeError:
+            view = None
+        digits = view.tobytes() if view is not None and view.format == "?" \
+            else bytes(map(bool, row))
+        if len(digits) != n:
+            raise PosetError("a relation matrix must be square, got a row of %d "
+                             "entries in %d rows" % (len(digits), n))
+        rows.append(int(b"0" + digits[::-1].translate(_ROW_DIGITS), 2))
+    return _close(n, rows)
 
 
-def _unpack(rows: list, n: int) -> np.ndarray:
-    """The bool matrix with m[i, j] iff bit j of rows[i] is set, for
-    j < n: the inverse of _pack, by one numpy call."""
-    width = (n + 7) // 8
-    packed = np.frombuffer(b"".join(row.to_bytes(width, "little") for row in rows),
-                           dtype=np.uint8).reshape(len(rows), width)
-    return np.unpackbits(packed, axis=1, count=n, bitorder="little").view(bool)
+def _of_closed_rows(rows: list) -> FinPoset:
+    """The FinPoset of successor bitsets that are closed and acyclic by
+    construction, such as the rows of a rank order or of an intersection of
+    rank orders; nothing is checked."""
+    return FinPoset(len(rows), tuple(rows))
 
 
-def _transpose(rows, n: int) -> list:
-    """The bitsets of the transposed relation: bit i of row j iff bit j of
-    rows[i], by one numpy transpose."""
-    return _pack(_unpack(rows, n).T)
+def _predecessors(p: FinPoset) -> list:
+    """The predecessor bitsets of p: bit i of below[j] iff i < j.  Each
+    vertex, in topological order, hands itself and its own predecessors to
+    its covers, so each cover pair costs one OR."""
+    below = [0] * p.n
+    covers = p.covers
+    for v in p.topological:
+        mine, rest = below[v] | 1 << v, covers[v]
+        while rest:
+            low = rest & -rest
+            below[low.bit_length() - 1] |= mine
+            rest ^= low
+    return below
 
 
 def _close(n: int, rows: list) -> FinPoset:
@@ -198,8 +222,8 @@ def _cycle_error(rows: list) -> PosetError:
     vertex on a cycle of rows, which must hold one.  The vertices on cycles
     are those of the strongly connected components with two or more
     vertices or a loop, found by Kosaraju's two searches (the second over
-    the transposed bitsets) in O(n) big-int operations and one numpy
-    transpose.  The message clips the witness like an echoed input, so a
+    the transposed bitsets, built pair by pair) in O(n) big-int
+    operations.  The message clips the witness like an echoed input, so a
     long cycle still gives a one-line message; the error's `cycle` holds
     all of it."""
     # (i, j) and (j, i) make a cycle of two, so this also reports
@@ -210,7 +234,10 @@ def _cycle_error(rows: list) -> PosetError:
         if not seen >> v & 1:
             tree, seen = _search(rows, v, seen)
             order += tree
-    below = _transpose(rows, n)
+    below = [0] * n
+    for i, row in enumerate(rows):
+        for j in _bits(row):
+            below[j] |= 1 << i
     first, seen = n, 0
     for v in reversed(order):
         if not seen >> v & 1:
@@ -276,7 +303,7 @@ def intersect(p: FinPoset, q: FinPoset) -> FinPoset:
     if p.n != q.n:
         raise PosetError("intersect needs equal vertex counts (%d vs %d)" % (p.n, q.n))
     # the intersection of two closed strict orders is closed
-    return FinPoset(p.n, tuple(a & b for a, b in zip(p.successors, q.successors)))
+    return _of_closed_rows([a & b for a, b in zip(p.successors, q.successors)])
 
 
 def linear_extensions(p: FinPoset):
@@ -349,7 +376,7 @@ def embeds(p: FinPoset, q: FinPoset) -> bool:
     if not p.n:
         return True
     rows, above = p.successors, q.successors
-    below = _transpose(above, q.n)
+    below = _predecessors(q)
     full = (1 << q.n) - 1
     image, todo, used = [], [full], 0  # todo[v]: the untried images of vertex v
     while todo:
@@ -392,13 +419,13 @@ def longcut_fin(p: FinPoset, a1: int, a2: int):
     cut, so the third check holds for every candidate up to that one and
     the search takes the first that passes the other two.  Candidates
     only grow, so each vertex is tried once: O(n) big-int operations
-    after one numpy transpose."""
+    after the predecessor rows are read from the covers."""
     for size in (a1, a2):
         if size < 0:
             raise PosetError("cut size %d is negative" % size)
     if a1 + a2 != p.n:
         raise PosetError("cut sizes %d+%d do not partition %d vertices" % (a1, a2, p.n))
-    below = _transpose(p.successors, p.n)  # bit i of below[j] iff i < j
+    below = _predecessors(p)  # bit i of below[j] iff i < j
     cut = down = 0
     x = 0
     for _ in range(a1):

@@ -16,8 +16,6 @@ import random
 import time
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from . import oracles
 from .bounds import (
     bracket_plus,
@@ -33,7 +31,7 @@ from .constructions import (
     minoration_witness,
     mixing_poset,
     prefix_audit,
-    relation_matrix,
+    relation_rows,
     sierpinskisation,
 )
 from .oracles import random_countable_infinite, random_ordinal
@@ -54,11 +52,11 @@ from .ordinals import (
     ul_nat_add,
 )
 from .posets import (
+    _close,
     all_posets,
     bad_tree_height,
     length_fin,
     length_recursive,
-    poset_of_matrix,
 )
 from .terms import DSum, Fin, Prod, _denote
 
@@ -206,13 +204,16 @@ def _suite_majoration_shadow(report, cases, rng):
                                     "<= %s" % render_k(rhs), render_k(lhs)))
 
 
-def _checked_lt_matrix(report, label, p, vs):
+def _checked_lt_rows(report, label, p, vs):
     """p's batch order on vs, checked against the pairwise oracle: a
-    mismatch adds a "<label> lt_matrix" failure naming its first cell."""
-    batch = p.lt_matrix(vs)
-    diff = np.argwhere(batch != relation_matrix(vs, p.lt))
-    if len(diff):
-        report.failures.append(("%s lt_matrix" % label, "pass", repr(tuple(map(int, diff[0])))))
+    mismatch adds a "<label> lt_rows" failure naming its first cell (i, j)
+    in row-major order."""
+    batch = p.lt_rows(vs)
+    i, diff = next(((i, a ^ b) for i, (a, b) in enumerate(zip(batch, relation_rows(vs, p.lt)))
+                    if a != b), (None, 0))
+    if diff:
+        j = (diff & -diff).bit_length() - 1
+        report.failures.append(("%s lt_rows" % label, "pass", repr((i, j))))
     return batch
 
 
@@ -236,8 +237,8 @@ def _suite_finite_poset_oracle(report, cases, rng):
                     label = "%s %r,%r" % (name, p, q)
                     d = _denote(node(Fin(p), Fin(q)))
                     # the batch order denote_prefix reads
-                    batch = _checked_lt_matrix(report, label, d, d.prefix(size))
-                    got = length_recursive(poset_of_matrix(batch))
+                    batch = _checked_lt_rows(report, label, d, d.prefix(size))
+                    got = length_recursive(_close(size, batch))
                     if got != size:
                         report.failures.append((label, str(size), str(got)))
 
@@ -252,13 +253,13 @@ def _suite_constructions_prefix(report, cases, rng):
         for name, witness in rep.failures().items():
             report.failures.append(("%s %s" % (label, name), "pass", repr(witness)))
         # the batch order the audit reads
-        _checked_lt_matrix(report, label, p, p.prefix(prefix))
+        _checked_lt_rows(report, label, p, p.prefix(prefix))
 
     for text in ("w", "w*2", "w^2+w*3+5"):
         alpha = parse_ordinal(text)
         s = sierpinskisation(alpha)
         audit("sierp(%s)" % text, s)
-        # sierp's lt, lt_matrix and right key all read Enumeration.at, so
+        # sierp's lt, lt_rows and right key all read Enumeration.at, so
         # only index, a separate algorithm, can catch an at that is not a
         # bijection
         index, right_key = enum_below(alpha).index, s.keys[1]

@@ -15,13 +15,17 @@ once a finite factor is exhausted); Prod walks anti-diagonals of
 the index grid, first index ascending, and places cell k in closed form.
 
 denote_prefix builds the order of a prefix in one batch: each node's
-lt_matrix(vs) on a vertex list is composed from its children's as numpy
-bool matrices (an Ord leaf ranks its ordinals with one sort, a Fin leaf
-unpacks its successor bitsets, sums place their parts as blocks, a product
-indexes each factor's reflexive order on its distinct coordinates), and
-posets.poset_of_matrix packs the result.  The pairwise lt stays as the
-oracle that tests and the finite_poset_oracle suite compare lt_matrix
-against.
+lt_rows(vs, bits) on a vertex list writes one successor bitset per vertex
+in the target coordinates `bits` (see constructions.LazyOrder).  An Ord
+leaf ranks its ordinals with one sort and keeps a running OR, a Fin leaf
+reads its poset's covers in a cached topological order, sums hand each
+part the bits of its own vertices, and a product hands each factor, for
+each distinct coordinate, the mask of the vertices that share it, then
+ANDs the two reflexive rows.  The rows are closed, as every sum and
+product of closed orders is; denote_prefix still runs posets._close over
+them, which checks that and costs little on a closed order.  The pairwise
+lt stays as the oracle that tests and the finite_poset_oracle suite
+compare lt_rows against.
 """
 
 from __future__ import annotations
@@ -30,9 +34,7 @@ import re
 from dataclasses import dataclass
 from typing import Union
 
-import numpy as np
-
-from .constructions import LazyOrder, _aligned_block, _diagonal_cell, _sum
+from .constructions import LazyOrder, _aligned_block, _diagonal_cell, _sum, _units
 from .io import MAX_VERTICES, read_poset_file
 from .ordinals import (
     MAX_NESTING,
@@ -47,7 +49,7 @@ from .ordinals import (
     parse_ordinal,
     render_ordinal,
 )
-from .posets import FinPoset, PosetError, _unpack, antichain, chain, length_fin, poset_of_matrix
+from .posets import FinPoset, PosetError, _close, antichain, chain, length_fin
 
 
 @dataclass(frozen=True)
@@ -105,14 +107,28 @@ def term_size(t: PosetTerm):
 
 def _fin(p: FinPoset) -> LazyOrder:
     """A Fin leaf: its vertex labels in order."""
+    return LazyOrder(vertex=lambda i: i, lt=p.lt,
+                     lt_rows=lambda vs, bits=None: _leaf_rows(p, vs, bits), size=p.n)
 
-    def lt_matrix(vs) -> np.ndarray:
-        m = _unpack([p.successors[v] for v in vs], p.n)
-        # the leading labels, which every prefix of a denotation gives a
-        # leaf, need no gather
-        return m[:, :len(vs)] if vs == list(range(len(vs))) else m[:, vs]
 
-    return LazyOrder(vertex=lambda i: i, lt=p.lt, lt_matrix=lt_matrix, size=p.n)
+def _leaf_rows(p: FinPoset, vs, bits) -> list:
+    """The rows of p on the labels vs, in the target coordinates bits:
+    every vertex, taken top down in p's topological order, ORs the bits
+    above each of its covers, so each cover pair costs one OR."""
+    target = [0] * p.n
+    for v, bit in zip(vs, _units(len(vs)) if bits is None else bits):
+        target[v] = bit
+    up = [0] * p.n  # up[v]: the bits of every vertex above v
+    covers = p.covers
+    for v in reversed(p.topological):
+        acc, rest = 0, covers[v]
+        while rest:  # a low-bit loop: _bits would write out all n digits
+            low = rest & -rest
+            c = low.bit_length() - 1
+            acc |= up[c] | target[c]
+            rest ^= low
+        up[v] = acc
+    return [up[v] for v in vs]
 
 
 _EMPTY = _fin(antichain(0))
@@ -148,27 +164,41 @@ def _product(a: LazyOrder, b: LazyOrder) -> LazyOrder:
         below_b = b.lt(xb, yb) or xb == yb
         return below_a and below_b and x != y
 
-    def lt_matrix(vs) -> np.ndarray:
-        # each factor's reflexive order on its distinct coordinates, indexed
-        # by every vertex's coordinate
-        m = np.ones((len(vs), len(vs)), dtype=bool)
+    def lt_rows(vs, bits=None):
+        bits = _units(len(vs)) if bits is None else bits
+        # each factor's rows on its distinct coordinates, a coordinate's
+        # bits the OR of its vertices', and each made reflexive
+        les = []
         for factor, coords in ((a, [x for x, _ in vs]), (b, [y for _, y in vs])):
             place: dict = {}  # distinct coordinate -> its place, in first-seen order
-            ix = np.array([place.setdefault(v, len(place)) for v in coords], dtype=np.int64)
-            le = factor.lt_matrix(list(place)) | np.eye(len(place), dtype=bool)
-            m &= le[np.ix_(ix, ix)]
-        np.fill_diagonal(m, False)
-        return m
+            masks, ix = [], []
+            for c, bit in zip(coords, bits):
+                k = place.get(c)
+                if k is None:
+                    k = place[c] = len(masks)
+                    masks.append(bit)
+                else:
+                    masks[k] |= bit
+                ix.append(k)
+            rows = factor.lt_rows(list(place), masks)
+            le = [row | mask for row, mask in zip(rows, masks)]
+            les.append([le[k] for k in ix])
+        return [x & y & ~bit for x, y, bit in zip(*les, bits)]
 
-    return LazyOrder(vertex=vertex, lt=lt, lt_matrix=lt_matrix, size=total)
+    return LazyOrder(vertex=vertex, lt=lt, lt_rows=lt_rows, size=total)
 
 
 def denote_prefix(t: PosetTerm, budget: int) -> FinPoset:
     """The finite poset induced on the first `budget` vertices of the
     canonical enumeration of t's denotation."""
     d = _denote(t)
-    n = budget if d.size is None else min(budget, d.size)
-    return poset_of_matrix(d.lt_matrix(d.prefix(n)))
+    return _prefix_poset(d, budget if d.size is None else min(budget, d.size))
+
+
+def _prefix_poset(d: LazyOrder, n: int) -> FinPoset:
+    """The poset on the first n vertices of the denotation d, from its
+    rows through posets._close."""
+    return _close(n, d.lt_rows(d.prefix(n)))
 
 
 # -- term grammar --------------------------------------------------------------------

@@ -188,6 +188,19 @@ def relation(n: int, pairs) -> np.ndarray:
     return m
 
 
+def bitsets(m: np.ndarray) -> list:
+    """The rows of a bool matrix as successor bitsets: bit j of row i iff
+    m[i, j], packed by numpy."""
+    return [int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little")
+            for row in np.asarray(m, dtype=bool)]
+
+
+def matrix(rows: list, n: int) -> np.ndarray:
+    """The n x n bool matrix of the successor bitsets rows, bit by bit."""
+    return np.array([[row >> j & 1 for j in range(n)] for row in rows],
+                    dtype=bool).reshape(len(rows), n)
+
+
 def reach(m: np.ndarray) -> np.ndarray:
     """Strict reachability along m: R <- R or R.R, by int64 products, until
     it stops growing.  A vertex on a cycle reaches itself."""
@@ -217,8 +230,7 @@ def closed_poset(m: np.ndarray) -> FinPoset:
     r = reach(m)
     if r.diagonal().any():
         raise ValueError("closed_poset needs an acyclic relation")
-    return FinPoset(len(r), tuple(int.from_bytes(np.packbits(row, bitorder="little").tobytes(),
-                                                 "little") for row in r))
+    return FinPoset(len(r), tuple(bitsets(r)))
 
 
 def random_dag(rng, n: int, density: float) -> list:

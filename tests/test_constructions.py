@@ -25,7 +25,7 @@ from wpolab.constructions import (
     minoration_witness,
     mixing_poset,
     prefix_audit,
-    relation_matrix,
+    relation_rows,
     sierpinskisation,
 )
 from wpolab.ordinals import (
@@ -50,6 +50,8 @@ from wpolab.suites import run_suite
 
 from cases import (
     INDICES,
+    bitsets,
+    matrix,
     omega_times,
     ordinal_sum,
     random_below,
@@ -251,10 +253,10 @@ def test_tower_enumeration_cpu_budget():
     # 8.8-9.5 s and 341 MB; the budget leaves more than 6x headroom
     s = sierpinskisation(o("w^(w^w)"))
     start = time.process_time()
-    m = s.lt_matrix(range(2000))
+    rows = s.lt_rows(range(2000))
     cpu = time.process_time() - start
-    assert m.shape == (2000, 2000)
-    assert cpu < 1.0, "lt_matrix of 2000 vertices below w^(w^w) took %.2fs of CPU " \
+    assert len(rows) == 2000
+    assert cpu < 1.0, "lt_rows of 2000 vertices below w^(w^w) took %.2fs of CPU " \
         "(budget 1.0s)" % cpu
 
 
@@ -293,16 +295,16 @@ def test_sierpinskisation_of_omega_is_a_chain():
 def test_audit_catches_an_injected_transitivity_fault():
     s = sierpinskisation(o("w*2"))
 
-    # the audit reads lt_matrix, so the fault goes there; lt stays sound
-    def lt_matrix(vs):
-        m = s.lt_matrix(vs)
-        m[vs.index(0), vs.index(5)] = False
-        return m
+    # the audit reads lt_rows, so the fault goes there; lt stays sound
+    def lt_rows(vs):
+        rows = s.lt_rows(vs)
+        rows[vs.index(0)] &= ~(1 << vs.index(5))
+        return rows
 
     broken = LazyPoset(
         vertex=s.vertex,
         lt=s.lt,
-        lt_matrix=lt_matrix,
+        lt_rows=lt_rows,
         keys=s.keys,
         types=s.types,
         certificate=s.certificate,
@@ -356,11 +358,11 @@ def test_mixing_checks_report_a_repeated_first_key():
     m = mixing_poset(o("w"), o("w"))
     vs = m.prefix(40)
     rows = _omega_mixing_rows(m, vs)
-    checks = constructions._mixing_checks(rows, vs, m.lt_matrix(vs), None,
+    checks = constructions._mixing_checks(rows, vs, constructions._unpack(m.lt_rows(vs), 40), None,
                                           constructions._Laps())
     assert all(ok for ok, _ in checks.values())
     rows[5] = rows[5][:2] + (rows[2][2],) + rows[5][3:]  # vertex 5 repeats (k1, a) of 2
-    checks = constructions._mixing_checks(rows, vs, m.lt_matrix(vs), None,
+    checks = constructions._mixing_checks(rows, vs, constructions._unpack(m.lt_rows(vs), 40), None,
                                           constructions._Laps())
     assert checks["bi_functional"] == (False, 5)
 
@@ -371,7 +373,7 @@ def test_mixing_checks_report_an_order_pair_off_the_projection():
     rows = _omega_mixing_rows(m, vs)
     # i has a larger a-index than j, so (k1, (a, b)) cannot put i below j
     i, j = next((i, j) for i in range(40) for j in range(40) if rows[i][0] > rows[j][0])
-    lt = m.lt_matrix(vs)
+    lt = constructions._unpack(m.lt_rows(vs), 40)
     lt[i, j] = True
     checks = constructions._mixing_checks(rows, vs, lt, None, constructions._Laps())
     assert checks["projection_monotone"] == (False, (vs[i], vs[j]))
@@ -546,7 +548,7 @@ def test_left_growth_reads_each_right_rank_once():
         return s.nth_right(i)
 
     g = extend_realizer(dataclasses.replace(s, nth_right=nth_right), (o("w*2"), o("w")))
-    g.lt_matrix(g.prefix(2000))
+    g.lt_rows(g.prefix(2000))
     assert calls == [0, *range(1000)]
 
 
@@ -573,7 +575,7 @@ def test_audit_flags_a_non_linear_comparator():
     broken = LazyPoset(
         vertex=s.vertex,
         lt=s.lt,
-        lt_matrix=s.lt_matrix,
+        lt_rows=s.lt_rows,
         keys=(lambda x: 1 if x == 2 else s.keys[0](x), s.keys[1]),  # ties 1 and 2
         types=s.types,
         certificate=s.certificate,
@@ -601,7 +603,7 @@ def test_audit_flags_a_key_whose_order_is_not_transitive():
     broken = LazyPoset(
         vertex=s.vertex,
         lt=s.lt,
-        lt_matrix=s.lt_matrix,
+        lt_rows=s.lt_rows,
         keys=(_Cyclic, s.keys[1]),
         types=s.types,
         certificate=s.certificate,
@@ -657,7 +659,7 @@ def _relations(draw):
 @given(_relations())
 @settings(max_examples=300, deadline=None)
 def test_transitivity_witness_matches_the_float32_reference(m):
-    assert _transitivity_witness(m) == _reference_transitivity(m)
+    assert _transitivity_witness(bitsets(m)) == _reference_transitivity(m)
 
 
 def test_transitivity_witness_pins_a_gap_behind_a_cycle():
@@ -667,7 +669,7 @@ def test_transitivity_witness_pins_a_gap_behind_a_cycle():
     # before 2's row is read
     m = relation(4, [(0, 1), (0, 2), (1, 0), (1, 2), (2, 3)])
     assert _reference_transitivity(m) == (0, 2, 3)
-    assert _transitivity_witness(m) == (0, 2, 3)
+    assert _transitivity_witness(bitsets(m)) == (0, 2, 3)
 
 
 @given(st.sampled_from(["sierpinskisation", "mixing", "minoration", "decompinver"]),
@@ -675,16 +677,16 @@ def test_transitivity_witness_pins_a_gap_behind_a_cycle():
 @settings(max_examples=200, deadline=None)
 def test_audit_transitivity_matches_the_reference_under_faults(kind, seed):
     # the audit walks the rows only when the intersection check fails, so
-    # flipped lt_matrix entries (self-loops included) and a key tie must
-    # still give the reference verdict and witness
+    # flipped lt_rows bits (self-loops included) and a key tie must still
+    # give the reference verdict and witness
     rng = random.Random(seed)
     p = KEYED[kind](rng)
     vs = p.prefix(rng.randrange(41) if p.size is None else rng.randrange(min(40, p.size) + 1))
     n = len(vs)
-    lt = p.lt_matrix(vs).copy()
+    rows = p.lt_rows(vs)
     for _ in range(rng.randrange(4) if n else 0):
         i, j = rng.randrange(n), rng.randrange(n)
-        lt[i, j] = not lt[i, j]
+        rows[i] ^= 1 << j
     keys = list(p.keys)
     if n >= 2 and rng.randrange(2):
         a, b = rng.sample(vs, 2)
@@ -692,8 +694,8 @@ def test_audit_transitivity_matches_the_reference_under_faults(kind, seed):
         key = keys[side]
         keys[side] = lambda v: key(a) if v == b else key(v)
     faulty = dataclasses.replace(
-        p, keys=tuple(keys), lt_matrix=lambda us: lt.copy() if us == vs else p.lt_matrix(us))
-    w = _reference_transitivity(lt)
+        p, keys=tuple(keys), lt_rows=lambda us: list(rows) if us == vs else p.lt_rows(us))
+    w = _reference_transitivity(matrix(rows, n))
     assert prefix_audit(faulty, n).checks["transitivity"] == (w is None, w)
 
 
@@ -774,7 +776,24 @@ def test_lt_matrix_matches_the_pairwise_oracle(kind, seed):
     n = rng.randrange(1, 301)
     vs = p.prefix(n if p.size is None else min(n, p.size))
     rng.shuffle(vs)  # any vertex list, not only a prefix in order
-    assert (p.lt_matrix(vs) == relation_matrix(vs, p.lt)).all()
+    assert p.lt_rows(vs) == relation_rows(vs, p.lt)
+
+
+@pytest.mark.parametrize("kind", sorted(KEYED))
+@given(st.integers(0, 2**48))
+@settings(max_examples=25, deadline=None)
+def test_prefix_rows_are_closed_and_acyclic(kind, seed):
+    # `wpolab construct` writes these rows with no closure pass, so they
+    # must be the pairwise order and equal their own closure under
+    # cases.reach, which then has an empty diagonal: closed and acyclic
+    rng = random.Random(seed)
+    p = KEYED[kind](rng)
+    n = rng.randrange(81)
+    vs = p.prefix(n if p.size is None else min(n, p.size))
+    rows = p.lt_rows(vs)
+    assert rows == relation_rows(vs, p.lt)
+    closure = reach(matrix(rows, len(vs)))
+    assert bitsets(closure) == rows and not closure.diagonal().any()
 
 
 BASE_CHECKS = {"antisymmetry", "transitivity", "left_linear", "right_linear", "intersection"}
@@ -834,12 +853,12 @@ def _repeat_an_enumeration_value(monkeypatch):
 def _reverse_batch_ranks(monkeypatch):
     ranks = constructions._index_ranks
     monkeypatch.setattr(constructions, "_index_ranks",
-                        lambda indices, at: -ranks(indices, at))
+                        lambda indices, at: [-r for r in ranks(indices, at)])
 
 
 @pytest.mark.parametrize("fault,check", [
     (_repeat_an_enumeration_value, "enumeration_bijective"),
-    (_reverse_batch_ranks, "lt_matrix"),
+    (_reverse_batch_ranks, "lt_rows"),
 ])
 def test_constructions_suite_reports_an_injected_fault(monkeypatch, fault, check):
     assert run_suite("constructions_prefix", 40, 0).passed

@@ -11,7 +11,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -303,14 +302,14 @@ def test_no_test_module_imports_another():
 
 
 def test_finite_poset_oracle_reports_a_wrong_batch_order(monkeypatch):
-    # Fin leaves that unpack no order keep every length, so only the
+    # Fin leaves that write no order keep every length, so only the
     # comparison with the pairwise order can catch them; the budget reaches
     # the pairs of a point with the 2-chain
     cases = 243 + 30
     assert run_suite("finite_poset_oracle", cases, 0).passed
-    monkeypatch.setattr(terms, "_unpack", lambda rows, n: np.zeros((len(rows), n), dtype=bool))
+    monkeypatch.setattr(terms, "_leaf_rows", lambda p, vs, bits: [0] * len(vs))
     failures = run_suite("finite_poset_oracle", cases, 0).failures
-    assert failures and all(label.endswith(" lt_matrix") for label, _, _ in failures)
+    assert failures and all(label.endswith(" lt_rows") for label, _, _ in failures)
     assert any(label.startswith("dsum ") for label, _, _ in failures)
     assert any(label.startswith("prod ") for label, _, _ in failures)
 
@@ -641,7 +640,7 @@ def test_cli_uses_a_leaf_argument_as_its_poset(monkeypatch, tmp_path):
     # closes it again
     calls = []
     _count_outer_calls(monkeypatch, terms, "_denote", calls)
-    _count_outer_calls(monkeypatch, posets, "poset_of_matrix", calls)
+    _count_outer_calls(monkeypatch, terms, "_prefix_poset", calls)
     path = tmp_path / "p.json"
     p = _random_poset_file(path, 6, 0.4)
     for arg in ("@%s" % path, "fin(@%s)" % path, " fin(@%s) " % path):
@@ -650,7 +649,7 @@ def test_cli_uses_a_leaf_argument_as_its_poset(monkeypatch, tmp_path):
     assert cli._load_poset_arg("fin(antichain3)") == antichain(3)
     assert calls == []
     assert cli._load_poset_arg("dsum(fin(chain1), fin(chain1))") == antichain(2)
-    assert calls == ["_denote", "poset_of_matrix"]
+    assert calls == ["_denote", "_prefix_poset"]
 
 
 @pytest.mark.parametrize("n, density", [(0, 0.0), (1, 0.0), (4, 0.5), (6, 0.3), (7, 0.6),
@@ -933,15 +932,21 @@ RUSAGE_CLI = ("import resource, sys\n"
     (["construct", "sierp", "w", "--prefix", "2000"], "ec7b3a88faaf4f2d1c78cb82c38c5eaa"),
     (["poset", "intersect", "fin(chain2000)", "fin(chain2000)"],
      "d25eb7e6dd925469ccab890344455c99"),
+    # the same document as the first, written to a file
+    (["construct", "sierp", "w", "--prefix", "2000", "--out", "FILE"],
+     "ec7b3a88faaf4f2d1c78cb82c38c5eaa"),
 ])
-def test_cli_documents_at_the_vertex_bound_stay_small(argv, md5):
-    # 26 MB of JSON, written row by row from the bitsets: 0.4-0.6 s of CPU
-    # and 105-135 MB at peak in the child (2-vCPU x86), where a pair list
-    # and json.dumps took 1.1-1.9 s and 280 MB.  The budgets leave 2x on CPU
-    # and hold the peak under 200 MB
+def test_cli_documents_at_the_vertex_bound_stay_small(argv, md5, tmp_path):
+    # 26 MB of JSON, written row by row from the bitsets: 0.2-0.3 s of CPU
+    # and 90-115 MB at peak in the child, to a file as to stdout (2-vCPU
+    # x86), where a pair list and json.dumps took 1.1-1.9 s and 280 MB.
+    # The budgets leave 2x on CPU and hold the peak under 200 MB
+    path = tmp_path / "doc.json"
+    argv = [str(path) if a == "FILE" else a for a in argv]
     done = spawn("-c", RUSAGE_CLI, *argv, timeout=60)
     assert done.returncode == 0
-    assert hashlib.md5(done.stdout.encode()).hexdigest() == md5
+    out = path.read_text() if "--out" in argv else done.stdout
+    assert hashlib.md5(out.encode()).hexdigest() == md5
     cpu, peak_kib = done.stderr.split()
     assert float(cpu) < 1.2, "%s took %ss of CPU (budget 1.2s)" % (" ".join(argv), cpu)
     assert int(peak_kib) < 200 * 1024, "%s peaked at %d MiB (budget 200)" % (
@@ -995,7 +1000,7 @@ PUBLIC_NAMES = {
                  "k_ul_nat_add omega_level parse_k render_k",
     "constructions": "AuditReport Enumeration LazyOrder LazyPoset decompinver_witness "
                      "enum_below extend_realizer minoration_witness mixing_poset prefix_audit "
-                     "relation_matrix sierpinskisation",
+                     "relation_rows sierpinskisation",
     "io": "export_poset load_poset",
     "ordinals": "OMEGA ONE ZERO CnfOrdinal OrdinalError add cmp euclid_div from_int fund_seq "
                 "is_indecomposable iter_below left_subtract mul nat_add nat_mul omega_pow "
@@ -1054,6 +1059,102 @@ def test_the_algebra_commands_load_no_numpy(code, out):
     loaded = set(json.loads(done.stderr))
     assert {"wpolab.ordinals", "wpolab.cardinals", "wpolab.bounds"} <= loaded
     assert not {m for m in loaded if m.split(".")[0] == "numpy" or m in NUMPY_LAYERS}
+
+
+# one command line of each poset, construct and verify kind; every suite
+# but constructions_prefix, whose prefix audits use numpy (finite_poset_oracle
+# needs 243 cases to pass its all_posets part and reach the term sums)
+NUMPY_FREE_COMMANDS = [
+    ["construct", "sierp", "w^2", "--prefix", "40"],
+    ["construct", "mixing", "w", "w*2", "--prefix", "40", "--format", "dot"],
+    ["construct", "decompinver", "3", "3", "w", "w*2", "--prefix", "40"],
+    ["construct", "minoration", "w*2+3", "w*2+4", "--prefix", "40"],
+    ["construct", "extend", "w", "w+3", "w+3", "--prefix", "40"],
+    ["construct", "extend", "w", "w*2", "w", "--prefix", "40"],
+    ["poset", "len", "prod(ord(w), fin(chain3))"],
+    ["poset", "intersect", "prod(fin(chain2),fin(chain2))", "fin(chain4)"],
+    ["poset", "intersect", "lexsum(fin(chain3), fin(antichain2))", "dsum(ord(2), fin(chain3))",
+     "--format", "dot"],
+    ["poset", "embeds", "fin(antichain2)", "prod(fin(chain2),fin(chain2))"],
+    ["poset", "badtree", "dsum(fin(chain2), fin(antichain2))"],
+    *(["verify", "--suite", suite, "--cases", "260" if suite == "finite_poset_oracle" else "5"]
+      for suite in cli.SUITE_NAMES if suite != "constructions_prefix"),
+]
+
+# run each argv of sys.argv[1] through main, then write the numpy modules
+# loaded so far, one JSON list per command, to stderr
+NUMPY_PROBE = ("import io, json, sys\n"
+               "from contextlib import redirect_stdout\n"
+               "from wpolab.cli import main\n"
+               "for argv in json.loads(sys.argv[1]):\n"
+               "    with redirect_stdout(io.StringIO()):\n"
+               "        main(argv)\n"
+               "    print(json.dumps([m for m in sys.modules if m.split('.')[0] == 'numpy']),\n"
+               "          file=sys.stderr)\n")
+
+
+def test_the_poset_commands_load_no_numpy():
+    # a fresh process: this one has loaded numpy already
+    done = spawn("-c", NUMPY_PROBE, json.dumps(NUMPY_FREE_COMMANDS))
+    assert done.returncode == 0, done.stderr
+    loaded = [json.loads(line) for line in done.stderr.splitlines()]
+    assert len(loaded) == len(NUMPY_FREE_COMMANDS)
+    assert [(argv, mods) for argv, mods in zip(NUMPY_FREE_COMMANDS, loaded) if mods] == []
+
+
+# the frozen documents, printed where `import numpy` fails: each line is
+# the md5 of one command's stdout
+FROZEN_WITHOUT_NUMPY = ("import hashlib, io, json, sys\n"
+                        "sys.modules['numpy'] = None\n"
+                        "from contextlib import redirect_stdout\n"
+                        "from wpolab.cli import main\n"
+                        "for argv in json.loads(sys.argv[1]):\n"
+                        "    out = io.StringIO()\n"
+                        "    with redirect_stdout(out):\n"
+                        "        assert main(argv) == 0, argv\n"
+                        "    print(hashlib.md5(out.getvalue().encode()).hexdigest())\n")
+
+
+def test_the_frozen_documents_need_no_numpy():
+    argvs, want = [], []
+    for args, md5s in sorted(FROZEN_CONSTRUCT.items()):
+        for (n, f), md5 in zip(PREFIX_FORMATS, md5s):
+            argvs.append(["construct", *args.split(), "--prefix", str(n), "--format", f])
+            want.append(md5)
+    for terms_, md5s in sorted(FROZEN_INTERSECT.items()):
+        for f, md5 in zip(("json", "dot"), md5s):
+            argvs.append(["poset", "intersect", *terms_, "--format", f])
+            want.append(md5)
+    done = spawn("-c", FROZEN_WITHOUT_NUMPY, json.dumps(argvs))
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == want
+
+
+def test_construct_runs_no_closure(capsys):
+    # every construction's rows are closed by construction, so no kind
+    # enters posets._close, not even through make_poset
+    entered = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is posets._close.__code__:
+            entered.append(frame.f_code.co_name)
+
+    old = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        codes = [main(argv) for argv in NUMPY_FREE_COMMANDS if argv[0] == "construct"]
+    finally:
+        sys.setprofile(old)
+    capsys.readouterr()
+    assert codes == [0] * 6 and entered == []
+    # the probe itself sees a closure where one runs
+    sys.setprofile(profile)
+    try:
+        main(["poset", "intersect", "dsum(fin(chain1), fin(chain1))", "fin(chain2)"])
+    finally:
+        sys.setprofile(old)
+    capsys.readouterr()
+    assert entered == ["_close"]
 
 
 def test_the_parser_names_every_suite():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wpolab.constructions import relation_matrix
+from wpolab.constructions import relation_rows
 from wpolab.io import MAX_VERTICES
 from wpolab.ordinals import (
     OrdinalError,
@@ -30,7 +30,7 @@ from wpolab.terms import (
     term_size,
 )
 
-from cases import closed_poset, posets, random_below
+from cases import closed_poset, matrix, posets, random_below
 
 
 def o(text):
@@ -147,7 +147,7 @@ def _pairwise_prefix(t, budget):
     d = terms._denote(t)
     n = budget if d.size is None else min(budget, d.size)
     vs = [d.vertex(i) for i in range(n)]
-    return closed_poset(relation_matrix(vs, d.lt))
+    return closed_poset(matrix(relation_rows(vs, d.lt), n))
 
 
 ORD_LEAVES = st.sampled_from(["0", "1", "3", "w", "w+2", "w*2", "w^2", "w^2*3+w+1",
@@ -177,11 +177,11 @@ def test_batch_denotation_matches_the_pairwise_oracle(t, budget):
 @settings(max_examples=150, deadline=None)
 def test_batch_order_matches_the_pairwise_order_on_any_vertex_list(t, budget, rng):
     # a prefix gives every node its leading vertices; a shuffled sample of
-    # one does not, so this reaches the general lt_matrix(vs) of each node
+    # one does not, so this reaches the general lt_rows(vs) of each node
     d = terms._denote(t)
     vs = d.prefix(budget if d.size is None else min(budget, d.size))
     vs = rng.sample(vs, rng.randrange(len(vs) + 1))
-    assert (d.lt_matrix(vs) == relation_matrix(vs, d.lt)).all()
+    assert d.lt_rows(vs) == relation_rows(vs, d.lt)
 
 
 def test_a_2000_vertex_product_prefix_stays_fast():
