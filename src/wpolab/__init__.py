@@ -8,8 +8,7 @@ term algebra, and a seeded verification harness with a CLI (`wpolab`).
 
 The package is layered.  `ordinals`, `cardinals`, `bounds` and `oracles`
 are the algebra; `posets`, `constructions`, `terms`, `io` and `suites`
-build on it.  Only `constructions.prefix_audit` uses numpy, which it
-imports on first use.  Importing `wpolab` imports none of the submodules:
+build on it.  Importing `wpolab` imports none of the submodules:
 `_EXPORTS` maps each public name to its submodule, and the module
 `__getattr__` (PEP 562) imports that submodule the first time the name is
 read and keeps the value in this module's globals.  So `from wpolab import

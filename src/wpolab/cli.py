@@ -8,9 +8,7 @@ Only the algebra layers (`ordinals`, `cardinals`, `bounds`) are imported
 at the top, so `ord` and `theta` start quickly.  The poset, construct and
 verify commands import `posets`, `constructions`, `terms`, `io` and
 `suites` inside the functions that use them, and the parser takes its
-choices from tables here (`CONSTRUCTIONS`, `SUITE_NAMES`).  No command
-loads numpy except `verify --suite constructions_prefix`, whose prefix
-audits do.
+choices from tables here (`CONSTRUCTIONS`, `SUITE_NAMES`).
 
 The argument parser is built once per process (`build_parser` is cached):
 parse_args leaves it unchanged, so every `main` call reuses it.

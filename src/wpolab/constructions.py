@@ -17,12 +17,11 @@ with equal keys are incomparable, so a tie is how a non-linear order shows
 up.  Certificates are claims about the infinite object; prefix_audit
 verifies the finite structure (order axioms, realizer linearity, exact
 intersection, and any checks the construction adds, such as the mixing
-invariants) on enumerated prefixes, with the order from `lt_rows`,
-unpacked once into the bool matrix its n^2 checks use (the one place in
-the package that imports numpy), and each realizer order ranked by one
-sort of its keys, so the intersection check compares separate code paths;
-an order equal to that intersection is transitive, so only a mismatch
-walks the rows for a transitivity witness.
+invariants) on enumerated prefixes, all on successor bitsets: the order
+from `lt_rows`, and each realizer order built as rows from one sort of its
+keys, so the intersection check compares separate code paths; an order
+equal to that intersection is antisymmetric and transitive, so only a
+mismatch searches the rows for those two witnesses.
 
 Everything is built at the countable scale: uncountable cardinals exist
 only symbolically in the theta calculus, since only countable structures
@@ -34,10 +33,11 @@ from __future__ import annotations
 import bisect
 import math
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
-from itertools import accumulate, repeat
-from operator import or_
+from itertools import accumulate
+from operator import and_, lt, or_
 from typing import Callable, NamedTuple, Optional
 
 from .ordinals import (
@@ -56,7 +56,7 @@ from .ordinals import (
     nat_mul,
     omega_pow,
 )
-from .posets import PosetError, _bits
+from .posets import PosetError, _bits, _first_bit, _transpose
 
 
 # -- canonical enumerations of countable ordinals --------------------------------
@@ -242,7 +242,7 @@ class LazyPoset(LazyOrder):
     certificate: CnfOrdinal
     # checks of the construction's own invariants that prefix_audit adds:
     # extra_checks(vs, lt, window, laps) -> {name: (ok, witness)}, with lt
-    # the prefix's order as a bool matrix and one laps.lap per check
+    # the prefix's successor bitsets and one laps.lap per check
     extra_checks: Optional[Callable[..., dict]] = None
     # the vertex at a given rank of the right linear order, when that rank
     # is computable; used by extend_realizer
@@ -348,12 +348,11 @@ def mixing_poset(a, b) -> LazyPoset:
 
 def _mixing_checks(rows, vs, lt, window, laps) -> dict:
     """The mixing invariants on the vertex list vs, from its rows
-    (ai, bi, (a, k1), (b, k2)) and its order matrix lt: bi_functional (no
-    two vertices share (k1, a) or (k2, b)), window_sections (every cell
-    (ai, bi) inside the window holds a vertex) and projection_monotone (lt
-    lies inside the order of type w*(alpha x beta) on (k1, (a, b)))."""
-    import numpy as np
-
+    (ai, bi, (a, k1), (b, k2)) and its order lt, one successor bitset per
+    vertex: bi_functional (no two vertices share (k1, a) or (k2, b)),
+    window_sections (every cell (ai, bi) inside the window holds a vertex)
+    and projection_monotone (lt lies inside the order of type
+    w*(alpha x beta) on (k1, (a, b)))."""
     n = len(vs)
     checks = {}
     firsts, seconds = set(), set()
@@ -374,13 +373,13 @@ def _mixing_checks(rows, vs, lt, window, laps) -> dict:
         checks["window_sections"] = (not missing, missing or None)
         laps.lap("window_sections", n)
 
-    k1 = np.array([r[2][1] for r in rows], dtype=np.int64)
-    a = _ranks([r[2][0] for r in rows])
-    b = _ranks([r[3][0] for r in rows])
-    same = (a[:, None] == a[None, :]) & (b[:, None] == b[None, :])
-    le = np.where(same, k1[:, None] < k1[None, :],
-                  (a[:, None] <= a[None, :]) & (b[:, None] <= b[None, :]))
-    bad = _first_pair(lt & ~le)
+    # i lies below j in that order iff j is at or above i on both a and b,
+    # and above it on a, on b or, in the same cell (a, b), on k1
+    _, a, at = _ranks([r[2][0] for r in rows])
+    _, b, bt = _ranks([r[3][0] for r in rows])
+    _, k1, kt = _ranks([r[2][1] for r in rows])
+    bad = _first_bit(row & ~(at[x] & bt[y] & (at[x + 1] | bt[y + 1] | kt[k + 1]))
+                     for row, x, y, k in zip(lt, a, b, k1))
     checks["projection_monotone"] = (
         bad is None, None if bad is None else (vs[bad[0]], vs[bad[1]]))
     laps.lap("projection_monotone", n * (n - 1))
@@ -725,9 +724,9 @@ class CheckTiming(NamedTuple):
 class AuditReport:
     checks: dict  # name -> (passed, witness-or-None)
     # step name -> CheckTiming: every check, plus the shared steps it reads,
-    # "vertices" (enumerating the prefix), "lt" (the lt_rows batch, unpacked) and
-    # "left_key"/"right_key" (ranking the realizer keys); the steps run one
-    # after another, so their times add up to the audit's
+    # "vertices" (enumerating the prefix), "lt" (the lt_rows batch) and
+    # "left_key"/"right_key" (ranking the realizer keys into rows); the
+    # steps run one after another, so their times add up to the audit's
     timings: dict = field(default_factory=dict)
 
     @property
@@ -759,30 +758,22 @@ def relation_rows(vs, pred) -> list:
             for i, x in enumerate(vs)]
 
 
-def _unpack(rows: list, n: int):
-    """The bool matrix with m[i, j] iff bit j of rows[i] is set, for j < n,
-    by one numpy call; numpy is imported here, on the audit's first use."""
-    import numpy as np
-
-    width = (n + 7) // 8
-    packed = np.frombuffer(b"".join(map(int.to_bytes, rows, repeat(width), repeat("little"))),
-                           dtype=np.uint8).reshape(len(rows), width)
-    return np.unpackbits(packed, axis=1, count=n, bitorder="little").view(bool)
-
-
-def _ranks(keys: list):
-    """Dense ranks of keys under <, from one sort: equal keys share a rank,
-    as an int64 array."""
-    import numpy as np
-
+def _ranks(keys: list) -> tuple[list, list, list]:
+    """From one sort of keys under <: the positions of keys in sorted order,
+    each key's dense rank (equal keys share one), and tails, where tails[r]
+    holds the bits of every key ranked r or above: tails[rank[i] + 1] is i's
+    row in the rank order, where tied keys are incomparable.  The audit
+    builds its key orders here, apart from _rank_rows, so the two sides of
+    its intersection check share no code."""
     order = sorted(range(len(keys)), key=keys.__getitem__)
+    ks = [keys[i] for i in order]
+    dense = list(accumulate(map(lt, ks, ks[1:]), initial=0))  # by place in order
     rank = [0] * len(keys)
-    r = 0
-    for prev, i in zip(order, order[1:]):
-        if keys[prev] < keys[i]:
-            r += 1
+    groups = [0] * (dense[-1] + 1)  # the bits of each rank
+    for i, r in zip(order, dense):
         rank[i] = r
-    return np.array(rank, dtype=np.int64)
+        groups[r] |= 1 << i
+    return order, rank, list(accumulate(reversed(groups), or_, initial=0))[::-1]
 
 
 def _transitivity_witness(rows: list):
@@ -790,69 +781,63 @@ def _transitivity_witness(rows: list):
     with bit k of rows[i], bit j of rows[k] and not bit j of rows[i], (i, j)
     first in row-major order and k lowest, read off every successor's row
     in one walk."""
-    for i, row in enumerate(rows):
-        gap = reduce(or_, [rows[k] for k in _bits(row)], 0) & ~row & ~(1 << i)
-        if gap:
-            j = (gap & -gap).bit_length() - 1
-            return (i, next(k for k in _bits(row) if rows[k] >> j & 1), j)
-    return None
+    gap = _first_bit(reduce(or_, [rows[k] for k in _bits(row)], 0) & ~row & ~(1 << i)
+                     for i, row in enumerate(rows))
+    if gap is None:
+        return None
+    i, j = gap
+    return i, next(k for k in _bits(rows[i]) if rows[k] >> j & 1), j
 
 
-def _linear_witness(keys: list, r):
-    """None if keys, ranked r, are linear under their own <; else the first
-    tie (i, j) row-major, or two keys n//2 apart in rank order that < misorders."""
-    import numpy as np
-
-    if r.max(initial=-1) + 1 < len(r):  # dense ranks: fewer distinct keys than keys
-        return tuple(np.flatnonzero(r == r[np.argmax(np.bincount(r)[r] > 1)])[:2].tolist())
-    order = np.argsort(r).tolist()
+def _linear_witness(keys: list, order: list, rank: list):
+    """None if keys, sorted as order with dense ranks rank, are linear under
+    their own <; else the first tie (i, j) row-major, or the first two keys
+    h apart in sorted order that < misorders, for h = n//2, then 2, then 3."""
+    n = len(keys)
+    if max(rank, default=-1) + 1 < n:  # fewer distinct keys than keys
+        count = Counter(rank)
+        i = next(i for i, r in enumerate(rank) if count[r] > 1)
+        return i, rank.index(rank[i], i + 1)
     ks = [keys[i] for i in order]
-    h = len(r) // 2 or 1
-    t = next((t for t, (x, y) in enumerate(zip(ks, ks[h:])) if not x < y), None)
-    return None if t is None else (order[t], order[t + h])
+    return next(((order[t], order[t + h]) for h in (n // 2 or 1, 2, 3)
+                 for t, (x, y) in enumerate(zip(ks, ks[h:])) if not x < y), None)
 
 
 def prefix_audit(p: LazyPoset, n: int, window=None) -> AuditReport:
     """Check the structural invariants of p on its first n vertices.
 
-    The order is read from p.lt_rows in one batch and unpacked once into
-    the bool matrix of the n^2 checks, each realizer order is ranked by one
-    sort of its keys, and the intersection check compares them.  Two rank
-    orders are transitive, so an order equal to their intersection is too:
-    transitivity walks the rows only when the intersection fails."""
+    Every check reads successor bitsets: the order from p.lt_rows, and each
+    realizer order built from one sort of its keys, compared row by row.
+    Two rank orders are strict orders, so an order equal to their
+    intersection is antisymmetric and transitive: only when the
+    intersection fails do those two checks search the rows for a witness,
+    antisymmetry by ANDing the rows with their transpose."""
     laps = _Laps()
     pairs = n * (n - 1)
     vs = p.prefix(n)
     laps.lap("vertices", n)
-    checks: dict = {}
     rows = p.lt_rows(vs)
-    lt = _unpack(rows, n)
     laps.lap("lt", pairs)
+    checks: dict = {"antisymmetry": None}  # first in the report, decided by the intersection
 
-    sym = lt & lt.T
-    checks["antisymmetry"] = (not sym.any(), _first_pair(sym))
-    laps.lap("antisymmetry", pairs)
+    def record(name, witness):
+        checks[name] = (witness is None, witness)
+        laps.lap(name, pairs)
 
-    ranks = []
+    key_rows = []
     for name, key in zip(("left", "right"), p.keys, strict=True):
         keys = [key(v) for v in vs]
-        ranks.append(_ranks(keys))
+        order, rank, tails = _ranks(keys)
+        key_rows.append([tails[r + 1] for r in rank])
         laps.lap("%s_key" % name, n)
-        wit = _linear_witness(keys, ranks[-1])
-        checks["%s_linear" % name] = (wit is None, wit)
-        laps.lap("%s_linear" % name, pairs)
-    left, right = ranks
-    w = _first_pair(((left[:, None] < left) & (right[:, None] < right)) != lt)
-    checks["intersection"] = (w is None, w)
-    laps.lap("intersection", pairs)
-    w = None if w is None else _transitivity_witness(rows)
-    checks["transitivity"] = (w is None, w)
-    laps.lap("transitivity", pairs)
+        record("%s_linear" % name, _linear_witness(keys, order, rank))
+    w = _first_bit(row ^ (x & y) for row, x, y in zip(rows, *key_rows))
+    record("intersection", w)
+    if w is not None:  # a bit past the prefix fails the intersection alone
+        rows = [row & ((1 << n) - 1) for row in rows]
+    record("antisymmetry", None if w is None else _first_bit(map(and_, rows, _transpose(rows))))
+    record("transitivity", None if w is None else _transitivity_witness(rows))
 
     if p.extra_checks is not None:
-        checks.update(p.extra_checks(vs, lt, window, laps))
+        checks.update(p.extra_checks(vs, rows, window, laps))
     return AuditReport(checks, laps.timings)
-
-
-def _first_pair(mask):
-    return divmod(int(mask.argmax()), mask.shape[1]) if mask.any() else None  # row-major

@@ -12,7 +12,7 @@ callers that need them.  Rows that are closed by construction skip the
 closure: `intersect` ANDs two closed orders, and `wpolab construct` builds
 its prefixes from rank orders (`_of_closed_rows`).  Predecessor rows come
 from the covers in a topological order (`_predecessors`); only the error
-path `_cycle_error` transposes pair by pair.  The module imports no numpy.
+path `_cycle_error` transposes pair by pair.
 The length engines and enumerators (`length_recursive`, `bad_tree_height`,
 `all_posets`, `linear_extensions`) stay brute force on purpose: they are
 the oracles the symbolic layers are checked against.  `embeds` is a query
@@ -115,6 +115,23 @@ def _pairs(rows):
     """The pairs (i, j) with bit j of rows[i] set, row by row, so sorted."""
     return itertools.chain.from_iterable(
         zip(itertools.repeat(i), _bits(row)) for i, row in enumerate(rows))
+
+
+def _first_bit(rows):
+    """The first set bit of the bitsets rows, row-major, as (row, bit), or None."""
+    for i, row in enumerate(rows):
+        if row:
+            return i, (row & -row).bit_length() - 1
+    return None
+
+
+def _transpose(rows: list) -> list:
+    """The bitsets with bit i of cols[j] iff bit j of rows[i], pair by pair."""
+    cols = [0] * len(rows)
+    for i, row in enumerate(rows):
+        for j in _bits(row):
+            cols[j] |= 1 << i
+    return cols
 
 
 def make_poset(n: int, pairs) -> FinPoset:
@@ -234,10 +251,7 @@ def _cycle_error(rows: list) -> PosetError:
         if not seen >> v & 1:
             tree, seen = _search(rows, v, seen)
             order += tree
-    below = [0] * n
-    for i, row in enumerate(rows):
-        for j in _bits(row):
-            below[j] |= 1 << i
+    below = _transpose(rows)
     first, seen = n, 0
     for v in reversed(order):
         if not seen >> v & 1:

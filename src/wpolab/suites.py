@@ -15,6 +15,7 @@ import json
 import random
 import time
 from dataclasses import dataclass, field
+from operator import xor
 
 from . import oracles
 from .bounds import (
@@ -53,6 +54,7 @@ from .ordinals import (
 )
 from .posets import (
     _close,
+    _first_bit,
     all_posets,
     bad_tree_height,
     length_fin,
@@ -209,11 +211,9 @@ def _checked_lt_rows(report, label, p, vs):
     mismatch adds a "<label> lt_rows" failure naming its first cell (i, j)
     in row-major order."""
     batch = p.lt_rows(vs)
-    i, diff = next(((i, a ^ b) for i, (a, b) in enumerate(zip(batch, relation_rows(vs, p.lt)))
-                    if a != b), (None, 0))
-    if diff:
-        j = (diff & -diff).bit_length() - 1
-        report.failures.append(("%s lt_rows" % label, "pass", repr((i, j))))
+    cell = _first_bit(map(xor, batch, relation_rows(vs, p.lt)))
+    if cell is not None:
+        report.failures.append(("%s lt_rows" % label, "pass", repr(cell)))
     return batch
 
 

@@ -358,12 +358,10 @@ def test_mixing_checks_report_a_repeated_first_key():
     m = mixing_poset(o("w"), o("w"))
     vs = m.prefix(40)
     rows = _omega_mixing_rows(m, vs)
-    checks = constructions._mixing_checks(rows, vs, constructions._unpack(m.lt_rows(vs), 40), None,
-                                          constructions._Laps())
+    checks = constructions._mixing_checks(rows, vs, m.lt_rows(vs), None, constructions._Laps())
     assert all(ok for ok, _ in checks.values())
     rows[5] = rows[5][:2] + (rows[2][2],) + rows[5][3:]  # vertex 5 repeats (k1, a) of 2
-    checks = constructions._mixing_checks(rows, vs, constructions._unpack(m.lt_rows(vs), 40), None,
-                                          constructions._Laps())
+    checks = constructions._mixing_checks(rows, vs, m.lt_rows(vs), None, constructions._Laps())
     assert checks["bi_functional"] == (False, 5)
 
 
@@ -373,8 +371,8 @@ def test_mixing_checks_report_an_order_pair_off_the_projection():
     rows = _omega_mixing_rows(m, vs)
     # i has a larger a-index than j, so (k1, (a, b)) cannot put i below j
     i, j = next((i, j) for i in range(40) for j in range(40) if rows[i][0] > rows[j][0])
-    lt = constructions._unpack(m.lt_rows(vs), 40)
-    lt[i, j] = True
+    lt = m.lt_rows(vs)
+    lt[i] |= 1 << j
     checks = constructions._mixing_checks(rows, vs, lt, None, constructions._Laps())
     assert checks["projection_monotone"] == (False, (vs[i], vs[j]))
     assert checks["bi_functional"] == (True, None)
@@ -597,19 +595,29 @@ class _Cyclic:
 
 
 def test_audit_flags_a_key_whose_order_is_not_transitive():
-    # the keys sort and rank as 0 < 1 < ... < 11 with no tie, but key 0
-    # does not come before key 6, six ranks (n//2) above it
+    # at n = 12 the keys sort and rank as 0 < 1 < ... < 11 with no tie, but
+    # key 0 does not come before key 6, six ranks (n//2) above it; where
+    # n//2 apart in rank order misses the cycle, 2 or 3 apart catches it.
+    # Three keys 0 < 1 < 2 are linear, so n starts at 4
     s = sierpinskisation(o("w"))
-    broken = LazyPoset(
-        vertex=s.vertex,
-        lt=s.lt,
-        lt_rows=s.lt_rows,
-        keys=(_Cyclic, s.keys[1]),
-        types=s.types,
-        certificate=s.certificate,
-    )
-    report = prefix_audit(broken, 12)
-    assert report.failures() == {"left_linear": (0, 6)}
+    broken = dataclasses.replace(s, keys=(_Cyclic, s.keys[1]))
+    assert prefix_audit(broken, 12).failures() == {"left_linear": (0, 6)}
+    passed = [n for n in range(3, 61) if prefix_audit(broken, n).checks["left_linear"][0]]
+    assert passed == [3]
+
+
+def test_audit_reports_a_row_bit_past_the_prefix():
+    # lt_rows sets bit n of row 0, a vertex outside the prefix: the
+    # intersection check names it, and the other checks read the prefix
+    s = sierpinskisation(o("w"))
+
+    def lt_rows(vs, bits=None):
+        rows = s.lt_rows(vs, bits)
+        rows[0] |= 1 << len(vs)
+        return rows
+
+    report = prefix_audit(dataclasses.replace(s, lt_rows=lt_rows), 10)
+    assert report.failures() == {"intersection": (0, 10)}
 
 
 def _reference_transitivity(m):
@@ -699,6 +707,61 @@ def test_audit_transitivity_matches_the_reference_under_faults(kind, seed):
     assert prefix_audit(faulty, n).checks["transitivity"] == (w is None, w)
 
 
+def _first_true(mask):
+    hits = np.argwhere(mask)
+    return tuple(map(int, hits[0])) if len(hits) else None
+
+
+def _dense_ranks(values):
+    rank = {x: r for r, x in enumerate(sorted(set(values)))}
+    return np.array([rank[x] for x in values])
+
+
+def _reference_projection(m, table):
+    """The first pair row-major of m outside the order on (k1, (a, b)), as
+    a bool-matrix formula on ranks from one sorted set per key: within a
+    cell (a, b) by k1, elsewhere by a <= a and b <= b."""
+    a, b, k1 = (_dense_ranks([r[side][pos] for r in table])
+                for side, pos in ((2, 0), (3, 0), (2, 1)))
+    same = (a[:, None] == a) & (b[:, None] == b)
+    le = np.where(same, k1[:, None] < k1, (a[:, None] <= a) & (b[:, None] <= b))
+    return _first_true(m & ~le)
+
+
+@given(st.sampled_from(["sierpinskisation", "mixing", "minoration", "decompinver", "extend_both",
+                        "extend_left"]), st.integers(0, 2**48))
+@settings(max_examples=200, deadline=None)
+def test_audit_row_checks_match_the_matrix_formulas_under_faults(kind, seed):
+    # antisymmetry against m & m.T, and for mixing projection_monotone
+    # against its matrix formula, under flipped lt_rows bits, self-loops,
+    # symmetric pairs and, in the mixing table, a vertex given another's
+    # left key (a tie in a or in k1) or both keys (same cell, same k1)
+    rng = random.Random(seed)
+    p = KEYED[kind](rng)
+    vs = p.prefix(rng.randrange(41) if p.size is None else rng.randrange(min(40, p.size) + 1))
+    n = len(vs)
+    rows = p.lt_rows(vs)
+    for _ in range(rng.randrange(4) if n else 0):
+        i, j = rng.randrange(n), rng.randrange(n)
+        rows[i] ^= 1 << j
+        if rng.randrange(2):
+            rows[j] |= 1 << i
+    faulty = dataclasses.replace(p, lt_rows=lambda us: list(rows) if us == vs else p.lt_rows(us))
+    m = matrix(rows, n)
+    w = _first_true(m & m.T)
+    assert prefix_audit(faulty, n).checks["antisymmetry"] == (w is None, w)
+    if kind != "mixing":
+        return
+    table = [(0, 0, p.keys[0](v), p.keys[1](v)) for v in vs]
+    for _ in range(rng.randrange(3) if n else 0):
+        i, j = rng.randrange(n), rng.randrange(n)
+        table[i] = (0, 0, table[j][2], table[rng.choice([i, j])][3])
+    w = _reference_projection(m, table)
+    checks = constructions._mixing_checks(table, vs, rows, None, constructions._Laps())
+    want = None if w is None else (vs[w[0]], vs[w[1]])
+    assert checks["projection_monotone"] == (w is None, want)
+
+
 @given(st.lists(st.integers(0, 12), max_size=30))
 @settings(max_examples=200, deadline=None)
 def test_linear_witness_reports_the_first_tie_row_major(keys):
@@ -707,7 +770,7 @@ def test_linear_witness_reports_the_first_tie_row_major(keys):
     n = len(keys)
     tie = next(((i, j) for i in range(n) for j in range(n) if i != j and keys[i] == keys[j]),
                None)
-    assert _linear_witness(keys, _ranks(keys)) == tie
+    assert _linear_witness(keys, *_ranks(keys)[:2]) == tie
 
 
 # -- key-ranked realizers ----------------------------------------------------------
@@ -761,8 +824,11 @@ def test_key_ranks_match_pairwise_key_comparisons(kind, seed):
     for key in p.keys:
         keys = [key(v) for v in vs]
         want = np.array([[kx < ky for ky in keys] for kx in keys])
-        r = _ranks(keys)
+        order, rank, tails = _ranks(keys)
+        r = np.array(rank)
         assert ((r[:, None] < r[None, :]) == want).all()
+        assert sorted(order, key=rank.__getitem__) == order
+        assert [tails[r + 1] for r in rank] == bitsets(want)
 
 
 @pytest.mark.parametrize("kind", sorted(KEYED))
@@ -868,8 +934,8 @@ def test_constructions_suite_reports_an_injected_fault(monkeypatch, fault, check
 
 
 def test_mixing_audit_cpu_budget():
-    # 0.15-0.3s of CPU on a 2-vCPU x86 machine; the budget leaves more
-    # than 2x headroom
+    # 2.8-3.6 ms of CPU on a 2-vCPU x86 machine (Python 3.11.7, five fresh
+    # processes); the budget leaves room for a much slower machine
     start = time.process_time()
     report = prefix_audit(mixing_poset(o("w"), o("w")), 300, window=(3, 3))
     cpu = time.process_time() - start

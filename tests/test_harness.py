@@ -1039,8 +1039,8 @@ def test_the_package_gives_each_public_name_from_its_submodule():
         from wpolab import no_such_name  # noqa: F401
 
 
-NUMPY_LAYERS = ("numpy", "wpolab.constructions", "wpolab.posets", "wpolab.terms",
-                "wpolab.io", "wpolab.suites")
+POSET_LAYERS = ("wpolab.constructions", "wpolab.posets", "wpolab.terms", "wpolab.io",
+                "wpolab.suites")
 
 
 @pytest.mark.parametrize("code, out", [
@@ -1058,12 +1058,12 @@ def test_the_algebra_commands_load_no_numpy(code, out):
     assert done.returncode == 0 and done.stdout == out
     loaded = set(json.loads(done.stderr))
     assert {"wpolab.ordinals", "wpolab.cardinals", "wpolab.bounds"} <= loaded
-    assert not {m for m in loaded if m.split(".")[0] == "numpy" or m in NUMPY_LAYERS}
+    assert not {m for m in loaded if m.split(".")[0] == "numpy" or m in POSET_LAYERS}
 
 
 # one command line of each poset, construct and verify kind; every suite
-# but constructions_prefix, whose prefix audits use numpy (finite_poset_oracle
-# needs 243 cases to pass its all_posets part and reach the term sums)
+# (finite_poset_oracle needs 243 cases to pass its all_posets part and
+# reach the term sums, and constructions_prefix audits 11 vertices)
 NUMPY_FREE_COMMANDS = [
     ["construct", "sierp", "w^2", "--prefix", "40"],
     ["construct", "mixing", "w", "w*2", "--prefix", "40", "--format", "dot"],
@@ -1077,8 +1077,9 @@ NUMPY_FREE_COMMANDS = [
      "--format", "dot"],
     ["poset", "embeds", "fin(antichain2)", "prod(fin(chain2),fin(chain2))"],
     ["poset", "badtree", "dsum(fin(chain2), fin(antichain2))"],
-    *(["verify", "--suite", suite, "--cases", "260" if suite == "finite_poset_oracle" else "5"]
-      for suite in cli.SUITE_NAMES if suite != "constructions_prefix"),
+    *(["verify", "--suite", suite, "--cases",
+       {"finite_poset_oracle": "260", "constructions_prefix": "11"}.get(suite, "5")]
+      for suite in cli.SUITE_NAMES),
 ]
 
 # run each argv of sys.argv[1] through main, then write the numpy modules
@@ -1102,8 +1103,8 @@ def test_the_poset_commands_load_no_numpy():
     assert [(argv, mods) for argv, mods in zip(NUMPY_FREE_COMMANDS, loaded) if mods] == []
 
 
-# the frozen documents, printed where `import numpy` fails: each line is
-# the md5 of one command's stdout
+# the frozen documents and a prefix audit, printed where `import numpy`
+# fails: each line is the md5 of one command's stdout
 FROZEN_WITHOUT_NUMPY = ("import hashlib, io, json, sys\n"
                         "sys.modules['numpy'] = None\n"
                         "from contextlib import redirect_stdout\n"
@@ -1125,6 +1126,9 @@ def test_the_frozen_documents_need_no_numpy():
         for f, md5 in zip(("json", "dot"), md5s):
             argvs.append(["poset", "intersect", *terms_, "--format", f])
             want.append(md5)
+    argvs.append(["verify", "--suite", "constructions_prefix", "--cases", "60"])
+    want.append(hashlib.md5(b'{"cases": 60, "failures": [], "passed": true, "seed": 0, '
+                            b'"suite": "constructions_prefix"}\n').hexdigest())
     done = spawn("-c", FROZEN_WITHOUT_NUMPY, json.dumps(argvs))
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == want
