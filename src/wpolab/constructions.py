@@ -6,7 +6,12 @@ universe with a decidable strict order, which is also what a term of
 orders, and a length certificate recorded as an arithmetic derivation.
 The order comes twice: `lt_rows` builds it on a vertex list as one
 successor bitset per vertex, from the construction's defining data (ranks,
-indices, blocks), and the pairwise comparator `lt` is its oracle.  Every
+indices, blocks), and the pairwise comparator `lt` is its oracle.  The
+batch ranks read an enumerated index as its block path (`Enumeration.key`),
+a plain tuple that sorts in C, and so do the realizer keys, but for
+mixing's, which hold the order key `_key` of the index's value; the `lt`
+oracles compare the values `Enumeration.at` gives, so checking one against
+the other also checks that the path order is the value order.  Every
 order here is a rank order or an intersection of rank orders, placed in
 blocks, so its rows come out closed and acyclic with no closure pass: a
 rank leaf sorts once by rank and keeps a running OR, and a sum hands each
@@ -70,9 +75,12 @@ class Enumeration:
     omega^e of its normal form, the finite part as one block), blocks are
     visited anti-diagonally (within diagonal d, block index descending),
     and each omega^e block is enumerated the same way through its
-    fundamental sequence.  `at` and `index` run one loop down the cached
-    levels (`_layout`) and blocks (`_block`), each level placing an index
-    in its block in closed form; `at` memoizes values by (ordinal, index).
+    fundamental sequence.  `at` and `key` share one loop down the cached
+    levels (`_layout`) and blocks (`_block`), `_descent`, each level placing
+    an index in its block in closed form; `at` adds up the blocks' offsets
+    and memoizes values by (ordinal, index), `key` keeps the block numbers
+    as a tuple whose order is the values' order, memoized per enumeration.
+    `index` walks the levels the other way.
     """
 
     def __init__(self, alpha: CnfOrdinal):
@@ -81,6 +89,7 @@ class Enumeration:
             raise OrdinalError("cannot enumerate below 0")
         self.alpha = alpha
         self.size = alpha.as_int() if alpha.is_finite else None
+        self._keys: dict = {}  # index -> key, at most KEY_MEMO_SIZE
         self._skip = math.inf
         if alpha.is_finite or alpha is OMEGA:
             self._kind = "range"
@@ -102,27 +111,54 @@ class Enumeration:
                 self._skip = n * (n + 1) // 2 + (alpha.terms[-1][1] - 1) * n
 
     def at(self, i: int) -> CnfOrdinal:
+        steps, i, value = self._descent(i, _VALUES)
+        if value is None:
+            value = from_int(i)
+        if len(_VALUES) + len(steps) > VALUE_MEMO_SIZE:
+            _VALUES.clear()
+        for level, i, _, offset in reversed(steps):
+            value = _VALUES[level.alpha, i] = add(offset, value)
+        return value
+
+    def key(self, i: int) -> tuple:
+        """The block path of at(i): the block numbers b0, ..., b_{k-1} that
+        at's walk takes down the levels, then its index on the last level.
+        Blocks ascend by offset and a block is its offset plus its
+        sub-enumeration, so keys compare lexicographically as the values
+        do, and no ordinal is built (a walk that stops at index 0 gives a
+        prefix of every other key in its block, and 0 is below them).
+        Memoized on this enumeration, emptied when full."""
+        key = self._keys.get(i)
+        if key is None:
+            steps, j, _ = self._descent(i)
+            key = (*[b for _, _, b, _ in steps], j)
+            if len(self._keys) >= KEY_MEMO_SIZE:
+                self._keys.clear()
+            self._keys[i] = key
+        return key
+
+    def _descent(self, i: int, memo=None) -> tuple[list, int, Optional[CnfOrdinal]]:
+        """The one walk down the levels that at and key share: on a level
+        that is not a range, while i is not 0 (block 0 starts at 0 on every
+        level), i is placed in its block b as index j in closed form and the
+        walk steps into b's sub-level at j.  It stops early on a level whose
+        (alpha, i) the value memo holds.  Returns the steps (level, i, b,
+        offset of b), the index it stopped at and the memo's value there
+        (None if it reached a range level or index 0)."""
         if i < 0 or (self.size is not None and i >= self.size):
             raise OrdinalError("enumeration index %d out of range" % i)
-        level, steps = self, []  # (alpha, i, offset) per level above
-        while level._kind != "range" and i:  # block 0 starts at 0 on every level
-            value = _VALUES.get((level.alpha, i))
-            if value is not None:
-                break
+        level, steps = self, []
+        while level._kind != "range" and i:
+            if memo and (value := memo.get((level.alpha, i))) is not None:
+                return steps, i, value
             k = i
             if i >= level._skip:
                 k += (i - level._skip) // (level._block_count - 1) + 1
             j, b = level._cell(k)
             offset, sub = _block(level.alpha, b)
-            steps.append((level.alpha, i, offset))
+            steps.append((level, i, b, offset))
             level, i = _layout(sub), j
-        else:
-            value = from_int(i)
-        if len(_VALUES) + len(steps) > VALUE_MEMO_SIZE:
-            _VALUES.clear()
-        for alpha, i, offset in reversed(steps):
-            value = _VALUES[alpha, i] = add(offset, value)
-        return value
+        return steps, i, None
 
     def index(self, beta: CnfOrdinal) -> int:
         """Inverse of at (beta must lie below alpha), in closed form."""
@@ -158,10 +194,12 @@ class Enumeration:
 
 
 # Cache bounds: a tower such as w^(w^w) meets a new sub-ordinal at nearly
-# every vertex, so every table is bounded; the memo is emptied when full.
+# every vertex, so every table is bounded; the memos (the values, shared by
+# every enumeration, and each enumeration's keys) are emptied when full.
 LAYOUT_CACHE_SIZE = 1024
 BLOCK_CACHE_SIZE = 4096
 VALUE_MEMO_SIZE = 4096
+KEY_MEMO_SIZE = 4096
 _VALUES: dict = {}
 _layout = lru_cache(maxsize=LAYOUT_CACHE_SIZE)(Enumeration)
 
@@ -230,6 +268,9 @@ class LazyPoset(LazyOrder):
     The realizer is `keys`, the pair (left key, right key) of per-vertex
     keys, each valued in a set totally ordered by `<`: the left order puts
     x before y iff left_key(x) < left_key(y), and likewise on the right.
+    Where a key holds an enumerated index it holds its block path
+    (`Enumeration.key`) or its value's order key `_key`, so keys are plain
+    tuples and integers compared in C; `lt` compares the values themselves.
     Vertices with equal keys are incomparable in that order, so a tie makes
     it non-linear.  On every prefix, lt must be the intersection of the two
     orders, whose order types are `types`.  `certificate` is the length
@@ -263,13 +304,13 @@ def sierpinskisation(alpha) -> LazyPoset:
     alpha = as_ordinal(alpha)
     if alpha.is_finite:
         raise OrdinalError("sierpinskisation needs an infinite countable ordinal")
-    at = enum_below(alpha).at
+    enum = enum_below(alpha)
     return LazyPoset(
         vertex=lambda i: i,
-        lt=lambda x, y: x < y and at(x) < at(y),
+        lt=lambda x, y: x < y and enum.at(x) < enum.at(y),
         # the index order is the vertices' own order, so it ranks them as they are
-        lt_rows=lambda vs, bits=None: _rank_rows(bits, vs, _index_ranks(vs, at)),
-        keys=(lambda i: i, at),
+        lt_rows=lambda vs, bits=None: _rank_rows(bits, vs, _index_ranks(vs, enum.key)),
+        keys=(lambda i: i, enum.key),
         types=(OMEGA, alpha),
         certificate=alpha,
         nth_right=lambda i: i if alpha == OMEGA else None,
@@ -299,9 +340,11 @@ def mixing_poset(a, b) -> LazyPoset:
         raise OrdinalError("mixing_poset needs nonzero index ordinals")
     ea, eb = enum_below(alpha), enum_below(beta)
     cell = _diagonal_cell(None, None)
-    # vertex n -> (ai, bi, left key (ea.at(ai), k1), right key (eb.at(bi), k2)),
-    # built in vertex order: k1 (k2) counts the earlier vertices with the
-    # same ai (bi), kept in running per-cell counters
+    # vertex n -> (ai, bi, left key (a, k1), right key (b, k2)), with a and b
+    # the order keys `_key` of the values ea.at(ai) and eb.at(bi), so keys
+    # are plain tuples that compare as (value, k) pairs do; built in vertex
+    # order: k1 (k2) counts the earlier vertices with the same ai (bi), kept
+    # in running per-cell counters
     rows: list = []
     seen_a: dict = {}
     seen_b: dict = {}
@@ -314,22 +357,23 @@ def mixing_poset(a, b) -> LazyPoset:
             bi = v % eb.size if eb.size is not None else v
             k1, k2 = seen_a.get(ai, 0), seen_b.get(bi, 0)
             seen_a[ai], seen_b[bi] = k1 + 1, k2 + 1
-            rows.append((ai, bi, (ea.at(ai), k1), (eb.at(bi), k2)))
+            rows.append((ai, bi, (ea.at(ai)._key, k1), (eb.at(bi)._key, k2)))
         return rows[n]
 
     def lt(x, y):
+        # at's values, compared by their order keys as CnfOrdinal's < does
         rx, ry = row(x), row(y)
         return rx[2] < ry[2] and rx[3] < ry[3]
 
     def lt_rows(vs, bits=None):
         rs = [row(v) for v in vs]
         ranks = []
-        for side, at in ((0, ea.at), (1, eb.at)):
+        for side, key in ((0, ea.key), (1, eb.key)):
             # (index rank, k) lexicographically, as one integer
             ks = [r[2 + side][1] for r in rs]
             width = max(ks, default=0) + 1
             ranks.append([x * width + k for x, k in
-                          zip(_index_ranks([r[side] for r in rs], at), ks)])
+                          zip(_index_ranks([r[side] for r in rs], key), ks)])
         return _rank_rows(bits, *ranks)
 
     def extra_checks(vs, lt, window, laps):
@@ -392,10 +436,12 @@ def _mixing_checks(rows, vs, lt, window, laps) -> dict:
 def _aligned_block(alpha: CnfOrdinal) -> LazyPoset:
     """A chain of type alpha with both realizer orders equal."""
     enum = enum_below(alpha)
-    key = enum.at if not alpha.is_finite else (lambda i: i)
+    at = key = lambda i: i  # a finite chain orders its indices as they are
+    if not alpha.is_finite:
+        at, key = enum.at, enum.key
     return LazyPoset(
         vertex=lambda i: i,
-        lt=lambda x, y: key(x) < key(y),
+        lt=lambda x, y: at(x) < at(y),
         lt_rows=lambda vs, bits=None: _rank_rows(bits, _index_ranks(vs, key)),
         keys=(key, key),
         types=(alpha, alpha),
@@ -618,9 +664,8 @@ def _grow_left(p: LazyPoset, g: CnfOrdinal) -> LazyPoset:
     def vertex(i: int):
         return (0, p.vertex(i // 2)) if i % 2 == 0 else (1, i // 2)
 
-    @lru_cache(maxsize=None)
-    def left_key(x):
-        return x[0], (p.keys[0](x[1]) if x[0] == 0 else enum.at(x[1]))
+    def left(x, new):  # new: the padding's own key, or its value for lt
+        return x[0], (p.keys[0](x[1]) if x[0] == 0 else new(x[1]))
 
     # new_i sits immediately below the right-rank-i original
     @lru_cache(maxsize=None)
@@ -628,10 +673,10 @@ def _grow_left(p: LazyPoset, g: CnfOrdinal) -> LazyPoset:
         return (right_rank(x[1]), 1) if x[0] == 0 else (x[1], 0)
 
     def lt(x, y):
-        return left_key(x) < left_key(y) and slot(x) < slot(y)
+        return left(x, enum.at) < left(y, enum.at) and slot(x) < slot(y)
 
     def new_new(new, bits):
-        return _rank_rows(bits, _index_ranks(new, enum.at), new)
+        return _rank_rows(bits, _index_ranks(new, enum.key), new)
 
     def lt_rows(vs, bits=None):
         bits = _units(len(vs)) if bits is None else bits
@@ -650,7 +695,7 @@ def _grow_left(p: LazyPoset, g: CnfOrdinal) -> LazyPoset:
         vertex=vertex,
         lt=lt,
         lt_rows=lt_rows,
-        keys=(left_key, slot),
+        keys=(lambda x: left(x, enum.key), slot),
         types=(add(p.type_left, g), p.type_right),
         certificate=p.certificate,
     )
@@ -664,11 +709,13 @@ def _units(n: int) -> list:
     return [1 << t for t in range(n)]
 
 
-def _index_ranks(indices, at) -> list:
-    """Each index's rank by at(), from one sort of the distinct indices (at
-    is injective, so they never tie).  The audit ranks realizer keys with
+def _index_ranks(indices, key) -> list:
+    """Each index's rank by key(), from one sort of the distinct indices:
+    key is an enumeration's block path (Enumeration.key), a plain tuple
+    that sorts in C in the order of the values at() gives, or the index
+    itself below a finite ordinal; it is injective, so indices never tie.  The audit ranks realizer keys with
     _ranks, so the two sides of its intersection check share no code."""
-    rank = {ix: r for r, ix in enumerate(sorted(set(indices), key=at))}
+    rank = {ix: r for r, ix in enumerate(sorted(set(indices), key=key))}
     return list(map(rank.__getitem__, indices))
 
 

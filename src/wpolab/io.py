@@ -64,27 +64,31 @@ def export_poset(p: FinPoset, fmt: str = "json", meta=None) -> str:
     covers for DOT), with no list of pairs."""
     names = [str(v) for v in range(p.n)]
     if fmt == "json":
-        text = '{"le": [' + _pair_text(p.successors, names, "[", ", ", "]", ", ") + "]"
+        text = '{"le": [' + _json_pairs(p.successors, names) + "]"
         if meta is not None:
             text += ', "meta": ' + json.dumps(meta, sort_keys=True)
         return text + ', "n": %d}' % p.n
     if fmt == "dot":
         lines = ["digraph poset {", *("  %s;" % v for v in names)]
-        edges = _pair_text(p.covers, names, "  ", " -> ", ";", "\n")
-        if edges:
-            lines.append(edges)
+        for i, row in enumerate(p.covers):
+            head = "  " + names[i] + " -> "
+            while row:  # a low-bit loop: _bits would write out all n digits
+                low = row & -row
+                lines.append(head + names[low.bit_length() - 1] + ";")
+                row ^= low
         lines.append("}")
         return "\n".join(lines) + "\n"
     raise ValueError("unknown format %r (expected json or dot)" % fmt)
 
 
-def _pair_text(rows, names, left: str, mid: str, right: str, sep: str) -> str:
-    """Each pair (i, j) with bit j of rows[i] set, written left + i + mid +
-    j + right, in sorted order and joined by sep.  A row is one str.join
-    over the names of its bits, so no pair is formatted in Python."""
+def _json_pairs(rows, names) -> str:
+    """Each pair (i, j) with bit j of rows[i] set, written [i, j], in
+    sorted order and joined by ", ".  A row is one str.join over the names
+    of its bits, so no pair is formatted in Python; successor rows are
+    dense, so _bits suits them."""
     texts = []
     for i, row in enumerate(rows):
         if row:
-            head = left + names[i] + mid
-            texts.append(head + (right + sep + head).join(_bits(row, names)) + right)
-    return sep.join(texts)
+            head = "[" + names[i] + ", "
+            texts.append(head + ("], " + head).join(_bits(row, names)) + "]")
+    return ", ".join(texts)

@@ -209,7 +209,9 @@ def _suite_majoration_shadow(report, cases, rng):
 def _checked_lt_rows(report, label, p, vs):
     """p's batch order on vs, checked against the pairwise oracle: a
     mismatch adds a "<label> lt_rows" failure naming its first cell (i, j)
-    in row-major order."""
+    in row-major order.  The batch ranks enumeration indices by their block
+    paths (Enumeration.key) and the oracle compares at's values, so this
+    also checks that the path order is the value order on vs."""
     batch = p.lt_rows(vs)
     cell = _first_bit(map(xor, batch, relation_rows(vs, p.lt)))
     if cell is not None:
@@ -259,14 +261,15 @@ def _suite_constructions_prefix(report, cases, rng):
         alpha = parse_ordinal(text)
         s = sierpinskisation(alpha)
         audit("sierp(%s)" % text, s)
-        # sierp's lt, lt_rows and right key all read Enumeration.at, so
-        # only index, a separate algorithm, can catch an at that is not a
-        # bijection
-        index, right_key = enum_below(alpha).index, s.keys[1]
-        bad = next((i for i in range(prefix) if index(right_key(i)) != i), None)
+        # sierp's lt reads its enumeration's at, and its lt_rows and right
+        # key the block paths of the same walk, so only index, a separate
+        # algorithm, can catch an at that is not a bijection; the right key
+        # is that enumeration's bound key, whose __self__ is the enumeration
+        index, at = enum_below(alpha).index, s.keys[1].__self__.at
+        bad = next((i for i in range(prefix) if index(at(i)) != i), None)
         if bad is not None:
             report.failures.append(("sierp(%s) enumeration_bijective" % text,
-                                    str(bad), str(index(right_key(bad)))))
+                                    str(bad), str(index(at(bad)))))
     for a, b, window in (("1", "1", (1, 1)), ("w", "w", (2, 2)),
                          ("w*2", "w*3", (2, 2))):
         audit("mixing(%s,%s)" % (a, b),

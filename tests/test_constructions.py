@@ -1,8 +1,10 @@
 """Lazy countable posets: enumerations, sierpinskisations, mixing, and audits."""
 
+import collections
 import dataclasses
 import itertools
 import random
+import sys
 import time
 
 import numpy as np
@@ -32,6 +34,7 @@ from wpolab.ordinals import (
     OMEGA,
     ONE,
     ZERO,
+    CnfOrdinal,
     OrdinalError,
     add,
     from_int,
@@ -118,6 +121,10 @@ def test_enum_values_are_distinct_and_below(seed):
     vals = [e.at(i) for i in range(top)]
     assert len(set(vals)) == len(vals)
     assert all(v < alpha for v in vals)
+    # the block paths are distinct too, and sort the indices as the values do
+    keys = [e.key(i) for i in range(top)]
+    assert len(set(keys)) == len(keys)
+    assert sorted(range(top), key=keys.__getitem__) == sorted(range(top), key=vals.__getitem__)
 
 
 # 0.01-0.02 s of CPU for the 3000 index calls below w*2 and w+3 on a 2-vCPU
@@ -227,6 +234,38 @@ def test_enum_at_follows_the_reference_walk(alpha):
     want = list(itertools.islice(_reference_walk(alpha), 150))
     got = [e.at(i) for i in range(150)]
     assert all(g is w for g, w in zip(got, want)), (alpha, got, want)
+
+
+# Successor alphas whose prefix runs past the first empty cell (the _skip
+# branch), limit-exponent powers, multi-term and finite alphas
+_KEY_ALPHAS = ["w*2+1", "w^2+w*3+5", "w^(w*2+1)*2+w^9*3+w^4+7", "w^w", "w^(w*2+1)",
+               "w^(w^w)", "w^w*2+3", "w^3*2", "w+3", "7", "1"]
+
+
+@pytest.mark.parametrize("alpha", _KEY_ALPHAS)
+def test_enum_key_orders_indices_as_at_orders_values(alpha):
+    e = enum_below(o(alpha))
+    n = 150 if e.size is None else e.size
+    if e.alpha.is_successor and e.size is None:
+        assert e._skip < n  # the prefix reaches the skipped cells
+    values = [e.at(i) for i in range(n)]
+    keys = [e.key(i) for i in range(n)]
+    assert len(set(keys)) == n
+    for i, j in itertools.product(range(n), repeat=2):
+        assert (keys[i] < keys[j]) == (values[i] < values[j]), (i, j, keys[i], keys[j])
+    # a repeated call, from the memo or from a fresh walk, gives an equal key
+    assert [e.key(i) for i in range(n)] == keys
+    assert [enum_below(o(alpha)).key(i) for i in range(n)] == keys
+
+
+def test_enum_key_memo_is_bounded(monkeypatch):
+    monkeypatch.setattr(constructions, "KEY_MEMO_SIZE", 16)
+    e = enum_below(o("w^w"))
+    keys = [e.key(i) for i in range(100)]
+    assert len(e._keys) <= 16
+    assert [e.key(i) for i in range(100)] == keys
+    with pytest.raises(OrdinalError):
+        enum_below(from_int(3)).key(3)
 
 
 # The deep ordinals of the audit benchmark (wpobench/wl_audit.py, DEEP):
@@ -346,11 +385,13 @@ def test_unpair_inverts_pair():
 
 def _omega_mixing_rows(m, vs):
     # below w the index enumerations are the identity, so a row of
-    # mixing(w, w) is (a, b, left key (a, k1), right key (b, k2))
+    # mixing(w, w) is (a, b, left key (a's order key, k1), right key (b's
+    # order key, k2)), and a key's first item names its index
+    index = {from_int(a)._key: a for a in range(len(vs))}
     rows = []
     for v in vs:
         left, right = m.keys[0](v), m.keys[1](v)
-        rows.append((left[0].as_int(), right[0].as_int(), left, right))
+        rows.append((index[left[0]], index[right[0]], left, right))
     return rows
 
 
@@ -900,8 +941,46 @@ def test_sierp_enumerations_are_bijective_on_the_prefix():
     for text in ("w", "w*2", "w^2+w*3+5", "w^w"):
         alpha = o(text)
         s = sierpinskisation(alpha)
-        index = enum_below(alpha).index
-        assert [index(s.keys[1](i)) for i in range(300)] == list(range(300))
+        e = enum_below(alpha)
+        values = [e.at(i) for i in range(300)]
+        assert [e.index(v) for v in values] == list(range(300))
+        # the right key ranks the prefix as the values do, with no tie
+        keys = [s.keys[1](i) for i in range(300)]
+        assert len(set(keys)) == 300
+        assert (sorted(range(300), key=keys.__getitem__)
+                == sorted(range(300), key=values.__getitem__))
+
+
+def _ordinal_comparisons(run) -> dict:
+    """The Python-level calls of CnfOrdinal's four orders made by run()."""
+    codes = {getattr(CnfOrdinal, name).__code__: name
+             for name in ("__lt__", "__le__", "__gt__", "__ge__")}
+    seen = collections.Counter()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in codes:
+            seen[codes[frame.f_code]] += 1
+
+    sys.setprofile(profile)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+    return dict(seen)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: sierpinskisation(o("w^(w*2+1)*2+w^9*3+w^4+7")),
+    lambda: mixing_poset(o("w*2"), o("w+1")),
+], ids=["sierp", "mixing"])
+def test_audit_compares_no_ordinals(make):
+    # ranks and realizer keys read block paths and order keys, plain tuples
+    # compared in C; ranking the values instead made 3184 and 3993 __lt__
+    # calls here
+    p = make()
+    reports = []
+    assert _ordinal_comparisons(lambda: reports.append(prefix_audit(p, 200))) == {}
+    assert reports[0].passed, reports[0].failures()
 
 
 def _repeat_an_enumeration_value(monkeypatch):
