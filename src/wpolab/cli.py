@@ -100,7 +100,7 @@ def _load_poset_arg(text: str):
     """A Fin leaf holds its poset closed and bounded; any other term is
     denoted once, which gives both its size and its poset."""
     from .io import MAX_VERTICES
-    from .terms import Fin, _denote, _prefix_poset
+    from .terms import Fin, _denote
 
     t = _poset_term(text)
     if isinstance(t, Fin):
@@ -112,7 +112,7 @@ def _load_poset_arg(text: str):
     if d.size > MAX_VERTICES:
         raise PosetError("poset commands take at most %d vertices; %s has %s"
                          % (MAX_VERTICES, clip(text), clip(str(d.size))))
-    return _prefix_poset(d, d.size)
+    return d.poset(d.size)
 
 
 # The brute-force bad_tree_height lists every bad sequence, so its cost
@@ -189,7 +189,6 @@ CONSTRUCTIONS = {
 
 def _cmd_construct(args) -> int:
     from .io import MAX_VERTICES, export_poset
-    from .posets import _of_closed_rows
 
     if not 1 <= args.prefix <= MAX_VERTICES:
         raise PosetError("--prefix must be from 1 to %d, got %s"
@@ -205,13 +204,10 @@ def _cmd_construct(args) -> int:
         raise OrdinalError("construct %s takes %d ordinals, got %d"
                            % (args.kind, arity, len(ords)))
     lazy = build(*ords)
-    n = args.prefix
-    # every construction is an intersection of rank orders placed in
-    # blocks, so its rows are closed and acyclic: no closure pass
-    p = _of_closed_rows(lazy.lt_rows(lazy.prefix(n)))
+    p = lazy.poset(args.prefix)  # the rows as built, with no closure pass
     meta = {"construction": args.kind,
             "parameters": [render_ordinal(o) for o in ords],
-            "prefix": n,
+            "prefix": args.prefix,
             "type_left": render_ordinal(lazy.types[0]),
             "type_right": render_ordinal(lazy.types[1]),
             "certificate": render_ordinal(lazy.certificate)}

@@ -15,7 +15,9 @@ the other also checks that the path order is the value order.  Every
 order here is a rank order or an intersection of rank orders, placed in
 blocks, so its rows come out closed and acyclic with no closure pass: a
 rank leaf sorts once by rank and keeps a running OR, and a sum hands each
-part the bits of that part's own vertices.  A realizer is two linear
+part the bits of that part's own vertices; the sums and products of
+closed orders that `terms` denotes are closed too, so `LazyOrder.poset`
+takes every order's rows as built.  A realizer is two linear
 orders whose intersection is the order (Dushnik & Miller), each given by a
 per-vertex key: x comes before y when key(x) < key(y), and two vertices
 with equal keys are incomparable, so a tie is how a non-linear order shows
@@ -61,7 +63,7 @@ from .ordinals import (
     nat_mul,
     omega_pow,
 )
-from .posets import PosetError, _bits, _first_bit, _transpose
+from .posets import FinPoset, PosetError, _bits, _first_bit, _transpose
 
 
 # -- canonical enumerations of countable ordinals --------------------------------
@@ -240,9 +242,9 @@ class LazyOrder:
     the mask that stands for vs[t] (default 1 << t), and rows[s] is the OR
     of bits[t] over every t with vs[s] < vs[t].  It is built in one batch
     from the defining data (ranks, indices, blocks), comes out closed, and
-    is what prefix_audit, `wpolab construct` and denote_prefix read; a sum
-    hands each part its own vertices' bits, so a part writes straight into
-    the sum's coordinates.  `lt` is the same order as a pairwise
+    is what prefix_audit and `poset(n)`, the one way to a FinPoset, read; a
+    sum hands each part its own vertices' bits, so a part writes straight
+    into the sum's coordinates.  `lt` is the same order as a pairwise
     comparator, the oracle that tests and the suites compare `lt_rows`
     against."""
 
@@ -258,6 +260,11 @@ class LazyOrder:
             raise PosetError("a prefix of %d vertices was requested, but the "
                              "poset has only %d" % (n, self.size))
         return [self.vertex(i) for i in range(n)]
+
+    def poset(self, n: int) -> FinPoset:
+        """The FinPoset of the first n vertices, its rows from lt_rows as
+        built, with no closure pass (see the module docstring)."""
+        return FinPoset(n, tuple(self.lt_rows(self.prefix(n))))
 
 
 @dataclass(kw_only=True)

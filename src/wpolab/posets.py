@@ -8,9 +8,10 @@ depth-first closure that skips what it has already reached, so a chain
 that comes in closed costs O(n) big-int operations) and transitive
 reduction (`FinPoset.covers`, one cover bitset per vertex) work on the
 same bitsets; `FinPoset.pairs` and `FinPoset.hasse` list the pairs for
-callers that need them.  Rows that are closed by construction skip the
-closure: `intersect` ANDs two closed orders, and `wpolab construct` builds
-its prefixes from rank orders (`_of_closed_rows`).  Predecessor rows come
+callers that need them.  The closure runs only on what comes from
+outside: pairs or rows a caller passes in, and poset files.  Every other
+order takes its rows as built (`LazyOrder.poset`, `chain`, `antichain`,
+`intersect`, `FinPoset.restrict`, `all_posets`).  Predecessor rows come
 from the covers in a topological order (`_predecessors`); only the error
 path `_cycle_error` transposes pair by pair.
 The length engines and enumerators (`length_recursive`, `bad_tree_height`,
@@ -33,8 +34,8 @@ from .ordinals import PosetError, clip
 class FinPoset:
     """A finite strict partial order on vertices 0..n-1, stored closed as
     one successor bitset per vertex: bit j of successors[i] is set iff
-    i < j.  Build one with `make_poset` or `poset_of_matrix`, which close
-    and check."""
+    i < j.  Nothing here checks that; `make_poset` and `poset_of_matrix`
+    close generating pairs or rows and check them."""
 
     n: int
     successors: tuple
@@ -85,11 +86,16 @@ class FinPoset:
         return frozenset(_pairs(self.covers))
 
     def restrict(self, vertices) -> "FinPoset":
-        """Induced subposet, relabelled order-preservingly to 0..k-1."""
-        vs = sorted(vertices)
+        """Induced subposet on the set of vertices, relabelled
+        order-preservingly to 0..k-1; the restriction of a closed order is
+        closed."""
+        vs = sorted(set(vertices))
+        for v in vs[:1] + vs[-1:]:
+            if not 0 <= v < self.n:
+                raise PosetError("vertex %d out of range 0..%d" % (v, self.n - 1))
         index = {v: i for i, v in enumerate(vs)}
-        return make_poset(len(vs), [(index[i], index[j]) for (i, j) in self.pairs()
-                                    if i in index and j in index])
+        return FinPoset(len(vs), tuple(sum(1 << index[j] for j in _bits(self.successors[v])
+                                           if j in index) for v in vs))
 
     def minimal(self):
         below = 0
@@ -168,13 +174,6 @@ def poset_of_matrix(m) -> FinPoset:
                              "entries in %d rows" % (len(digits), n))
         rows.append(int(b"0" + digits[::-1].translate(_ROW_DIGITS), 2))
     return _close(n, rows)
-
-
-def _of_closed_rows(rows: list) -> FinPoset:
-    """The FinPoset of successor bitsets that are closed and acyclic by
-    construction, such as the rows of a rank order or of an intersection of
-    rank orders; nothing is checked."""
-    return FinPoset(len(rows), tuple(rows))
 
 
 def _predecessors(p: FinPoset) -> list:
@@ -310,14 +309,16 @@ def chain(n: int) -> FinPoset:
 
 
 def antichain(n: int) -> FinPoset:
-    return make_poset(n, [])
+    if n < 0:
+        raise PosetError("vertex count %d is negative" % n)
+    return FinPoset(n, (0,) * n)
 
 
 def intersect(p: FinPoset, q: FinPoset) -> FinPoset:
     if p.n != q.n:
         raise PosetError("intersect needs equal vertex counts (%d vs %d)" % (p.n, q.n))
     # the intersection of two closed strict orders is closed
-    return _of_closed_rows([a & b for a, b in zip(p.successors, q.successors)])
+    return FinPoset(p.n, tuple(a & b for a, b in zip(p.successors, q.successors)))
 
 
 def linear_extensions(p: FinPoset):
@@ -459,7 +460,9 @@ def longcut_fin(p: FinPoset, a1: int, a2: int):
 
 
 def all_posets(n: int):
-    """Every labeled strict partial order on n vertices (219 for n=4)."""
+    """Every labeled strict partial order on n vertices (219 for n=4): the
+    relations that are antisymmetric and transitive, so closed as they
+    stand."""
     slots = [(i, j) for i in range(n) for j in range(n) if i != j]
     for mask in range(1 << len(slots)):
         rel = {slots[k] for k in range(len(slots)) if mask >> k & 1}
@@ -472,4 +475,4 @@ def all_posets(n: int):
             if j == k
         ):
             continue
-        yield make_poset(n, rel)
+        yield FinPoset(n, tuple(sum(1 << j for (u, j) in rel if u == i) for i in range(n)))

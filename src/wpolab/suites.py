@@ -53,7 +53,7 @@ from .ordinals import (
     ul_nat_add,
 )
 from .posets import (
-    _close,
+    FinPoset,
     _first_bit,
     all_posets,
     bad_tree_height,
@@ -240,7 +240,7 @@ def _suite_finite_poset_oracle(report, cases, rng):
                     d = _denote(node(Fin(p), Fin(q)))
                     # the batch order denote_prefix reads
                     batch = _checked_lt_rows(report, label, d, d.prefix(size))
-                    got = length_recursive(_close(size, batch))
+                    got = length_recursive(FinPoset(size, tuple(batch)))
                     if got != size:
                         report.failures.append((label, str(size), str(got)))
 

@@ -21,11 +21,10 @@ leaf ranks its ordinals with one sort and keeps a running OR, a Fin leaf
 reads its poset's covers in a cached topological order, sums hand each
 part the bits of its own vertices, and a product hands each factor, for
 each distinct coordinate, the mask of the vertices that share it, then
-ANDs the two reflexive rows.  The rows are closed, as every sum and
-product of closed orders is; denote_prefix still runs posets._close over
-them, which checks that and costs little on a closed order.  The pairwise
-lt stays as the oracle that tests and the finite_poset_oracle suite
-compare lt_rows against.
+ANDs the two reflexive rows.  denote_prefix takes the rows as built,
+through `LazyOrder.poset`, with no closure pass (see constructions).  The
+pairwise lt stays as the oracle that tests and the finite_poset_oracle
+suite compare lt_rows against.
 """
 
 from __future__ import annotations
@@ -49,7 +48,7 @@ from .ordinals import (
     parse_ordinal,
     render_ordinal,
 )
-from .posets import FinPoset, PosetError, _close, antichain, chain, length_fin
+from .posets import FinPoset, PosetError, antichain, chain, length_fin
 
 
 @dataclass(frozen=True)
@@ -192,13 +191,7 @@ def denote_prefix(t: PosetTerm, budget: int) -> FinPoset:
     """The finite poset induced on the first `budget` vertices of the
     canonical enumeration of t's denotation."""
     d = _denote(t)
-    return _prefix_poset(d, budget if d.size is None else min(budget, d.size))
-
-
-def _prefix_poset(d: LazyOrder, n: int) -> FinPoset:
-    """The poset on the first n vertices of the denotation d, from its
-    rows through posets._close."""
-    return _close(n, d.lt_rows(d.prefix(n)))
+    return d.poset(budget if d.size is None else min(budget, d.size))
 
 
 # -- term grammar --------------------------------------------------------------------

@@ -20,6 +20,7 @@ from wpolab import cli, oracles, ordinals, posets, suites, terms
 from wpolab.bounds import theta_plus
 from wpolab.cardinals import KOrdinal
 from wpolab.cli import MAX_BADTREE_VERTICES, build_parser, main
+from wpolab.constructions import LazyOrder
 from wpolab.io import MAX_VERTICES, export_poset, load_poset
 from wpolab.oracles import normal_form, random_countable_infinite, random_ordinal
 from wpolab.ordinals import MAX_NUMERAL_DIGITS, ZERO, add, mul, nat_add
@@ -636,11 +637,11 @@ def _random_poset_file(path, n: int, density: float):
 
 
 def test_cli_uses_a_leaf_argument_as_its_poset(monkeypatch, tmp_path):
-    # a Fin leaf holds its poset closed and bounded, so nothing denotes or
-    # closes it again
+    # a Fin leaf holds its poset closed and bounded, so nothing denotes it
+    # or builds its poset again
     calls = []
     _count_outer_calls(monkeypatch, terms, "_denote", calls)
-    _count_outer_calls(monkeypatch, terms, "_prefix_poset", calls)
+    _count_outer_calls(monkeypatch, LazyOrder, "poset", calls)
     path = tmp_path / "p.json"
     p = _random_poset_file(path, 6, 0.4)
     for arg in ("@%s" % path, "fin(@%s)" % path, " fin(@%s) " % path):
@@ -649,7 +650,7 @@ def test_cli_uses_a_leaf_argument_as_its_poset(monkeypatch, tmp_path):
     assert cli._load_poset_arg("fin(antichain3)") == antichain(3)
     assert calls == []
     assert cli._load_poset_arg("dsum(fin(chain1), fin(chain1))") == antichain(2)
-    assert calls == ["_denote", "_prefix_poset"]
+    assert calls == ["_denote", "poset"]
 
 
 @pytest.mark.parametrize("n, density", [(0, 0.0), (1, 0.0), (4, 0.5), (6, 0.3), (7, 0.6),
@@ -1134,30 +1135,45 @@ def test_the_frozen_documents_need_no_numpy():
     assert done.stdout.split() == want
 
 
-def test_construct_runs_no_closure(capsys):
-    # every construction's rows are closed by construction, so no kind
-    # enters posets._close, not even through make_poset
+def test_construct_runs_no_closure(capsys, tmp_path):
+    # every order the library builds has closed rows, so no construction,
+    # no poset command over composite terms and inline leaves, and no
+    # finite_poset_oracle case enters posets._close, not even through
+    # make_poset; 300 cases reach the suite's dsum and prod pairs
     entered = []
 
     def profile(frame, event, arg):
         if event == "call" and frame.f_code is posets._close.__code__:
             entered.append(frame.f_code.co_name)
 
-    old = sys.getprofile()
-    sys.setprofile(profile)
-    try:
-        codes = [main(argv) for argv in NUMPY_FREE_COMMANDS if argv[0] == "construct"]
-    finally:
-        sys.setprofile(old)
-    capsys.readouterr()
-    assert codes == [0] * 6 and entered == []
-    # the probe itself sees a closure where one runs
-    sys.setprofile(profile)
-    try:
-        main(["poset", "intersect", "dsum(fin(chain1), fin(chain1))", "fin(chain2)"])
-    finally:
-        sys.setprofile(old)
-    capsys.readouterr()
+    def run(argvs):
+        old = sys.getprofile()
+        sys.setprofile(profile)
+        try:
+            codes = [main(argv) for argv in argvs]
+        finally:
+            sys.setprofile(old)
+        capsys.readouterr()
+        return codes
+
+    constructs = [argv for argv in NUMPY_FREE_COMMANDS if argv[0] == "construct"]
+    assert {argv[1] for argv in constructs} == set(cli.CONSTRUCTIONS)
+    queries = [
+        ["poset", "intersect", "prod(fin(chain2),fin(chain2))", "fin(chain4)"],
+        ["poset", "intersect", "lexsum(fin(chain3), fin(antichain2))", "dsum(ord(2), fin(chain3))"],
+        ["poset", "intersect", "fin(antichain3)", "fin(chain3)"],
+        ["poset", "embeds", "fin(antichain2)", "prod(fin(chain2),fin(chain2))"],
+        ["poset", "embeds", "dsum(fin(chain2), fin(chain1))", "fin(chain3)"],
+        ["poset", "badtree", "prod(lexsum(ord(1), fin(chain1)), fin(antichain2))"],
+        ["poset", "badtree", "fin(antichain3)"],
+        ["verify", "--suite", "finite_poset_oracle", "--cases", "300"],
+    ]
+    assert run(constructs + queries) == [0] * 10 + [1, 0, 0, 0] and entered == []
+    # the probe itself sees a closure where one runs: a poset file is
+    # closed on load
+    path = tmp_path / "p.json"
+    path.write_text('{"n": 3, "le": [[0, 1], [1, 2]]}')
+    assert run([["poset", "badtree", "@%s" % path]]) == [0]
     assert entered == ["_close"]
 
 

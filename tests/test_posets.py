@@ -30,7 +30,7 @@ from wpolab.posets import (
 from wpolab.posets import _cycle, _predecessors
 from wpolab.terms import DSum, Fin, LexSum, Prod, denote_prefix
 
-from cases import closed_poset, cycle_steps, posets, random_dag, reach, relation
+from cases import closed_poset, cycle_steps, matrix, posets, random_dag, reach, relation
 
 
 def test_make_poset():
@@ -94,9 +94,16 @@ def test_length_trio_exhaustive_n3():
 
 def test_all_posets_counts():
     # labeled partial orders: 1, 1, 3, 19, 219
-    assert sum(1 for _ in all_posets(0)) == 1
-    assert sum(1 for _ in all_posets(2)) == 3
-    assert sum(1 for _ in all_posets(3)) == 19
+    for n, count in enumerate((1, 1, 3, 19, 219)):
+        found = list(all_posets(n))
+        assert len(found) == len(set(found)) == count
+        # all_posets builds its own rows with no closure: each is the
+        # closed order of its own relation
+        for p in found:
+            assert p == closed_poset(relation(n, p.pairs()))
+    assert antichain(0) == FinPoset(0, ()) and antichain(2) == FinPoset(2, (0, 0))
+    with pytest.raises(PosetError, match="vertex count -1 is negative"):
+        antichain(-1)
 
 
 def test_combine():
@@ -229,6 +236,24 @@ def test_restriction_bounds():
                 a = length_fin(p.restrict(sub))
                 b = length_fin(p.restrict(rest))
                 assert a <= length_fin(p) <= a + b
+
+
+def test_restrict_takes_a_set_of_existing_vertices():
+    # a repeated vertex counts once
+    assert chain(3).restrict([2, 0, 0]) == chain(2)
+    for vertices, bad in (([0, 2, 7], 7), ([-1, 1], -1)):
+        with pytest.raises(PosetError, match=r"^vertex %d out of range 0\.\.2$" % bad):
+            chain(3).restrict(vertices)
+    assert chain(0).restrict([]) == chain(0)
+
+
+@settings(max_examples=300)
+@given(posets(8), st.data())
+def test_restrict_is_the_order_of_the_sub_matrix(p, data):
+    vs = sorted(data.draw(st.sets(st.integers(0, p.n - 1))) if p.n else ())
+    sub = matrix(p.successors, p.n)[vs][:, vs]
+    assert p.restrict(vs) == closed_poset(sub)
+    assert p.restrict(reversed(vs)) == p.restrict(vs + vs) == p.restrict(vs)
 
 
 def test_hasse_reduction():
@@ -387,7 +412,8 @@ def test_pack_reads_rows_in_any_memory_layout():
 def test_closing_a_closed_2000_chain_visits_only_covers():
     # each takes about 0.01s of CPU on a 2-vCPU x86 machine, where a
     # closure that revisits every row takes 0.35s; the budget leaves 10x
-    # headroom
+    # headroom.  denote_prefix runs no closure: it reads the leaf's rows
+    # off its covers, one OR per cover
     m = np.triu(np.ones((2000, 2000), dtype=bool), 1)
     leaf = Fin(chain(2000))
     for name, close in (("poset_of_matrix", lambda: poset_of_matrix(m)),

@@ -143,7 +143,8 @@ def test_product_enumeration_walks_anti_diagonals():
 
 def _pairwise_prefix(t, budget):
     """denote_prefix through the pairwise comparator LazyOrder.lt, closed by
-    `cases.closed_poset`, not by the closure denote_prefix runs."""
+    `cases.closed_poset`; denote_prefix runs no closure, so equality also
+    shows that its rows come out closed."""
     d = terms._denote(t)
     n = budget if d.size is None else min(budget, d.size)
     vs = [d.vertex(i) for i in range(n)]
