@@ -30,6 +30,10 @@ keys, so the intersection check compares separate code paths; an order
 equal to that intersection is antisymmetric and transitive, so only a
 mismatch searches the rows for those two witnesses.
 
+Realizer keys are plain data, an int or a tuple of plain data: `<` on
+them is lexicographic and transitive wherever it does not raise, so one
+sort of a prefix's keys decides whether their order is linear.
+
 Everything is built at the countable scale: uncountable cardinals exist
 only symbolically in the theta calculus, since only countable structures
 admit prefix audits.
@@ -40,10 +44,9 @@ from __future__ import annotations
 import bisect
 import math
 import time
-from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
-from itertools import accumulate
+from itertools import accumulate, chain
 from operator import and_, lt, or_
 from typing import Callable, NamedTuple, Optional
 
@@ -81,8 +84,9 @@ class Enumeration:
     levels (`_layout`) and blocks (`_block`), `_descent`, each level placing
     an index in its block in closed form; `at` adds up the blocks' offsets
     and memoizes values by (ordinal, index), `key` keeps the block numbers
-    as a tuple whose order is the values' order, memoized per enumeration.
-    `index` walks the levels the other way.
+    as a tuple of ints whose order is the values' order, kept for every
+    index asked for: the caller's prefix bounds that memo, and it lives
+    as long as its enumeration.  `index` walks the levels the other way.
     """
 
     def __init__(self, alpha: CnfOrdinal):
@@ -91,7 +95,7 @@ class Enumeration:
             raise OrdinalError("cannot enumerate below 0")
         self.alpha = alpha
         self.size = alpha.as_int() if alpha.is_finite else None
-        self._keys: dict = {}  # index -> key, at most KEY_MEMO_SIZE
+        self._keys: dict = {}  # index -> key, every index asked for
         self._skip = math.inf
         if alpha.is_finite or alpha is OMEGA:
             self._kind = "range"
@@ -128,15 +132,13 @@ class Enumeration:
         Blocks ascend by offset and a block is its offset plus its
         sub-enumeration, so keys compare lexicographically as the values
         do, and no ordinal is built (a walk that stops at index 0 gives a
-        prefix of every other key in its block, and 0 is below them).
-        Memoized on this enumeration, emptied when full."""
+        prefix of every other key in its block, and 0 is below them).  A
+        key is a tuple of ints, plain data as realizer keys must be.
+        Memoized on this enumeration, one walk per index."""
         key = self._keys.get(i)
         if key is None:
             steps, j, _ = self._descent(i)
-            key = (*[b for _, _, b, _ in steps], j)
-            if len(self._keys) >= KEY_MEMO_SIZE:
-                self._keys.clear()
-            self._keys[i] = key
+            key = self._keys[i] = (*[b for _, _, b, _ in steps], j)
         return key
 
     def _descent(self, i: int, memo=None) -> tuple[list, int, Optional[CnfOrdinal]]:
@@ -196,12 +198,12 @@ class Enumeration:
 
 
 # Cache bounds: a tower such as w^(w^w) meets a new sub-ordinal at nearly
-# every vertex, so every table is bounded; the memos (the values, shared by
-# every enumeration, and each enumeration's keys) are emptied when full.
+# every vertex, so every table of sub-ordinals is bounded, and the value
+# memo, shared by every enumeration, is emptied when full.  Each
+# enumeration's key memo holds only the indices its caller asked for.
 LAYOUT_CACHE_SIZE = 1024
 BLOCK_CACHE_SIZE = 4096
 VALUE_MEMO_SIZE = 4096
-KEY_MEMO_SIZE = 4096
 _VALUES: dict = {}
 _layout = lru_cache(maxsize=LAYOUT_CACHE_SIZE)(Enumeration)
 
@@ -217,13 +219,14 @@ def _block(alpha: CnfOrdinal, b: int) -> tuple[CnfOrdinal, CnfOrdinal]:
             return level._heads[t], from_int(c)
         return add(level._heads[t], omega_pow(e, b - level._firsts[t])), omega_pow(e)
     # a pure power omega^e: block b is the b-th step of its fundamental
-    # sequence, and block 0 starts at 0 (for a limit e the sequence does not)
+    # sequence, and block 0 starts at 0 (for a limit e the sequence does not);
+    # for a limit e the steps are powers, so block b is step b + 1 itself,
+    # as w^a + w^c = w^c for a < c
     e = alpha.leading_exp
     if e.is_successor:
         step = omega_pow(e.pred())
         return mul(step, from_int(b)), step
-    lo = ZERO if b == 0 else fund_seq(alpha, b)
-    return lo, left_subtract(lo, fund_seq(alpha, b + 1))
+    return ZERO if b == 0 else fund_seq(alpha, b), fund_seq(alpha, b + 1)
 
 
 def enum_below(alpha) -> Enumeration:
@@ -273,9 +276,9 @@ class LazyPoset(LazyOrder):
 
     `lt_rows` never reads the realizer keys or the audit's key ranking.
     The realizer is `keys`, the pair (left key, right key) of per-vertex
-    keys, each valued in a set totally ordered by `<`: the left order puts
-    x before y iff left_key(x) < left_key(y), and likewise on the right.
-    Where a key holds an enumerated index it holds its block path
+    keys, each plain data (an int or a tuple of plain data): the left order
+    puts x before y iff left_key(x) < left_key(y), and likewise on the
+    right.  Where a key holds an enumerated index it holds its block path
     (`Enumeration.key`) or its value's order key `_key`, so keys are plain
     tuples and integers compared in C; `lt` compares the values themselves.
     Vertices with equal keys are incomparable in that order, so a tie makes
@@ -779,8 +782,9 @@ class AuditReport:
     checks: dict  # name -> (passed, witness-or-None)
     # step name -> CheckTiming: every check, plus the shared steps it reads,
     # "vertices" (enumerating the prefix), "lt" (the lt_rows batch) and
-    # "left_key"/"right_key" (ranking the realizer keys into rows); the
-    # steps run one after another, so their times add up to the audit's
+    # "left_key"/"right_key" (computing the realizer keys; each *_linear
+    # check ranks its keys into rows); the steps run one after another, so
+    # their times add up to the audit's
     timings: dict = field(default_factory=dict)
 
     @property
@@ -818,7 +822,9 @@ def _ranks(keys: list) -> tuple[list, list, list]:
     holds the bits of every key ranked r or above: tails[rank[i] + 1] is i's
     row in the rank order, where tied keys are incomparable.  The audit
     builds its key orders here, apart from _rank_rows, so the two sides of
-    its intersection check share no code."""
+    its intersection check share no code.  The sort is stable, so equal
+    keys stay in list order, and on plain keys it raises TypeError exactly
+    when some pair's comparison does (see _linear_witness)."""
     order = sorted(range(len(keys)), key=keys.__getitem__)
     ks = [keys[i] for i in order]
     dense = list(accumulate(map(lt, ks, ks[1:]), initial=0))  # by place in order
@@ -843,18 +849,52 @@ def _transitivity_witness(rows: list):
     return i, next(k for k in _bits(rows[i]) if rows[k] >> j & 1), j
 
 
-def _linear_witness(keys: list, order: list, rank: list):
-    """None if keys, sorted as order with dense ranks rank, are linear under
-    their own <; else the first tie (i, j) row-major, or the first two keys
-    h apart in sorted order that < misorders, for h = n//2, then 2, then 3."""
-    n = len(keys)
-    if max(rank, default=-1) + 1 < n:  # fewer distinct keys than keys
-        count = Counter(rank)
-        i = next(i for i, r in enumerate(rank) if count[r] > 1)
-        return i, rank.index(rank[i], i + 1)
-    ks = [keys[i] for i in order]
-    return next(((order[t], order[t + h]) for h in (n // 2 or 1, 2, 3)
-                 for t, (x, y) in enumerate(zip(ks, ks[h:])) if not x < y), None)
+def _plain(keys: list) -> bool:
+    """Whether every key is plain data: an int, or a tuple of plain data.
+    The walk goes one level of nesting at a time and reads each level's
+    types in one pass, so no Python code runs per key."""
+    while keys:
+        kinds = set(map(type, keys))
+        if not kinds <= {int, tuple}:
+            return False
+        if int in kinds:  # the ints end here, the tuples go on
+            keys = filter(tuple.__instancecheck__, keys) if tuple in kinds else ()
+        keys = list(chain.from_iterable(keys))
+    return True
+
+
+def _raises(x, y) -> bool:
+    """Whether x < y raises TypeError."""
+    try:
+        x < y
+    except TypeError:
+        return True
+    return False
+
+
+def _linear_witness(keys: list) -> tuple[object, Optional[tuple]]:
+    """(witness, ranks): None and _ranks(keys) if keys are linear under
+    their own <; else the first position i whose key is not plain data, or
+    the first pair (i, j) row-major whose comparison raises TypeError (with
+    ranks None: such keys do not sort), or the first tie (i, j) row-major,
+    the least pair of equal neighbours in the stable sort.
+
+    Plain data compares lexicographically, and < raises where an int meets
+    a tuple at the first place two keys differ.  Ranking a tuple above an
+    int there makes the order total, and between any raising pair lie two
+    neighbours that raise; a sort that returns has compared all neighbours
+    (up to equal keys), so plain keys sort exactly when no pair raises."""
+    if not _plain(keys):
+        return next(i for i, key in enumerate(keys) if not _plain([key])), None
+    try:
+        ranks = _ranks(keys)
+    except TypeError:
+        return next((i, j) for i, x in enumerate(keys) for j in range(i + 1, len(keys))
+                    if _raises(x, keys[j])), None
+    order, rank, _ = ranks
+    if not keys or rank[order[-1]] == len(keys) - 1:  # n keys, n ranks
+        return None, ranks
+    return min((i, j) for i, j in zip(order, order[1:]) if rank[i] == rank[j]), ranks
 
 
 def prefix_audit(p: LazyPoset, n: int, window=None) -> AuditReport:
@@ -881,10 +921,11 @@ def prefix_audit(p: LazyPoset, n: int, window=None) -> AuditReport:
     key_rows = []
     for name, key in zip(("left", "right"), p.keys, strict=True):
         keys = [key(v) for v in vs]
-        order, rank, tails = _ranks(keys)
-        key_rows.append([tails[r + 1] for r in rank])
         laps.lap("%s_key" % name, n)
-        record("%s_linear" % name, _linear_witness(keys, order, rank))
+        witness, ranks = _linear_witness(keys)
+        # keys that do not sort give no order, which fails the intersection
+        key_rows.append([0] * n if ranks is None else [ranks[2][r + 1] for r in ranks[1]])
+        record("%s_linear" % name, witness)
     w = _first_bit(row ^ (x & y) for row, x, y in zip(rows, *key_rows))
     record("intersection", w)
     if w is not None:  # a bit past the prefix fails the intersection alone

@@ -258,12 +258,20 @@ def test_enum_key_orders_indices_as_at_orders_values(alpha):
     assert [enum_below(o(alpha)).key(i) for i in range(n)] == keys
 
 
-def test_enum_key_memo_is_bounded(monkeypatch):
-    monkeypatch.setattr(constructions, "KEY_MEMO_SIZE", 16)
-    e = enum_below(o("w^w"))
-    keys = [e.key(i) for i in range(100)]
-    assert len(e._keys) <= 16
-    assert [e.key(i) for i in range(100)] == keys
+def test_an_audit_walks_each_key_once(monkeypatch):
+    # lt_rows walks every right key once and the audit's right keys read
+    # them back from the memo; a memo emptied at 4096 keys made 16,000
+    # walks here
+    walks = collections.Counter()
+    descent = Enumeration._descent
+
+    def counted(self, i, memo=None):
+        walks[i] += 1
+        return descent(self, i, memo)
+
+    monkeypatch.setattr(Enumeration, "_descent", counted)
+    assert prefix_audit(sierpinskisation(o("w^(w^w)")), 8000).passed
+    assert walks.total() == 8000 and set(walks) == set(range(8000))
     with pytest.raises(OrdinalError):
         enum_below(from_int(3)).key(3)
 
@@ -625,26 +633,44 @@ def test_audit_flags_a_non_linear_comparator():
 
 class _Cyclic:
     """A key whose < has no ties but is not transitive: of two values d
-    apart, the lower comes first unless 3 divides d."""
+    apart, the lower comes first unless period divides d."""
 
-    def __init__(self, v):
-        self.v = v
+    def __init__(self, v, period):
+        self.v, self.period = v, period
 
     def __lt__(self, other):
         d = other.v - self.v
-        return d != 0 and (d > 0) != (d % 3 == 0)
+        return d != 0 and (d > 0) != (d % self.period == 0)
 
 
 def test_audit_flags_a_key_whose_order_is_not_transitive():
-    # at n = 12 the keys sort and rank as 0 < 1 < ... < 11 with no tie, but
-    # key 0 does not come before key 6, six ranks (n//2) above it; where
-    # n//2 apart in rank order misses the cycle, 2 or 3 apart catches it.
-    # Three keys 0 < 1 < 2 are linear, so n starts at 4
+    # such a key is not plain data, so the audit names the first vertex
+    # and ranks nothing: that side's rows are empty, and the intersection
+    # names the first pair of the chain.  Periods 4, 5 and 7 pass at most n
+    # a check that compares keys only a few places apart in sorted order
     s = sierpinskisation(o("w"))
-    broken = dataclasses.replace(s, keys=(_Cyclic, s.keys[1]))
-    assert prefix_audit(broken, 12).failures() == {"left_linear": (0, 6)}
-    passed = [n for n in range(3, 61) if prefix_audit(broken, n).checks["left_linear"][0]]
-    assert passed == [3]
+    for period in (3, 4, 5, 7):
+        broken = dataclasses.replace(s, keys=(lambda v: _Cyclic(v, period), s.keys[1]))
+        assert prefix_audit(broken, 1).failures() == {"left_linear": 0}
+        for n in range(2, 61):
+            assert prefix_audit(broken, n).failures() == {"left_linear": 0,
+                                                          "intersection": (0, 1)}, (period, n)
+
+
+def test_audit_flags_keys_whose_comparison_raises():
+    # vertex 5's key is a tuple among ints: it sorts against none of them,
+    # so the audit names the first pair that raises and ranks nothing
+    s = sierpinskisation(o("w"))
+    broken = dataclasses.replace(s, keys=(s.keys[0], lambda i: (i,) if i == 5 else i))
+    assert prefix_audit(broken, 10).failures() == {"right_linear": (0, 5), "intersection": (0, 1)}
+    # an int and a tuple at the same place inside the keys
+    broken = dataclasses.replace(s, keys=(lambda i: (0, (i,) if i == 3 else i), s.keys[1]))
+    assert prefix_audit(broken, 6).failures() == {"left_linear": (0, 3), "intersection": (0, 1)}
+
+
+@pytest.mark.parametrize("key", [2.0, True, (2, 2.0), (2, ((2,), [2])), "2", (2, None)])
+def test_linear_witness_names_the_first_key_that_is_not_plain(key):
+    assert _linear_witness([0, (1, (1, 1)), key, 3.0]) == (2, None)
 
 
 def test_audit_reports_a_row_bit_past_the_prefix():
@@ -803,15 +829,37 @@ def test_audit_row_checks_match_the_matrix_formulas_under_faults(kind, seed):
     assert checks["projection_monotone"] == (w is None, want)
 
 
-@given(st.lists(st.integers(0, 12), max_size=30))
-@settings(max_examples=200, deadline=None)
+def _raises(x, y):
+    try:
+        x < y
+    except TypeError:
+        return True
+    return False
+
+
+_PLAIN_KEYS = st.recursive(st.integers(0, 3), lambda keys: st.lists(keys, max_size=3).map(tuple),
+                           max_leaves=6)
+
+
+@given(st.one_of(st.lists(st.integers(0, 12), max_size=30), st.lists(_PLAIN_KEYS, max_size=12)))
+@example([0, 1, (1,)])
+@example([(0, 1), (0, (1,)), (0, 1)])
+@example([(0, 1), (0, 1), (0, (1,))])
+@example([((1, 2), 3), ((1, 2), (3,)), ((1, (2,)), 3)])
+@settings(max_examples=300, deadline=None)
 def test_linear_witness_reports_the_first_tie_row_major(keys):
-    # integer keys are linear under <, so only a tie can fail; the witness
-    # is the first off-diagonal pair with equal keys in row-major order
+    # plain keys are linear under < exactly when they are distinct and
+    # every pair compares; the witness is the first off-diagonal pair in
+    # row-major order whose comparison raises, and else whose keys are equal
     n = len(keys)
-    tie = next(((i, j) for i in range(n) for j in range(n) if i != j and keys[i] == keys[j]),
-               None)
-    assert _linear_witness(keys, *_ranks(keys)[:2]) == tie
+    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+    raising = next(((i, j) for i, j in pairs if _raises(keys[i], keys[j])), None)
+    tie = next(((i, j) for i, j in pairs if keys[i] == keys[j]), None)
+    witness, ranks = _linear_witness(keys)
+    if raising is not None:
+        assert (witness, ranks) == (raising, None)
+    else:
+        assert (witness, ranks) == (tie, _ranks(keys))
 
 
 # -- key-ranked realizers ----------------------------------------------------------
@@ -917,6 +965,7 @@ def test_audit_check_names(kind, window):
         if window is not None:
             want.add("window_sections")
     assert set(report.checks) == want
+    assert report.passed, report.failures()
     # one timing lap per check, plus the shared steps
     assert set(report.timings) == want | {"vertices", "lt", "left_key", "right_key"}
 
