@@ -302,14 +302,22 @@ def _cnf_limit(values: list[CnfOrdinal]) -> CnfOrdinal:
         return add(out, limit)
 
 
-_SAMPLE_INDICES = range(3, 12)
+# Two disjoint windows of fundamental-sequence indices, each extrapolated
+# on its own: a sampled operand whose shape changes between them (a cap
+# between 11 and 40, say) gives two different limits and is refused.
+_SAMPLE_WINDOWS = (range(3, 12), range(40, 49))
 
 
 def _sampled_sup(sample: Callable[[int], KOrdinal]) -> KOrdinal:
-    vals = [sample(n) for n in _SAMPLE_INDICES]
-    if any(v.level != 0 for v in vals):
-        raise UnsupportedSupremum("cannot extrapolate uncountable sample values")
-    return KOrdinal.of(_cnf_limit([v.countable() for v in vals]))
+    limits = []
+    for window in _SAMPLE_WINDOWS:
+        vals = [sample(n) for n in window]
+        if any(v.level != 0 for v in vals):
+            raise UnsupportedSupremum("cannot extrapolate uncountable sample values")
+        limits.append(_cnf_limit([v.countable() for v in vals]))
+    if limits[0] != limits[1]:
+        raise UnsupportedSupremum("the two sample windows give different limits")
+    return KOrdinal.of(limits[0])
 
 
 def _corner_sup(fn: BoundOp, bounds: list[KOrdinal]) -> KOrdinal:
@@ -383,10 +391,14 @@ def bracket_tilde(f) -> BoundOp:
     outright or on each equipotence stratum (`equipotence_gated`); a plain
     callable declares nothing, so it is refused.  Exact on successor
     corners and, via fund_seq cofinal sampling with CNF limit
-    extrapolation, on countable limit bounds.  Uncountable strata of gated
-    operators are handled only under declared `at_least_cardinality` and
-    `stratum_bounded` facts (which make every lower stratum dominated by the
-    attained top corner); anything else raises UnsupportedSupremum.
+    extrapolation, on countable limit bounds where the operand keeps one
+    CNF shape along the sequence: the limits of two disjoint sample
+    windows (indices 3..11 and 40..48) must agree, which refuses a shape
+    that changes between them, not one that changes past 48.  Uncountable
+    strata of gated operators are handled only under declared
+    `at_least_cardinality` and `stratum_bounded` facts (which make every
+    lower stratum dominated by the attained top corner); anything else
+    raises UnsupportedSupremum.
     """
     if not (isinstance(f, BoundOp) and (f.monotone or f.equipotence_gated)):
         raise UnsupportedSupremum("bracket_tilde needs a monotone operand")

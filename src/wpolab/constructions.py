@@ -9,9 +9,12 @@ successor bitset per vertex, from the construction's defining data (ranks,
 indices, blocks), and the pairwise comparator `lt` is its oracle.  The
 batch ranks read an enumerated index as its block path (`Enumeration.key`),
 a plain tuple that sorts in C, and so do the realizer keys, but for
-mixing's, which hold the order key `_key` of the index's value; the `lt`
-oracles compare the values `Enumeration.at` gives, so checking one against
-the other also checks that the path order is the value order.  Every
+mixing's, which hold the order key `_key` of the index's value, read once
+per distinct index; the `lt` oracles compare the values `Enumeration.at`
+gives, so checking one against the other also checks that the path order
+is the value order.  `at` and `key` stop their walk at a shared memo of
+values and of block paths, so an index that several enumerations or
+levels meet is walked down once while the memo holds it.  Every
 order here is a rank order or an intersection of rank orders, placed in
 blocks, so its rows come out closed and acyclic with no closure pass: a
 rank leaf sorts once by rank and keeps a running OR, and a sum hands each
@@ -83,10 +86,13 @@ class Enumeration:
     fundamental sequence.  `at` and `key` share one loop down the cached
     levels (`_layout`) and blocks (`_block`), `_descent`, each level placing
     an index in its block in closed form; `at` adds up the blocks' offsets
-    and memoizes values by (ordinal, index), `key` keeps the block numbers
-    as a tuple of ints whose order is the values' order, kept for every
-    index asked for: the caller's prefix bounds that memo, and it lives
-    as long as its enumeration.  `index` walks the levels the other way.
+    into values, `key` keeps the block numbers as a tuple of ints whose
+    order is the values' order.  Both memoize by (ordinal, index) in a
+    bounded memo shared by every enumeration (`_VALUES`, `_PATHS`), which
+    the walk stops at, so a sub-level met again is not walked again; `key`
+    also keeps every index asked of it on its enumeration: the caller's
+    prefix bounds that memo, and it lives as long as its enumeration.
+    `index` walks the levels the other way.
     """
 
     def __init__(self, alpha: CnfOrdinal):
@@ -134,11 +140,19 @@ class Enumeration:
         do, and no ordinal is built (a walk that stops at index 0 gives a
         prefix of every other key in its block, and 0 is below them).  A
         key is a tuple of ints, plain data as realizer keys must be.
-        Memoized on this enumeration, one walk per index."""
+        Memoized on this enumeration, one walk per index; the walk stops at
+        a level whose (alpha, index) the shared path memo holds, the key of
+        that index on that level, and fills it on the way back up."""
         key = self._keys.get(i)
         if key is None:
-            steps, j, _ = self._descent(i)
-            key = self._keys[i] = (*[b for _, _, b, _ in steps], j)
+            steps, j, key = self._descent(i, _PATHS)
+            if key is None:
+                key = (j,)
+            if len(_PATHS) + len(steps) > VALUE_MEMO_SIZE:
+                _PATHS.clear()
+            for level, k, b, _ in reversed(steps):
+                key = _PATHS[level.alpha, k] = (b, *key)
+            self._keys[i] = key
         return key
 
     def _descent(self, i: int, memo=None) -> tuple[list, int, Optional[CnfOrdinal]]:
@@ -146,9 +160,10 @@ class Enumeration:
         that is not a range, while i is not 0 (block 0 starts at 0 on every
         level), i is placed in its block b as index j in closed form and the
         walk steps into b's sub-level at j.  It stops early on a level whose
-        (alpha, i) the value memo holds.  Returns the steps (level, i, b,
-        offset of b), the index it stopped at and the memo's value there
-        (None if it reached a range level or index 0)."""
+        (alpha, i) the given memo holds (at's values, key's paths).  Returns
+        the steps (level, i, b, offset of b), the index it stopped at and
+        the memo's entry there (None if it reached a range level or index
+        0)."""
         if i < 0 or (self.size is not None and i >= self.size):
             raise OrdinalError("enumeration index %d out of range" % i)
         level, steps = self, []
@@ -198,13 +213,16 @@ class Enumeration:
 
 
 # Cache bounds: a tower such as w^(w^w) meets a new sub-ordinal at nearly
-# every vertex, so every table of sub-ordinals is bounded, and the value
-# memo, shared by every enumeration, is emptied when full.  Each
-# enumeration's key memo holds only the indices its caller asked for.
+# every vertex, so every table of sub-ordinals is bounded, and the two
+# memos shared by every enumeration, at's values and key's block paths by
+# (ordinal, index), each hold at most VALUE_MEMO_SIZE entries and are
+# emptied when full.  Each enumeration's own key memo holds only the
+# indices its caller asked for.
 LAYOUT_CACHE_SIZE = 1024
 BLOCK_CACHE_SIZE = 4096
 VALUE_MEMO_SIZE = 4096
 _VALUES: dict = {}
+_PATHS: dict = {}
 _layout = lru_cache(maxsize=LAYOUT_CACHE_SIZE)(Enumeration)
 
 
@@ -353,8 +371,9 @@ def mixing_poset(a, b) -> LazyPoset:
     # vertex n -> (ai, bi, left key (a, k1), right key (b, k2)), with a and b
     # the order keys `_key` of the values ea.at(ai) and eb.at(bi), so keys
     # are plain tuples that compare as (value, k) pairs do; built in vertex
-    # order: k1 (k2) counts the earlier vertices with the same ai (bi), kept
-    # in running per-cell counters
+    # order: k1 (k2) counts the earlier vertices with the same ai (bi).
+    # seen_a (seen_b) holds, per distinct index, the next row's key (a, k1),
+    # so at runs once per distinct index and a row costs two lookups
     rows: list = []
     seen_a: dict = {}
     seen_b: dict = {}
@@ -365,9 +384,10 @@ def mixing_poset(a, b) -> LazyPoset:
             v, u = cell(uv)
             ai = u % ea.size if ea.size is not None else u
             bi = v % eb.size if eb.size is not None else v
-            k1, k2 = seen_a.get(ai, 0), seen_b.get(bi, 0)
-            seen_a[ai], seen_b[bi] = k1 + 1, k2 + 1
-            rows.append((ai, bi, (ea.at(ai)._key, k1), (eb.at(bi)._key, k2)))
+            a, k1 = left = seen_a.get(ai) or (ea.at(ai)._key, 0)
+            b, k2 = right = seen_b.get(bi) or (eb.at(bi)._key, 0)
+            seen_a[ai], seen_b[bi] = (a, k1 + 1), (b, k2 + 1)
+            rows.append((ai, bi, left, right))
         return rows[n]
 
     def lt(x, y):

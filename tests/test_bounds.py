@@ -488,6 +488,12 @@ def _sampled(f):
     # a plain callable declares nothing: this one falls at 3 and would give
     # 0 at w, below its value 5 at 0
     (lambda a: K(5) if a < K(3) else K(0), ["w"], "bracket_tilde needs a monotone operand"),
+    # caps that the first window (indices 3..11) does not reach and the
+    # second (40..48) does: the first extrapolates to w, the second to the cap
+    (BoundOp("min11", lambda a: min(a, K(11)), monotone=True), ["w"],
+     "the two sample windows give different limits"),
+    (BoundOp("min30", lambda a, b: min(k_nat_add(a, b), K(30)), monotone=True), ["w", "w"],
+     "the two sample windows give different limits"),
 ])
 def test_bracket_tilde_refusals(fn, bounds, message):
     with pytest.raises(UnsupportedSupremum) as exc:

@@ -258,6 +258,36 @@ def test_enum_key_orders_indices_as_at_orders_values(alpha):
     assert [enum_below(o(alpha)).key(i) for i in range(n)] == keys
 
 
+def _walked_key(e, i):
+    # the key of a walk that reads no memo
+    steps, j, _ = e._descent(i)
+    return (*[b for _, _, b, _ in steps], j)
+
+
+@pytest.mark.parametrize("alpha", _KEY_ALPHAS)
+def test_enum_key_memo_gives_the_keys_of_fresh_walks(monkeypatch, alpha):
+    # the shared path memo, first filled by the enumerations of every alpha
+    # here, then bounded to 16 entries so that it empties in mid-prefix
+    monkeypatch.setattr(constructions, "_PATHS", {})
+    for other in _KEY_ALPHAS:
+        e = enum_below(o(other))
+        for i in range(min(60, e.size or 60)):
+            e.key(i)
+    e = enum_below(o(alpha))
+    n = 150 if e.size is None else e.size
+    want = [_walked_key(e, i) for i in range(n)]
+    assert [e.key(i) for i in range(n)] == want
+    monkeypatch.setattr(constructions, "VALUE_MEMO_SIZE", 16)
+    monkeypatch.setattr(constructions, "_PATHS", {})
+    e, sizes = enum_below(o(alpha)), []
+    for i in range(n):
+        assert e.key(i) == want[i], i
+        sizes.append(len(constructions._PATHS))
+    assert max(sizes) <= 16
+    if e._kind != "range":
+        assert any(b < a for a, b in zip(sizes, sizes[1:])), sizes
+
+
 def test_an_audit_walks_each_key_once(monkeypatch):
     # lt_rows walks every right key once and the audit's right keys read
     # them back from the memo; a memo emptied at 4096 keys made 16,000
@@ -434,6 +464,25 @@ def test_mixing_audit_reports_the_cells_a_short_prefix_misses():
     report = prefix_audit(m, 10, window=(5, 5))
     assert want and report.checks["window_sections"] == (False, want)
     assert set(report.failures()) == {"window_sections"}
+
+
+@pytest.mark.parametrize("a,b", [("w*2", "w+1"), ("3", "w^2")])
+def test_mixing_rows_read_each_index_value_once(monkeypatch, a, b):
+    calls = collections.Counter()
+    at = Enumeration.at
+
+    def counted(self, i):
+        calls[self, i] += 1
+        return at(self, i)
+
+    monkeypatch.setattr(Enumeration, "at", counted)
+    m = mixing_poset(o(a), o(b))
+    vs = m.prefix(200)
+    assert m.lt_rows(vs) == relation_rows(vs, m.lt)
+    assert prefix_audit(m, 200).passed
+    # a key's first item is the order key of its index's value
+    distinct = len({m.keys[0](v)[0] for v in vs}) + len({m.keys[1](v)[0] for v in vs})
+    assert set(calls.values()) == {1} and len(calls) == distinct
 
 
 def test_mixing_types_and_certificate():
